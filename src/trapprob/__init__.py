@@ -18,7 +18,7 @@ from trapprob.conformal import (
     phi_segment,
     r_z,
 )
-from trapprob.disk_oracle import DiskProbQuery, f_disk, hunt_approx, p_disk
+from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import (
     BoundaryError,
     ConvergenceError,
@@ -63,7 +63,6 @@ __all__ = [
     "BoundaryError",
     "BoundedValue",
     "ConvergenceError",
-    "DiskProbQuery",
     "DomainError",
     "HittingRecord",
     "HypothesisError",

@@ -24,9 +24,15 @@ from trapprob.conformal import PlanePoint, make_segment_trap
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import ConvergenceError, DomainError, HypothesisError
 from trapprob.reporting import RunManifest, format_cell, svg_lineplot, write_csv, write_manifest
-from trapprob.segment_sim import RELEASE_STREAM, philox_stream, release_circle, sample_batch
 from trapprob.specfun import bessel_i, k0, k0_bounds
-from trapprob.verify import check_theorem1, check_theorem2, conjecture_probe, figure_series
+from trapprob.verify import (
+    _frame,
+    check_theorem1,
+    check_theorem2,
+    conjecture_probe,
+    figure_series,
+    release_and_sample,
+)
 
 USAGE_ERROR = 64
 
@@ -86,7 +92,7 @@ def _emit_table(args, header, rows):
             print(",".join(format_cell(v) for v in row))
 
 
-def _cmd_bessel(args, threads):
+def _cmd_bessel(args):
     if args.x_min <= 0 or args.x_max <= args.x_min:
         raise DomainError("need 0 < x-min < x-max")
     xs = np.logspace(math.log10(args.x_min), math.log10(args.x_max), args.points)
@@ -106,7 +112,7 @@ def _cmd_bessel(args, threads):
     return 0
 
 
-def _cmd_disk(args, threads):
+def _cmd_disk(args):
     grid = args.t_grid if args.t_grid is not None else args.tau_grid
     header = ["t", "p_disk", "f_disk", "hunt_raw", "hunt_tau0"]
     rows = []
@@ -124,15 +130,11 @@ def _cmd_disk(args, threads):
     return 0
 
 
-def _cmd_simulate(args, threads):
+def _cmd_simulate(args):
     started = args._started
     trap = make_segment_trap(args.a, args.b)
-    c = 0.5 * (trap.a + trap.b)
-    h = 0.5 * (trap.b - trap.a)
-    rng = philox_stream(args.seed, RELEASE_STREAM)
-    starts = release_circle(args.radius, args.n, rng)
-    norm = [PlanePoint((p.x - c) / h, p.y / h) for p in starts]
-    records = sample_batch(norm, args.tmax / (h * h), args.seed, threads=threads)
+    c, h = _frame(trap)
+    records = release_and_sample(trap, args.radius, args.n, args.tmax, args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
@@ -162,15 +164,13 @@ def _report_rows(reports):
     return header, rows
 
 
-def _cmd_verify(args, threads):
+def _cmd_verify(args):
     started = args._started
     trap = make_segment_trap(args.a, args.b)
     if args.which == "theorem1":
-        reports = [check_theorem1(trap, args.r, args.tau, args.n, args.seed, threads=threads)]
+        reports = [check_theorem1(trap, args.r, args.tau, args.n, args.seed)]
     else:
-        lower, upper = check_theorem2(
-            trap, PlanePoint(args.zx, args.zy), args.tau, args.n, args.seed, threads=threads
-        )
+        lower, upper = check_theorem2(trap, PlanePoint(args.zx, args.zy), args.tau, args.n, args.seed)
         reports = [rep for rep in (lower, upper) if rep is not None]
     os.makedirs(args.out_dir, exist_ok=True)
     header, rows = _report_rows(reports)
@@ -188,10 +188,10 @@ _FIG1_COLUMNS = ["r", "t", "prop", "ci_lo", "ci_hi", "p_disk", "hunt_raw", "hunt
 _FIG2_COLUMNS = ["r", "t", "surv", "surv_ci_lo", "surv_ci_hi", "surv_p_disk", "surv_hunt_raw", "surv_hunt_tau0"]
 
 
-def _cmd_figures(args, threads):
+def _cmd_figures(args):
     started = args._started
     t_grid = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.t_points)
-    rows = figure_series(args.radii, t_grid, n=args.n, seed=args.seed, threads=threads)
+    rows = figure_series(args.radii, t_grid, n=args.n, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     write_csv(
         os.path.join(args.out_dir, "figure1.csv"),
@@ -246,11 +246,11 @@ def _cmd_figures(args, threads):
     return 0
 
 
-def _cmd_conjecture(args, threads):
+def _cmd_conjecture(args):
     started = args._started
     trap = make_segment_trap(args.a, args.b)
     times = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.t_points)
-    rows = conjecture_probe(trap, args.radii, times, args.n, args.seed, threads=threads)
+    rows = conjecture_probe(trap, args.radii, times, args.n, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     header = list(rows[0].keys())
     write_csv(
@@ -348,11 +348,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     args._started = _now()
     try:
-        threads = int(os.environ.get("TRAPPROB_THREADS", "1") or "1")
-    except ValueError:
-        threads = 1
-    try:
-        return args.func(args, max(1, threads))
+        return args.func(args)
     except DomainError as exc:
         print(f"trapprob: domain error: {exc}", file=sys.stderr)
         return 1

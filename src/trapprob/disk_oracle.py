@@ -27,12 +27,11 @@ adaptive Gauss-Kronrod panels of sub-oscillation width on [y0, Y_max].
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from trapprob.errors import ConvergenceError, DomainError
-from trapprob.specfun import GAMMA, bessel_j0_y0, k0
+from trapprob.specfun import GAMMA, K0_SERIES_MAX_X, _k0_scaled_sum, bessel_j0_y0, k0
 
 # Absolute quadrature target for p_disk.
 QUAD_TOL = 1e-6
@@ -92,27 +91,6 @@ _WG[1::2] = [
 ]
 
 
-@dataclass(frozen=True)
-class DiskProbQuery:
-    """One disk-probability query: release radius, disk radius, and a time
-    coordinate that is either physical time t or Abelian scale tau."""
-
-    r: float
-    r_T: float
-    t: float = math.nan
-    tau: float = math.nan
-
-    def __post_init__(self):
-        if not self.r_T > 0.0:
-            raise DomainError(f"disk radius must be positive, got {self.r_T!r}")
-        if not self.r > 0.0:
-            raise DomainError(f"release radius must be positive, got {self.r!r}")
-        if not math.isnan(self.t) and self.t < 0.0:
-            raise DomainError(f"time must be >= 0, got {self.t!r}")
-        if not math.isnan(self.tau) and self.tau <= 0.0:
-            raise DomainError(f"tau must be positive, got {self.tau!r}")
-
-
 def _adaptive_gk(f, a, b, n_panels, tol, max_evals):
     """Adaptive Gauss-Kronrod integration of a vectorized f over [a, b].
 
@@ -165,15 +143,23 @@ def _adaptive_gk(f, a, b, n_panels, tol, max_evals):
 def f_disk(r, r_T, tau):
     """Abelian mean of the disk hitting probability, K0-ratio closed form.
 
-    Returns exactly 1 for r <= r_T; otherwise a value in (0, 1].
+    Returns exactly 1 for r <= r_T; otherwise a value in [0, 1] (0 only
+    where the ratio underflows).  Where the denominator's argument exceeds
+    K0_SERIES_MAX_X the ratio is formed from exponentially scaled K0, so
+    tiny tau cannot divide by an underflowed K0.
     """
     if not (r_T > 0.0 and r > 0.0 and tau > 0.0):
         raise DomainError(f"f_disk needs positive arguments, got r={r!r} r_T={r_T!r} tau={tau!r}")
     if r <= r_T:
         return 1.0
-    num = k0(math.sqrt(2.0 * r * r / tau)).value
-    den = k0(math.sqrt(2.0 * r_T * r_T / tau)).value
-    return num / den
+    xd = math.sqrt(2.0 * r_T * r_T / tau)
+    if xd > K0_SERIES_MAX_X:
+        # Both K0 values may underflow; take the ratio of e^x K0(x) instead:
+        # e^-(xn - xd) sqrt(xd/xn) times the ratio of the asymptotic sums.
+        xn = math.sqrt(2.0 * r * r / tau)
+        gap = math.sqrt(2.0 / tau) * (r - r_T)
+        return math.exp(-gap) * math.sqrt(r_T / r) * _k0_scaled_sum(xn)[0] / _k0_scaled_sum(xd)[0]
+    return k0(math.sqrt(2.0 * r * r / tau)).value / k0(xd).value
 
 
 def _p_disk_raw(r, r_T, t):

@@ -12,12 +12,11 @@ is censored as soon as its accumulated time exceeds the cap t_max.
 
 Randomness is counter-based: trajectory i of a run draws from
 ``Philox(key=[seed, i])``, so results are bit-reproducible regardless of
-batch order or thread count; the release-point stream uses the reserved
+batch order or chunking; the release-point stream uses the reserved
 index 2^64 - 1.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -161,31 +160,18 @@ def release_circle(r, n, rng):
     return [PlanePoint(float(px), float(py)) for px, py in zip(xs, ys)]
 
 
-def sample_batch(starts, t_max, seed, first_index=0, threads=1):
+def sample_batch(starts, t_max, seed, first_index=0):
     """Simulate one trajectory per start point.
 
     Trajectory i uses the stream ``philox_stream(seed, first_index + i)``,
-    so the result is independent of chunking: ``threads > 1`` splits the
-    index range over a thread pool and reassembles in order.
+    so the result is independent of chunking: splitting the starts into
+    consecutive pieces and passing each piece's offset as ``first_index``
+    reproduces the whole batch.
     """
-    starts = list(starts)
-    if threads is None:
-        threads = 1
-    if threads <= 1 or len(starts) < 2 * threads:
-        return [
-            sample_hit(p, t_max, philox_stream(seed, first_index + i))
-            for i, p in enumerate(starts)
-        ]
-    out = [None] * len(starts)
-
-    def run_range(lo, hi):
-        for i in range(lo, hi):
-            out[i] = sample_hit(starts[i], t_max, philox_stream(seed, first_index + i))
-
-    bounds = np.linspace(0, len(starts), threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda k: run_range(bounds[k], bounds[k + 1]), range(threads)))
-    return out
+    return [
+        sample_hit(p, t_max, philox_stream(seed, first_index + i))
+        for i, p in enumerate(starts)
+    ]
 
 
 def wilson_interval(successes, n, z=Z_99):

@@ -234,9 +234,12 @@ def _k0_tail(x, m):
     return math.inf
 
 
-def _k0_asymptotic(x):
-    """Large-x expansion e^-x sqrt(pi/2x) sum (-1)^k m_k x^-k with the
-    first omitted term as the remainder bound."""
+def _k0_scaled_sum(x):
+    """Large-x expansion sum (-1)^k m_k x^-k of e^x K0(x) / sqrt(pi/2x).
+
+    Returns (sum, first omitted term); the sum is truncated at its smallest
+    term or once terms drop below 1e-18 relative.
+    """
     s = 1.0
     term = 1.0
     prev = math.inf
@@ -248,6 +251,13 @@ def _k0_asymptotic(x):
             break
         s += term if k % 2 == 0 else -term
         prev = term
+    return s, term
+
+
+def _k0_asymptotic(x):
+    """Large-x expansion e^-x sqrt(pi/2x) sum (-1)^k m_k x^-k with the
+    first omitted term as the remainder bound."""
+    s, term = _k0_scaled_sum(x)
     pref = math.exp(-x) * math.sqrt(math.pi / (2.0 * x))
     value = pref * s
     return value, pref * term + 1e-15 * abs(value)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trapprob.conformal import PlanePoint, green_segment, r_z
+from trapprob.conformal import PlanePoint, green_segment, make_segment_trap, r_z
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import DomainError, HypothesisError
 from trapprob.segment_sim import (
@@ -35,7 +35,6 @@ from trapprob.segment_sim import (
     release_circle,
     sample_batch,
     survival_curve,
-    wilson_interval,
 )
 
 # Cap the simulated horizon at this multiple of tau: the censoring bracket
@@ -73,12 +72,21 @@ def _report(label, lhs, rhs, slack):
     return BoundReport(label, float(lhs), float(rhs), float(margin), float(slack), verdict)
 
 
+def _frame(trap):
+    """Centre c and half-length h of a segment trap; z -> ((x - c)/h, y/h)
+    maps it onto the normalized segment [-1, 1]."""
+    return 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
+
+
+def _normalize(trap, p):
+    c, h = _frame(trap)
+    return PlanePoint((p.x - c) / h, p.y / h)
+
+
 def _green(trap, z):
     """Green's function with pole at infinity, either trap kind."""
     if trap.kind == "segment":
-        c = 0.5 * (trap.a + trap.b)
-        h = 0.5 * (trap.b - trap.a)
-        return green_segment(PlanePoint((z.x - c) / h, z.y / h))
+        return green_segment(_normalize(trap, z))
     if trap.kind == "disk":
         rr = abs(z)
         if rr <= trap.radius:
@@ -87,30 +95,55 @@ def _green(trap, z):
     raise DomainError(f"unknown trap kind {trap.kind!r}")
 
 
-def _normalize(trap, p):
-    c = 0.5 * (trap.a + trap.b)
-    h = 0.5 * (trap.b - trap.a)
-    return PlanePoint((p.x - c) / h, p.y / h)
+def release_and_sample(trap, r, n, t_max, seed, release_index=RELEASE_STREAM, first_index=0):
+    """Simulate n trajectories released uniformly on the circle of radius r
+    (origin centre) against a segment trap, capped at time t_max.
 
-
-def _abelian_mc(trap, starts, tau, n, seed, stream_offset, release_index, threads):
-    """Abelian-mean bracket for a segment trap, in original time units.
-
-    ``starts`` is either a fixed PlanePoint (all trajectories from one
-    point) or None (uniform on a circle; then it is drawn here).
+    The release points come from stream ``release_index`` and trajectory i
+    from stream ``first_index + i``.  The walk runs in the segment's unit
+    frame, so record times are in units of h^2 and hit points in unit-frame
+    coordinates (h the half-length).
     """
-    h = 0.5 * (trap.b - trap.a)
-    h2 = h * h
-    if isinstance(starts, PlanePoint):
-        pts = [_normalize(trap, starts)] * n
+    starts = release_circle(r, n, philox_stream(seed, release_index))
+    c, h = _frame(trap)
+    if (c, h) != (0.0, 1.0):  # on [-1, 1] the frame map is the identity
+        starts = [_normalize(trap, p) for p in starts]
+    return sample_batch(starts, t_max / (h * h), seed, first_index=first_index)
+
+
+def _abelian_mc(trap, start, tau, n, seed):
+    """Midpoint and statistical slack of the Monte Carlo Abelian mean for a
+    segment trap, in original time units.
+
+    ``start`` is either a fixed PlanePoint (all trajectories from one point)
+    or a release radius (uniform on that circle).
+    """
+    h = _frame(trap)[1]
+    t_max = TMAX_OVER_TAU * tau
+    if isinstance(start, PlanePoint):
+        records = sample_batch([_normalize(trap, start)] * n, t_max / (h * h), seed)
     else:
-        rng = philox_stream(seed, release_index)
-        pts = [_normalize(trap, p) for p in release_circle(starts, n, rng)]
-    records = sample_batch(pts, TMAX_OVER_TAU * tau / h2, seed, first_index=stream_offset, threads=threads)
-    return abelian_estimate(records, tau / h2)
+        records = release_and_sample(trap, start, n, t_max, seed)
+    est = abelian_estimate(records, tau / (h * h))
+    return est.midpoint, est.half_width + SLACK_SIGMAS * est.std_error
 
 
-def check_theorem1(trap, r, tau, n, seed, threads=1):
+def _capture_curves(trap, radii, times, n, seed):
+    """One survival curve per release radius on the grid ``times`` (original
+    units, capped at its last point).  Radius k draws its release points
+    from stream RELEASE_STREAM-1-k and its trajectories from indices k*n on.
+    """
+    h = _frame(trap)[1]
+    curves = []
+    for k, r in enumerate(radii):
+        records = release_and_sample(
+            trap, r, n, float(times[-1]), seed, release_index=RELEASE_STREAM - 1 - k, first_index=k * n
+        )
+        curves.append(survival_curve(records, times / (h * h), r))
+    return curves
+
+
+def check_theorem1(trap, r, tau, n, seed):
     """Check |f_hat(r, tau) - f_disk(r, r_T, tau)| <= 2.9 (d^2/tau) f_disk.
 
     Requires tau > (e/2) d^2 and r >= r0 (HypothesisError otherwise).  For a
@@ -129,9 +162,7 @@ def check_theorem1(trap, r, tau, n, seed, threads=1):
     if trap.kind == "disk":
         mid, slack = fd, 0.0
     else:
-        est = _abelian_mc(trap, float(r), tau, int(n), seed, 0, RELEASE_STREAM, threads)
-        mid = est.midpoint
-        slack = est.half_width + SLACK_SIGMAS * est.std_error
+        mid, slack = _abelian_mc(trap, float(r), tau, int(n), seed)
     return _report(
         f"theorem1[{trap.kind} r={r:g} tau={tau:g} n={n}]",
         abs(mid - fd),
@@ -140,7 +171,7 @@ def check_theorem1(trap, r, tau, n, seed, threads=1):
     )
 
 
-def check_theorem2(trap, z, tau, n, seed, threads=1):
+def check_theorem2(trap, z, tau, n, seed):
     """Sandwich the pointwise Abelian mean F_hat(z, tau).
 
     Returns (lower_report, upper_report); a side whose hypothesis fails
@@ -160,9 +191,7 @@ def check_theorem2(trap, z, tau, n, seed, threads=1):
     if trap.kind == "disk":
         mid, slack = f_disk(abs(z), trap.r_T, tau), 0.0
     else:
-        est = _abelian_mc(trap, z, tau, int(n), seed, 0, RELEASE_STREAM, threads)
-        mid = est.midpoint
-        slack = est.half_width + SLACK_SIGMAS * est.std_error
+        mid, slack = _abelian_mc(trap, z, tau, int(n), seed)
     tag = f"{trap.kind} z=({z.x:g},{z.y:g}) tau={tau:g} n={n}"
     lower = None
     if lower_ok:
@@ -183,7 +212,7 @@ def corollary_envelope(trap, z, t):
     return 2.0 * math.pi * _green(trap, z) * math.log(big_l * big_l) / (big_l * big_l)
 
 
-def conjecture_probe(trap, radii, times, n, seed, threads=1):
+def conjecture_probe(trap, radii, times, n, seed):
     """Empirical deviation of segment capture curves from the disk surrogate.
 
     For each grid time, reports the sup over release radii of
@@ -197,16 +226,7 @@ def conjecture_probe(trap, radii, times, n, seed, threads=1):
     if any(r < trap.r0 for r in radii):
         raise DomainError(f"all release radii must be >= r0 = {trap.r0:g}")
     times = np.asarray(times, dtype=float)
-    h = 0.5 * (trap.b - trap.a)
-    h2 = h * h
-    t_cap = float(times[-1])
-
-    curves = []
-    for k, r in enumerate(radii):
-        rng = philox_stream(seed, RELEASE_STREAM - 1 - k)
-        pts = [_normalize(trap, p) for p in release_circle(r, int(n), rng)]
-        records = sample_batch(pts, t_cap / h2, seed, first_index=k * int(n), threads=threads)
-        curves.append(survival_curve(records, times / h2, r))
+    curves = _capture_curves(trap, radii, times, int(n), seed)
 
     rows = []
     for j, t in enumerate(times):
@@ -244,7 +264,7 @@ def conjecture_probe(trap, radii, times, n, seed, threads=1):
     return rows
 
 
-def figure_series(radii=None, t_grid=None, n=100000, seed=0, threads=1):
+def figure_series(radii=None, t_grid=None, n=100000, seed=0):
     """Capture/survival series for the normalized segment trap.
 
     For each release radius and grid time: the simulated capture proportion
@@ -258,16 +278,11 @@ def figure_series(radii=None, t_grid=None, n=100000, seed=0, threads=1):
     if t_grid is None:
         t_grid = np.logspace(-1.0, 5.0, 25)
     t_grid = np.asarray(t_grid, dtype=float)
-    n = int(n)
-    t_cap = float(t_grid[-1])
+    radii = [float(r) for r in radii]
+    curves = _capture_curves(make_segment_trap(-1.0, 1.0), radii, t_grid, int(n), seed)
 
     rows = []
-    for k, r in enumerate(radii):
-        r = float(r)
-        rng = philox_stream(seed, RELEASE_STREAM - 1 - k)
-        pts = release_circle(r, n, rng)
-        records = sample_batch(pts, t_cap, seed, first_index=k * n, threads=threads)
-        curve = survival_curve(records, t_grid, r)
+    for r, curve in zip(radii, curves):
         for j, t in enumerate(t_grid):
             pd = p_disk(r, 0.5, float(t))
             row = {

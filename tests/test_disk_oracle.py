@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from trapprob import (
     ConvergenceError,
-    DiskProbQuery,
     DomainError,
     f_disk,
     hunt_approx,
@@ -93,6 +92,22 @@ def test_f_disk_scale_invariance():
         assert_allclose(
             f_disk(s * 1.0, s * R_T, s * s * 2.0), f_disk(1.0, R_T, 2.0), rtol=1e-13
         )
+
+
+def test_f_disk_tiny_tau_is_finite():
+    # below tau ~ 1e-6 both K0 values underflow; the ratio must not divide by 0
+    for tau in np.geomspace(1e-12, 1e-6, 13):
+        v = f_disk(5.0, R_T, float(tau))
+        assert math.isfinite(v) and 0.0 <= v <= 1.0
+    assert f_disk(5.0, R_T, 1e-9) == 0.0  # true value 2.6e-87401
+
+
+def test_f_disk_scaled_ratio_near_trap():
+    # r -> r_T at tiny tau: K0 underflows but the ratio is O(1).
+    # References: K0 ratio with mpmath at 40 digits of the float inputs.
+    assert_allclose(f_disk(0.50001, R_T, 1e-9), 0.63940092525739894933, rtol=1e-12)
+    assert_allclose(f_disk(1.0, R_T, 1e-3), 1.3789242229523487635e-10, rtol=1e-12)
+    assert_allclose(f_disk(5.0, R_T, 1e-4), 1.3102971456465473757e-277, rtol=1e-12)
 
 
 def test_f_disk_domain():
@@ -186,19 +201,6 @@ def test_p_disk_domain_errors():
         p_disk(5.0, R_T, -1.0)
     with pytest.raises(DomainError):
         p_disk(5.0, 0.0, 1.0)
-
-
-def test_disk_prob_query_validation():
-    q = DiskProbQuery(r=5.0, r_T=R_T, t=10.0)
-    assert q.r == 5.0 and math.isnan(q.tau)
-    with pytest.raises(DomainError):
-        DiskProbQuery(r=0.0, r_T=R_T)
-    with pytest.raises(DomainError):
-        DiskProbQuery(r=1.0, r_T=-1.0)
-    with pytest.raises(DomainError):
-        DiskProbQuery(r=1.0, r_T=R_T, t=-2.0)
-    with pytest.raises(DomainError):
-        DiskProbQuery(r=1.0, r_T=R_T, tau=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -181,10 +181,14 @@ def test_trajectories_terminate():
 # batching and determinism
 # ---------------------------------------------------------------------------
 
-def test_batch_deterministic_and_thread_invariant():
+def test_batch_deterministic_and_split_invariant():
     starts = [PlanePoint(0.0, 3.0)] * 64 + [PlanePoint(4.0, -2.0)] * 64
-    a = sample_batch(starts, 100.0, seed=42, threads=1)
-    b = sample_batch(starts, 100.0, seed=42, threads=4)
+    a = sample_batch(starts, 100.0, seed=42)
+    assert sample_batch(starts, 100.0, seed=42) == a
+    b = []
+    for lo in range(0, len(starts), 32):  # the same batch as 4 chunks
+        b += sample_batch(starts[lo : lo + 32], 100.0, seed=42, first_index=lo)
+    assert len(b) == len(a)
     for ra, rb in zip(a, b):
         assert ra.time == rb.time
         assert ra.steps == rb.steps

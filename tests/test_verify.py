@@ -101,8 +101,6 @@ def test_theorem1_deterministic(segment):
     a = check_theorem1(segment, 5.0, 120.0, 1500, seed=SEED)
     b = check_theorem1(segment, 5.0, 120.0, 1500, seed=SEED)
     assert a == b
-    c = check_theorem1(segment, 5.0, 120.0, 1500, seed=SEED, threads=4)
-    assert a == c
 
 
 # ----------------------------------------------------------------------

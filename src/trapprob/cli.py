@@ -24,6 +24,7 @@ from trapprob.conformal import PlanePoint, make_segment_trap
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import ConvergenceError, DomainError, HypothesisError
 from trapprob.reporting import RunManifest, format_cell, svg_lineplot, write_csv, write_manifest
+from trapprob.segment_sim import SAMPLER_STREAM
 from trapprob.specfun import bessel_i, k0, k0_bounds
 from trapprob.verify import (
     _frame,
@@ -72,6 +73,7 @@ def _manifest(args, started, out_dir=None, path=None):
         seed=int(getattr(args, "seed", 0)),
         parameters={k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},
         tool_version=trapprob.__version__,
+        sampler_stream=SAMPLER_STREAM,
         started=started,
         finished=_now(),
     )
@@ -137,21 +139,19 @@ def _cmd_simulate(args):
     records = release_and_sample(trap, args.radius, args.n, args.tmax, args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    rows = []
-    for i, rec in enumerate(records):
-        if rec.censored:
-            x = y = None
-        else:
-            x, y = c + h * rec.hit_point.x, h * rec.hit_point.y
-        rows.append([i, rec.time * h * h, x, y, rec.censored, rec.steps])
+    # .tolist() gives Python scalars, which format_cell prints as 0/1 and
+    # %.12g; hits lie on the axis, so y is 0 there and empty when censored
+    censored = records.censored.tolist()
+    xs = [None if cen else x for x, cen in zip((c + h * records.x).tolist(), censored)]
+    ys = [None if cen else 0.0 for cen in censored]
     write_csv(
         os.path.join(args.out_dir, "records.csv"),
         ["index", "time", "x", "y", "censored", "steps"],
-        rows,
+        zip(range(len(records)), (records.time * h * h).tolist(), xs, ys, censored, records.steps.tolist()),
     )
     _manifest(args, started, out_dir=args.out_dir)
-    n_censored = sum(rec.censored for rec in records)
-    mean_steps = sum(rec.steps for rec in records) / len(records)
+    n_censored = int(records.censored.sum())
+    mean_steps = float(records.steps.mean())
     print(f"simulated {args.n} trajectories: {n_censored} censored, mean steps {mean_steps:.2f}")
     return 0
 

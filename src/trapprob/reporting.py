@@ -18,12 +18,14 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 @dataclass(frozen=True)
 class RunManifest:
     """Provenance of one CLI invocation; rerunning with the same command and
-    seed reproduces the CSV outputs byte for byte."""
+    seed reproduces the CSV outputs byte for byte.  ``sampler_stream`` names
+    the version of the sampler's random stream (``SAMPLER_STREAM``)."""
 
     command: str
     seed: int
     parameters: dict
     tool_version: str
+    sampler_stream: str
     started: str
     finished: str
 

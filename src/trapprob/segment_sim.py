@@ -10,15 +10,20 @@ those two jumps walks the path onto the trap in finitely many steps while
 reproducing the exact joint law of (hitting time, hit point).  A trajectory
 is censored as soon as its accumulated time exceeds the cap t_max.
 
-Randomness is counter-based: trajectory i of a run draws from
-``Philox(key=[seed, i])``, so results are bit-reproducible regardless of
-batch order or chunking; the release-point stream uses the reserved
-index 2^64 - 1.
+:func:`sample_batch` advances all trajectories of a batch together as
+arrays and returns a record array (fields ``time, x, censored, steps``).
+Its randomness is counter-based: step k of trajectory j draws its two
+normals from one Philox4x32-10 block (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11) with counter (k, 0, j mod 2^32,
+j div 2^32) and key (seed mod 2^32, seed div 2^32), through Box-Muller.
+Every draw is a function of (seed, trajectory, step) alone, so results are
+bit-reproducible and do not depend on how a batch is split into chunks.
+Release points come from the numpy generator ``philox_stream(seed,
+RELEASE_STREAM)``, the reserved index 2^64 - 1.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,19 +43,33 @@ RELEASE_STREAM = 2**64 - 1
 # 99% two-sided normal quantile for Wilson score intervals.
 Z_99 = 2.5758293035489004
 
+# Version of the walk's random stream, recorded in every run manifest: a
+# change to the generator, its keying or the normal transform must bump it.
+SAMPLER_STREAM = "philox4x32-10/box-muller/1"
+
+# Philox4x32 round multipliers and Weyl key increments (Random123).
+PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+PHILOX_ROUNDS = 10
+_MASK32 = 0xFFFFFFFF
+
+# One trajectory per row; ``x`` is the unit-frame hit abscissa, NaN when
+# censored.
+RECORD_DTYPE = np.dtype([("time", "f8"), ("x", "f8"), ("censored", "?"), ("steps", "i8")])
+
 
 @dataclass(frozen=True)
 class HittingRecord:
-    """Outcome of one simulated trajectory.
+    """Outcome of one simulated trajectory (a row of ``RECORD_DTYPE``).
 
     ``censored`` is False iff the trap was hit by the cap, in which case
-    ``hit_point`` lies on the segment and ``time`` <= t_max; otherwise
-    ``time`` is the first accumulated jump time exceeding the cap and
-    ``hit_point`` is None.
+    the hit point is (``x``, 0) on the segment and ``time`` <= t_max;
+    otherwise ``time`` is the first accumulated jump time exceeding the cap
+    and ``x`` is NaN.
     """
 
     time: float
-    hit_point: Optional[PlanePoint]
+    x: float
     censored: bool
     steps: int
 
@@ -87,9 +106,59 @@ class AbelianEstimate:
 
 
 def philox_stream(seed, index):
-    """Counter-based generator for trajectory ``index`` of run ``seed``."""
+    """Counter-based numpy generator for stream ``index`` of run ``seed``
+    (the release points use ``index = RELEASE_STREAM``)."""
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def philox4x32(c0, c1, c2, c3, k0, k1):
+    """The Philox4x32-10 block function on 32-bit words held in uint64.
+
+    The counter words c0..c3 may be arrays or scalars (they broadcast);
+    the key words k0, k1 are integers.  Returns the four output words.
+    """
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3))
+    k0, k1 = int(k0), int(k1)
+    for _ in range(PHILOX_ROUNDS):
+        p0 = c0 * PHILOX_M[0]  # exact: both factors are below 2^32
+        p1 = c2 * PHILOX_M[1]
+        # (hi(p1) ^ c1 ^ k0, lo(p1), hi(p0) ^ c3 ^ k1, lo(p0)), updated in
+        # place where the operands are arrays to save temporaries
+        c0 = p1 >> 32
+        c0 ^= c1
+        c0 ^= k0
+        c2 = p0 >> 32
+        c2 ^= c3
+        c2 ^= k1
+        p1 &= _MASK32
+        p0 &= _MASK32
+        c1, c3 = p1, p0
+        k0 = (k0 + PHILOX_W[0]) & _MASK32
+        k1 = (k1 + PHILOX_W[1]) & _MASK32
+    return c0, c1, c2, c3
+
+
+def _open_unit(hi, lo):
+    """Uniform on (0, 1) from two 32-bit words: (m + 0.5) / 2^52 with m the
+    top 52 bits.  With 52 bits the value is exact, so it is never 0 or 1;
+    with 53 the top value would round to 1.0."""
+    m = ((hi << 32) | lo) >> 12
+    return (m + 0.5) * 2.0**-52
+
+
+def philox_normals(seed, index, step):
+    """The two standard normals (g1, g2) that step ``step`` of trajectory
+    ``index`` consumes: one Philox4x32-10 block with counter (step, 0,
+    index mod 2^32, index div 2^32) and key (seed mod 2^32, seed div 2^32),
+    through Box-Muller.  ``index`` may be an array.  g1 is never 0: the
+    radius is positive and the cosine of a double never vanishes.
+    """
+    index = np.asarray(index, dtype=np.uint64)
+    w0, w1, w2, w3 = philox4x32(step, 0, index & _MASK32, index >> 32, seed & _MASK32, seed >> 32)
+    radius = np.sqrt(-2.0 * np.log(_open_unit(w0, w1)))
+    theta = (2.0 * np.pi) * _open_unit(w2, w3)
+    return radius * np.cos(theta), radius * np.sin(theta)
 
 
 def jump_to_axis(x, y, g1, g2):
@@ -99,7 +168,8 @@ def jump_to_axis(x, y, g1, g2):
     Cauchy(x, |y|) distributed and the elapsed time y^2/g1^2 is the exact
     law of the axis-crossing time.
     """
-    return x + abs(y) / abs(g1) * g2, (y / g1) ** 2
+    q = y / g1  # squared by a product, as in sample_batch: pow may differ in the last bit
+    return x + abs(y) / abs(g1) * g2, q * q
 
 
 def jump_to_line(x, g1, g2):
@@ -109,7 +179,8 @@ def jump_to_line(x, g1, g2):
     (|x|-1)/|g1| * g2 and elapsed time (|x|-1)^2/g1^2.
     """
     gap = abs(x) - 1.0
-    return math.copysign(1.0, x), gap / abs(g1) * g2, (gap / g1) ** 2
+    q = gap / g1  # squared by a product, as in sample_batch
+    return math.copysign(1.0, x), gap / abs(g1) * g2, q * q
 
 
 def sample_hit(start, t_max, rng):
@@ -118,13 +189,15 @@ def sample_hit(start, t_max, rng):
     Each step consumes exactly two standard-normal draws from ``rng`` (a
     pair is redrawn in the measure-zero event that the first draw underflows
     to exactly 0).  Returns a :class:`HittingRecord`; raises
-    ConvergenceError if the walk exceeds STEP_CAP steps.
+    ConvergenceError if the walk exceeds STEP_CAP steps.  This is the scalar
+    reference for :func:`sample_batch`: fed that kernel's normals, it
+    returns the same record.
     """
     if not t_max > 0.0:
         raise DomainError(f"t_max must be positive, got {t_max!r}")
     x, y = float(start.x), float(start.y)
     if y == 0.0 and abs(x) <= 1.0 + ENDPOINT_TOL:
-        return HittingRecord(0.0, PlanePoint(x, 0.0), False, 0)
+        return HittingRecord(0.0, x, False, 0)
     elapsed = 0.0
     steps = 0
     while True:
@@ -143,9 +216,9 @@ def sample_hit(start, t_max, rng):
         elapsed += dt
         steps += 1
         if elapsed > t_max:
-            return HittingRecord(elapsed, None, True, steps)
+            return HittingRecord(elapsed, math.nan, True, steps)
         if y == 0.0 and abs(x) <= 1.0 + ENDPOINT_TOL:
-            return HittingRecord(elapsed, PlanePoint(x, 0.0), False, steps)
+            return HittingRecord(elapsed, x, False, steps)
 
 
 def release_circle(r, n, rng):
@@ -160,18 +233,65 @@ def release_circle(r, n, rng):
     return [PlanePoint(float(px), float(py)) for px, py in zip(xs, ys)]
 
 
-def sample_batch(starts, t_max, seed, first_index=0):
-    """Simulate one trajectory per start point.
+def _on_trap(x, y):
+    return (y == 0.0) & (np.abs(x) <= 1.0 + ENDPOINT_TOL)
 
-    Trajectory i uses the stream ``philox_stream(seed, first_index + i)``,
-    so the result is independent of chunking: splitting the starts into
+
+def sample_batch(starts, t_max, seed, first_index=0):
+    """Simulate one trajectory per start point (a sequence of PlanePoints).
+
+    All live trajectories take their next step together; a trajectory that
+    is captured or censored is written to the result and dropped.  Step k
+    of trajectory i uses ``philox_normals(seed, first_index + i, k)``, so
+    the result is independent of chunking: splitting the starts into
     consecutive pieces and passing each piece's offset as ``first_index``
-    reproduces the whole batch.
+    reproduces the whole batch.  Returns an ``np.recarray`` of
+    ``RECORD_DTYPE``, one row per start; raises ConvergenceError if a walk
+    exceeds STEP_CAP steps.
     """
-    return [
-        sample_hit(p, t_max, philox_stream(seed, first_index + i))
-        for i, p in enumerate(starts)
-    ]
+    if not t_max > 0.0:
+        raise DomainError(f"t_max must be positive, got {t_max!r}")
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
+    x0 = np.array([p.x for p in starts], dtype=float)
+    y0 = np.array([p.y for p in starts], dtype=float)
+    out = np.recarray(x0.size, dtype=RECORD_DTYPE)
+    done = _on_trap(x0, y0)
+    out.time[done], out.x[done], out.censored[done], out.steps[done] = 0.0, x0[done], False, 0
+
+    pos = np.flatnonzero(~done)  # rows of the live trajectories
+    x, y = x0[pos], y0[pos]
+    elapsed = np.zeros(pos.size)
+    index = np.uint64(first_index) + pos.astype(np.uint64)
+    step = 0
+    while pos.size:
+        if step >= STEP_CAP:
+            raise ConvergenceError(
+                f"trajectory {first_index + pos[0]} from ({x0[pos[0]]}, {y0[pos[0]]}) "
+                f"exceeded {STEP_CAP} steps"
+            )
+        g1, g2 = philox_normals(seed, index, step)
+        # jump_to_axis where y != 0, jump_to_line where y == 0 (|x| > 1)
+        on_axis = y == 0.0
+        dist = np.where(on_axis, np.abs(x) - 1.0, np.abs(y))
+        offset = dist / np.abs(g1) * g2
+        q = dist / g1
+        elapsed += q * q
+        x = np.where(on_axis, np.copysign(1.0, x), x + offset)
+        y = np.where(on_axis, offset, 0.0)
+        step += 1
+
+        censored = elapsed > t_max
+        done = censored | _on_trap(x, y)
+        if done.any():
+            rows = pos[done]
+            out.time[rows] = elapsed[done]
+            out.x[rows] = np.where(censored[done], np.nan, x[done])
+            out.censored[rows] = censored[done]
+            out.steps[rows] = step
+            live = ~done
+            pos, x, y, elapsed, index = pos[live], x[live], y[live], elapsed[live], index[live]
+    return out
 
 
 def wilson_interval(successes, n, z=Z_99):
@@ -192,28 +312,29 @@ def wilson_interval(successes, n, z=Z_99):
 def survival_curve(records, times, r):
     """Empirical capture proportion at each grid time with Wilson 99% bands.
 
-    captured_fraction(t) counts records with ``not censored and time < t``.
-    All records must share a cap t_max >= max(times); this is checked
-    against the censored records (whose times exceed the cap by
-    construction) - a censored time at or below the last grid point proves
-    the grid exceeds the cap.
+    ``records`` is a record array of ``RECORD_DTYPE`` (as returned by
+    :func:`sample_batch`).  captured_fraction(t) counts records with
+    ``not censored and time < t``.  All records must share a cap
+    t_max >= max(times); this is checked against the censored records (whose
+    times exceed the cap by construction) - a censored time at or below the
+    last grid point proves the grid exceeds the cap.
     """
-    records = list(records)
-    if not records:
+    if len(records) == 0:
         raise DomainError("survival_curve needs at least one record")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise DomainError("times must be a non-empty 1-d grid")
     if np.any(np.diff(times) < 0):
         raise DomainError("times grid must be ascending")
-    censored_times = [rec.time for rec in records if rec.censored]
-    if censored_times and min(censored_times) <= times[-1]:
+    censored = records.censored
+    censored_times = records.time[censored]
+    if censored_times.size and censored_times.min() <= times[-1]:
         raise DomainError(
             f"grid reaches {times[-1]:g} but a trajectory was censored at "
-            f"{min(censored_times):g}: grid exceeds the simulation cap"
+            f"{censored_times.min():g}: grid exceeds the simulation cap"
         )
     n = len(records)
-    hit_times = np.sort([rec.time for rec in records if not rec.censored])
+    hit_times = np.sort(records.time[~censored])
     counts = np.searchsorted(hit_times, times, side="left")
     frac = counts / n
     lo, hi = wilson_interval(counts, n)
@@ -223,24 +344,20 @@ def survival_curve(records, times, r):
 def abelian_estimate(records, tau):
     """Monte Carlo bracket of the Abelian mean E[exp(-hitting time / tau)].
 
-    Uncensored records contribute exp(-time/tau) exactly.  A censored record
-    only reveals that its hitting time exceeds its accumulated time S, so it
-    contributes 0 to the lower mean and exp(-S/tau) to the upper (a bound at
-    least as tight as exp(-t_max/tau) since S > t_max).  The standard error
-    is the larger of the two deviations-of-the-summands, divided by sqrt(n).
+    ``records`` is a record array of ``RECORD_DTYPE``.  Uncensored records
+    contribute exp(-time/tau) exactly.  A censored record only reveals that
+    its hitting time exceeds its accumulated time S, so it contributes 0 to
+    the lower mean and exp(-S/tau) to the upper (a bound at least as tight
+    as exp(-t_max/tau) since S > t_max).  The standard error is the larger
+    of the two deviations-of-the-summands, divided by sqrt(n).
     """
-    records = list(records)
-    if not records:
+    if len(records) == 0:
         raise DomainError("abelian_estimate needs at least one record")
     if not tau > 0.0:
         raise DomainError(f"tau must be positive, got {tau!r}")
     n = len(records)
-    lows = np.empty(n)
-    highs = np.empty(n)
-    for i, rec in enumerate(records):
-        w = math.exp(-rec.time / tau)
-        lows[i] = 0.0 if rec.censored else w
-        highs[i] = w
+    highs = np.exp(-records.time / tau)
+    lows = np.where(records.censored, 0.0, highs)
     sd_low = float(np.std(lows, ddof=1)) if n > 1 else 0.0
     sd_high = float(np.std(highs, ddof=1)) if n > 1 else 0.0
     return AbelianEstimate(

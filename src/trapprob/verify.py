@@ -99,10 +99,11 @@ def release_and_sample(trap, r, n, t_max, seed, release_index=RELEASE_STREAM, fi
     """Simulate n trajectories released uniformly on the circle of radius r
     (origin centre) against a segment trap, capped at time t_max.
 
-    The release points come from stream ``release_index`` and trajectory i
-    from stream ``first_index + i``.  The walk runs in the segment's unit
-    frame, so record times are in units of h^2 and hit points in unit-frame
-    coordinates (h the half-length).
+    The release points come from stream ``release_index``, and trajectory i
+    has index ``first_index + i`` in the walk's stream.  The walk runs in
+    the segment's unit frame, so the returned record array holds times in
+    units of h^2 and hit abscissae in unit-frame coordinates (h the
+    half-length).
     """
     starts = release_circle(r, n, philox_stream(seed, release_index))
     c, h = _frame(trap)
@@ -131,7 +132,7 @@ def _abelian_mc(trap, start, tau, n, seed):
 def _capture_curves(trap, radii, times, n, seed):
     """One survival curve per release radius on the grid ``times`` (original
     units, capped at its last point).  Radius k draws its release points
-    from stream RELEASE_STREAM-1-k and its trajectories from indices k*n on.
+    from stream RELEASE_STREAM-1-k, and its trajectories have indices k*n on.
     """
     h = _frame(trap)[1]
     curves = []

@@ -13,6 +13,7 @@ import pytest
 
 import trapprob.segment_sim
 from trapprob.cli import main
+from trapprob.segment_sim import SAMPLER_STREAM
 from trapprob.reporting import RunManifest, format_cell, svg_lineplot, write_csv
 
 # ---------------------------------------------------------------------------
@@ -182,13 +183,19 @@ def test_simulate_writes_records_and_manifest(tmp_path, capsys):
     lines = (tmp_path / "records.csv").read_text().strip().splitlines()
     assert lines[0] == "index,time,x,y,censored,steps"
     assert len(lines) == 51
-    censored_rows = [ln for ln in lines[1:] if ln.split(",")[4] == "1"]
-    for ln in censored_rows:
-        cells = ln.split(",")
-        assert cells[2] == "" and cells[3] == ""
+    cells = [ln.split(",") for ln in lines[1:]]
+    assert [row[0] for row in cells] == [str(i) for i in range(50)]
+    assert {row[4] for row in cells} == {"0", "1"}  # booleans as 0/1, both occur
+    for row in cells:
+        if row[4] == "1":
+            assert row[2] == "" and row[3] == ""
+        else:
+            assert abs(float(row[2])) <= 1.0 and row[3] == "0"
+        assert int(row[5]) >= 1  # from r = 2 no walk starts on the trap
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 5
+    assert manifest["sampler_stream"] == SAMPLER_STREAM
 
 
 def test_simulate_deterministic(tmp_path):
@@ -290,6 +297,8 @@ def test_figures_outputs(tmp_path, capsys):
     lines2 = (tmp_path / "figure2.csv").read_text().strip().splitlines()
     assert lines2[0] == "r,t,surv,surv_ci_lo,surv_ci_hi,surv_p_disk,surv_hunt_raw,surv_hunt_tau0"
     ET.fromstring((tmp_path / "figure1.svg").read_text())
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["sampler_stream"] == SAMPLER_STREAM
 
 
 def test_figures_byte_identical_reruns(tmp_path):

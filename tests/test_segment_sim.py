@@ -1,6 +1,9 @@
 """Tests for the walk-on-lines sampler and its estimators."""
 
+import gc
+import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +25,14 @@ from trapprob import (
     survival_curve,
     wilson_interval,
 )
-from trapprob.segment_sim import RELEASE_STREAM, jump_to_axis, jump_to_line
+from trapprob.segment_sim import (
+    RECORD_DTYPE,
+    RELEASE_STREAM,
+    jump_to_axis,
+    jump_to_line,
+    philox4x32,
+    philox_normals,
+)
 
 
 class _FakeRng:
@@ -57,6 +67,43 @@ def test_philox_stream_reproducible():
 def test_philox_stream_accepts_huge_index():
     rng = philox_stream(0, RELEASE_STREAM)
     assert np.isfinite(rng.standard_normal(1)).all()
+
+
+@pytest.mark.parametrize(
+    "counter, key, want",
+    [
+        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+        (
+            (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+            (0xA4093822, 0x299F31D0),
+            (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+        ),
+    ],
+)
+def test_philox4x32_known_answers(counter, key, want):
+    # the Random123 known-answer vectors for Philox4x32-10
+    assert tuple(int(w) for w in philox4x32(*counter, *key)) == want
+
+
+def test_open_unit_never_reaches_the_ends():
+    ones = np.uint64(0xFFFFFFFF)
+    top = sim._open_unit(ones, ones)
+    bottom = sim._open_unit(np.uint64(0), np.uint64(0))
+    assert 0.0 < bottom < top < 1.0
+    assert math.log(top) < 0.0  # so the Box-Muller radius, and g1, is never 0
+
+
+def test_philox_normals_are_standard():
+    n = 10**5
+    g1, g2 = philox_normals(2025, np.arange(n), 3)
+    for g in (g1, g2):
+        dks = st.kstest(g, "norm").statistic
+        assert dks < 1.9495 / math.sqrt(n)  # alpha = 1e-3, as criterion 5
+    assert abs(np.corrcoef(g1, g2)[0, 1]) < 4.0 / math.sqrt(n)
+    # a different step or seed gives different draws
+    assert not np.array_equal(philox_normals(2025, np.arange(n), 4)[0], g1)
+    assert not np.array_equal(philox_normals(2026, np.arange(n), 3)[0], g1)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +155,7 @@ def test_jump_marginals():
 def test_start_on_trap_is_instant():
     rec = sample_hit(PlanePoint(0.25, 0.0), 10.0, philox_stream(0, 0))
     assert rec.time == 0.0 and rec.steps == 0 and not rec.censored
-    assert rec.hit_point == PlanePoint(0.25, 0.0)
+    assert rec.x == 0.25
 
 
 def test_bad_cap_rejected():
@@ -122,8 +169,7 @@ def test_single_jump_capture():
     assert not rec.censored
     assert rec.steps == 1
     assert_allclose(rec.time, 0.25, rtol=1e-15)
-    assert_allclose(rec.hit_point.x, 0.4, rtol=1e-15)
-    assert rec.hit_point.y == 0.0
+    assert_allclose(rec.x, 0.4, rtol=1e-15)
 
 
 def test_censoring_beats_capture():
@@ -131,7 +177,7 @@ def test_censoring_beats_capture():
     # so the record is censored even though the endpoint is on the trap
     rec = sample_hit(PlanePoint(0.0, 1.0), 50.0, _FakeRng([(0.1, 0.0)]))
     assert rec.censored
-    assert rec.hit_point is None
+    assert math.isnan(rec.x)
     assert_allclose(rec.time, 100.0, rtol=1e-15)
 
 
@@ -144,7 +190,7 @@ def test_axis_then_line_sequence():
     # step 1: x = 0 + 1*2 = 2 (outside), dt = 1
     # step 2: from x=2: gap=1, g=(5,0): y=0, x=+1, dt = 0.04
     assert not rec.censored
-    assert rec.hit_point.x == 1.0
+    assert rec.x == 1.0
     assert_allclose(rec.time, 1.04, rtol=1e-15)
 
 
@@ -153,47 +199,91 @@ def test_zero_draw_redraw():
     rec = sample_hit(PlanePoint(0.0, 1.0), 10.0, _FakeRng(pairs))
     assert rec.steps == 1
     assert_allclose(rec.time, 0.25, rtol=1e-15)
-    assert rec.hit_point.x == 0.0
+    assert rec.x == 0.0
 
 
 def test_step_cap_raises(monkeypatch):
     monkeypatch.setattr(sim, "STEP_CAP", 1)
     with pytest.raises(ConvergenceError):
         sim.sample_hit(PlanePoint(0.0, 1e6), math.inf, philox_stream(11, 0))
+    with pytest.raises(ConvergenceError):
+        sim.sample_batch([PlanePoint(0.0, 1e6)] * 3, math.inf, seed=11)
 
 
 def test_trajectories_terminate():
     records = sample_batch(
         [PlanePoint(0.0, 5.0)] * 400, 1e6, seed=5, first_index=0
     )
-    assert all(isinstance(r, HittingRecord) for r in records)
-    hits = [r for r in records if not r.censored]
-    assert all(abs(r.hit_point.x) <= 1.0 and r.hit_point.y == 0.0 for r in hits)
-    assert all(r.time <= 1e6 for r in hits)
-    assert all(r.time > 1e6 for r in records if r.censored)
-    frac = len(hits) / len(records)
+    assert isinstance(records, np.recarray) and records.dtype == RECORD_DTYPE
+    assert len(records) == 400
+    hit = ~records.censored
+    assert np.all(np.abs(records.x[hit]) <= 1.0)
+    assert np.all(records.time[hit] <= 1e6)
+    assert np.all(records.time[~hit] > 1e6) and np.all(np.isnan(records.x[~hit]))
+    frac = hit.mean()
     assert 0.3 < frac < 0.95
-    mean_steps = np.mean([r.steps for r in records])
-    assert 1.0 <= mean_steps < 50.0
+    assert 1.0 <= records.steps.mean() < 50.0
+
+
+def test_batch_matches_scalar_reference():
+    # sample_hit fed the kernel's own normals for trajectory j reproduces row
+    # j bit for bit: random starts, starts on the trap (inside, at and just
+    # past an endpoint), starts on the axis outside it, and starts placed so
+    # that the first jump lands on an endpoint
+    seed, t_max = 3, 50.0
+    rng = np.random.default_rng(8)
+    starts = [PlanePoint(float(px), float(py)) for px, py in rng.normal(0.0, 3.0, (1200, 2))]
+    starts += [PlanePoint(0.3, 0.0), PlanePoint(-1.0, 0.0), PlanePoint(1.0 + 5e-16, 0.0)]
+    starts += [PlanePoint(3.0, 0.0), PlanePoint(-2.5, 0.0)]
+    for j in range(len(starts), len(starts) + 6):
+        g1, g2 = (float(g) for g in philox_normals(seed, j, 0))
+        y = (0.5 + j % 3) * abs(g1)  # a landing time well inside t_max
+        starts.append(PlanePoint(math.copysign(1.0, j % 2 - 0.5) - y / abs(g1) * g2, y))
+    records = sample_batch(starts, t_max, seed)
+
+    landed = 0
+    for j, start in enumerate(starts):
+        pairs = [tuple(float(g) for g in philox_normals(seed, j, k)) for k in range(records.steps[j])]
+        ref = sample_hit(start, t_max, _FakeRng(pairs))
+        row = records[j]
+        assert (ref.time, ref.censored, ref.steps) == (row.time, row.censored, row.steps), j
+        assert ref.x == row.x or (math.isnan(ref.x) and math.isnan(row.x)), j
+        landed += row.steps == 1 and abs(abs(row.x) - 1.0) <= sim.ENDPOINT_TOL
+    assert landed == 6
+    assert 0 < records.censored.sum() < len(starts)
 
 
 # ---------------------------------------------------------------------------
 # batching and determinism
 # ---------------------------------------------------------------------------
 
+def _assert_same_records(a, b):
+    assert len(a) == len(b)
+    for name in RECORD_DTYPE.names:
+        assert np.array_equal(a[name], b[name], equal_nan=name == "x"), name
+
+
 def test_batch_deterministic_and_split_invariant():
     starts = [PlanePoint(0.0, 3.0)] * 64 + [PlanePoint(4.0, -2.0)] * 64
     a = sample_batch(starts, 100.0, seed=42)
-    assert sample_batch(starts, 100.0, seed=42) == a
-    b = []
-    for lo in range(0, len(starts), 32):  # the same batch as 4 chunks
-        b += sample_batch(starts[lo : lo + 32], 100.0, seed=42, first_index=lo)
-    assert len(b) == len(a)
-    for ra, rb in zip(a, b):
-        assert ra.time == rb.time
-        assert ra.steps == rb.steps
-        assert ra.censored == rb.censored
-        assert ra.hit_point == rb.hit_point
+    _assert_same_records(sample_batch(starts, 100.0, seed=42), a)
+    b = [  # the same batch as 4 chunks
+        sample_batch(starts[lo : lo + 32], 100.0, seed=42, first_index=lo)
+        for lo in range(0, len(starts), 32)
+    ]
+    _assert_same_records(np.concatenate(b), a)
+
+
+def test_batch_index_high_word_is_used():
+    starts = [PlanePoint(0.5, 2.0), PlanePoint(-3.0, 1.0)] * 16
+    first = 2**32 - 16
+    whole = sample_batch(starts, 100.0, seed=42, first_index=first)
+    halves = [sample_batch(starts[lo : lo + 16], 100.0, seed=42, first_index=first + lo) for lo in (0, 16)]
+    _assert_same_records(np.concatenate(halves), whole)
+    # trajectory 2^32 + 5 is not trajectory 5
+    low = sample_batch(starts[5:6], 100.0, seed=42, first_index=5)
+    high = sample_batch(starts[5:6], 100.0, seed=42, first_index=2**32 + 5)
+    assert (low.time[0], low.steps[0]) != (high.time[0], high.steps[0])
 
 
 def test_batch_index_offset_consistency():
@@ -252,7 +342,7 @@ def test_hit_points_follow_arcsine_measure():
     n = 20000
     starts = release_circle(2.0, n, philox_stream(77, RELEASE_STREAM))
     records = sample_batch(starts, 1e10, seed=77)
-    xs = np.array([r.hit_point.x for r in records if not r.censored])
+    xs = records.x[~records.censored]
     assert len(xs) > 0.8 * n
 
     k = 20
@@ -268,13 +358,19 @@ def test_hit_points_follow_arcsine_measure():
 # survival_curve
 # ---------------------------------------------------------------------------
 
+def _records(*rows):
+    """A record array from HittingRecords, the row type of RECORD_DTYPE."""
+    assert all(isinstance(r, HittingRecord) for r in rows)
+    return np.rec.fromrecords([(r.time, r.x, r.censored, r.steps) for r in rows], dtype=RECORD_DTYPE)
+
+
 def _toy_records():
-    return [
-        HittingRecord(1.0, PlanePoint(0.0, 0.0), False, 3),
-        HittingRecord(2.0, PlanePoint(0.5, 0.0), False, 1),
-        HittingRecord(3.0, PlanePoint(-1.0, 0.0), False, 7),
-        HittingRecord(10.5, None, True, 4),
-    ]
+    return _records(
+        HittingRecord(1.0, 0.0, False, 3),
+        HittingRecord(2.0, 0.5, False, 1),
+        HittingRecord(3.0, -1.0, False, 7),
+        HittingRecord(10.5, math.nan, True, 4),
+    )
 
 
 def test_survival_curve_strict_counting():
@@ -333,11 +429,11 @@ def test_wilson_vectorized_monotone():
 # ---------------------------------------------------------------------------
 
 def test_abelian_hand_value():
-    records = [
-        HittingRecord(1.0, PlanePoint(0.0, 0.0), False, 1),
-        HittingRecord(4.0, PlanePoint(0.2, 0.0), False, 2),
-        HittingRecord(22.0, None, True, 3),
-    ]
+    records = _records(
+        HittingRecord(1.0, 0.0, False, 1),
+        HittingRecord(4.0, 0.2, False, 2),
+        HittingRecord(22.0, math.nan, True, 3),
+    )
     est = abelian_estimate(records, tau=2.0)
     w1, w2, w3 = math.exp(-0.5), math.exp(-2.0), math.exp(-11.0)
     assert_allclose(est.mean_low, (w1 + w2) / 3.0, rtol=1e-14)
@@ -364,7 +460,7 @@ def test_abelian_bracket_width_bounded_by_cap():
     # (#censored/n) exp(-t_max/tau)
     records = sample_batch([PlanePoint(0.0, 4.0)] * 300, 50.0, seed=13)
     est = abelian_estimate(records, tau=10.0)
-    n_cens = sum(r.censored for r in records)
+    n_cens = records.censored.sum()
     assert est.mean_high - est.mean_low <= (n_cens / 300.0) * math.exp(-5.0) + 1e-15
     assert 0.0 <= est.mean_low <= est.mean_high <= 1.0
 
@@ -380,3 +476,31 @@ def test_abelian_estimate_type():
     est = abelian_estimate(_toy_records(), 3.0)
     assert isinstance(est, AbelianEstimate)
     assert est.std_error > 0.0
+
+
+# ---------------------------------------------------------------------------
+# re-imports
+# ---------------------------------------------------------------------------
+
+def test_reimport_leaves_one_plane_point_class():
+    # a re-imported package must not stay reachable from a process-wide
+    # cache (typing's subscription cache kept every PlanePoint class, and
+    # with it its module, alive)
+    saved = {k: v for k, v in sys.modules.items() if k == "trapprob" or k.startswith("trapprob.")}
+    try:
+        for _ in range(20):
+            for name in saved:
+                del sys.modules[name]
+            importlib.import_module("trapprob")
+            importlib.import_module("trapprob.cli")
+    finally:
+        for name in [k for k in sys.modules if k == "trapprob" or k.startswith("trapprob.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    alive = [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, type) and obj.__name__ == "PlanePoint" and obj.__module__ == "trapprob.conformal"
+    ]
+    assert alive == [PlanePoint]

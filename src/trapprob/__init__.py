@@ -52,7 +52,6 @@ from trapprob.verify import (
     check_theorem1,
     check_theorem2,
     conjecture_probe,
-    corollary_envelope,
     figure_series,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "check_theorem1",
     "check_theorem2",
     "conjecture_probe",
-    "corollary_envelope",
     "f_disk",
     "figure_series",
     "green_segment",

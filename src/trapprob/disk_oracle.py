@@ -35,7 +35,8 @@ from trapprob.specfun import GAMMA, K0_SERIES_MAX_X, _k0_scaled_sum, bessel_j0_y
 
 # Absolute quadrature target for p_disk.
 QUAD_TOL = 1e-6
-# Evaluation budget shared by both sub-integrals of one p_disk call.
+# Evaluation budget shared by both sub-integrals of one p_disk call, which
+# run in lockstep: one J0/Y0 kernel call per quadrature round.
 MAX_EVALS = 10**6
 
 # Gauss-Kronrod 15-point nodes/weights with the embedded 7-point Gauss rule
@@ -91,53 +92,74 @@ _WG[1::2] = [
 ]
 
 
-def _adaptive_gk(f, a, b, n_panels, tol, max_evals):
-    """Adaptive Gauss-Kronrod integration of a vectorized f over [a, b].
+def _adaptive_gk(f, parts, tol, max_evals):
+    """Adaptive Gauss-Kronrod integration of several integrals in lockstep.
 
-    Starts from n_panels equal panels; each round splits the worst panels
-    (those carrying 90% of the total error estimate, at most 64 per round)
-    until the summed |GK15 - G7| error drops below tol.
+    ``parts`` lists (a, b, n_panels), one per integral.  ``f`` takes a list
+    of node arrays, one per part (empty once that part has converged), and
+    returns the integrand values in a list of the same shapes, so one call
+    serves every part of a round.  Each part starts from n_panels equal
+    panels; each round splits its worst panels (those carrying 90% of its
+    total error estimate, at most 64 per round) until its summed
+    |GK15 - G7| error drops below tol.  A part gives the same result bits
+    as when it is integrated alone.
 
-    Returns (integral, error_estimate, evaluations).
+    Returns (integrals, error_estimates, evaluations): a list of values and
+    a list of error estimates, one per part, and the evaluation count
+    summed over the parts, which must not exceed max_evals.
     """
-    edges = np.linspace(a, b, n_panels + 1)
-    pending = np.stack([edges[:-1], edges[1:]], axis=1)
-    done = []  # (err, value) of accepted panels
+    pending = []
+    for a, b, n_panels in parts:
+        edges = np.linspace(a, b, n_panels + 1)
+        pending.append(np.stack([edges[:-1], edges[1:]], axis=1))
+    done = [[] for _ in parts]  # per part: (err, value, a, b) of accepted panels
+    integrals = [None] * len(parts)
+    errors = [None] * len(parts)
     evals = 0
     while True:
-        mid = 0.5 * (pending[:, 0] + pending[:, 1])
-        half = 0.5 * (pending[:, 1] - pending[:, 0])
-        xs = mid[:, None] + half[:, None] * _XGK[None, :]
-        fv = f(xs.ravel()).reshape(xs.shape)
-        evals += xs.size
+        mid = [0.5 * (p[:, 0] + p[:, 1]) for p in pending]
+        half = [0.5 * (p[:, 1] - p[:, 0]) for p in pending]
+        xs = [m[:, None] + h[:, None] * _XGK[None, :] for m, h in zip(mid, half)]
+        values = f([x.ravel() for x in xs])
+        evals += sum(x.size for x in xs)
         if evals > max_evals:
-            raise ConvergenceError(
-                f"quadrature exceeded {max_evals} evaluations on [{a:g}, {b:g}]"
-            )
-        i15 = (fv * _WGK[None, :]).sum(axis=1) * half
-        i7 = (fv * _WG[None, :]).sum(axis=1) * half
-        err = np.abs(i15 - i7)
+            spans = ", ".join(f"[{a:g}, {b:g}]" for (a, b, _), p in zip(parts, pending) if p.size)
+            raise ConvergenceError(f"quadrature exceeded {max_evals} evaluations on {spans}")
 
-        done.extend(zip(err.tolist(), i15.tolist(), pending[:, 0].tolist(), pending[:, 1].tolist()))
-        done.sort(key=lambda rec: rec[0], reverse=True)
-        total_err = math.fsum(rec[0] for rec in done)
-        if total_err <= tol:
-            return math.fsum(rec[1] for rec in done), total_err, evals
+        for k, x in enumerate(xs):
+            if not x.size:
+                continue
+            fv = values[k].reshape(x.shape)
+            i15 = (fv * _WGK[None, :]).sum(axis=1) * half[k]
+            i7 = (fv * _WG[None, :]).sum(axis=1) * half[k]
+            err = np.abs(i15 - i7)
 
-        acc = 0.0
-        n_split = 0
-        for rec in done:
-            acc += rec[0]
-            n_split += 1
-            if acc >= 0.9 * total_err or n_split >= 64:
-                break
-        split, done = done[:n_split], done[n_split:]
-        new = []
-        for _, _, pa, pb in split:
-            pm = 0.5 * (pa + pb)
-            new.append((pa, pm))
-            new.append((pm, pb))
-        pending = np.array(new)
+            rec = done[k]
+            rec.extend(zip(err.tolist(), i15.tolist(), pending[k][:, 0].tolist(), pending[k][:, 1].tolist()))
+            rec.sort(key=lambda r: r[0], reverse=True)
+            total_err = math.fsum(r[0] for r in rec)
+            if total_err <= tol:
+                integrals[k], errors[k] = math.fsum(r[1] for r in rec), total_err
+                pending[k] = np.empty((0, 2))
+                continue
+
+            acc = 0.0
+            n_split = 0
+            for r in rec:
+                acc += r[0]
+                n_split += 1
+                if acc >= 0.9 * total_err or n_split >= 64:
+                    break
+            split, done[k] = rec[:n_split], rec[n_split:]
+            new = []
+            for _, _, pa, pb in split:
+                pm = 0.5 * (pa + pb)
+                new.append((pa, pm))
+                new.append((pm, pb))
+            pending[k] = np.array(new)
+
+        if not any(p.size for p in pending):
+            return integrals, errors, evals
 
 
 def f_disk(r, r_T, tau):
@@ -179,24 +201,30 @@ def _p_disk_raw(r, r_T, t):
     inv_2rt2 = 1.0 / (2.0 * r_T * r_T)
 
     def num_den(y):
-        j, yy = bessel_j0_y0(y)
-        ja, ya = bessel_j0_y0(a * y)
+        # one kernel call for y and a*y
+        j, yy = bessel_j0_y0(np.concatenate([y, a * y]))
+        j, ja = j[: y.size], j[y.size :]
+        yy, ya = yy[: y.size], yy[y.size :]
         return (ja * yy - j * ya) / (j * j + yy * yy)
 
-    def f_linear(y):
-        return num_den(y) / y * np.exp(-t * y * y * inv_2rt2)
-
-    def f_log(u):
-        y = np.exp(u)
-        return num_den(y) * np.exp(-t * y * y * inv_2rt2)
+    def integrands(nodes):
+        # nodes of the log part (u = ln y) and of the linear part, evaluated
+        # together; each part keeps its own operation order
+        u, y_lin = nodes
+        y = np.concatenate([np.exp(u), y_lin])
+        nd = num_den(y)
+        damp = np.exp(-t * y * y * inv_2rt2)
+        k = u.size
+        return [nd[:k] * damp[:k], nd[k:] / y_lin * damp[k:]]
 
     y0 = min(1.0, r_T / math.sqrt(t))
     y_max = r_T * math.sqrt(32.0 * math.log(10.0) / t)  # damping < 1e-16 beyond
     u_cut = min(-60.0, math.log(y0) - 20.0)
-
-    part1, _, used = _adaptive_gk(f_log, u_cut, math.log(y0), 16, QUAD_TOL / 2.0, MAX_EVALS // 2)
     n0 = max(4, min(2000, math.ceil((y_max - y0) / (math.pi * r_T / r))))
-    part2, _, _ = _adaptive_gk(f_linear, y0, y_max, n0, QUAD_TOL / 2.0, MAX_EVALS - used)
+
+    (part1, part2), _, _ = _adaptive_gk(
+        integrands, [(u_cut, math.log(y0), 16), (y0, y_max, n0)], QUAD_TOL / 2.0, MAX_EVALS
+    )
 
     # Analytic tail over u < u_cut: there the integrand is
     # -(pi/2) ln(a) / (u + gamma - ln 2)^2 up to O(1/u^4) corrections.

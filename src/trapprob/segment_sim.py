@@ -107,7 +107,10 @@ class AbelianEstimate:
 
 def philox_stream(seed, index):
     """Counter-based numpy generator for stream ``index`` of run ``seed``
-    (the release points use ``index = RELEASE_STREAM``)."""
+    (the release points use ``index = RELEASE_STREAM``).  Raises
+    DomainError for a seed outside [0, 2^64)."""
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

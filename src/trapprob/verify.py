@@ -203,16 +203,6 @@ def check_theorem2(trap, z, tau, n, seed):
     return lower, upper
 
 
-def corollary_envelope(trap, z, t):
-    """Leading error envelope 2 pi H(z) ln(ln^2(t/tau0)) / ln^2(t/tau0) of the
-    logarithmic capture approximation (diagnostic only: the o(1) correction
-    is not computable at finite t)."""
-    if not t > trap.tau0:
-        raise DomainError(f"need t > tau0 = {trap.tau0:g}, got {t!r}")
-    big_l = math.log(t / trap.tau0)
-    return 2.0 * math.pi * _green(trap, z) * math.log(big_l * big_l) / (big_l * big_l)
-
-
 def conjecture_probe(trap, radii, times, n, seed):
     """Empirical deviation of segment capture curves from the disk surrogate.
 

@@ -228,8 +228,23 @@ def test_simulate_shifted_segment(tmp_path):
     assert 0 < n_hit < 400
 
 
+def test_simulate_negative_seed_exits_1(tmp_path, capsys):
+    rc = main(["simulate", "--radius", "2", "--n", "5", "--seed", "-1", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "seed must be in [0, 2^64)" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
+
+
+def test_verify_seed_above_range_exits_1(tmp_path, capsys):
+    rc = main(
+        ["verify", "theorem1", "--r", "5", "--tau", "120", "--n", "10",
+         "--seed", str(2**64), "--out-dir", str(tmp_path)]
+    )
+    assert rc == 1
+    assert "seed must be in [0, 2^64)" in capsys.readouterr().err
 
 
 def test_verify_theorem1_outputs(tmp_path, capsys):

@@ -13,6 +13,7 @@ from trapprob import (
     hunt_approx,
     p_disk,
 )
+from trapprob import disk_oracle
 from trapprob.disk_oracle import _WG, _WGK, _XGK, _adaptive_gk, _p_disk_raw
 
 R_T = 0.5
@@ -42,8 +43,13 @@ def test_gk_rule_exactness(deg):
         assert_allclose(g7, exact, rtol=0, atol=2e-14)
 
 
+def _lone(f):
+    """An integrand for a single-part _adaptive_gk run."""
+    return lambda nodes: [f(nodes[0])]
+
+
 def test_adaptive_gk_smooth():
-    val, err, evals = _adaptive_gk(np.exp, 0.0, 1.0, 1, 1e-12, 10**5)
+    (val,), (err,), evals = _adaptive_gk(_lone(np.exp), [(0.0, 1.0, 1)], 1e-12, 10**5)
     assert_allclose(val, math.e - 1.0, rtol=1e-14)
     assert err < 1e-12
     assert evals == 15
@@ -52,7 +58,7 @@ def test_adaptive_gk_smooth():
 def test_adaptive_gk_splits_hard_integrand():
     # |x|^(1/2) has a derivative singularity at 0: needs refinement
     f = lambda x: np.sqrt(np.abs(x))
-    val, err, evals = _adaptive_gk(f, -1.0, 1.0, 2, 1e-10, 10**6)
+    (val,), (err,), evals = _adaptive_gk(_lone(f), [(-1.0, 1.0, 2)], 1e-10, 10**6)
     assert_allclose(val, 4.0 / 3.0, rtol=1e-9)
     assert evals > 30
 
@@ -60,7 +66,37 @@ def test_adaptive_gk_splits_hard_integrand():
 def test_adaptive_gk_budget_error():
     f = lambda x: np.sin(1.0 / (x + 1e-3))
     with pytest.raises(ConvergenceError):
-        _adaptive_gk(f, 0.0, 1.0, 16, 1e-14, 200)
+        _adaptive_gk(_lone(f), [(0.0, 1.0, 16)], 1e-14, 200)
+
+
+def test_adaptive_gk_lockstep_equals_lone_runs():
+    # the parts converge after different numbers of rounds; the early one
+    # is handed empty node arrays from then on
+    fs = (lambda x: np.sqrt(np.abs(x)), np.exp, lambda x: np.log1p(x * x))
+    parts = [(-1.0, 1.0, 2), (0.0, 1.0, 1), (0.0, 40.0, 3)]
+    shapes = []
+
+    def together(nodes):
+        shapes.append([x.size for x in nodes])
+        return [f(x) for f, x in zip(fs, nodes)]
+
+    vals, errs, evals = _adaptive_gk(together, parts, 1e-10, 10**6)
+    lone = [_adaptive_gk(_lone(f), [part], 1e-10, 10**6) for f, part in zip(fs, parts)]
+    assert [v.hex() for v in vals] == [v.hex() for (v,), _, _ in lone]
+    assert [e.hex() for e in errs] == [e.hex() for _, (e,), _ in lone]
+    assert evals == sum(n for _, _, n in lone)
+    assert shapes[0] == [30, 15, 45] and shapes[-1][1] == 0
+    # one call per round: as many as the slowest part needs
+    assert len(shapes) == max(sum(1 for s in shapes if s[k]) for k in range(3))
+
+
+def test_adaptive_gk_shared_budget():
+    # the budget bounds the evaluations of all parts together
+    parts = [(0.0, 1.0, 8), (0.0, 1.0, 8)]
+    with pytest.raises(ConvergenceError):
+        _adaptive_gk(lambda nodes: [np.exp(x) for x in nodes], parts, 1e-12, 239)
+    _, _, evals = _adaptive_gk(lambda nodes: [np.exp(x) for x in nodes], parts, 1e-12, 240)
+    assert evals == 240
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +176,55 @@ def test_p_disk_regression_pin():
     # with mpmath at 30 digits, frozen here
     assert_allclose(p_disk(1.0, R_T, 0.5623413251903491), 0.3707329386198175, rtol=0, atol=2e-6)
     assert_allclose(p_disk(1.0, R_T, 1.0), 0.4578059637382552, rtol=0, atol=2e-6)
+
+
+# p_disk(r, 0.5, tau * s) at the nine (r, tau) pairs of acceptance
+# criterion 3, for s = 0.05, 0.75, 3 and ln(1e8): values recorded with the
+# two sub-integrals run one after the other and two J0/Y0 calls per
+# integrand evaluation, each on the full 48-term series.
+P_DISK_PINS = {
+    (1.0, 0.25): (5.492305633736372e-06, 0.17930212923234512, 0.41598786391441755, 0.6245752062865915),
+    (1.0, 2.5): (0.1130985388794139, 0.5370920931523998, 0.6617318912979671, 0.7573562662713678),
+    (1.0, 25.0): (0.4878280141787972, 0.7169014943731936, 0.7751782078098436, 0.8243025237560044),
+    (5.0, 0.25): (0.0, 3.569158635308156e-09, 6.990303746956528e-08, 0.012706231071871632),
+    (5.0, 2.5): (3.5691584132635512e-09, 0.00034149728045784755, 0.03658975120008301, 0.21310318741736534),
+    (5.0, 25.0): (1.887439652625833e-05, 0.11671808132103878, 0.26360674342327006, 0.4174472497922581),
+    (25.0, 0.25): (0.0, 0.0, 0.0, 6.063891500041052e-09),
+    (25.0, 2.5): (0.0, 0.0, 6.063892166174867e-09, 5.307165370449507e-05),
+    (25.0, 25.0): (0.0, 8.497650472172324e-09, 0.000859490486737502, 0.0602745579060463),
+}
+
+
+def test_p_disk_bit_identical_pins():
+    for (r, tau), pins in P_DISK_PINS.items():
+        got = tuple(p_disk(r, R_T, tau * s) for s in (0.05, 0.75, 3.0, math.log(1e8)))
+        assert got == pins, (r, tau)
+
+
+def test_p_disk_one_kernel_call_per_round(monkeypatch):
+    kernel_sizes, rounds = [], []
+    kernel, driver = disk_oracle.bessel_j0_y0, disk_oracle._adaptive_gk
+
+    def counting_kernel(x):
+        kernel_sizes.append(np.size(x))
+        return kernel(x)
+
+    def counting_driver(f, *args):
+        def counted(nodes):
+            rounds.append(sum(x.size for x in nodes))
+            return f(nodes)
+
+        return driver(counted, *args)
+
+    monkeypatch.setattr(disk_oracle, "bessel_j0_y0", counting_kernel)
+    monkeypatch.setattr(disk_oracle, "_adaptive_gk", counting_driver)
+    for r, t in ((1.0, 0.3), (5.0, 0.1), (25.0, 3.0)):  # 2, 3 and 4 rounds
+        kernel_sizes.clear()
+        rounds.clear()
+        p_disk(r, R_T, t)
+        assert len(rounds) >= 2
+        # each round: one call on the y and a*y of every pending node
+        assert kernel_sizes == [2 * n for n in rounds]
 
 
 def test_p_disk_bounds_and_monotonicity():

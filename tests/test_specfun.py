@@ -16,7 +16,17 @@ from trapprob import (
     k0,
     k0_bounds,
 )
-from trapprob.specfun import GAMMA, JY_SERIES_MAX_X, K0_SERIES_MAX_X
+from trapprob.specfun import (
+    _C_J0,
+    _C_Y0,
+    _GAMMA_LD,
+    _JY_TERM_TOL,
+    _JY_TERM_X,
+    _NSER,
+    GAMMA,
+    JY_SERIES_MAX_X,
+    K0_SERIES_MAX_X,
+)
 
 # Reference values computed with mpmath at 40 significant digits and frozen here.
 K0_REF = {
@@ -173,6 +183,68 @@ def test_j0_y0_domain_error():
 def test_j0_y0_scalar_round_trip():
     j, y = bessel_j0_y0(1.0)
     assert isinstance(j, float) and isinstance(y, float)
+
+
+def _j0_y0_full_series(x):
+    """Reference: every one of the 48 series terms for every argument."""
+    ld = np.longdouble
+    xs = np.asarray(x, dtype=float).astype(ld)
+    t = xs * xs / 4
+    js = np.zeros_like(t)
+    ps = np.zeros_like(t)
+    for n in range(_NSER - 1, -1, -1):
+        js = js * t + _C_J0[n]
+        ps = ps * t + _C_Y0[n]
+    ell = np.log(xs / 2) + _GAMMA_LD
+    return js.astype(float), ((2 / ld(np.pi)) * (ell * js + ps)).astype(float)
+
+
+def test_j0_y0_truncated_series_is_bit_identical():
+    thresholds = _JY_TERM_X[1:][_JY_TERM_X[1:] <= JY_SERIES_MAX_X]
+    zeros = [2.4048255576957724, 5.520078110286311, 8.653727912911013, 11.791534439014281,
+             14.930917708487787,  # of J0
+             0.8935769662791675, 3.957678419314858, 7.086051060301773, 10.222345043496416,
+             13.361097473872764]  # of Y0
+    xs = np.concatenate([
+        np.geomspace(1e-30, JY_SERIES_MAX_X, 200_001),
+        np.nextafter(thresholds, 0.0), thresholds, np.nextafter(thresholds, np.inf),
+        (np.asarray(zeros)[:, None] * (1.0 + 1e-12 * np.arange(-2000, 2001))).ravel(),
+    ])
+    np.random.default_rng(5).shuffle(xs)  # the kernel sorts; feed it unsorted
+    j, y = bessel_j0_y0(xs)
+    j_ref, y_ref = _j0_y0_full_series(xs)
+    assert np.array_equal(j.view(np.int64), j_ref.view(np.int64))
+    assert np.array_equal(y.view(np.int64), y_ref.view(np.int64))
+
+
+def test_jy_term_thresholds_match_definition():
+    # _JY_TERM_X[n]: the largest x with max(|c_J0(k)|, |c_Y0(k)|) (x^2/4)^k
+    # < tol for every k >= n.  Recomputed by bisection on that predicate in
+    # 40-digit arithmetic with exact coefficients.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        fact, harm = [1], [mpmath.mpf(0)]
+        for k in range(1, _NSER):
+            fact.append(fact[-1] * k)
+            harm.append(harm[-1] + mpmath.mpf(1) / k)
+        coef = [max(mpmath.mpf(1), harm[k]) / mpmath.mpf(fact[k]) ** 2 for k in range(_NSER)]
+        tol = mpmath.mpf(_JY_TERM_TOL)
+
+        def small_enough(x, n):
+            t = x * x / 4
+            return all(coef[k] * t**k < tol for k in range(n, _NSER))
+
+        assert _JY_TERM_X[0] == 0.0 and _JY_TERM_X.shape == (_NSER,)
+        for n in range(1, _NSER):
+            lo, hi = mpmath.mpf("1e-40"), mpmath.mpf(100)
+            assert small_enough(lo, n) and not small_enough(hi, n)
+            for _ in range(70):  # geometric bisection to ~1e-19 relative
+                mid = mpmath.sqrt(lo * hi)
+                if small_enough(mid, n):
+                    lo = mid
+                else:
+                    hi = mid
+            assert abs(_JY_TERM_X[n] / float(lo) - 1.0) < 1e-12, n
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 
 from trapprob.conformal import (
     PlanePoint,
-    green_segment,
     make_disk_trap,
     make_segment_trap,
 )
@@ -23,7 +22,6 @@ from trapprob.verify import (
     check_theorem1,
     check_theorem2,
     conjecture_probe,
-    corollary_envelope,
     figure_series,
 )
 
@@ -153,38 +151,6 @@ def test_theorem2_sandwich_is_consistent(segment):
     # lower.lhs <= upper.rhs always (the sandwich has positive width)
     lower, upper = check_theorem2(segment, PlanePoint(5.0, 0.0), 1000.0, 1000, seed=SEED)
     assert lower.lhs < upper.rhs
-
-
-# ----------------------------------------------------------------------
-# logarithmic-capture envelope
-
-
-def test_envelope_value(segment):
-    got = corollary_envelope(segment, PlanePoint(5.0, 0.0), 1.0e6)
-    assert_allclose(got, 0.11354810993929797, rtol=1e-13)
-
-
-def test_envelope_zero_on_trap(segment):
-    assert corollary_envelope(segment, PlanePoint(0.3, 0.0), 1.0e6) == 0.0
-
-
-def test_envelope_decreasing(segment):
-    z = PlanePoint(5.0, 0.0)
-    vals = [corollary_envelope(segment, z, t) for t in (1e6, 1e8, 1e10, 1e12)]
-    assert all(a > b > 0.0 for a, b in zip(vals, vals[1:]))
-
-
-def test_envelope_scales_with_green(segment):
-    # envelope is linear in the Green's function at fixed t
-    t = 1.0e8
-    za, zb = PlanePoint(5.0, 0.0), PlanePoint(0.0, 5.0)
-    ratio = corollary_envelope(segment, za, t) / corollary_envelope(segment, zb, t)
-    assert_allclose(ratio, green_segment(za) / green_segment(zb), rtol=1e-13)
-
-
-def test_envelope_domain(segment):
-    with pytest.raises(DomainError):
-        corollary_envelope(segment, PlanePoint(5.0, 0.0), segment.tau0)
 
 
 # ----------------------------------------------------------------------

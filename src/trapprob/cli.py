@@ -25,7 +25,7 @@ from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import ConvergenceError, DomainError, HypothesisError
 from trapprob.reporting import RunManifest, format_cell, svg_lineplot, write_csv, write_manifest
 from trapprob.segment_sim import SAMPLER_STREAM
-from trapprob.specfun import bessel_i, k0, k0_bounds
+from trapprob.specfun import _k0_brackets, _k0_values, bessel_i
 from trapprob.verify import (
     _frame,
     check_theorem1,
@@ -94,23 +94,32 @@ def _emit_table(args, header, rows):
             print(",".join(format_cell(v) for v in row))
 
 
-def _cmd_bessel(args):
-    if args.x_min <= 0 or args.x_max <= args.x_min:
-        raise DomainError("need 0 < x-min < x-max")
-    xs = np.logspace(math.log10(args.x_min), math.log10(args.x_max), args.points)
-    orders = list(range(args.max_m + 1))
-    header = ["x", "k0", "k0_err", "i0"]
-    for m in orders:
-        header += [f"lower_{m}", f"upper_{m}"]
+def _bessel_rows(xs, max_m):
+    """Rows [x, k0, k0_err, i0, lower_0, upper_0, ..., upper_max_m] of the
+    bessel table: the k0 column from one kernel call, and for each x one
+    I0(x) and one prefix pass for every bracket."""
+    xs = np.asarray(xs, dtype=float)
+    values, bounds = _k0_values(xs)
     rows = []
-    for x in xs:
-        kv = k0(float(x))
-        row = [float(x), kv.value, kv.abs_error_bound, bessel_i(0, float(x))]
-        for m in orders:
-            lo, hi = k0_bounds(float(x), m)
-            row += [lo, hi]
+    for x, value, bound in zip(xs.tolist(), values.tolist(), bounds.tolist()):
+        i0 = bessel_i(0, x)
+        row = [x, value, bound, i0]
+        for bracket in _k0_brackets(x, max_m, i0):
+            row += bracket
         rows.append(row)
-    _emit_table(args, header, rows)
+    return rows
+
+
+def _cmd_bessel(args):
+    if not 0.0 < args.x_min < args.x_max < math.inf:
+        raise DomainError("need 0 < x-min < x-max < inf")
+    if args.points < 0:
+        raise DomainError(f"--points must be >= 0, got {args.points}")
+    xs = np.logspace(math.log10(args.x_min), math.log10(args.x_max), args.points)
+    header = ["x", "k0", "k0_err", "i0"]
+    for m in range(args.max_m + 1):
+        header += [f"lower_{m}", f"upper_{m}"]
+    _emit_table(args, header, _bessel_rows(xs, args.max_m))
     return 0
 
 

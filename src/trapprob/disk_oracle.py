@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from trapprob.errors import ConvergenceError, DomainError
-from trapprob.specfun import GAMMA, K0_SERIES_MAX_X, _k0_scaled_sum, bessel_j0_y0, k0
+from trapprob.specfun import GAMMA, _k0_scaled, bessel_j0_y0
 
 # Absolute quadrature target for p_disk.
 QUAD_TOL = 1e-6
@@ -162,26 +162,36 @@ def _adaptive_gk(f, parts, tol, max_evals):
             return integrals, errors, evals
 
 
+def _require_finite(**args):
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 def f_disk(r, r_T, tau):
     """Abelian mean of the disk hitting probability, K0-ratio closed form.
 
     Returns exactly 1 for r <= r_T; otherwise a value in [0, 1] (0 only
-    where the ratio underflows).  Where the denominator's argument exceeds
-    K0_SERIES_MAX_X the ratio is formed from exponentially scaled K0, so
-    tiny tau cannot divide by an underflowed K0.
+    where the ratio underflows).  With kappa = sqrt(2/tau) the ratio is
+    exp(-kappa (r - r_T)) S(kappa r) / S(kappa r_T), S(x) = e^x K0(x) from
+    one kernel call, so tiny tau cannot divide by an underflowed K0.
     """
+    _require_finite(r=r, r_T=r_T, tau=tau)
     if not (r_T > 0.0 and r > 0.0 and tau > 0.0):
         raise DomainError(f"f_disk needs positive arguments, got r={r!r} r_T={r_T!r} tau={tau!r}")
     if r <= r_T:
         return 1.0
-    xd = math.sqrt(2.0 * r_T * r_T / tau)
-    if xd > K0_SERIES_MAX_X:
-        # Both K0 values may underflow; take the ratio of e^x K0(x) instead:
-        # e^-(xn - xd) sqrt(xd/xn) times the ratio of the asymptotic sums.
-        xn = math.sqrt(2.0 * r * r / tau)
-        gap = math.sqrt(2.0 / tau) * (r - r_T)
-        return math.exp(-gap) * math.sqrt(r_T / r) * _k0_scaled_sum(xn)[0] / _k0_scaled_sum(xd)[0]
-    return k0(math.sqrt(2.0 * r * r / tau)).value / k0(xd).value
+    kappa = math.sqrt(2.0 / tau)
+    damp = math.exp(-kappa * (r - r_T))
+    if damp == 0.0:
+        # S decreases, so the ratio is at most damp; this also covers every
+        # kappa r or kappa r_T that overflows
+        return 0.0
+    xd = kappa * r_T
+    if xd == 0.0:
+        raise DomainError(f"sqrt(2/tau) r_T underflows for r_T={r_T!r}, tau={tau!r}")
+    s, _ = _k0_scaled(np.array([kappa * r, xd]))
+    return min(1.0, damp * float(s[0]) / float(s[1]))
 
 
 def _p_disk_raw(r, r_T, t):
@@ -192,9 +202,10 @@ def _p_disk_raw(r, r_T, t):
     if t == 0.0:
         return 0.0
     gap = r - r_T
-    if gap * gap / (4.0 * t) > 80.0:
+    if gap * gap / (4.0 * t) > 80.0 or gap > 18.0 * math.sqrt(t):
         # free-diffusion bound: reaching the disk at all has probability
-        # < exp(-gap^2/(4t)) < 1e-34, far below the quadrature target
+        # < exp(-gap^2/(4t)) < 1e-34, far below the quadrature target (the
+        # second test still holds where gap^2 and 4t both overflow)
         return 0.0
 
     a = r / r_T
@@ -238,15 +249,20 @@ def p_disk(r, r_T, t):
     """Probability that Brownian motion from distance r hits the disk of
     radius r_T by time t, clamped to [0, 1].
 
-    Raises DomainError for r < r_T or t < 0, and ConvergenceError if the
+    Raises DomainError for a non-finite argument, r < r_T, t < 0 or an r_T
+    so small that r/r_T or 1/(2 r_T^2) overflows, and ConvergenceError if the
     adaptive quadrature exceeds its evaluation budget.
     """
+    _require_finite(r=r, r_T=r_T, t=t)
     if not r_T > 0.0:
         raise DomainError(f"disk radius must be positive, got {r_T!r}")
     if r < r_T:
         raise DomainError(f"release radius {r!r} inside the disk of radius {r_T!r}")
     if t < 0.0:
         raise DomainError(f"time must be >= 0, got {t!r}")
+    two_rt2 = 2.0 * r_T * r_T
+    if not (math.isfinite(r / r_T) and two_rt2 > 0.0 and math.isfinite(1.0 / two_rt2)):
+        raise DomainError(f"disk radius r_T={r_T!r} too small: r/r_T or 1/(2 r_T^2) overflows (r={r!r})")
     return min(1.0, max(0.0, _p_disk_raw(r, r_T, t)))
 
 
@@ -262,6 +278,7 @@ def hunt_approx(r, r_T, t, variant="raw"):
     """
     if variant not in ("raw", "tau0"):
         raise DomainError(f"unknown variant {variant!r}")
+    _require_finite(r=r, r_T=r_T, t=t)
     if not r_T > 0.0:
         raise DomainError(f"disk radius must be positive, got {r_T!r}")
     if r < r_T:
@@ -276,7 +293,9 @@ def hunt_approx(r, r_T, t, variant="raw"):
         factor = 2.0
     else:
         tau0 = 0.5 * math.exp(2.0 * GAMMA) * r_T * r_T
-        denom = math.log(t / tau0)
+        ratio = t / tau0
+        # where t / tau0 underflows, log t - log tau0 is still finite
+        denom = math.log(ratio) if ratio > 0.0 else math.log(t) - math.log(tau0)
         factor = 1.0
     if denom == 0.0:
         return -math.inf

@@ -1,19 +1,26 @@
-"""Bessel kernels with certified truncation bounds.
+"""Bessel kernels with certified error bounds.
 
-Everything here is evaluated from scratch (ascending series plus large-x
-asymptotics); no external special-function library is used at runtime.  The
-centrepiece is a pair of two-sided truncation brackets for K0: truncating
+Everything here is evaluated from scratch; no external special-function
+library is used at runtime.  K0 is reached two ways:
 
-    K0(x) = -(ln(x/2) + gamma) I0(x) + Psi(x),
-    Psi(x) = sum_{n>=1} h_n/(n!)^2 (x^2/4)^n,
+* ``k0_bounds`` gives two-sided truncation brackets, the paper's own tool.
+  Truncating
 
-after M terms gives a lower bound for every x > 0, and an explicit
-remainder (Stirling bound on the tail) turns it into an upper bound on a
-known x-range.  ``k0_bounds`` exposes the bracket; ``k0`` evaluates a deep
-truncation (M = 40) and returns the value together with a certified
-absolute error bound.
+      K0(x) = -(ln(x/2) + gamma) I0(x) + Psi(x),
+      Psi(x) = sum_{n>=1} h_n/(n!)^2 (x^2/4)^n,
 
-Internally the alternating/cancelling series run in 80-bit extended
+  after M terms gives a lower bound for every x > 0, and an explicit
+  remainder (Stirling bound on the tail) turns it into an upper bound on a
+  known x-range.
+* ``k0`` evaluates e^x K0(x) = int_0^inf exp(-2x sinh^2(t/2)) dt by the
+  trapezoidal rule, which converges geometrically for this integrand
+  (Trefethen & Weideman, SIAM Review 2014).  The kernel ``_k0_scaled``
+  works on arrays and carries a certified bound (strip error, truncated
+  tail and rounding, derived in its docstring); ``f_disk`` takes its
+  K0 ratio from the scaled values, so nothing underflows.
+
+J0 and Y0 use the ascending series up to x = 15 and the Hankel asymptotic
+expansion beyond.  The alternating/cancelling series run in 80-bit extended
 precision (``numpy.longdouble``): the Y0 series at x = 15 has terms of
 size ~2e5 cancelling down to O(1), which costs ~20 bits - fatal in double,
 harmless in extended.  Each J0/Y0 argument gets only the series terms it
@@ -31,13 +38,18 @@ from trapprob.errors import DomainError
 # Euler-Mascheroni constant, 30 significant digits.
 GAMMA = 0.577215664901532860606512090082
 
-# Crossover points: ascending series below, asymptotic expansion above.
-K0_SERIES_MAX_X = 8.0
+# J0/Y0 crossover: ascending series below, asymptotic expansion above.
 JY_SERIES_MAX_X = 15.0
 
-# Truncation order of the deep K0 series used by k0(); the bracket width at
-# x = 8 is ~1e-45, far below the 1e-14*max(1,|K0|) accuracy target.
-K0_DEEP_M = 40
+# Trapezoidal e^x K0(x) (see _k0_scaled) on x >= _K0_TRAPEZOID_MIN_X: step
+# _K0_H0/sqrt(max(x, 1)), _K0_NODES nodes, at most _K0_BLOCK rows per
+# block; _U is the unit roundoff.
+_K0_TRAPEZOID_MIN_X = 1e-8
+_K0_H0 = 0.25
+_K0_NODES = 94
+_K0_BLOCK = 128
+_K0_HALF_K = 0.5 * np.arange(_K0_NODES)
+_U = 2.0**-53
 
 # Order-0 remainder constant of k0_bounds: 0.97311062304500... rounded up
 # (derivation in its docstring).
@@ -230,32 +242,40 @@ def bessel_j0_y0(x):
 
 
 def _phi_partial(x, m):
-    """Extended-precision truncated sum -(ln(x/2)+g) - sum_{n<=m} (...).
+    """Extended-precision truncated sums -(ln(x/2)+g) + sum_{n<=k} (...) of
+    the K0 series for k = 0..m, from one pass.
 
-    This is the shared accumulation behind both k0() and k0_bounds(); using
-    one code path makes the bracket monotone in m down to the last bit.
+    This prefix pass is shared by every truncation order of k0_bounds(),
+    which keeps the bracket monotone in m down to the last bit.
     """
+    if m >= _NSER:
+        raise DomainError(f"truncation order {m} beyond tabulated range {_NSER - 1}")
     t = _LD(x) * _LD(x) / 4
     ell = np.log(_LD(x) / 2) + _GAMMA_LD
     s = -ell
+    sums = [s]
     term = _LD(1.0)
-    for n in range(1, m + 1):
-        term = term * t / (_LD(n) * _LD(n))
-        s = s + term * (_HARM_LD[n] - ell)
-    return s
+    with np.errstate(over="ignore"):  # huge x: the sum runs to -inf
+        for n in range(1, m + 1):
+            term = term * t / (_LD(n) * _LD(n))
+            s = s + term * (_HARM_LD[n] - ell)
+            sums.append(s)
+    return sums
 
 
-def _k0_tail(x, m):
+def _k0_tail(x, m, i0):
     """Stirling remainder attached to the order-m truncation upper bound.
 
-    Two regimes: for x < 2e^-gamma the tail carries |ln(x/(2(m+1)))|; for
+    ``i0`` is I0(x) (+inf beyond the range of bessel_i).  Two regimes: for
+    x < 2e^-gamma the tail carries |ln(x/(2(m+1)))|; for
     2e^-gamma <= x < 2e^(h_m - gamma) a (gamma + ln(m+1)) factor replaces the
     log.  Outside those ranges the upper bound is vacuous (+inf).
     """
     mp1 = m + 1
+    if x / (2.0 * mp1) == 0.0:  # subnormal x: the remainder underflows
+        return 0.0
     # e^(2m+2) (x / (2(m+1)))^(2m+2), evaluated in logs to dodge under/overflow
     ln_pw = (2 * mp1) * (1.0 + math.log(x / (2.0 * mp1)))
-    i0 = bessel_i(0, x) if x <= 50.0 else math.inf
     if x < 2.0 * math.exp(-GAMMA):
         return i0 / (2.0 * math.pi) / mp1 * math.exp(ln_pw) * abs(math.log(x / (2.0 * mp1)))
     if x < 2.0 * math.exp(float(_HARM_LD[m]) - GAMMA):
@@ -263,68 +283,36 @@ def _k0_tail(x, m):
     return math.inf
 
 
-def _k0_scaled_sum(x):
-    """Large-x expansion sum (-1)^k m_k x^-k of e^x K0(x) / sqrt(pi/2x).
-
-    Returns (sum, first omitted term); the sum is truncated at its smallest
-    term or once terms drop below 1e-18 relative.
-    """
-    s = 1.0
-    term = 1.0
-    prev = math.inf
-    for k in range(1, 33):
-        term *= (2 * k - 1) ** 2 / (8.0 * k * x)
-        if term >= prev:  # past the optimal truncation point
-            break
-        if term <= 1e-18 * s:
-            break
-        s += term if k % 2 == 0 else -term
-        prev = term
-    return s, term
+def _k0_bracket(x, m, partial, i0):
+    """The order-m bracket (lower, upper) from its prefix sum ``partial``
+    (a _phi_partial entry) and ``i0`` = I0(x) (+inf beyond 50)."""
+    lower = float(partial)
+    if m == 0:
+        if x < 2.0 * math.exp(-GAMMA):
+            q = x * x / 4.0  # q |ln q| -> 0 where q underflows
+            return lower, lower + K0_M0_REMAINDER * q * abs(math.log(q)) if q > 0.0 else lower
+        return lower, math.inf
+    tail = _k0_tail(x, m, i0)
+    return lower, lower + tail if math.isfinite(tail) else math.inf
 
 
-def _k0_asymptotic(x):
-    """Large-x expansion e^-x sqrt(pi/2x) sum (-1)^k m_k x^-k with the
-    first omitted term as the remainder bound."""
-    s, term = _k0_scaled_sum(x)
-    pref = math.exp(-x) * math.sqrt(math.pi / (2.0 * x))
-    value = pref * s
-    return value, pref * term + 1e-15 * abs(value)
-
-
-def k0(x):
-    """Modified Bessel function K0(x) with a certified error bound.
-
-    For x <= 8 the deep (M = 40) truncation of the ascending expansion is
-    evaluated in extended precision and bracketed by its Stirling remainder;
-    for x > 8 the standard large-x asymptotic expansion is used with the
-    first omitted term as the remainder.  Returns a :class:`BoundedValue`.
-    """
-    if not x > 0.0:
-        raise DomainError(f"k0 requires x > 0, got {x!r}")
-    x = float(x)
-    if x > K0_SERIES_MAX_X:
-        value, bound = _k0_asymptotic(x)
-        return BoundedValue(value, bound)
-    lower_ld = _phi_partial(x, K0_DEEP_M)
-    tail = _k0_tail(x, K0_DEEP_M)
-    # Roundoff allowance: the sum cancels down from terms of size up to
-    # I0(x) * (|ln(x/2)+g| + h_M); extended precision leaves ~1e-19 relative
-    # per operation, and the final cast to double costs one double ulp.
-    ell = abs(math.log(x / 2.0) + GAMMA)
-    scale = bessel_i(0, x) * (ell + float(_HARM_LD[K0_DEEP_M]) + 1.0)
-    slop = 2e-16 * scale + 4e-16 * abs(float(lower_ld))
-    value = float(lower_ld + _LD(tail) / 2)
-    return BoundedValue(value, tail / 2.0 + slop)
+def _k0_brackets(x, max_m, i0):
+    """Truncation brackets [(lower_m, upper_m) for m = 0..max_m] of K0(x)
+    from one _phi_partial pass and one I0(x); each pair equals
+    k0_bounds(x, m) bit for bit."""
+    sums = _phi_partial(x, max_m)
+    return [_k0_bracket(x, m, sums[m], i0) for m in range(max_m + 1)]
 
 
 def k0_bounds(x, m):
     """Two-sided truncation bracket (lower, upper) for K0(x) at order m.
 
-    The lower bound holds for every x > 0.  The upper bound holds for
-    x < 2e^(h_m - gamma); beyond that the bracket is vacuous and upper is
-    returned as +inf.  At m = 0 the upper bound is lower + C q |ln q| with
-    q = x^2/4 and C = 0.974, on x < 2e^-gamma.
+    The lower bound holds for every x > 0; it is -inf where the truncated
+    sum lies below the double range (from x = 1.8e153 at m = 1, 1.3e20 at
+    m = 8, 2.5e5 at m = 40).
+    The upper bound holds for x < 2e^(h_m - gamma); beyond that the bracket
+    is vacuous and upper is returned as +inf.  At m = 0 the upper bound is
+    lower + C q |ln q| with q = x^2/4 and C = 0.974, on x < 2e^-gamma.
 
     Derivation of C: write L = -ln(x/2) - gamma >= 0 (the order-0 lower
     bound) and R0 = K0 - L.  From the ascending series,
@@ -334,22 +322,119 @@ def k0_bounds(x, m):
     K0(2e^-gamma) e^(2 gamma) / (2 gamma) = 0.97311062304500...;
     C is that value rounded up.
     """
-    if not x > 0.0:
-        raise DomainError(f"k0_bounds requires x > 0, got {x!r}")
-    if m != int(m) or m < 0:
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"k0_bounds requires finite x > 0, got {x!r}")
+    if not (math.isfinite(m) and m == int(m) and m >= 0):
         raise DomainError(f"k0_bounds needs a nonnegative integer order, got {m!r}")
     m = int(m)
-    if m >= _NSER:
-        raise DomainError(f"truncation order {m} beyond tabulated range {_NSER - 1}")
     x = float(x)
-    lower = float(_phi_partial(x, m))
-    if m == 0:
-        if x < 2.0 * math.exp(-GAMMA):
-            q = x * x / 4.0
-            upper = lower + K0_M0_REMAINDER * q * abs(math.log(q))
-        else:
-            upper = math.inf
-    else:
-        tail = _k0_tail(x, m)
-        upper = lower + tail if math.isfinite(tail) else math.inf
-    return lower, upper
+    return _k0_bracket(x, m, _phi_partial(x, m)[m], bessel_i(0, x) if x <= 50.0 else math.inf)
+
+
+def _k0_scaled(x):
+    """e^x K0(x) with a certified absolute error bound, elementwise.
+
+    Takes a 1-D float array of finite x > 0 and returns the arrays (S, err)
+    with |S - e^x K0(x)| <= err.  For x >= 1e-8 this is the trapezoidal
+    rule for
+
+        e^x K0(x) = int_0^inf w(t) dt,   w(t) = exp(-2x sinh^2(t/2)),
+
+    with step h = 0.25/sqrt(max(x, 1)) and the 94 nodes t_k = k h,
+    S = h (w(0)/2 + sum_{k=1}^{93} w(t_k)), run on blocks of at most 128
+    rows; each row is reduced by ``sum(axis=1)``, so an entry does not
+    depend on the rest of the array.  Below 1e-8 (where the integrand
+    decays too late for 94 nodes) S is e^x times the midpoint of the
+    order-1 k0_bounds bracket.
+
+    The bound err = u ((10 + 93 h) h sum_k w_k A_k + 106 S), u = 2^-53 and
+    A = 2x sinh^2(t/2), covers three terms: the rule over all of Z against
+    the integral (strip term), the nodes k >= 94 left out (tail term), and
+    rounding.  About 1.2e-14 S in all.
+
+    Strip term (Trefethen & Weideman, "The exponentially convergent
+    trapezoidal rule", SIAM Review 56 (2014), Thm 5.1).  w is entire and
+    even, and for 0 < a < pi/2 and |b| < a,
+    |w(t+ib)| = exp(-x (cosh t cos b - 1)), so
+    int |w(t+ib)| dt = 2 e^x K0(x cos b) <= M := 2 e^x K0(x cos a), and w
+    decays uniformly in the strip.  The rule over all of Z is then within
+    2M/(e^{2 pi a/h} - 1) of the integral over R; halving for the even w,
+    the error is at most 2 e^{x a^2/2} B(y) / (e^c - 1) with y = x cos a,
+    c = 2 pi a/h (1 - cos a <= a^2/2) and any B(y) >= e^y K0(y):
+    B = sqrt(pi/(2y)) from sinh s >= s, and for y < 2 also
+    B = ln(2/y) + E1(1) e^y (split the integral at e^t = 2/y, bound w by 1
+    before and use cosh t - 1 >= e^t/2 - 1 after).  Take a = min(1.55,
+    8 pi/sqrt(x)), which minimises x a^2/2 - c for large x; cos 1.55 > 0.0207.
+    - x <= 1: c = 38.955 and x a^2/2 <= 1.2013, so the term is below
+      8.02e-17 B.  With L = ln(1/x), B <= 4.8 + L and
+      S >= max(S(1), K0(x)) >= max(1.144, L + ln 2 - gamma), so B <= 5.1 S.
+    - x >= 1: S >= (7/8) sqrt(pi/(2x)) (the asymptotic series encloses
+      e^x K0(x)), and B <= sqrt(pi/(2 * 0.0207 x)) <= 7.95 S.  Up to
+      x = 262.9, a = 1.55 and x a^2/2 - c <= 1.2013 x - 38.955 sqrt(x)
+      <= -37.754; beyond, it is -32 pi^2.
+    So the strip term is below 6.4e-16 S < 6 u S everywhere.
+
+    Tail term.  w decreases on t > 0, so the omitted nodes sum to at most
+    int_T^inf w, T = 93 h.  With v = sinh(t/2), dt = 2 dv/sqrt(1 + v^2) and
+    1/sqrt(1 + v^2) <= v min(1/V, 1/V^2) for v >= V = sinh(T/2), that is at
+    most w(T) min(1, V)/A(T).  For x <= 1, A(T) >= 62 and S >= S(1) > 1;
+    for x >= 1, A(T) >= 270 and S >= (7/8) sqrt(pi/(2x)); either way the
+    tail is below 1e-28 S.
+
+    Rounding term.  Taking numpy's sinh and exp to within 2 ulp, the
+    computed A(t_k) is within (10 + t_k) u A(t_k) (the node t_k/2 = h k/2,
+    sqrt(x), sinh, the product and the square), so w(t_k) is within
+    u w (2 + (10 + t_k) A).  Summing 94 nonnegative terms adds 93 u sum w,
+    and the factor h one more u: at most u ((10 + 93 h) h sum w A + 96 S).
+    The 106 S holds these 96, the strip term's 6 and 4 to spare for the
+    tail, second-order terms and the bound's own arithmetic.
+    """
+    s = np.empty_like(x)
+    wa = np.empty_like(x)  # sum_k w_k A_k per row
+    xt = np.maximum(x, _K0_TRAPEZOID_MIN_X)  # rows below it are replaced last
+    h = _K0_H0 / np.sqrt(np.maximum(xt, 1.0))
+    q = np.sqrt(xt)
+    for i in range(0, x.size, _K0_BLOCK):
+        rows = slice(i, i + _K0_BLOCK)
+        v = q[rows, None] * np.sinh(h[rows, None] * _K0_HALF_K)  # stays in range for any x
+        arg = 2.0 * (v * v)
+        w = np.exp(-arg)
+        w[:, 0] = 0.5
+        s[rows] = w.sum(axis=1) * h[rows]
+        wa[rows] = (w * arg).sum(axis=1)
+    err = _U * ((10.0 + 93.0 * h) * h * wa + 106.0 * s)
+
+    for i in np.flatnonzero(x < _K0_TRAPEZOID_MIN_X):
+        lower, upper = k0_bounds(float(x[i]), 1)
+        scale = math.exp(x[i])
+        s[i] = scale * (0.5 * (lower + upper))
+        err[i] = scale * (0.5 * (upper - lower)) + 8.0 * _U * s[i]
+    return s, err
+
+
+def _k0_values(x):
+    """(K0, certified absolute error bound) on a 1-D float array of finite
+    x > 0, from one _k0_scaled call.
+
+    Multiplying by e^-x costs at most 4 u S on top of e^-x err; the added
+    2^-1073 covers subnormal results, and where e^-x underflows the value is
+    0 with bound 2^-1073 (K0(x) < 2^-1075 there).
+    """
+    s, err = _k0_scaled(x)
+    scale = np.exp(-x)
+    return scale * s, scale * (err + 4.0 * _U * s) + 2.0**-1073
+
+
+def k0(x):
+    """Modified Bessel function K0(x) with a certified error bound.
+
+    The value is e^-x times the trapezoidal e^x K0(x) of ``_k0_scaled``
+    (relative error about 4e-16 against mpmath; the order-1 truncation
+    bracket below x = 1e-8), and 0 where e^-x underflows (x > 745.13).
+    Returns a :class:`BoundedValue`; the bound is derived in
+    ``_k0_scaled``'s docstring.
+    """
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"k0 requires finite x > 0, got {x!r}")
+    value, bound = _k0_values(np.array([float(x)]))
+    return BoundedValue(value[0], bound[0])

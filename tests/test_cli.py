@@ -157,6 +157,25 @@ def test_disk_tiny_tau_no_traceback(capsys):
     assert 0.0 <= row["f_disk"] <= 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--r", "5", "--rt", "0.5", "--t-grid", "nan"], "t must be finite"),
+        (["--r", "5", "--rt", "1e-300", "--tau-grid", "1"], "r_T=1e-300"),
+    ],
+)
+def test_disk_degenerate_inputs_exit_1(argv, message, capsys):
+    assert main(["disk", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trapprob: domain error:") and message in err
+
+
+@pytest.mark.parametrize("flags", [["--points", "-1"], ["--x-max", "inf"], ["--max-m", "48"]])
+def test_bessel_bad_grid_exits_1(flags, capsys):
+    assert main(["bessel", *flags]) == 1
+    assert capsys.readouterr().err.startswith("trapprob: domain error:")
+
+
 def test_disk_grid_exclusive():
     with pytest.raises(SystemExit) as exc:
         main(["disk", "--r", "1", "--rt", "0.5", "--t-grid", "1", "--tau-grid", "1"])

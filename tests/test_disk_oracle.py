@@ -153,6 +153,42 @@ def test_f_disk_domain():
         f_disk(1.0, R_T, 0.0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((5.0, R_T, math.inf), "^tau must be finite"),
+        ((math.nan, R_T, 1.0), "^r must be finite"),
+        ((5.0, 5e-324, 1e10), "r_T=5e-324"),  # sqrt(2/tau) r_T underflows to 0
+    ],
+)
+def test_f_disk_degenerate_inputs_name_the_argument(args, message):
+    with pytest.raises(DomainError, match=message):
+        f_disk(*args)
+
+
+def test_f_disk_extreme_but_finite_inputs():
+    # K0 of the denominator below 1e-8 (order-1 bracket) and both arguments
+    # overflowing: finite answers in [0, 1]
+    assert_allclose(f_disk(5.0, 1e-300, 1.0), 5.7016320702625237e-07, rtol=1e-13)  # mpmath, 40 digits
+    assert f_disk(1e308, 1e307, 5e-324) == 0.0
+    assert f_disk(5.0, R_T, 5e-324) == 0.0
+
+
+def test_f_disk_against_mpmath_at_criterion_points():
+    # every criterion-3 (r, tau) and every criterion-7 / theorem1-sweep
+    # combo; at r = 25, tau = 3 (e/2) d^2 the numerator's argument is 8.75,
+    # where the former asymptotic K0 branch was off by 2.4e-9 relative
+    mpmath = pytest.importorskip("mpmath")
+    d, r_t = 2.0, 0.5  # the segment [-1, 1]
+    points = [(rr * r_t, r_t, tt * r_t * r_t) for rr in (2.0, 10.0, 50.0) for tt in (1.0, 10.0, 100.0)]
+    points += [(r, r_t, mult * 0.5 * math.e * d * d) for mult in (1.1, 3.0, 10.0, 30.0) for r in (1.0, 5.0, 25.0, 125.0)]
+    with mpmath.workdps(40):
+        for r, rt, tau in points:
+            kappa = mpmath.sqrt(2 / mpmath.mpf(tau))
+            ref = mpmath.besselk(0, kappa * r) / mpmath.besselk(0, kappa * rt)
+            assert abs(f_disk(r, rt, tau) - ref) <= 1e-13 * ref, (r, tau)
+
+
 # ---------------------------------------------------------------------------
 # p_disk
 # ---------------------------------------------------------------------------
@@ -277,6 +313,29 @@ def test_p_disk_laplace_consistency_spot_check():
             )
         total += math.exp(-edges[-1]) * p_disk(r, R_T, tau * edges[-1])
         assert abs(total - f_disk(r, R_T, tau)) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((5.0, R_T, math.nan), "^t must be finite"),
+        ((5.0, R_T, math.inf), "^t must be finite"),
+        ((math.inf, R_T, 1.0), "^r must be finite"),
+        ((5.0, 1e-300, 1.0), "r_T=1e-300"),  # 2 r_T^2 underflows
+        ((1e300, 1e-10, 1.0), "r_T=1e-10"),  # r / r_T overflows
+    ],
+)
+def test_p_disk_degenerate_inputs_name_the_argument(args, message):
+    with pytest.raises(DomainError, match=message):
+        p_disk(*args)
+
+
+def test_p_disk_free_diffusion_shortcut_survives_overflow():
+    # gap^2 and 4t both overflow: still the free-diffusion 0, not a
+    # quadrature over [1, 6e146] that exhausts its budget
+    big = 1.7976931348623157e308
+    assert p_disk(big, 1e300, big) == 0.0
+    assert p_disk(big, 1.0, big) == 0.0
 
 
 def test_p_disk_domain_errors():

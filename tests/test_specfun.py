@@ -16,6 +16,7 @@ from trapprob import (
     k0,
     k0_bounds,
 )
+from trapprob.cli import _bessel_rows
 from trapprob.specfun import (
     _C_J0,
     _C_Y0,
@@ -25,7 +26,8 @@ from trapprob.specfun import (
     _NSER,
     GAMMA,
     JY_SERIES_MAX_X,
-    K0_SERIES_MAX_X,
+    _k0_scaled,
+    _k0_values,
 )
 
 # Reference values computed with mpmath at 40 significant digits and frozen here.
@@ -256,15 +258,16 @@ def test_k0_frozen_values(x, want):
     bv = k0(x)
     assert isinstance(bv, BoundedValue)
     # the frozen reference must sit inside the certified interval, and the
-    # point value itself should agree to ~1e-9 relative even on the
-    # asymptotic branch
+    # point value itself should agree to the 1e-14 relative target
     assert bv.lower <= want <= bv.upper
-    assert_allclose(bv.value, want, rtol=2e-9)
+    assert_allclose(bv.value, want, rtol=1e-14)
 
 
 def test_k0_series_branch_is_tight():
-    for x in (1e-8, 0.01, 0.5, 1.0, 2.0, 5.0, K0_SERIES_MAX_X):
-        bv = k0(x)
+    # the whole range, the order-1 bracket below 1e-8 and the underflow
+    # region included
+    for x in np.concatenate([np.geomspace(1e-300, 800.0, 400), [8.0, 8.01, 9.64]]):
+        bv = k0(float(x))
         assert bv.abs_error_bound <= 1e-12 * max(1.0, abs(bv.value))
 
 
@@ -290,10 +293,104 @@ def test_k0_positive_and_decreasing():
 
 
 def test_k0_domain_error():
-    with pytest.raises(DomainError):
-        k0(0.0)
-    with pytest.raises(DomainError):
-        k0(-1.0)
+    for x in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            k0(x)
+
+
+def test_k0_across_the_old_crossover():
+    # The former large-x asymptotic branch (x > 8) was off by 1.1e-8
+    # relative at x = 8.01 and missed the 1e-14 max(1, |K0|) target on
+    # 8 < x < 9.64.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for x in (7.9, 8.01, 8.5, 10.0):
+            ref = mpmath.besselk(0, x)
+            assert abs(k0(x).value - ref) <= 1e-14 * ref, x
+        for x in np.linspace(8.0, 9.64, 83).tolist():
+            ref = mpmath.besselk(0, x)
+            assert abs(k0(x).value - ref) <= 1e-14 * max(1.0, ref), x
+
+
+def test_k0_kernel_against_mpmath():
+    # e^x K0(x) from the trapezoidal kernel, and k0 itself where e^-x is a
+    # normal double, on 600 log-spaced points; each certified interval
+    # contains the reference
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.geomspace(1e-8, 1e3, 600)
+    s, err = _k0_scaled(xs)
+    with mpmath.workdps(30):
+        for x, sv, ev in zip(xs.tolist(), s.tolist(), err.tolist()):
+            ref = mpmath.besselk(0, x)
+            scaled = mpmath.exp(x) * ref
+            assert abs(sv - scaled) <= 1e-15 * scaled, x
+            assert abs(sv - scaled) <= ev, x
+            if x < 700.0:
+                bv = k0(x)
+                assert abs(bv.value - ref) <= 1e-15 * ref, x
+                assert bv.lower <= ref <= bv.upper, x
+
+
+def test_k0_strip_term_within_its_share_of_the_bound():
+    # _k0_scaled's bound gives the trapezoid's strip error 6 u S; evaluate
+    # the strip bound it is derived from, 2 e^(x a^2/2) B(x cos a)/(e^c - 1)
+    # with a = min(1.55, 8 pi/sqrt(x)), c = 2 pi a/h and
+    # B(y) = min(sqrt(pi/(2y)), ln(2/y) + E1(1) e^y), on a dense grid
+    xs = np.geomspace(1e-8, 1e8, 40001)
+    h = 0.25 / np.sqrt(np.maximum(xs, 1.0))
+    a = np.minimum(1.55, 2.0 * np.pi / (h * xs))
+    c = 2.0 * np.pi * a / h
+    y = xs * np.cos(a)
+    ym = np.minimum(y, 2.0)  # the log form is derived for y < 2 only
+    b = np.minimum(np.sqrt(0.5 * np.pi / y), np.log(2.0 / ym) + 0.2194 * np.exp(ym))
+    strip = 2.0 * b * np.exp(0.5 * xs * a * a - c) / -np.expm1(-c)
+    s, _ = _k0_scaled(xs)
+    assert np.all(strip <= 6 * 2.0**-53 * s)
+
+
+def test_k0_interval_contains_mpmath_at_the_ends():
+    # below 1e-8 (order-1 bracket, down to the smallest subnormal) and where
+    # e^-x underflows (value 0, finite positive bound)
+    mpmath = pytest.importorskip("mpmath")
+    tiny = np.geomspace(1e-300, 1e-8, 60).tolist() + [5e-324, 2.2250738585072014e-308, 9.99e-9]
+    huge = [708.5, 740.0, 745.2, 746.0, 800.0, 1e4, 1e300, 1.7976931348623157e308]
+    with mpmath.workdps(30):
+        for x in tiny + huge:
+            bv = k0(x)
+            ref = mpmath.besselk(0, x)
+            assert bv.lower <= ref <= bv.upper, x
+            assert math.isfinite(bv.abs_error_bound) and bv.abs_error_bound > 0.0
+        for x in huge[2:]:
+            assert k0(x).value == 0.0
+
+
+@pytest.mark.parametrize("lo, hi, points", [(1e-8, 50.0, 1000), (1e-4, 10.0, 50)])
+def test_k0_scalar_equals_table_entry(lo, hi, points):
+    # the benchmark's and the CLI default's bessel grids: scalar k0 and the
+    # table's k0/k0_err columns agree bit for bit, so no entry depends on
+    # the block it was computed in
+    xs = np.logspace(math.log10(lo), math.log10(hi), points)
+    rows = _bessel_rows(xs, 0)
+    values, bounds = _k0_values(xs)
+    for x, row, value, bound in zip(xs.tolist(), rows, values.tolist(), bounds.tolist()):
+        bv = k0(x)
+        assert (bv.value, bv.abs_error_bound) == (value, bound) == (row[1], row[2]), x
+
+
+def test_bessel_table_brackets_match_per_call_bounds():
+    # the table's one prefix pass per x against k0_bounds(x, m) and
+    # bessel_i(0, x) called one by one, by repr; the grid hits every edge
+    # of the upper bounds' ranges, 2e^-gamma and 2e^(h_m - gamma), and the
+    # doubles either side
+    edges = [2.0 * math.exp(-GAMMA)] + [2.0 * math.exp(harmonic_number(m) - GAMMA) for m in range(1, 9)]
+    xs = np.concatenate([
+        np.geomspace(1e-8, 50.0, 300), edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+    ])
+    for row in _bessel_rows(np.sort(xs), 8):
+        x = row[0]
+        assert repr(row[3]) == repr(bessel_i(0, x))
+        for m in range(9):
+            assert [repr(v) for v in row[4 + 2 * m: 6 + 2 * m]] == [repr(v) for v in k0_bounds(x, m)], (x, m)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +476,21 @@ def test_k0_bounds_lower_le_upper_everywhere():
 
 
 def test_k0_bounds_domain_error():
-    with pytest.raises(DomainError):
-        k0_bounds(0.0, 0)
-    with pytest.raises(DomainError):
-        k0_bounds(1.0, -1)
+    for x, m in ((0.0, 0), (1.0, -1), (math.nan, 1), (math.inf, 1), (1.0, math.nan), (1.0, 2.5), (1.0, _NSER)):
+        with pytest.raises(DomainError):
+            k0_bounds(x, m)
+
+
+def test_k0_bounds_subnormal_x():
+    # x^2/4 and x/(2(m+1)) underflow here; both remainders vanish and the
+    # bracket still holds K0
+    mpmath = pytest.importorskip("mpmath")
+    for x in (5e-324, 1e-320, 1e-200):
+        ref = mpmath.besselk(0, x)
+        for m in (0, 1, 5):
+            lower, upper = k0_bounds(x, m)
+            assert math.isfinite(upper)
+            assert abs(lower - ref) <= 4e-16 * ref and abs(upper - ref) <= 4e-16 * ref
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ coordinates instead (the sampler in ``segment_sim`` is coordinate-aligned).
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +86,15 @@ class TrapGeometry:
 def make_segment_trap(a, b):
     """Build the geometry record for the segment [a, b] x {0} (a < b)."""
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"segment ends must be finite, got a={a!r}, b={b!r}")
     if not a < b:
         raise DomainError(f"degenerate trap: need a < b, got a={a!r}, b={b!r}")
     r_t = (b - a) / 4.0
     diam = b - a
+    # times scale with the squared length, which must be a (normal) double
+    if not sys.float_info.min <= diam * diam < math.inf:
+        raise DomainError(f"segment length {diam!r} is outside the double range once squared")
     d = max(diam, _E_GAMMA * r_t)
     return TrapGeometry(
         kind="segment",

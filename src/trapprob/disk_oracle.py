@@ -27,6 +27,7 @@ adaptive Gauss-Kronrod panels of sub-oscillation width on [y0, Y_max].
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -285,7 +286,8 @@ def hunt_approx(r, r_T, t, variant="raw"):
         raise DomainError(f"release radius {r!r} inside the disk of radius {r_T!r}")
     if not t > 0.0:
         raise DomainError(f"time must be positive, got {t!r}")
-    lr = math.log(r / r_T)
+    # where r / r_T overflows, log r - log r_T is still finite
+    lr = math.log(r / r_T) if r / r_T < math.inf else math.log(r) - math.log(r_T)
     if lr == 0.0:
         return 1.0
     if variant == "raw":
@@ -293,9 +295,15 @@ def hunt_approx(r, r_T, t, variant="raw"):
         factor = 2.0
     else:
         tau0 = 0.5 * math.exp(2.0 * GAMMA) * r_T * r_T
-        ratio = t / tau0
-        # where t / tau0 underflows, log t - log tau0 is still finite
-        denom = math.log(ratio) if ratio > 0.0 else math.log(t) - math.log(tau0)
+        if tau0 >= sys.float_info.min:
+            ratio = t / tau0
+            # where t / tau0 leaves the double range, log t - log tau0 is
+            # still finite
+            denom = math.log(ratio) if 0.0 < ratio < math.inf else math.log(t) - math.log(tau0)
+        else:
+            # tau0 is subnormal or 0 (r_T below about 1e-154): its log from
+            # its factors keeps every digit
+            denom = math.log(t) - (math.log(0.5) + 2.0 * GAMMA + 2.0 * math.log(r_T))
         factor = 1.0
     if denom == 0.0:
         return -math.inf

@@ -18,6 +18,11 @@ numbers: as easy as 1, 2, 3", SC'11) with counter (k, 0, j mod 2^32,
 j div 2^32) and key (seed mod 2^32, seed div 2^32), through Box-Muller.
 Every draw is a function of (seed, trajectory, step) alone, so results are
 bit-reproducible and do not depend on how a batch is split into chunks.
+Because a block depends on nothing but its key and counter, the walk draws
+its normals several steps ahead: one call yields the blocks of steps
+k..k+m-1 for every live trajectory (m from ``DRAW_AHEAD``), and the rows
+that finish inside those m steps simply leave their unused blocks behind.
+Each draw is the one that step k of trajectory j would take on its own.
 Release points come from the numpy generator ``philox_stream(seed,
 RELEASE_STREAM)``, the reserved index 2^64 - 1.
 """
@@ -36,6 +41,15 @@ ENDPOINT_TOL = 1e-15
 
 # Guard against pathological floating-point stalls near the endpoints.
 STEP_CAP = 10**8
+
+# The walk draws its normals up to DRAW_AHEAD steps ahead, for at most
+# DRAW_AHEAD**2 trajectory-steps per Philox call (one step at a time while
+# more walks than that are live).  One call costs about 120 numpy
+# operations whatever its size, so drawing step by step for a few live rows
+# is all overhead; a block of 4096 pairs is large enough to hide that
+# overhead and small enough to stay in cache.  The cap of 64 steps bounds
+# the draws thrown away when the last few walks end early.
+DRAW_AHEAD = 64
 
 # Reserved stream index for release-point sampling.
 RELEASE_STREAM = 2**64 - 1
@@ -121,7 +135,9 @@ def philox4x32(c0, c1, c2, c3, k0, k1):
     The counter words c0..c3 may be arrays or scalars (they broadcast);
     the key words k0, k1 are integers.  Returns the four output words.
     """
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3))
+    # the rounds update their own temporaries in place, which holds only if
+    # every word already has the full shape
+    c0, c1, c2, c3 = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)))
     k0, k1 = int(k0), int(k1)
     for _ in range(PHILOX_ROUNDS):
         p0 = c0 * PHILOX_M[0]  # exact: both factors are below 2^32
@@ -154,10 +170,13 @@ def philox_normals(seed, index, step):
     """The two standard normals (g1, g2) that step ``step`` of trajectory
     ``index`` consumes: one Philox4x32-10 block with counter (step, 0,
     index mod 2^32, index div 2^32) and key (seed mod 2^32, seed div 2^32),
-    through Box-Muller.  ``index`` may be an array.  g1 is never 0: the
-    radius is positive and the cosine of a double never vanishes.
+    through Box-Muller.  ``index`` and ``step`` may be arrays that broadcast
+    against each other (a column of steps against a row of trajectories
+    gives one row of draws per step).  g1 is never 0: the radius is
+    positive and the cosine of a double never vanishes.
     """
     index = np.asarray(index, dtype=np.uint64)
+    step = np.asarray(step, dtype=np.uint64)
     w0, w1, w2, w3 = philox4x32(step, 0, index & _MASK32, index >> 32, seed & _MASK32, seed >> 32)
     radius = np.sqrt(-2.0 * np.log(_open_unit(w0, w1)))
     theta = (2.0 * np.pi) * _open_unit(w2, w3)
@@ -240,6 +259,8 @@ def _on_trap(x, y):
     return (y == 0.0) & (np.abs(x) <= 1.0 + ENDPOINT_TOL)
 
 
+# a jump time past the double range reads inf, which censors the walk
+@np.errstate(over="ignore")
 def sample_batch(starts, t_max, seed, first_index=0):
     """Simulate one trajectory per start point (a sequence of PlanePoints).
 
@@ -248,9 +269,13 @@ def sample_batch(starts, t_max, seed, first_index=0):
     of trajectory i uses ``philox_normals(seed, first_index + i, k)``, so
     the result is independent of chunking: splitting the starts into
     consecutive pieces and passing each piece's offset as ``first_index``
-    reproduces the whole batch.  Returns an ``np.recarray`` of
-    ``RECORD_DTYPE``, one row per start; raises ConvergenceError if a walk
-    exceeds STEP_CAP steps.
+    reproduces the whole batch.  The normals are drawn several steps ahead
+    in one call (``max(1, min(DRAW_AHEAD, DRAW_AHEAD**2 // live))`` steps
+    for ``live`` running walks, never past STEP_CAP), and a finished
+    walk's unused draws are dropped with it; since each draw depends on
+    (seed, trajectory, step) alone, this changes no result.  Returns an
+    ``np.recarray`` of ``RECORD_DTYPE``, one row per start; raises
+    ConvergenceError if a walk exceeds STEP_CAP steps.
     """
     if not t_max > 0.0:
         raise DomainError(f"t_max must be positive, got {t_max!r}")
@@ -258,22 +283,28 @@ def sample_batch(starts, t_max, seed, first_index=0):
         raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
     x0 = np.array([p.x for p in starts], dtype=float)
     y0 = np.array([p.y for p in starts], dtype=float)
-    out = np.recarray(x0.size, dtype=RECORD_DTYPE)
-    done = _on_trap(x0, y0)
-    out.time[done], out.x[done], out.censored[done], out.steps[done] = 0.0, x0[done], False, 0
+    # the result columns, filled row by row and packed into records once
+    times = np.zeros(x0.size)
+    xs = x0.copy()  # the start rows on the trap keep their abscissa
+    censored_col = np.zeros(x0.size, dtype=bool)
+    steps_col = np.zeros(x0.size, dtype=np.int64)
 
-    pos = np.flatnonzero(~done)  # rows of the live trajectories
+    pos = np.flatnonzero(~_on_trap(x0, y0))  # rows of the live trajectories
     x, y = x0[pos], y0[pos]
     elapsed = np.zeros(pos.size)
     index = np.uint64(first_index) + pos.astype(np.uint64)
     step = 0
+    g1s = g2s = np.empty((0, pos.size))  # normals drawn ahead, one row per step
     while pos.size:
         if step >= STEP_CAP:
             raise ConvergenceError(
                 f"trajectory {first_index + pos[0]} from ({x0[pos[0]]}, {y0[pos[0]]}) "
                 f"exceeded {STEP_CAP} steps"
             )
-        g1, g2 = philox_normals(seed, index, step)
+        if not len(g1s):
+            ahead = max(1, min(DRAW_AHEAD, DRAW_AHEAD**2 // pos.size, STEP_CAP - step))
+            g1s, g2s = philox_normals(seed, index, np.arange(step, step + ahead)[:, None])
+        g1, g2, g1s, g2s = g1s[0], g2s[0], g1s[1:], g2s[1:]
         # jump_to_axis where y != 0, jump_to_line where y == 0 (|x| > 1)
         on_axis = y == 0.0
         dist = np.where(on_axis, np.abs(x) - 1.0, np.abs(y))
@@ -283,18 +314,28 @@ def sample_batch(starts, t_max, seed, first_index=0):
         x = np.where(on_axis, np.copysign(1.0, x), x + offset)
         y = np.where(on_axis, offset, 0.0)
         step += 1
+        # a jump past the double range takes longer than any finite cap;
+        # only an uncapped walk goes on from there, and it never returns
+        if t_max == math.inf:
+            lost = pos[~(np.isfinite(x) & np.isfinite(y))]
+            if lost.size:
+                raise ConvergenceError(
+                    f"trajectory {first_index + lost[0]} from ({x0[lost[0]]}, {y0[lost[0]]}) "
+                    "left the double range"
+                )
 
         censored = elapsed > t_max
         done = censored | _on_trap(x, y)
         if done.any():
             rows = pos[done]
-            out.time[rows] = elapsed[done]
-            out.x[rows] = np.where(censored[done], np.nan, x[done])
-            out.censored[rows] = censored[done]
-            out.steps[rows] = step
+            times[rows] = elapsed[done]
+            xs[rows] = np.where(censored[done], np.nan, x[done])
+            censored_col[rows] = censored[done]
+            steps_col[rows] = step
             live = ~done
             pos, x, y, elapsed, index = pos[live], x[live], y[live], elapsed[live], index[live]
-    return out
+            g1s, g2s = g1s[:, live], g2s[:, live]
+    return np.rec.fromarrays([times, xs, censored_col, steps_col], dtype=RECORD_DTYPE)
 
 
 def wilson_interval(successes, n, z=Z_99):

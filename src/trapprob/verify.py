@@ -78,6 +78,15 @@ def _frame(trap):
     return 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
 
 
+def _unit_time(t, h):
+    """A time in units of h^2, the walk's frame.  DomainError where a
+    finite time overflows there, which would make a capped walk uncapped."""
+    unit = t / (h * h)
+    if unit == math.inf and t < math.inf:
+        raise DomainError(f"time {t!r} overflows in units of the half-length squared {h * h!r}")
+    return unit
+
+
 def _normalize(trap, p):
     c, h = _frame(trap)
     return PlanePoint((p.x - c) / h, p.y / h)
@@ -109,7 +118,7 @@ def release_and_sample(trap, r, n, t_max, seed, release_index=RELEASE_STREAM, fi
     c, h = _frame(trap)
     if (c, h) != (0.0, 1.0):  # on [-1, 1] the frame map is the identity
         starts = [_normalize(trap, p) for p in starts]
-    return sample_batch(starts, t_max / (h * h), seed, first_index=first_index)
+    return sample_batch(starts, _unit_time(t_max, h), seed, first_index=first_index)
 
 
 def _abelian_mc(trap, start, tau, n, seed):
@@ -122,7 +131,7 @@ def _abelian_mc(trap, start, tau, n, seed):
     h = _frame(trap)[1]
     t_max = TMAX_OVER_TAU * tau
     if isinstance(start, PlanePoint):
-        records = sample_batch([_normalize(trap, start)] * n, t_max / (h * h), seed)
+        records = sample_batch([_normalize(trap, start)] * n, _unit_time(t_max, h), seed)
     else:
         records = release_and_sample(trap, start, n, t_max, seed)
     est = abelian_estimate(records, tau / (h * h))

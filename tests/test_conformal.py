@@ -81,6 +81,16 @@ def test_degenerate_traps_rejected():
         make_disk_trap(0.0)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0), (0.0, 1e-160), (-1e200, 1e200)],
+)
+def test_segment_outside_the_double_range_rejected(a, b):
+    # the walk's times scale with the squared length, which must be a double
+    with pytest.raises(DomainError):
+        make_segment_trap(a, b)
+
+
 def test_plane_point_basics():
     p = PlanePoint(3.0, -4.0)
     assert abs(p) == 5.0

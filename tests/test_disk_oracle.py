@@ -389,3 +389,21 @@ def test_hunt_domain_errors():
         hunt_approx(0.3, R_T, 1e5, "raw")
     with pytest.raises(DomainError):
         hunt_approx(5.0, R_T, 0.0, "raw")
+
+
+@pytest.mark.parametrize(
+    "r, r_T, t, want",
+    [
+        # mpmath at 40 digits of the float inputs
+        (5.0, 1e-200, 1.0, 0.49800115745228996),  # tau0 underflows to 0
+        (5.0, 1e-160, 1e10, 0.51273762176784385),  # tau0 subnormal, t / tau0 overflows
+        (5.0, 1e-300, 1e5, 0.50281227571478274),
+    ],
+)
+def test_hunt_tau0_below_the_double_range(r, r_T, t, want):
+    assert_allclose(hunt_approx(r, r_T, t, "tau0"), want, rtol=1e-14)
+
+
+def test_hunt_log_ratio_overflow():
+    # r / r_T overflows, but ln(r/r_T) = ln 1e300 - ln 1e-200 is finite
+    assert_allclose(hunt_approx(1e300, 1e-200, 10.0, "raw"), 1.0 - 1000.0, rtol=1e-14)

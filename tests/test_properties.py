@@ -1,20 +1,29 @@
-"""Property tests over the K0 and disk-trap entry points and the ``disk`` CLI.
+"""Property tests over the K0 and disk-trap entry points, the segment
+sampler and the ``disk`` and ``simulate`` CLI commands.
 
 Every call either returns a finite value in its domain or raises a
 ``TrapProbError``; every CLI run exits with a documented code.  The drawn
 floats include nan, +-inf, signed zeros, subnormals and 1e+-300 next to
 ordinary values.
+
+An uncapped walk (t_max = inf) from far away can take millions of steps
+before it hits the trap or meets ``STEP_CAP`` (1e8), so the sampler
+properties run with the cap lowered to ``TEST_STEP_CAP``; ConvergenceError
+at the cap is a ``TrapProbError`` like any other.
 """
 
 import contextlib
 import io
 import math
 import sys
+from unittest import mock
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trapprob import BoundedValue, TrapProbError, f_disk, k0, k0_bounds, p_disk
+import trapprob.segment_sim as sim
+from trapprob import BoundedValue, PlanePoint, TrapProbError, f_disk, hunt_approx, k0, k0_bounds, p_disk, sample_batch
 from trapprob.cli import main
 
 EDGES = [
@@ -29,6 +38,24 @@ FLOATS = st.one_of(
 )
 EXIT_CODES = {0, 1, 2, 3, 64}
 PROPERTY = settings(max_examples=150, deadline=None)
+TEST_STEP_CAP = 300
+
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 5e-16, 3.0, 5e-324, 1e-300, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+# on the trap, on the axis outside it, and anywhere
+STARTS = st.one_of(
+    st.builds(PlanePoint, st.floats(min_value=-1.0, max_value=1.0), st.just(0.0)),
+    st.builds(PlanePoint, FINITE, st.just(0.0)),
+    st.builds(PlanePoint, FINITE, FINITE),
+)
+T_MAX = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1.0, 1e8, 1e300, sys.float_info.max, math.inf]),
+    st.floats(min_value=0.0, exclude_min=True, allow_nan=False),  # up to +inf
+)
+SEEDS = st.one_of(st.sampled_from([-1, 0, 2**64 - 1, 2**64]), st.integers(0, 2**64 - 1))
 
 
 @PROPERTY
@@ -82,6 +109,68 @@ def test_p_disk_is_a_probability_or_raises(r, r_T, t):
 def test_disk_cli_exits_with_a_documented_code(r, r_T, grid_flag, value):
     argv = ["disk", "--r", repr(r), "--rt", repr(r_T), grid_flag, repr(value)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in EXIT_CODES
+
+
+@PROPERTY
+@given(FLOATS, FLOATS, FLOATS, st.sampled_from(["raw", "tau0"]))
+def test_hunt_approx_is_a_number_or_raises(r, r_T, t, variant):
+    try:
+        value = hunt_approx(r, r_T, t, variant)
+    except TrapProbError:
+        return
+    # unclamped by design; -inf is the documented limit where the
+    # denominator vanishes
+    assert math.isfinite(value) or value == -math.inf
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(STARTS, min_size=1, max_size=12), T_MAX, SEEDS, st.integers(0, 2**40))
+def test_sample_batch_records_are_well_formed_or_raises(starts, t_max, seed, first_index):
+    with mock.patch.object(sim, "STEP_CAP", TEST_STEP_CAP):
+        try:
+            records = sample_batch(starts, t_max, seed, first_index=first_index)
+        except TrapProbError:
+            return
+    assert records.dtype == sim.RECORD_DTYPE and len(records) == len(starts)
+    assert not (records.time < 0.0).any() and not np.isnan(records.time).any()
+    assert (records.censored == (records.time > t_max)).all()
+    hit = ~records.censored
+    # the tolerance band past each endpoint counts as the trap
+    assert (abs(records.x[hit]) <= 1.0 + sim.ENDPOINT_TOL).all()
+    assert np.isnan(records.x[records.censored]).all()
+    assert ((records.steps >= 0) & (records.steps <= TEST_STEP_CAP)).all()
+
+
+def _or_ordinary(lo, hi):
+    """FLOATS, or an ordinary value in [lo, hi] as often, so that runs also
+    get past the argument checks."""
+    return st.one_of(st.floats(min_value=lo, max_value=hi), FLOATS)
+
+
+# the command writes its files into the same directory on every example
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    _or_ordinary(-3.0, -0.5),
+    _or_ordinary(0.5, 3.0),
+    _or_ordinary(3.0, 30.0),
+    st.integers(-2, 20),
+    st.one_of(st.sampled_from([math.inf, 1e-300, 1e300]), _or_ordinary(1e-3, 1e6)),
+    SEEDS,
+)
+def test_simulate_cli_exits_with_a_documented_code(tmp_path, a, b, radius, n, t_max, seed):
+    # "--flag=value", so that values such as -1e+300 are not read as flags
+    argv = [
+        "simulate", f"--a={a!r}", f"--b={b!r}", f"--radius={radius!r}", f"--n={n}",
+        f"--tmax={t_max!r}", f"--seed={seed}", f"--out-dir={tmp_path}",
+    ]
+    with mock.patch.object(sim, "STEP_CAP", TEST_STEP_CAP), contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors

@@ -1,8 +1,10 @@
 """Tests for the walk-on-lines sampler and its estimators."""
 
 import gc
+import hashlib
 import importlib
 import math
+import re
 import sys
 
 import numpy as np
@@ -18,6 +20,7 @@ from trapprob import (
     HittingRecord,
     PlanePoint,
     abelian_estimate,
+    make_segment_trap,
     philox_stream,
     release_circle,
     sample_batch,
@@ -33,6 +36,7 @@ from trapprob.segment_sim import (
     philox4x32,
     philox_normals,
 )
+from trapprob.verify import release_and_sample
 
 
 class _FakeRng:
@@ -210,6 +214,16 @@ def test_step_cap_raises(monkeypatch):
         sim.sample_batch([PlanePoint(0.0, 1e6)] * 3, math.inf, seed=11)
 
 
+def test_uncapped_walk_past_the_double_range_raises():
+    # from x = 1.7e308 on the axis a line jump overflows the offset whenever
+    # |g2/g1| > 1.06; an uncapped walk could never come back from there
+    with pytest.raises(ConvergenceError, match="left the double range"):
+        sample_batch([PlanePoint(1.7e308, 0.0)] * 20, math.inf, seed=4)
+    # with a finite cap the same jumps take an infinite time: censored
+    records = sample_batch([PlanePoint(1.7e308, 0.0)] * 20, 1e300, seed=4)
+    assert records.censored.all() and (records.time == math.inf).all()
+
+
 def test_trajectories_terminate():
     records = sample_batch(
         [PlanePoint(0.0, 5.0)] * 400, 1e6, seed=5, first_index=0
@@ -291,6 +305,90 @@ def test_batch_index_offset_consistency():
     whole = sample_batch(starts, 100.0, seed=9)
     tail = sample_batch(starts[1:], 100.0, seed=9, first_index=1)
     assert whole[1].time == tail[0].time and whole[2].time == tail[1].time
+
+
+# ---------------------------------------------------------------------------
+# drawing ahead
+# ---------------------------------------------------------------------------
+
+def _spy_on_blocks(monkeypatch):
+    """Record the step column of every philox_normals call sample_batch makes."""
+    blocks = []
+
+    def spy(seed, index, step):
+        blocks.append(np.asarray(step).ravel().copy())
+        return philox_normals(seed, index, step)
+
+    monkeypatch.setattr(sim, "philox_normals", spy)
+    return blocks
+
+
+def test_draw_ahead_matches_per_step_draws(monkeypatch):
+    # long walks: several multi-step blocks, and rows that finish in the
+    # middle of a block while others run on
+    seed, t_max = 17, 1e8
+    xy = np.random.default_rng(600).normal(0.0, 3.0, (600, 2))
+    starts = [PlanePoint(float(px), float(py)) for px, py in xy]
+    blocks = _spy_on_blocks(monkeypatch)
+    records = sim.sample_batch(starts, t_max, seed)
+    monkeypatch.undo()
+
+    assert max(len(b) for b in blocks) > 1
+    block_ends = {int(b[-1]) + 1 for b in blocks}
+    assert any(s not in block_ends for s in records.steps[records.steps > 0])
+    for j, start in enumerate(starts):
+        pairs = [tuple(float(g) for g in philox_normals(seed, j, k)) for k in range(records.steps[j])]
+        ref = sample_hit(start, t_max, _FakeRng(pairs))
+        row = records[j]
+        assert (ref.time, ref.censored, ref.steps) == (row.time, row.censored, row.steps), j
+        assert ref.x == row.x or (math.isnan(ref.x) and math.isnan(row.x)), j
+
+
+def test_philox_normals_step_array_equals_per_step_calls():
+    seed = 2**40 + 12345
+    index = np.uint64(2**32 - 3) + np.arange(6, dtype=np.uint64)  # across the high word
+    steps = np.arange(7, 12)[:, None]
+    g1, g2 = philox_normals(seed, index, steps)
+    assert g1.shape == g2.shape == (5, 6)
+    for k, step in enumerate(steps[:, 0]):
+        for j, idx in enumerate(index):
+            want = philox_normals(seed, idx, int(step))
+            assert (g1[k, j].tobytes(), g2[k, j].tobytes()) == (want[0].tobytes(), want[1].tobytes())
+    # the same block by rows of steps against one trajectory
+    row = philox_normals(seed, index[4], steps[:, 0])
+    assert np.array_equal(row[0], g1[:, 4]) and np.array_equal(row[1], g2[:, 4])
+
+
+def test_step_cap_fires_after_the_same_steps(monkeypatch):
+    # a walk that draws one step at a time stops at the top of step STEP_CAP
+    # and names the first trajectory still running; drawing ahead must
+    # neither draw past the cap nor stop elsewhere
+    xy = np.random.default_rng(3).normal(0.0, 3.0, (40, 2))
+    starts = [PlanePoint(float(px), float(py)) for px, py in xy]
+    full = sample_batch(starts, 1e8, seed=21)
+    j = int(np.flatnonzero(full.steps > 3)[0])
+
+    monkeypatch.setattr(sim, "STEP_CAP", 3)
+    blocks = _spy_on_blocks(monkeypatch)
+    want = f"trajectory {j} from ({starts[j].x}, {starts[j].y}) exceeded 3 steps"
+    with pytest.raises(ConvergenceError, match=re.escape(want)):
+        sim.sample_batch(starts, 1e8, seed=21)
+    assert max(int(b.max()) for b in blocks) == 2
+
+    # a cap equal to the longest walk is not exceeded
+    monkeypatch.setattr(sim, "STEP_CAP", int(full.steps.max()))
+    _assert_same_records(sim.sample_batch(starts, 1e8, seed=21), full)
+
+
+def test_release_and_sample_pin():
+    # sha256 of the four record columns, as computed before the walk drew
+    # ahead: every draw and record is unchanged
+    trap = make_segment_trap(-1.0, 1.0)
+    records = release_and_sample(trap, 5.0, 2500, 20.0 * 3.0 * 0.5 * math.e * 4.0, 0)
+    digest = hashlib.sha256()
+    for name in RECORD_DTYPE.names:
+        digest.update(np.ascontiguousarray(records[name]).tobytes())
+    assert digest.hexdigest() == "3e9b1d15f40993424df01c712d70dcd551830cb44dbb7ffc8a457a4f286018da"
 
 
 # ---------------------------------------------------------------------------

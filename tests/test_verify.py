@@ -23,6 +23,7 @@ from trapprob.verify import (
     check_theorem2,
     conjecture_probe,
     figure_series,
+    release_and_sample,
 )
 
 SEED = 11
@@ -59,6 +60,15 @@ def test_report_fields():
 
 # ----------------------------------------------------------------------
 # circle-averaged bound
+
+
+def test_release_and_sample_rejects_a_cap_that_overflows_in_the_unit_frame():
+    # h = 5e-151: t_max = 1e10 is 4e310 in units of h^2, past the double
+    # range; an infinite cap there would leave the walk uncapped
+    tiny = make_segment_trap(0.0, 1e-150)
+    with pytest.raises(DomainError, match="overflows"):
+        release_and_sample(tiny, 1e-149, 10, 1e10, seed=1)
+    assert len(release_and_sample(tiny, 1e-149, 10, 1e-300, seed=1)) == 10
 
 
 def test_theorem1_disk_self_test():

@@ -28,10 +28,8 @@ from trapprob.errors import (
 )
 from trapprob.segment_sim import (
     AbelianEstimate,
-    HittingRecord,
     SurvivalCurve,
     abelian_estimate,
-    philox_stream,
     release_circle,
     sample_batch,
     sample_hit,
@@ -63,7 +61,6 @@ __all__ = [
     "BoundedValue",
     "ConvergenceError",
     "DomainError",
-    "HittingRecord",
     "HypothesisError",
     "PlanePoint",
     "SurvivalCurve",
@@ -87,7 +84,6 @@ __all__ = [
     "make_segment_trap",
     "p_disk",
     "phi_segment",
-    "philox_stream",
     "r_z",
     "release_circle",
     "sample_batch",

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -39,7 +40,13 @@ USAGE_ERROR = 64
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the conventional 64 exit for usage errors."""
+    """argparse with the conventional 64 exit for usage errors, reading
+    every negative number (-1e-3, -.5, -inf, -nan) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern admits only -5 and -.5 forms
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -56,6 +63,15 @@ def _grid(text):
     if not values:
         raise argparse.ArgumentTypeError("empty grid")
     return values
+
+
+def _time_grid(args):
+    """The log-spaced grid of --t-points times from --t-min to --t-max."""
+    if not (args.t_min > 0.0 and args.t_max > 0.0):
+        raise DomainError(f"need positive --t-min and --t-max, got {args.t_min!r} and {args.t_max!r}")
+    if args.t_points < 1:
+        raise DomainError(f"--t-points must be >= 1, got {args.t_points}")
+    return np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.t_points)
 
 
 def _now():
@@ -199,8 +215,7 @@ _FIG2_COLUMNS = ["r", "t", "surv", "surv_ci_lo", "surv_ci_hi", "surv_p_disk", "s
 
 def _cmd_figures(args):
     started = args._started
-    t_grid = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.t_points)
-    rows = figure_series(args.radii, t_grid, n=args.n, seed=args.seed)
+    rows = figure_series(args.radii, _time_grid(args), n=args.n, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     write_csv(
         os.path.join(args.out_dir, "figure1.csv"),
@@ -258,8 +273,7 @@ def _cmd_figures(args):
 def _cmd_conjecture(args):
     started = args._started
     trap = make_segment_trap(args.a, args.b)
-    times = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.t_points)
-    rows = conjecture_probe(trap, args.radii, times, args.n, args.seed)
+    rows = conjecture_probe(trap, args.radii, _time_grid(args), args.n, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     header = list(rows[0].keys())
     write_csv(

@@ -144,8 +144,9 @@ def phi_segment(z):
     """
     if _segment_distance(z) <= BOUNDARY_TOL:
         raise BoundaryError(f"point ({z.x}, {z.y}) lies on the segment trap")
-    zz = z.as_complex
-    return zz + cmath.sqrt(zz - 1.0) * cmath.sqrt(zz + 1.0)
+    # each factor from its parts: z.as_complex + 1.0 would turn an imaginary
+    # -0.0 into +0.0 and put the two factors on opposite sides of the cut
+    return z.as_complex + cmath.sqrt(complex(z.x - 1.0, z.y)) * cmath.sqrt(complex(z.x + 1.0, z.y))
 
 
 def green_segment(z):

@@ -23,8 +23,9 @@ its normals several steps ahead: one call yields the blocks of steps
 k..k+m-1 for every live trajectory (m from ``DRAW_AHEAD``), and the rows
 that finish inside those m steps simply leave their unused blocks behind.
 Each draw is the one that step k of trajectory j would take on its own.
-Release points come from the numpy generator ``philox_stream(seed,
-RELEASE_STREAM)``, the reserved index 2^64 - 1.
+:func:`release_circle` draws the release angle of trajectory j from the
+same kernel and key with counter (0, 1, j mod 2^32, j div 2^32); the walk
+keeps the second word 0, so the two never share a block.
 """
 
 import math
@@ -51,15 +52,13 @@ STEP_CAP = 10**8
 # the draws thrown away when the last few walks end early.
 DRAW_AHEAD = 64
 
-# Reserved stream index for release-point sampling.
-RELEASE_STREAM = 2**64 - 1
-
 # 99% two-sided normal quantile for Wilson score intervals.
 Z_99 = 2.5758293035489004
 
-# Version of the walk's random stream, recorded in every run manifest: a
-# change to the generator, its keying or the normal transform must bump it.
-SAMPLER_STREAM = "philox4x32-10/box-muller/1"
+# Version of the sampler's random stream (the walk's normals and the release
+# angles), recorded in every run manifest: a change to the generator, its
+# keying, the normal transform or the angle draw must bump it.
+SAMPLER_STREAM = "philox4x32-10/box-muller/2"
 
 # Philox4x32 round multipliers and Weyl key increments (Random123).
 PHILOX_M = (0xD2511F53, 0xCD9E8D57)
@@ -68,24 +67,9 @@ PHILOX_ROUNDS = 10
 _MASK32 = 0xFFFFFFFF
 
 # One trajectory per row; ``x`` is the unit-frame hit abscissa, NaN when
-# censored.
+# censored.  A row is censored iff its walk did not hit the trap by the
+# cap; its ``time`` is then the first accumulated time past the cap.
 RECORD_DTYPE = np.dtype([("time", "f8"), ("x", "f8"), ("censored", "?"), ("steps", "i8")])
-
-
-@dataclass(frozen=True)
-class HittingRecord:
-    """Outcome of one simulated trajectory (a row of ``RECORD_DTYPE``).
-
-    ``censored`` is False iff the trap was hit by the cap, in which case
-    the hit point is (``x``, 0) on the segment and ``time`` <= t_max;
-    otherwise ``time`` is the first accumulated jump time exceeding the cap
-    and ``x`` is NaN.
-    """
-
-    time: float
-    x: float
-    censored: bool
-    steps: int
 
 
 @dataclass(frozen=True)
@@ -119,14 +103,9 @@ class AbelianEstimate:
         return 0.5 * (self.mean_high - self.mean_low)
 
 
-def philox_stream(seed, index):
-    """Counter-based numpy generator for stream ``index`` of run ``seed``
-    (the release points use ``index = RELEASE_STREAM``).  Raises
-    DomainError for a seed outside [0, 2^64)."""
+def _check_seed(seed):
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def philox4x32(c0, c1, c2, c3, k0, k1):
@@ -210,19 +189,17 @@ def sample_hit(start, t_max, rng):
 
     Each step consumes exactly two standard-normal draws from ``rng`` (a
     pair is redrawn in the measure-zero event that the first draw underflows
-    to exactly 0).  Returns a :class:`HittingRecord`; raises
-    ConvergenceError if the walk exceeds STEP_CAP steps.  This is the scalar
-    reference for :func:`sample_batch`: fed that kernel's normals, it
+    to exactly 0).  Returns one ``RECORD_DTYPE`` row (a ``np.record``);
+    raises ConvergenceError if the walk exceeds STEP_CAP steps.  This is the
+    scalar reference for :func:`sample_batch`: fed that kernel's normals, it
     returns the same record.
     """
     if not t_max > 0.0:
         raise DomainError(f"t_max must be positive, got {t_max!r}")
     x, y = float(start.x), float(start.y)
-    if y == 0.0 and abs(x) <= 1.0 + ENDPOINT_TOL:
-        return HittingRecord(0.0, x, False, 0)
     elapsed = 0.0
     steps = 0
-    while True:
+    while not (y == 0.0 and abs(x) <= 1.0 + ENDPOINT_TOL):
         if steps >= STEP_CAP:
             raise ConvergenceError(
                 f"trajectory from ({start.x}, {start.y}) exceeded {STEP_CAP} steps"
@@ -237,22 +214,32 @@ def sample_hit(start, t_max, rng):
             x, y, dt = jump_to_line(x, g1, g2)
         elapsed += dt
         steps += 1
-        if elapsed > t_max:
-            return HittingRecord(elapsed, math.nan, True, steps)
-        if y == 0.0 and abs(x) <= 1.0 + ENDPOINT_TOL:
-            return HittingRecord(elapsed, x, False, steps)
+        if elapsed > t_max:  # censored, even where the landing is on the trap
+            x = math.nan
+            break
+    return np.rec.fromrecords([(elapsed, x, elapsed > t_max, steps)], dtype=RECORD_DTYPE)[0]
 
 
-def release_circle(r, n, rng):
-    """n independent uniform points on the circle of radius r (origin center)."""
+def release_circle(r, n, seed, first_index=0):
+    """n independent uniform points on the circle of radius r (origin center).
+
+    Point i takes the angle 2 pi U, with U from the Philox4x32-10 block of
+    counter (0, 1, j mod 2^32, j div 2^32) and key (seed mod 2^32, seed div
+    2^32), j = first_index + i: a function of (seed, j) alone, so chunks
+    with their offsets as ``first_index`` reproduce the whole set.
+    """
     if not r > 0.0:
         raise DomainError(f"release radius must be positive, got {r!r}")
     if n != int(n) or n < 1:
         raise DomainError(f"need a positive integer count, got {n!r}")
-    theta = np.asarray(rng.random(int(n)), dtype=float) * (2.0 * np.pi)
-    xs = r * np.cos(theta)
-    ys = r * np.sin(theta)
-    return [PlanePoint(float(px), float(py)) for px, py in zip(xs, ys)]
+    _check_seed(seed)
+    index = np.uint64(first_index) + np.arange(int(n), dtype=np.uint64)
+    w0, w1, _, _ = philox4x32(0, 1, index & _MASK32, index >> 32, seed & _MASK32, seed >> 32)
+    theta = (2.0 * np.pi) * _open_unit(w0, w1)
+    # .tolist() yields the same doubles as float() of each element, faster
+    xs = (r * np.cos(theta)).tolist()
+    ys = (r * np.sin(theta)).tolist()
+    return [PlanePoint(px, py) for px, py in zip(xs, ys)]
 
 
 def _on_trap(x, y):
@@ -279,8 +266,7 @@ def sample_batch(starts, t_max, seed, first_index=0):
     """
     if not t_max > 0.0:
         raise DomainError(f"t_max must be positive, got {t_max!r}")
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
+    _check_seed(seed)
     x0 = np.array([p.x for p in starts], dtype=float)
     y0 = np.array([p.y for p in starts], dtype=float)
     # the result columns, filled row by row and packed into records once

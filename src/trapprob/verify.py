@@ -28,14 +28,7 @@ import numpy as np
 from trapprob.conformal import PlanePoint, green_segment, make_segment_trap, r_z
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import DomainError, HypothesisError
-from trapprob.segment_sim import (
-    RELEASE_STREAM,
-    abelian_estimate,
-    philox_stream,
-    release_circle,
-    sample_batch,
-    survival_curve,
-)
+from trapprob.segment_sim import abelian_estimate, release_circle, sample_batch, survival_curve
 
 # Cap the simulated horizon at this multiple of tau: the censoring bracket
 # exp(-t_max/tau) = exp(-20) ~ 2e-9 is then negligible against MC noise.
@@ -104,17 +97,17 @@ def _green(trap, z):
     raise DomainError(f"unknown trap kind {trap.kind!r}")
 
 
-def release_and_sample(trap, r, n, t_max, seed, release_index=RELEASE_STREAM, first_index=0):
+def release_and_sample(trap, r, n, t_max, seed, first_index=0):
     """Simulate n trajectories released uniformly on the circle of radius r
     (origin centre) against a segment trap, capped at time t_max.
 
-    The release points come from stream ``release_index``, and trajectory i
-    has index ``first_index + i`` in the walk's stream.  The walk runs in
-    the segment's unit frame, so the returned record array holds times in
-    units of h^2 and hit abscissae in unit-frame coordinates (h the
-    half-length).
+    Trajectory i has index ``first_index + i`` for both its release point
+    and its walk, so chunks with their offsets reproduce the whole batch.
+    The walk runs in the segment's unit frame, so the returned record array
+    holds times in units of h^2 and hit abscissae in unit-frame coordinates
+    (h the half-length).
     """
-    starts = release_circle(r, n, philox_stream(seed, release_index))
+    starts = release_circle(r, n, seed, first_index)
     c, h = _frame(trap)
     if (c, h) != (0.0, 1.0):  # on [-1, 1] the frame map is the identity
         starts = [_normalize(trap, p) for p in starts]
@@ -140,26 +133,31 @@ def _abelian_mc(trap, start, tau, n, seed):
 
 def _capture_curves(trap, radii, times, n, seed):
     """One survival curve per release radius on the grid ``times`` (original
-    units, capped at its last point).  Radius k draws its release points
-    from stream RELEASE_STREAM-1-k, and its trajectories have indices k*n on.
+    units, capped at its last point).  The trajectories of radius k have
+    indices k*n on.
     """
     h = _frame(trap)[1]
     curves = []
     for k, r in enumerate(radii):
-        records = release_and_sample(
-            trap, r, n, float(times[-1]), seed, release_index=RELEASE_STREAM - 1 - k, first_index=k * n
-        )
+        records = release_and_sample(trap, r, n, float(times[-1]), seed, first_index=k * n)
         curves.append(survival_curve(records, times / (h * h), r))
     return curves
+
+
+def _check_tau(tau):
+    if not math.isfinite(tau):
+        raise DomainError(f"tau must be finite, got {tau!r}")
 
 
 def check_theorem1(trap, r, tau, n, seed):
     """Check |f_hat(r, tau) - f_disk(r, r_T, tau)| <= 2.9 (d^2/tau) f_disk.
 
-    Requires tau > (e/2) d^2 and r >= r0 (HypothesisError otherwise).  For a
-    disk trap the sampler is replaced by the oracle itself (the two
-    distributions coincide), which makes this a zero-lhs self-test.
+    Requires tau > (e/2) d^2 and r >= r0 (HypothesisError otherwise) and a
+    finite tau (DomainError).  For a disk trap the sampler is replaced by
+    the oracle itself (the two distributions coincide), which makes this a
+    zero-lhs self-test.
     """
+    _check_tau(tau)
     d2 = trap.d * trap.d
     if not tau > 0.5 * math.e * d2:
         raise HypothesisError(
@@ -186,10 +184,13 @@ def check_theorem2(trap, z, tau, n, seed):
 
     Returns (lower_report, upper_report); a side whose hypothesis fails
     (tau <= (e/2) d^2 for the lower, tau <= (e/2) R_z^2 for the upper) is
-    returned as None.  Raises HypothesisError when both fail.
+    returned as None.  Raises HypothesisError when both fail, DomainError
+    for a non-finite tau.
     """
+    _check_tau(tau)
     d2 = trap.d * trap.d
-    rz2 = r_z(trap, z) ** 2
+    rz = r_z(trap, z)
+    rz2 = rz * rz  # float ** 2 raises OverflowError past about 1e154
     lower_ok = tau > 0.5 * math.e * d2
     upper_ok = tau > 0.5 * math.e * rz2
     if not (lower_ok or upper_ok):

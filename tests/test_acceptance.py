@@ -44,7 +44,7 @@ from trapprob.conformal import (
     make_segment_trap,
 )
 from trapprob.disk_oracle import f_disk, p_disk
-from trapprob.segment_sim import jump_to_axis, philox_stream
+from trapprob.segment_sim import jump_to_axis
 from trapprob.specfun import GAMMA, bessel_i, harmonic_number, k0_bounds
 from trapprob.verify import check_theorem1, check_theorem2, figure_series
 
@@ -211,7 +211,7 @@ def test_criterion_05_sampler_marginals(acceptance):
     t0 = time.perf_counter()
     n = N_MC
     x0, y0 = 0.25, 1.0
-    rng = philox_stream(2025, 0)
+    rng = np.random.Generator(np.random.Philox(key=np.array([2025, 0], dtype=np.uint64)))
     landings = np.empty(n)
     times = np.empty(n)
     for i in range(n):

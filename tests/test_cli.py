@@ -103,6 +103,29 @@ def test_convergence_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "convergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", "--radius", "5", "--n", "3", "--a", "-1e-3"], 0),
+        (["simulate", "--radius", "5", "--n", "3", "--tmax", "-1e-3"], 1),
+        (["disk", "--r", "5", "--rt", "0.5", "--t-grid", "-1e-3"], 1),
+        (["verify", "theorem2", "--zx", "-5e0", "--tau", "1000", "--n", "10"], 0),
+        (["verify", "theorem1", "--r", "5", "--tau", "-.5E+2", "--n", "10"], 2),
+    ],
+)
+def test_negative_values_in_any_float_form(argv, code, tmp_path):
+    # argparse's own pattern reads -1e-3 and -inf as flags (exit 64)
+    out = [] if argv[0] == "disk" else ["--out-dir", str(tmp_path)]
+    assert main(argv + out) == code
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan"])
+def test_negative_non_finite_end_exits_1(value, tmp_path, capsys):
+    rc = main(["simulate", "--radius", "5", "--n", "3", "--a", value, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "segment ends must be finite" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -360,3 +383,27 @@ def test_conjecture_outputs(tmp_path, capsys):
     lines = (tmp_path / "conjecture.csv").read_text().strip().splitlines()
     assert lines[0].startswith("t,sup_rel_capture,sup_rel_survival")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("command", ["figures", "conjecture"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--t-min", "0"], "positive --t-min"),
+        (["--t-min", "-1"], "positive --t-min"),
+        (["--t-max", "-1e-3"], "positive --t-min"),
+        (["--t-points", "0"], "--t-points must be >= 1"),
+        (["--t-points", "-3"], "--t-points must be >= 1"),
+    ],
+)
+def test_bad_time_grid_exits_1(command, flags, message, tmp_path, capsys):
+    rc = main([command, "--n", "10", "--radii", "1,5", *flags, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trapprob: domain error:") and message in err
+
+
+def test_one_point_time_grid_works(tmp_path):
+    rc = main(["figures", "--n", "20", "--radii", "1,5", "--t-min", "3", "--t-points", "1", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert len((tmp_path / "figure1.csv").read_text().strip().splitlines()) == 1 + 2

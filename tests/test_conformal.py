@@ -113,6 +113,14 @@ def test_phi_real_axis_values():
     assert_allclose(w.real, -3.732050807568877, rtol=1e-15)
 
 
+@pytest.mark.parametrize("x", [-65656626.0, -5.0, -1.5, 2.0, 7e8])
+def test_phi_signed_zero_is_on_the_axis(x):
+    # y = -0.0 is the real axis, on either side of the segment
+    w = phi_segment(PlanePoint(x, -0.0))
+    assert w == phi_segment(PlanePoint(x, 0.0)) and abs(w) > 1.0
+    assert green_segment(PlanePoint(x, -0.0)) == green_segment(PlanePoint(x, 0.0)) > 0.0
+
+
 def test_phi_complex_value():
     w = phi_segment(PlanePoint(1.0, 1.0))
     assert_allclose(w.real, 1.7861513777574233, rtol=1e-14)

@@ -1,5 +1,6 @@
 """Property tests over the K0 and disk-trap entry points, the segment
-sampler and the ``disk`` and ``simulate`` CLI commands.
+sampler and every CLI command (``bessel``, ``disk``, ``simulate``,
+``verify``, ``figures`` and ``conjecture``).
 
 Every call either returns a finite value in its domain or raises a
 ``TrapProbError``; every CLI run exits with a documented code.  The drawn
@@ -8,8 +9,10 @@ ordinary values.
 
 An uncapped walk (t_max = inf) from far away can take millions of steps
 before it hits the trap or meets ``STEP_CAP`` (1e8), so the sampler
-properties run with the cap lowered to ``TEST_STEP_CAP``; ConvergenceError
-at the cap is a ``TrapProbError`` like any other.
+properties, and every CLI property, run with the cap lowered to
+``TEST_STEP_CAP``; ConvergenceError at the cap is a ``TrapProbError`` like
+any other.  The CLI properties pass each value as its own token (``--a``,
+``-1e+300``), as a shell would.
 """
 
 import contextlib
@@ -19,7 +22,7 @@ import sys
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import trapprob.segment_sim as sim
@@ -104,16 +107,22 @@ def test_p_disk_is_a_probability_or_raises(r, r_T, t):
     assert math.isfinite(value) and 0.0 <= value <= 1.0
 
 
+def _exit_code(argv):
+    """The exit code of ``main(argv)`` under the lowered step cap, its
+    output discarded."""
+    with mock.patch.object(sim, "STEP_CAP", TEST_STEP_CAP), contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            return exc.code
+
+
 @settings(max_examples=100, deadline=None)
 @given(FLOATS, FLOATS, st.sampled_from(["--t-grid", "--tau-grid"]), FLOATS)
 def test_disk_cli_exits_with_a_documented_code(r, r_T, grid_flag, value):
-    argv = ["disk", "--r", repr(r), "--rt", repr(r_T), grid_flag, repr(value)]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    assert code in EXIT_CODES
+    assert _exit_code(["disk", "--r", repr(r), "--rt", repr(r_T), grid_flag, repr(value)]) in EXIT_CODES
 
 
 @PROPERTY
@@ -152,27 +161,88 @@ def _or_ordinary(lo, hi):
     return st.one_of(st.floats(min_value=lo, max_value=hi), FLOATS)
 
 
-# the command writes its files into the same directory on every example
+# the CLI properties write their files into the same directory on every
+# example
+CLI_PROPERTY = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+TINY_N = st.integers(-2, 20)
+
+
+def _grid_arg(values):
+    return ",".join(repr(v) for v in values)
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     _or_ordinary(-3.0, -0.5),
     _or_ordinary(0.5, 3.0),
     _or_ordinary(3.0, 30.0),
-    st.integers(-2, 20),
+    TINY_N,
     st.one_of(st.sampled_from([math.inf, 1e-300, 1e300]), _or_ordinary(1e-3, 1e6)),
     SEEDS,
 )
 def test_simulate_cli_exits_with_a_documented_code(tmp_path, a, b, radius, n, t_max, seed):
-    # "--flag=value", so that values such as -1e+300 are not read as flags
     argv = [
-        "simulate", f"--a={a!r}", f"--b={b!r}", f"--radius={radius!r}", f"--n={n}",
-        f"--tmax={t_max!r}", f"--seed={seed}", f"--out-dir={tmp_path}",
+        "simulate", "--a", repr(a), "--b", repr(b), "--radius", repr(radius), "--n", str(n),
+        "--tmax", repr(t_max), "--seed", str(seed), "--out-dir", str(tmp_path),
     ]
-    with mock.patch.object(sim, "STEP_CAP", TEST_STEP_CAP), contextlib.redirect_stdout(
-        io.StringIO()
-    ), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    assert code in EXIT_CODES
+    assert _exit_code(argv) in EXIT_CODES
+
+
+@CLI_PROPERTY
+@given(_or_ordinary(-3.0, -0.5), _or_ordinary(0.5, 3.0), _or_ordinary(1.0, 200.0), _or_ordinary(1.0, 1e4), TINY_N, SEEDS)
+def test_verify_theorem1_cli_exits_with_a_documented_code(tmp_path, a, b, r, tau, n, seed):
+    argv = [
+        "verify", "theorem1", "--a", repr(a), "--b", repr(b), "--r", repr(r), "--tau", repr(tau),
+        "--n", str(n), "--seed", str(seed), "--out-dir", str(tmp_path),
+    ]
+    assert _exit_code(argv) in EXIT_CODES
+
+
+@CLI_PROPERTY
+@given(_or_ordinary(-3.0, -0.5), _or_ordinary(0.5, 3.0), _or_ordinary(-50.0, 50.0), FLOATS, _or_ordinary(1.0, 1e4),
+       TINY_N, SEEDS)
+@example(a=-1.0, b=1.0, zx=1e200, zy=0.0, tau=1e300, n=10, seed=0)  # R_z^2 past the double range
+def test_verify_theorem2_cli_exits_with_a_documented_code(tmp_path, a, b, zx, zy, tau, n, seed):
+    argv = [
+        "verify", "theorem2", "--a", repr(a), "--b", repr(b), "--zx", repr(zx), "--zy", repr(zy),
+        "--tau", repr(tau), "--n", str(n), "--seed", str(seed), "--out-dir", str(tmp_path),
+    ]
+    assert _exit_code(argv) in EXIT_CODES
+
+
+RADII = st.lists(_or_ordinary(1.0, 200.0), min_size=1, max_size=3)
+T_POINTS = st.integers(-2, 5)
+
+
+@CLI_PROPERTY
+@given(TINY_N, SEEDS, RADII, _or_ordinary(1e-2, 10.0), _or_ordinary(10.0, 1e5), T_POINTS)
+@example(n=10, seed=0, radii=[5.0], t_min=0.0, t_max=100.0, t_points=3)
+@example(n=10, seed=0, radii=[5.0], t_min=1.0, t_max=100.0, t_points=0)
+def test_figures_cli_exits_with_a_documented_code(tmp_path, n, seed, radii, t_min, t_max, t_points):
+    argv = [
+        "figures", "--n", str(n), "--seed", str(seed), "--radii", _grid_arg(radii), "--t-min", repr(t_min),
+        "--t-max", repr(t_max), "--t-points", str(t_points), "--out-dir", str(tmp_path),
+    ]
+    assert _exit_code(argv) in EXIT_CODES
+
+
+@CLI_PROPERTY
+@given(_or_ordinary(-3.0, -0.5), _or_ordinary(0.5, 3.0), RADII, TINY_N, SEEDS, _or_ordinary(1e-2, 10.0),
+       _or_ordinary(10.0, 1e5), T_POINTS)
+def test_conjecture_cli_exits_with_a_documented_code(tmp_path, a, b, radii, n, seed, t_min, t_max, t_points):
+    argv = [
+        "conjecture", "--a", repr(a), "--b", repr(b), "--radii", _grid_arg(radii), "--n", str(n),
+        "--seed", str(seed), "--t-min", repr(t_min), "--t-max", repr(t_max), "--t-points", str(t_points),
+        "--out-dir", str(tmp_path),
+    ]
+    assert _exit_code(argv) in EXIT_CODES
+
+
+@CLI_PROPERTY
+@given(_or_ordinary(1e-8, 1.0), _or_ordinary(1.0, 50.0), st.integers(-2, 20), st.integers(-2, 50))
+def test_bessel_cli_exits_with_a_documented_code(tmp_path, x_min, x_max, points, max_m):
+    argv = [
+        "bessel", "--x-min", repr(x_min), "--x-max", repr(x_max), "--points", str(points),
+        "--max-m", str(max_m), "--out", str(tmp_path / "bessel.csv"),
+    ]
+    assert _exit_code(argv) in EXIT_CODES

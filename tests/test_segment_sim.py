@@ -17,11 +17,9 @@ from trapprob import (
     AbelianEstimate,
     ConvergenceError,
     DomainError,
-    HittingRecord,
     PlanePoint,
     abelian_estimate,
     make_segment_trap,
-    philox_stream,
     release_circle,
     sample_batch,
     sample_hit,
@@ -30,7 +28,6 @@ from trapprob import (
 )
 from trapprob.segment_sim import (
     RECORD_DTYPE,
-    RELEASE_STREAM,
     jump_to_axis,
     jump_to_line,
     philox4x32,
@@ -42,36 +39,31 @@ from trapprob.verify import release_and_sample
 class _FakeRng:
     """Deterministic stand-in feeding preset draws to the sampler."""
 
-    def __init__(self, pairs, uniforms=()):
+    def __init__(self, pairs):
         self._pairs = list(pairs)
-        self._uniforms = list(uniforms)
 
     def standard_normal(self, n):
         assert n == 2
         return self._pairs.pop(0)
 
-    def random(self, n):
-        out = self._uniforms[:n]
-        del self._uniforms[:n]
-        return np.asarray(out)
+
+def _numpy_philox(seed, index):
+    """numpy's Philox generator keyed by (seed, index): a draw source for
+    sample_hit independent of the walk's kernel."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def _digest(records):
+    """sha256 of the four record columns."""
+    digest = hashlib.sha256()
+    for name in RECORD_DTYPE.names:
+        digest.update(np.ascontiguousarray(records[name]).tobytes())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # streams
 # ---------------------------------------------------------------------------
-
-def test_philox_stream_reproducible():
-    a = philox_stream(7, 3).standard_normal(4)
-    b = philox_stream(7, 3).standard_normal(4)
-    assert_allclose(a, b, rtol=0, atol=0)
-    c = philox_stream(7, 4).standard_normal(4)
-    assert not np.allclose(a, c)
-
-
-def test_philox_stream_accepts_huge_index():
-    rng = philox_stream(0, RELEASE_STREAM)
-    assert np.isfinite(rng.standard_normal(1)).all()
-
 
 @pytest.mark.parametrize(
     "counter, key, want",
@@ -157,14 +149,15 @@ def test_jump_marginals():
 # ---------------------------------------------------------------------------
 
 def test_start_on_trap_is_instant():
-    rec = sample_hit(PlanePoint(0.25, 0.0), 10.0, philox_stream(0, 0))
+    rec = sample_hit(PlanePoint(0.25, 0.0), 10.0, _numpy_philox(0, 0))
+    assert rec.dtype == RECORD_DTYPE
     assert rec.time == 0.0 and rec.steps == 0 and not rec.censored
     assert rec.x == 0.25
 
 
 def test_bad_cap_rejected():
     with pytest.raises(DomainError):
-        sample_hit(PlanePoint(0.0, 5.0), 0.0, philox_stream(0, 0))
+        sample_hit(PlanePoint(0.0, 5.0), 0.0, _numpy_philox(0, 0))
 
 
 def test_single_jump_capture():
@@ -209,7 +202,7 @@ def test_zero_draw_redraw():
 def test_step_cap_raises(monkeypatch):
     monkeypatch.setattr(sim, "STEP_CAP", 1)
     with pytest.raises(ConvergenceError):
-        sim.sample_hit(PlanePoint(0.0, 1e6), math.inf, philox_stream(11, 0))
+        sim.sample_hit(PlanePoint(0.0, 1e6), math.inf, _numpy_philox(11, 0))
     with pytest.raises(ConvergenceError):
         sim.sample_batch([PlanePoint(0.0, 1e6)] * 3, math.inf, seed=11)
 
@@ -380,15 +373,29 @@ def test_step_cap_fires_after_the_same_steps(monkeypatch):
     _assert_same_records(sim.sample_batch(starts, 1e8, seed=21), full)
 
 
-def test_release_and_sample_pin():
+def test_walk_pin_on_the_previous_release_points():
     # sha256 of the four record columns, as computed before the walk drew
-    # ahead: every draw and record is unchanged
+    # ahead and before release points came from the walk's kernel: fed the
+    # release points of that version (numpy's Philox keyed by (0, 2^64 - 1)),
+    # the walk reproduces every draw and record
+    theta = np.random.Generator(np.random.Philox(key=np.array([0, 2**64 - 1], dtype=np.uint64))).random(2500) * (2.0 * np.pi)
+    starts = [PlanePoint(float(px), float(py)) for px, py in zip(5.0 * np.cos(theta), 5.0 * np.sin(theta))]
+    records = sample_batch(starts, 20.0 * 3.0 * 0.5 * math.e * 4.0, 0)
+    assert _digest(records) == "3e9b1d15f40993424df01c712d70dcd551830cb44dbb7ffc8a457a4f286018da"
+
+
+def test_release_and_sample_pin():
+    # sha256 of the four record columns with the kernel's release angles
     trap = make_segment_trap(-1.0, 1.0)
     records = release_and_sample(trap, 5.0, 2500, 20.0 * 3.0 * 0.5 * math.e * 4.0, 0)
-    digest = hashlib.sha256()
-    for name in RECORD_DTYPE.names:
-        digest.update(np.ascontiguousarray(records[name]).tobytes())
-    assert digest.hexdigest() == "3e9b1d15f40993424df01c712d70dcd551830cb44dbb7ffc8a457a4f286018da"
+    assert _digest(records) == "18471eb09b94a8b1c94186cbcb96b7eedc008f28134f9a44145288b8607f5826"
+
+
+def test_release_and_sample_split_invariant():
+    trap = make_segment_trap(-3.0, 2.0)
+    whole = release_and_sample(trap, 7.0, 90, 500.0, 8, first_index=2**32 - 40)
+    chunks = [release_and_sample(trap, 7.0, 30, 500.0, 8, first_index=2**32 - 40 + lo) for lo in (0, 30, 60)]
+    _assert_same_records(np.concatenate(chunks), whole)
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +403,29 @@ def test_release_and_sample_pin():
 # ---------------------------------------------------------------------------
 
 def test_release_circle_geometry():
-    pts = release_circle(7.0, 500, philox_stream(1, RELEASE_STREAM))
+    pts = release_circle(7.0, 500, seed=1)
     assert len(pts) == 500
     for p in pts:
         assert_allclose(abs(p), 7.0, rtol=1e-12)
 
 
-def test_release_circle_quarter_points():
-    pts = release_circle(2.0, 4, _FakeRng([], uniforms=[0.0, 0.25, 0.5, 0.75]))
-    assert_allclose([p.x for p in pts], [2.0, 0.0, -2.0, 0.0], atol=1e-12)
-    assert_allclose([p.y for p in pts], [0.0, 2.0, 0.0, -2.0], atol=1e-12)
+def test_release_circle_counter():
+    # point i has angle 2 pi U, U from the block with counter (0, 1, j mod
+    # 2^32, j div 2^32), j = first_index + i; here j crosses 2^32
+    seed, first = 2**40 + 12345, 2**32 - 2
+    pts = release_circle(3.0, 4, seed, first_index=first)
+    for i, p in enumerate(pts):
+        j = first + i
+        w0, w1, _, _ = (int(w) for w in philox4x32(0, 1, j % 2**32, j // 2**32, seed % 2**32, seed // 2**32))
+        u = ((((w0 << 32) | w1) >> 12) + 0.5) / 2**52
+        assert_allclose([p.x, p.y], [3.0 * math.cos(2.0 * math.pi * u), 3.0 * math.sin(2.0 * math.pi * u)],
+                        rtol=0, atol=1e-14)
+    # chunks with their offsets reproduce the whole set, bit for bit
+    assert release_circle(3.0, 10, seed)[3:] == release_circle(3.0, 7, seed, 3)
 
 
 def test_release_circle_uniform_angles():
-    pts = release_circle(1.0, 20000, philox_stream(3, RELEASE_STREAM))
+    pts = release_circle(1.0, 20000, seed=3)
     xs = np.array([p.x for p in pts])
     ys = np.array([p.y for p in pts])
     # CLT: means of cos/sin are 0 +- 1/sqrt(2n); allow 4 sigma
@@ -419,11 +435,13 @@ def test_release_circle_uniform_angles():
 
 
 def test_release_circle_validation():
-    rng = philox_stream(0, RELEASE_STREAM)
     with pytest.raises(DomainError):
-        release_circle(0.0, 5, rng)
+        release_circle(0.0, 5, 0)
     with pytest.raises(DomainError):
-        release_circle(1.0, 0, rng)
+        release_circle(1.0, 0, 0)
+    for seed in (-1, 2**64):
+        with pytest.raises(DomainError, match="seed must be in"):
+            release_circle(1.0, 5, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +456,7 @@ def test_hit_points_follow_arcsine_measure():
     # used; the ~11% censored tail biases the captured sub-sample by less
     # than the chi-square noise floor at this n (measured across seeds).
     n = 20000
-    starts = release_circle(2.0, n, philox_stream(77, RELEASE_STREAM))
+    starts = release_circle(2.0, n, seed=77)
     records = sample_batch(starts, 1e10, seed=77)
     xs = records.x[~records.censored]
     assert len(xs) > 0.8 * n
@@ -457,17 +475,16 @@ def test_hit_points_follow_arcsine_measure():
 # ---------------------------------------------------------------------------
 
 def _records(*rows):
-    """A record array from HittingRecords, the row type of RECORD_DTYPE."""
-    assert all(isinstance(r, HittingRecord) for r in rows)
-    return np.rec.fromrecords([(r.time, r.x, r.censored, r.steps) for r in rows], dtype=RECORD_DTYPE)
+    """A record array from (time, x, censored, steps) rows."""
+    return np.rec.fromrecords(list(rows), dtype=RECORD_DTYPE)
 
 
 def _toy_records():
     return _records(
-        HittingRecord(1.0, 0.0, False, 3),
-        HittingRecord(2.0, 0.5, False, 1),
-        HittingRecord(3.0, -1.0, False, 7),
-        HittingRecord(10.5, math.nan, True, 4),
+        (1.0, 0.0, False, 3),
+        (2.0, 0.5, False, 1),
+        (3.0, -1.0, False, 7),
+        (10.5, math.nan, True, 4),
     )
 
 
@@ -528,9 +545,9 @@ def test_wilson_vectorized_monotone():
 
 def test_abelian_hand_value():
     records = _records(
-        HittingRecord(1.0, 0.0, False, 1),
-        HittingRecord(4.0, 0.2, False, 2),
-        HittingRecord(22.0, math.nan, True, 3),
+        (1.0, 0.0, False, 1),
+        (4.0, 0.2, False, 2),
+        (22.0, math.nan, True, 3),
     )
     est = abelian_estimate(records, tau=2.0)
     w1, w2, w3 = math.exp(-0.5), math.exp(-2.0), math.exp(-11.0)

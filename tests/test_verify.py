@@ -71,6 +71,22 @@ def test_release_and_sample_rejects_a_cap_that_overflows_in_the_unit_frame():
     assert len(release_and_sample(tiny, 1e-149, 10, 1e-300, seed=1)) == 10
 
 
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+def test_theorems_reject_a_non_finite_tau(segment, tau):
+    with pytest.raises(DomainError, match="tau must be finite"):
+        check_theorem1(segment, 5.0, tau, 10, SEED)
+    with pytest.raises(DomainError, match="tau must be finite"):
+        check_theorem2(segment, PlanePoint(5.0, 0.0), tau, 10, SEED)
+
+
+def test_theorem2_far_point_does_not_overflow(segment):
+    # R_z ~ 1e200: its square is past the double range, so only the lower
+    # side's hypothesis can hold
+    lower, upper = check_theorem2(segment, PlanePoint(1e200, 0.0), 1e300, 10, SEED)
+    assert upper is None and lower is not None
+    assert math.isfinite(lower.lhs) and math.isfinite(lower.rhs)
+
+
 def test_theorem1_disk_self_test():
     # For a disk trap the sampler is bypassed: lhs and slack are exactly 0.
     trap = make_disk_trap(1.5)

@@ -24,10 +24,11 @@ import trapprob
 from trapprob.conformal import PlanePoint, make_segment_trap
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import ConvergenceError, DomainError, HypothesisError
-from trapprob.reporting import RunManifest, format_cell, svg_lineplot, write_csv, write_manifest
+from trapprob.reporting import PALETTE, RunManifest, format_cell, svg_lineplot, write_csv, write_manifest
 from trapprob.segment_sim import SAMPLER_STREAM
 from trapprob.specfun import _k0_brackets, _k0_values, bessel_i
 from trapprob.verify import (
+    BoundReport,
     _frame,
     check_theorem1,
     check_theorem2,
@@ -66,48 +67,63 @@ def _grid(text):
 
 
 def _time_grid(args):
-    """The log-spaced grid of --t-points times from --t-min to --t-max."""
+    """The log-spaced grid of --t-points times from --t-min to --t-max, each
+    a positive finite double."""
     if not (args.t_min > 0.0 and args.t_max > 0.0):
         raise DomainError(f"need positive --t-min and --t-max, got {args.t_min!r} and {args.t_max!r}")
+    if not (args.t_min < math.inf and args.t_max < math.inf):
+        raise DomainError(f"need finite --t-min and --t-max, got {args.t_min!r} and {args.t_max!r}")
     if args.t_points < 1:
         raise DomainError(f"--t-points must be >= 1, got {args.t_points}")
-    return np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.t_points)
+    return _log_grid("time", args.t_min, args.t_max, args.t_points)
+
+
+def _log_grid(name, lo, hi, points):
+    """``points`` log-spaced values from lo to hi; DomainError unless each
+    is a finite double."""
+    with np.errstate(over="ignore"):  # 10**log10(hi) may round past the largest double
+        grid = np.logspace(math.log10(lo), math.log10(hi), points)
+    if not np.all(np.isfinite(grid)):
+        raise DomainError(f"the {name} grid from {lo!r} to {hi!r} leaves the double range")
+    return grid
 
 
 def _now():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _manifest(args, started, out_dir=None, path=None):
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "command") and not k.startswith("_") and not callable(v)
-    }
+def _manifest(args, path):
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "command") and not k.startswith("_")}
     manifest = RunManifest(
         command=args.command,
         seed=int(getattr(args, "seed", 0)),
-        parameters={k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},
+        parameters=params,
         tool_version=trapprob.__version__,
         sampler_stream=SAMPLER_STREAM,
-        started=started,
+        started=args._started,
         finished=_now(),
     )
-    if path is None:
-        path = os.path.join(out_dir, "manifest.json")
     write_manifest(path, manifest)
 
 
 def _emit_table(args, header, rows):
     """Write a CSV to --out (plus a manifest next to it) or print to stdout."""
-    if getattr(args, "out", None):
-        started = args._started
+    if args.out:
         write_csv(args.out, header, rows)
-        _manifest(args, started, path=args.out + ".manifest.json")
+        _manifest(args, args.out + ".manifest.json")
     else:
         print(",".join(header))
         for row in rows:
             print(",".join(format_cell(v) for v in row))
+
+
+def _write_run(args, tables):
+    """Make --out-dir, write each {file name: (header, rows)} CSV in it and
+    then its manifest.json; a command writes any other files after this."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(os.path.join(args.out_dir, name), header, rows)
+    _manifest(args, os.path.join(args.out_dir, "manifest.json"))
 
 
 def _bessel_rows(xs, max_m):
@@ -131,7 +147,7 @@ def _cmd_bessel(args):
         raise DomainError("need 0 < x-min < x-max < inf")
     if args.points < 0:
         raise DomainError(f"--points must be >= 0, got {args.points}")
-    xs = np.logspace(math.log10(args.x_min), math.log10(args.x_max), args.points)
+    xs = _log_grid("x", args.x_min, args.x_max, args.points)
     header = ["x", "k0", "k0_err", "i0"]
     for m in range(args.max_m + 1):
         header += [f"lower_{m}", f"upper_{m}"]
@@ -158,130 +174,81 @@ def _cmd_disk(args):
 
 
 def _cmd_simulate(args):
-    started = args._started
     trap = make_segment_trap(args.a, args.b)
     c, h = _frame(trap)
     records = release_and_sample(trap, args.radius, args.n, args.tmax, args.seed)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     # .tolist() gives Python scalars, which format_cell prints as 0/1 and
     # %.12g; hits lie on the axis, so y is 0 there and empty when censored
     censored = records.censored.tolist()
     xs = [None if cen else x for x, cen in zip((c + h * records.x).tolist(), censored)]
     ys = [None if cen else 0.0 for cen in censored]
-    write_csv(
-        os.path.join(args.out_dir, "records.csv"),
-        ["index", "time", "x", "y", "censored", "steps"],
-        zip(range(len(records)), (records.time * h * h).tolist(), xs, ys, censored, records.steps.tolist()),
-    )
-    _manifest(args, started, out_dir=args.out_dir)
+    columns = (range(len(records)), (records.time * h * h).tolist(), xs, ys, censored, records.steps.tolist())
+    _write_run(args, {"records.csv": (["index", "time", "x", "y", "censored", "steps"], zip(*columns))})
     n_censored = int(records.censored.sum())
     mean_steps = float(records.steps.mean())
     print(f"simulated {args.n} trajectories: {n_censored} censored, mean steps {mean_steps:.2f}")
     return 0
 
 
-def _report_rows(reports):
-    header = ["label", "lhs", "rhs", "margin", "statistical_slack", "verdict"]
-    rows = [
-        [r.label, r.lhs, r.rhs, r.margin, r.statistical_slack, r.verdict] for r in reports
-    ]
-    return header, rows
-
-
 def _cmd_verify(args):
-    started = args._started
     trap = make_segment_trap(args.a, args.b)
     if args.which == "theorem1":
         reports = [check_theorem1(trap, args.r, args.tau, args.n, args.seed)]
     else:
         lower, upper = check_theorem2(trap, PlanePoint(args.zx, args.zy), args.tau, args.n, args.seed)
         reports = [rep for rep in (lower, upper) if rep is not None]
-    os.makedirs(args.out_dir, exist_ok=True)
-    header, rows = _report_rows(reports)
-    write_csv(os.path.join(args.out_dir, "bound_reports.csv"), header, rows)
+    records = [dataclasses.asdict(r) for r in reports]
+    header = [field.name for field in dataclasses.fields(BoundReport)]
+    _write_run(args, {"bound_reports.csv": (header, [list(rec.values()) for rec in records])})
     with open(os.path.join(args.out_dir, "bound_reports.json"), "w", encoding="utf-8") as fh:
-        json.dump([dataclasses.asdict(r) for r in reports], fh, indent=2, sort_keys=True)
+        json.dump(records, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _manifest(args, started, out_dir=args.out_dir)
     for rep in reports:
         print(f"{rep.label}: {rep.verdict} (margin {rep.margin:.3e}, slack {rep.statistical_slack:.3e})")
     return 0
 
 
-_FIG1_COLUMNS = ["r", "t", "prop", "ci_lo", "ci_hi", "p_disk", "hunt_raw", "hunt_tau0"]
-_FIG2_COLUMNS = ["r", "t", "surv", "surv_ci_lo", "surv_ci_hi", "surv_p_disk", "surv_hunt_raw", "surv_hunt_tau0"]
+# (file stem, CSV columns, quantity plotted) of each figure, and the
+# (column index, label, dash) of the three series it plots per radius
+_FIGURES = (
+    ("figure1", ["r", "t", "prop", "ci_lo", "ci_hi", "p_disk", "hunt_raw", "hunt_tau0"], "proportion captured"),
+    ("figure2", ["r", "t", "surv", "surv_ci_lo", "surv_ci_hi", "surv_p_disk", "surv_hunt_raw", "surv_hunt_tau0"],
+     "proportion not captured"),
+)
+_FIGURE_SERIES = ((2, "simulated", None), (5, "disk", "6,3"), (7, "log asympt", "2,3"))
 
 
 def _cmd_figures(args):
-    started = args._started
     rows = figure_series(args.radii, _time_grid(args), n=args.n, seed=args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_csv(
-        os.path.join(args.out_dir, "figure1.csv"),
-        _FIG1_COLUMNS,
-        [[row[c] for c in _FIG1_COLUMNS] for row in rows],
-    )
-    write_csv(
-        os.path.join(args.out_dir, "figure2.csv"),
-        _FIG2_COLUMNS,
-        [[row[c] for c in _FIG2_COLUMNS] for row in rows],
-    )
-
-    for fig, prop_key, disk_key, hunt_key, title in (
-        ("figure1.svg", "prop", "p_disk", "hunt_tau0", "proportion captured"),
-        ("figure2.svg", "surv", "surv_p_disk", "surv_hunt_tau0", "proportion not captured"),
-    ):
+    _write_run(args, {f"{stem}.csv": (cols, [[row[c] for c in cols] for row in rows]) for stem, cols, _ in _FIGURES})
+    for stem, cols, title in _FIGURES:
         series = []
         for idx, r in enumerate(args.radii):
             sub = [row for row in rows if row["r"] == r]
-            ts = [row["t"] for row in sub]
-            color = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"][idx % 4]
-            series.append(
-                {"label": f"r={r:g} simulated", "x": ts, "y": [row[prop_key] for row in sub], "color": color}
-            )
-            series.append(
-                {
-                    "label": f"r={r:g} disk",
-                    "x": ts,
-                    "y": [row[disk_key] for row in sub],
-                    "color": color,
-                    "dash": "6,3",
-                }
-            )
-            series.append(
-                {
-                    "label": f"r={r:g} log asympt",
-                    "x": ts,
-                    "y": [row[hunt_key] for row in sub],
-                    "color": color,
-                    "dash": "2,3",
-                }
-            )
+            for col, label, dash in _FIGURE_SERIES:
+                series.append({
+                    "label": f"r={r:g} {label}",
+                    "x": [row["t"] for row in sub],
+                    "y": [row[cols[col]] for row in sub],
+                    "color": PALETTE[idx % 4],
+                    "dash": dash,
+                })
         svg_lineplot(
-            os.path.join(args.out_dir, fig),
+            os.path.join(args.out_dir, f"{stem}.svg"),
             series,
             title=f"Segment trap: {title} (n={args.n} per radius, seed {args.seed})",
             xlabel="time",
             ylabel=title,
         )
-    _manifest(args, started, out_dir=args.out_dir)
     print(f"wrote figure1/figure2 CSV+SVG under {args.out_dir}")
     return 0
 
 
 def _cmd_conjecture(args):
-    started = args._started
     trap = make_segment_trap(args.a, args.b)
     rows = conjecture_probe(trap, args.radii, _time_grid(args), args.n, args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
-    header = list(rows[0].keys())
-    write_csv(
-        os.path.join(args.out_dir, "conjecture.csv"),
-        header,
-        [[row[c] for c in header] for row in rows],
-    )
-    _manifest(args, started, out_dir=args.out_dir)
+    _write_run(args, {"conjecture.csv": (list(rows[0]), [list(row.values()) for row in rows])})
     worst = max(row["sup_rel_survival"] for row in rows)
     print(f"wrote conjecture.csv; worst survival-relative deviation {worst:.4f}")
     return 0
@@ -292,7 +259,19 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"trapprob {trapprob.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bessel", parents=[], help="K0/I0 tables with truncation brackets")
+    # flag groups shared by several subcommands
+    segment = _Parser(add_help=False)
+    segment.add_argument("--a", type=float, default=-1.0)
+    segment.add_argument("--b", type=float, default=1.0)
+    run = _Parser(add_help=False)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--out-dir", default=".")
+    grid = _Parser(add_help=False)
+    grid.add_argument("--radii", type=_grid, default=[1.0, 5.0, 25.0, 125.0])
+    grid.add_argument("--t-min", type=float, default=0.1)
+    grid.add_argument("--t-max", type=float, default=1e5)
+
+    p = sub.add_parser("bessel", help="K0/I0 tables with truncation brackets")
     p.add_argument("--x-min", type=float, default=1e-4)
     p.add_argument("--x-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=50)
@@ -309,58 +288,32 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_disk)
 
-    p = sub.add_parser("simulate", help="raw trajectory records for a segment trap")
-    p.add_argument("--a", type=float, default=-1.0)
-    p.add_argument("--b", type=float, default=1.0)
+    p = sub.add_parser("simulate", parents=[segment, run], help="raw trajectory records for a segment trap")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tmax", type=float, default=1e5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="theorem bound reports")
     which = p.add_subparsers(dest="which", required=True)
-    t1 = which.add_parser("theorem1")
-    t1.add_argument("--a", type=float, default=-1.0)
-    t1.add_argument("--b", type=float, default=1.0)
+    t1 = which.add_parser("theorem1", parents=[segment, run])
     t1.add_argument("--r", type=float, required=True)
-    t1.add_argument("--tau", type=float, required=True)
-    t1.add_argument("--n", type=int, default=100000)
-    t1.add_argument("--seed", type=int, default=0)
-    t1.add_argument("--out-dir", default=".")
-    t1.set_defaults(func=_cmd_verify)
-    t2 = which.add_parser("theorem2")
-    t2.add_argument("--a", type=float, default=-1.0)
-    t2.add_argument("--b", type=float, default=1.0)
+    t2 = which.add_parser("theorem2", parents=[segment, run])
     t2.add_argument("--zx", type=float, required=True)
     t2.add_argument("--zy", type=float, default=0.0)
-    t2.add_argument("--tau", type=float, required=True)
-    t2.add_argument("--n", type=int, default=100000)
-    t2.add_argument("--seed", type=int, default=0)
-    t2.add_argument("--out-dir", default=".")
-    t2.set_defaults(func=_cmd_verify)
+    for p in (t1, t2):
+        p.add_argument("--tau", type=float, required=True)
+        p.add_argument("--n", type=int, default=100000)
+        p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("figures", help="capture/survival data series and SVG plots")
+    p = sub.add_parser("figures", parents=[run, grid], help="capture/survival data series and SVG plots")
     p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radii", type=_grid, default=[1.0, 5.0, 25.0, 125.0])
-    p.add_argument("--t-min", type=float, default=0.1)
-    p.add_argument("--t-max", type=float, default=1e5)
     p.add_argument("--t-points", type=int, default=25)
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_figures)
 
-    p = sub.add_parser("conjecture", help="deviation probe against the disk surrogate")
-    p.add_argument("--a", type=float, default=-1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--radii", type=_grid, default=[1.0, 5.0, 25.0, 125.0])
+    p = sub.add_parser("conjecture", parents=[segment, run, grid], help="deviation probe against the disk surrogate")
     p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t-min", type=float, default=0.1)
-    p.add_argument("--t-max", type=float, default=1e5)
     p.add_argument("--t-points", type=int, default=13)
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_conjecture)
 
     return parser

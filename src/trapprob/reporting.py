@@ -12,7 +12,11 @@ from dataclasses import asdict, dataclass
 
 FLOAT_FORMAT = "%.12g"
 
-_PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+
+# svg_lineplot's canvas (width, height) in pixels and its y-axis range
+SVG_SIZE = (720, 480)
+SVG_Y_RANGE = (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -60,18 +64,18 @@ def _ticks_log(lo, hi):
     return [10.0**k for k in range(math.ceil(math.log10(lo) - 1e-9), math.floor(math.log10(hi) + 1e-9) + 1)]
 
 
-def svg_lineplot(path, series, title="", xlabel="t", ylabel="", y_range=(0.0, 1.0), size=(720, 480)):
+def svg_lineplot(path, series, title="", xlabel="t", ylabel=""):
     """Minimal log-x line plot.
 
     ``series`` is a list of dicts with keys ``x``, ``y`` (sequences),
     ``label``, optional ``color`` and ``dash``.  Non-finite points are
-    dropped; y-values are clipped to ``y_range``.  No external plotting
+    dropped; y-values are clipped to ``SVG_Y_RANGE``.  No external plotting
     dependency: output is a single self-contained SVG document.
     """
-    width, height = size
+    width, height = SVG_SIZE
     ml, mr, mt, mb = 70, 160, 40, 50
     iw, ih = width - ml - mr, height - mt - mb
-    y_lo, y_hi = y_range
+    y_lo, y_hi = SVG_Y_RANGE
 
     xs_all = [x for s in series for x in s["x"] if x > 0.0 and math.isfinite(x)]
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -113,7 +117,7 @@ def svg_lineplot(path, series, title="", xlabel="t", ylabel="", y_range=(0.0, 1.
 
     legend_y = mt + 10
     for idx, s in enumerate(series):
-        color = s.get("color", _PALETTE[idx % len(_PALETTE)])
+        color = s.get("color", PALETTE[idx % len(PALETTE)])
         dash = s.get("dash")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         pts = [

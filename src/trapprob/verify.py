@@ -131,17 +131,21 @@ def _abelian_mc(trap, start, tau, n, seed):
     return est.midpoint, est.half_width + SLACK_SIGMAS * est.std_error
 
 
-def _capture_curves(trap, radii, times, n, seed):
-    """One survival curve per release radius on the grid ``times`` (original
-    units, capped at its last point).  The trajectories of radius k have
-    indices k*n on.
+def _capture_table(trap, radii, times, n, seed):
+    """Captured fraction, its Wilson band (ci_lo, ci_hi) and the disk
+    surrogate p_disk(r, r_T, t), each a radius x time array on the grid
+    ``times`` (original units; walks are capped at its last point).  The
+    trajectories of radius k have indices k*n on.
     """
     h = _frame(trap)[1]
-    curves = []
+    prop, lo, hi, pd = np.empty((4, len(radii), times.size))
     for k, r in enumerate(radii):
         records = release_and_sample(trap, r, n, float(times[-1]), seed, first_index=k * n)
-        curves.append(survival_curve(records, times / (h * h), r))
-    return curves
+        curve = survival_curve(records, times / (h * h), r)
+        prop[k], lo[k], hi[k] = curve.captured_fraction, curve.ci_low, curve.ci_high
+    for k, r in enumerate(radii):  # after every walk, as a walk's error comes first
+        pd[k] = [p_disk(r, trap.r_T, t) for t in times.tolist()]
+    return prop, lo, hi, pd
 
 
 def _check_tau(tau):
@@ -227,42 +231,22 @@ def conjecture_probe(trap, radii, times, n, seed):
     if any(r < trap.r0 for r in radii):
         raise DomainError(f"all release radii must be >= r0 = {trap.r0:g}")
     times = np.asarray(times, dtype=float)
-    curves = _capture_curves(trap, radii, times, int(n), seed)
+    prop, lo, hi, pd = _capture_table(trap, radii, times, int(n), seed)
 
-    rows = []
-    for j, t in enumerate(times):
-        sup_cap = 0.0
-        sup_surv = 0.0
-        skipped_cap = 0
-        skipped_surv = 0
-        max_half = 0.0
-        for k, r in enumerate(radii):
-            prop = curves[k].captured_fraction[j]
-            half = 0.5 * (curves[k].ci_high[j] - curves[k].ci_low[j])
-            max_half = max(max_half, half)
-            pd = p_disk(r, trap.r_T, float(t))
-            diff = abs(prop - pd)
-            if pd > 1e-12:
-                sup_cap = max(sup_cap, diff / pd)
-            elif prop == 0.0:
-                pass  # 0/0 at t ~ 0: no captures and none expected
-            else:
-                skipped_cap += 1
-            if 1.0 - pd >= 10.0 * half:
-                sup_surv = max(sup_surv, diff / (1.0 - pd))
-            else:
-                skipped_surv += 1
-        rows.append(
-            {
-                "t": float(t),
-                "sup_rel_capture": sup_cap,
-                "sup_rel_survival": sup_surv,
-                "max_ci_halfwidth": max_half,
-                "skipped_capture": skipped_cap,
-                "skipped_survival": skipped_surv,
-            }
-        )
-    return rows
+    # reductions over the radius axis; a skipped cell adds 0 to its sup
+    diff = np.abs(prop - pd)
+    half = 0.5 * (hi - lo)
+    cap_ok = pd > 1e-12  # below it, prop == 0 is the 0/0 of t ~ 0 and not a skip
+    surv_ok = 1.0 - pd >= 10.0 * half
+    columns = {
+        "t": times,
+        "sup_rel_capture": np.divide(diff, pd, out=np.zeros_like(diff), where=cap_ok).max(axis=0, initial=0.0),
+        "sup_rel_survival": np.divide(diff, 1.0 - pd, out=np.zeros_like(diff), where=surv_ok).max(axis=0, initial=0.0),
+        "max_ci_halfwidth": half.max(axis=0, initial=0.0),
+        "skipped_capture": np.sum(~cap_ok & (prop != 0.0), axis=0),
+        "skipped_survival": np.sum(~surv_ok, axis=0),
+    }
+    return [dict(zip(columns, cells)) for cells in zip(*(v.tolist() for v in columns.values()))]
 
 
 def figure_series(radii=None, t_grid=None, n=100000, seed=0):
@@ -280,21 +264,21 @@ def figure_series(radii=None, t_grid=None, n=100000, seed=0):
         t_grid = np.logspace(-1.0, 5.0, 25)
     t_grid = np.asarray(t_grid, dtype=float)
     radii = [float(r) for r in radii]
-    curves = _capture_curves(make_segment_trap(-1.0, 1.0), radii, t_grid, int(n), seed)
+    trap = make_segment_trap(-1.0, 1.0)  # r_T = 1/2 exactly
+    prop, lo, hi, pd = (a.tolist() for a in _capture_table(trap, radii, t_grid, int(n), seed))
 
     rows = []
-    for r, curve in zip(radii, curves):
-        for j, t in enumerate(t_grid):
-            pd = p_disk(r, 0.5, float(t))
+    for k, r in enumerate(radii):
+        for j, t in enumerate(t_grid.tolist()):
             row = {
                 "r": r,
-                "t": float(t),
-                "prop": float(curve.captured_fraction[j]),
-                "ci_lo": float(curve.ci_low[j]),
-                "ci_hi": float(curve.ci_high[j]),
-                "p_disk": pd,
-                "hunt_raw": hunt_approx(r, 0.5, float(t), "raw"),
-                "hunt_tau0": hunt_approx(r, 0.5, float(t), "tau0"),
+                "t": t,
+                "prop": prop[k][j],
+                "ci_lo": lo[k][j],
+                "ci_hi": hi[k][j],
+                "p_disk": pd[k][j],
+                "hunt_raw": hunt_approx(r, trap.r_T, t, "raw"),
+                "hunt_tau0": hunt_approx(r, trap.r_T, t, "tau0"),
             }
             row["surv"] = 1.0 - row["prop"]
             row["surv_ci_lo"] = 1.0 - row["ci_hi"]

@@ -5,6 +5,7 @@ Every invocation goes through ``main(argv)`` so the exit-code contract
 same way a shell would see it.
 """
 
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -193,7 +194,9 @@ def test_disk_degenerate_inputs_exit_1(argv, message, capsys):
     assert err.startswith("trapprob: domain error:") and message in err
 
 
-@pytest.mark.parametrize("flags", [["--points", "-1"], ["--x-max", "inf"], ["--max-m", "48"]])
+@pytest.mark.parametrize(
+    "flags", [["--points", "-1"], ["--x-max", "inf"], ["--max-m", "48"], ["--x-max", "1.7976931348623157e308"]]
+)
 def test_bessel_bad_grid_exits_1(flags, capsys):
     assert main(["bessel", *flags]) == 1
     assert capsys.readouterr().err.startswith("trapprob: domain error:")
@@ -394,6 +397,10 @@ def test_conjecture_outputs(tmp_path, capsys):
         (["--t-max", "-1e-3"], "positive --t-min"),
         (["--t-points", "0"], "--t-points must be >= 1"),
         (["--t-points", "-3"], "--t-points must be >= 1"),
+        (["--t-max", "inf"], "need finite --t-min and --t-max"),
+        (["--t-min", "inf"], "need finite --t-min and --t-max"),
+        # 10**log10(t_max) rounds past the largest double: the last point is inf
+        (["--t-max", "1.7976931348623157e308"], "leaves the double range"),
     ],
 )
 def test_bad_time_grid_exits_1(command, flags, message, tmp_path, capsys):
@@ -407,3 +414,73 @@ def test_one_point_time_grid_works(tmp_path):
     rc = main(["figures", "--n", "20", "--radii", "1,5", "--t-min", "3", "--t-points", "1", "--out-dir", str(tmp_path)])
     assert rc == 0
     assert len((tmp_path / "figure1.csv").read_text().strip().splitlines()) == 1 + 2
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+# One small run of every subcommand.  Each path is relative to a fresh
+# directory; "{out}" stands for that directory.
+PINNED_COMMANDS = [
+    ["bessel", "--x-min", "0.5", "--x-max", "2", "--points", "4", "--max-m", "2", "--out", "{out}/bessel.csv"],
+    ["disk", "--r", "2", "--rt", "0.5", "--t-grid", "0.5,2,10", "--out", "{out}/disk.csv"],
+    ["simulate", "--a", "2", "--b", "6", "--radius", "9", "--n", "200", "--tmax", "100", "--seed", "3",
+     "--out-dir", "{out}/simulate"],
+    ["verify", "theorem1", "--a", "2", "--b", "6", "--r", "8", "--tau", "40", "--n", "500", "--seed", "5",
+     "--out-dir", "{out}/theorem1"],
+    ["verify", "theorem2", "--zx", "5", "--tau", "1000", "--n", "500", "--seed", "5", "--out-dir", "{out}/theorem2"],
+    ["figures", "--n", "500", "--seed", "7", "--radii", "1,5", "--t-min", "0.5", "--t-max", "100",
+     "--t-points", "5", "--out-dir", "{out}/figures"],
+    ["conjecture", "--a", "-3", "--b", "1", "--radii", "3,9", "--n", "300", "--seed", "2", "--t-min", "0.001",
+     "--t-max", "1000", "--t-points", "7", "--out-dir", "{out}/conjecture"],
+]
+
+# sha256 of every file the commands above write, and of what they print.  Manifests are hashed
+# without their timestamps and output paths (see _pinned_bytes), so this
+# also pins each subcommand's parsed defaults.
+PINNED_SHA256 = {
+    "bessel.csv": "c85cd508c0492b2a152b8ac2c5b9f07690dc53c3972765274216700bf589da1f",
+    "bessel.csv.manifest.json": "bf451c70882c44b1022ee2da1164b649ce75ae5b194a389bfec62630c32e8e75",
+    "conjecture/conjecture.csv": "c42eedb8536e849989c02b20182953357cf45a0b1cf35e3a7a3b70f3ec90c795",
+    "conjecture/manifest.json": "e82321dbe5a9b3e2e108211f6f26ca547c84638cc66ef34d27c33f6db8a26373",
+    "disk.csv": "d34024b626e9f6007904d48804f684552657819d878915062a6cd13d5b44b40d",
+    "disk.csv.manifest.json": "0356e07c61dc322f1d9fe7714764396031e839f3f6c382e87d90cb67baa6cdd2",
+    "figures/figure1.csv": "c9c41e96c26e61ec0ede4ddc440b28a1903cff0d78a3cc7a6e29cf4b277b4937",
+    "figures/figure1.svg": "38bc26cb39516b8cf99a0635cbba461c6ffaa71931e163067e9f884504e733e0",
+    "figures/figure2.csv": "9f823e47c98cb132e964ed2e8da02303cbc1c79d7bca65f1ec99d97a95748a38",
+    "figures/figure2.svg": "b27d2953310a035bc2bf04b5c4e31c712c3e9a5ca1a51eabf3802f3758746052",
+    "figures/manifest.json": "640e510ecb552f2fff2ac7b57ce74bf5184d4d6ecdbc05335a5323c9675cd4f2",
+    "simulate/manifest.json": "03b4279f9822d3890f1fbc20e133814c162b3d8768f83a2f6038e59dc78aa886",
+    "simulate/records.csv": "269dd6d6af3f330eff5a22ec5fcc478be2dd7d3cf2ff78055fa01f104cb74e52",
+    "theorem1/bound_reports.csv": "f86d7e9f3c451e5325b968a191cea5a968a16a2f582601e441569c57e0ca3f13",
+    "theorem1/bound_reports.json": "7734aa718917b5a519901e420dc813b5d07b1a777329de60834a8776ad05d0c8",
+    "theorem1/manifest.json": "ea962119a7f0cdd3c5b593f77307af57e82662060e2ac48304ec3f943e8258e7",
+    "theorem2/bound_reports.csv": "823358058466e09b988bd65a116189e8276404d77f54b0921ad38b0442245a55",
+    "theorem2/bound_reports.json": "a5918ca2d7716ef8682040659c7c17ce441ca65ac27dc823c1f067c55ecb2377",
+    "theorem2/manifest.json": "b9a75d7999013d2fb0224cd28feb6157df8e93a9c41167417f41c41b1b402b6b",
+    "stdout": "51fba6b21d4269fe97cacb727b1f31377168214df408ccc119e5f3b28c3b1962",
+}
+
+
+def _pinned_bytes(path):
+    data = path.read_bytes()
+    if path.name.endswith("manifest.json"):
+        manifest = json.loads(data)
+        del manifest["started"], manifest["finished"]
+        for key in ("out", "out_dir"):
+            manifest["parameters"].pop(key, None)
+        data = json.dumps(manifest, indent=2, sort_keys=True).encode()
+    return data
+
+
+def test_outputs_pinned(tmp_path, capsys):
+    for argv in PINNED_COMMANDS:
+        assert main([tok.replace("{out}", str(tmp_path)) for tok in argv]) == 0, argv
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(_pinned_bytes(path)).hexdigest()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file()
+    }
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "{out}")
+    digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    assert digests == PINNED_SHA256

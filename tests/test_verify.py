@@ -7,6 +7,7 @@ re-proving the bounds -- the acceptance suite does that at full size.
 
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -15,7 +16,9 @@ from trapprob.conformal import (
     make_disk_trap,
     make_segment_trap,
 )
+from trapprob.disk_oracle import p_disk
 from trapprob.errors import DomainError, HypothesisError
+from trapprob.segment_sim import survival_curve
 from trapprob.verify import (
     BoundReport,
     _report,
@@ -201,6 +204,46 @@ def test_conjecture_probe_rows(segment):
         assert row["sup_rel_capture"] >= 0.0
         assert row["sup_rel_survival"] >= 0.0
         assert row["max_ci_halfwidth"] > 0.0
+
+
+def _probe_cell_by_cell(trap, radii, times, n, seed):
+    """conjecture_probe's reductions as one scalar branch per (time, radius) cell."""
+    h = 0.5 * (trap.b - trap.a)
+    curves = [
+        survival_curve(release_and_sample(trap, r, n, times[-1], seed, first_index=k * n), np.divide(times, h * h), r)
+        for k, r in enumerate(radii)
+    ]
+    rows = []
+    for j, t in enumerate(times):
+        row = dict(t=t, sup_rel_capture=0.0, sup_rel_survival=0.0, max_ci_halfwidth=0.0,
+                   skipped_capture=0, skipped_survival=0)
+        for r, curve in zip(radii, curves):
+            prop = curve.captured_fraction[j]
+            half = 0.5 * (curve.ci_high[j] - curve.ci_low[j])
+            row["max_ci_halfwidth"] = max(row["max_ci_halfwidth"], half)
+            pd = p_disk(r, trap.r_T, t)
+            diff = abs(prop - pd)
+            if pd > 1e-12:
+                row["sup_rel_capture"] = max(row["sup_rel_capture"], diff / pd)
+            elif prop != 0.0:
+                row["skipped_capture"] += 1
+            if 1.0 - pd >= 10.0 * half:
+                row["sup_rel_survival"] = max(row["sup_rel_survival"], diff / (1.0 - pd))
+            else:
+                row["skipped_survival"] += 1
+        rows.append(row)
+    return rows
+
+
+def test_conjecture_probe_equals_a_cell_by_cell_loop():
+    # on [-3, 1] the circle r = r0 = 3 touches the end -3, so short times
+    # have captures where p_disk < 1e-12 (skipped), long ones skip survival
+    trap = make_segment_trap(-3.0, 1.0)
+    times = [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1000.0]
+    rows = conjecture_probe(trap, [3.0, 9.0], times, 300, seed=2)
+    assert rows == _probe_cell_by_cell(trap, [3.0, 9.0], times, 300, 2)
+    assert sum(row["skipped_capture"] for row in rows) > 0
+    assert sum(row["skipped_survival"] for row in rows) > 0
 
 
 def test_conjecture_probe_radius_gate(segment):

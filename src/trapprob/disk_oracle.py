@@ -40,18 +40,19 @@ QUAD_TOL = 1e-6
 # run in lockstep: one J0/Y0 kernel call per quadrature round.
 MAX_EVALS = 10**6
 
-# Gauss-Kronrod 15-point nodes/weights with the embedded 7-point Gauss rule
-# (weights interleaved at the odd Kronrod positions).  Literature values,
-# re-verified in the test suite by exact integration of monomials.
-_XGK = np.array(
+
+def _mirror(half, sign):
+    """The 15 entries of a symmetric rule column from its 8 centre-out ones."""
+    half = np.array(half)
+    return np.concatenate([sign * half[:0:-1], half])
+
+
+# Gauss-Kronrod 15-point nodes/weights with the embedded 7-point Gauss rule,
+# stored from the centre out and mirrored; the Gauss weights sit at the odd
+# Kronrod positions.  Literature values, re-verified in the test suite by
+# exact integration of monomials.
+_XGK = _mirror(
     [
-        -0.991455371120813,
-        -0.949107912342759,
-        -0.864864423359769,
-        -0.741531185599394,
-        -0.586087235467691,
-        -0.405845151377397,
-        -0.207784955007898,
         0.0,
         0.207784955007898,
         0.405845151377397,
@@ -60,17 +61,11 @@ _XGK = np.array(
         0.864864423359769,
         0.949107912342759,
         0.991455371120813,
-    ]
+    ],
+    -1.0,
 )
-_WGK = np.array(
+_WGK = _mirror(
     [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
         0.209482141084728,
         0.204432940075298,
         0.190350578064785,
@@ -79,18 +74,17 @@ _WGK = np.array(
         0.104790010322250,
         0.063092092629979,
         0.022935322010529,
-    ]
+    ],
+    1.0,
 )
 _WG = np.zeros(15)
-_WG[1::2] = [
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
+_WG[7::2] = [
     0.417959183673469,
     0.381830050505119,
     0.279705391489277,
     0.129484966168870,
 ]
+_WG[7::-2] = _WG[7::2]
 
 
 def _adaptive_gk(f, parts, tol, max_evals):
@@ -109,18 +103,19 @@ def _adaptive_gk(f, parts, tol, max_evals):
     a list of error estimates, one per part, and the evaluation count
     summed over the parts, which must not exceed max_evals.
     """
-    pending = []
+    pending = []  # per part: rows (lo, hi) of the panels to evaluate
     for a, b, n_panels in parts:
         edges = np.linspace(a, b, n_panels + 1)
-        pending.append(np.stack([edges[:-1], edges[1:]], axis=1))
-    done = [[] for _ in parts]  # per part: (err, value, a, b) of accepted panels
+        pending.append(np.stack([edges[:-1], edges[1:]]))
+    # per part: rows (error, value, lo, hi) of the accepted panels
+    done = [np.empty((4, 0)) for _ in parts]
     integrals = [None] * len(parts)
     errors = [None] * len(parts)
     evals = 0
     while True:
-        mid = [0.5 * (p[:, 0] + p[:, 1]) for p in pending]
-        half = [0.5 * (p[:, 1] - p[:, 0]) for p in pending]
-        xs = [m[:, None] + h[:, None] * _XGK[None, :] for m, h in zip(mid, half)]
+        mid = [0.5 * (lo + hi) for lo, hi in pending]
+        half = [0.5 * (hi - lo) for lo, hi in pending]
+        xs = [m[:, None] + h[:, None] * _XGK for m, h in zip(mid, half)]
         values = f([x.ravel() for x in xs])
         evals += sum(x.size for x in xs)
         if evals > max_evals:
@@ -131,33 +126,26 @@ def _adaptive_gk(f, parts, tol, max_evals):
             if not x.size:
                 continue
             fv = values[k].reshape(x.shape)
-            i15 = (fv * _WGK[None, :]).sum(axis=1) * half[k]
-            i7 = (fv * _WG[None, :]).sum(axis=1) * half[k]
-            err = np.abs(i15 - i7)
-
-            rec = done[k]
-            rec.extend(zip(err.tolist(), i15.tolist(), pending[k][:, 0].tolist(), pending[k][:, 1].tolist()))
-            rec.sort(key=lambda r: r[0], reverse=True)
-            total_err = math.fsum(r[0] for r in rec)
+            i15 = (fv * _WGK).sum(axis=1) * half[k]
+            i7 = (fv * _WG).sum(axis=1) * half[k]
+            rec = np.concatenate([done[k], np.vstack([np.abs(i15 - i7), i15, pending[k]])], axis=1)
+            # stable, so equal errors keep their order: accepted panels
+            # first, then the new ones in the order they were made
+            rec = rec[:, np.argsort(-rec[0], kind="stable")]
+            total_err = math.fsum(rec[0])
             if total_err <= tol:
-                integrals[k], errors[k] = math.fsum(r[1] for r in rec), total_err
-                pending[k] = np.empty((0, 2))
+                integrals[k], errors[k] = math.fsum(rec[1]), total_err
+                pending[k] = np.empty((2, 0))
                 continue
 
-            acc = 0.0
-            n_split = 0
-            for r in rec:
-                acc += r[0]
-                n_split += 1
-                if acc >= 0.9 * total_err or n_split >= 64:
-                    break
-            split, done[k] = rec[:n_split], rec[n_split:]
-            new = []
-            for _, _, pa, pb in split:
-                pm = 0.5 * (pa + pb)
-                new.append((pa, pm))
-                new.append((pm, pb))
-            pending[k] = np.array(new)
+            # split the leading panels that reach 90% of the error (all of
+            # them, up to 64, where a NaN error never does)
+            reached = np.flatnonzero(np.cumsum(rec[0]) >= 0.9 * total_err)
+            n_split = min(64, reached[0] + 1 if reached.size else rec.shape[1])
+            lo, hi = rec[2, :n_split], rec[3, :n_split]
+            edges = np.stack([lo, 0.5 * (lo + hi), hi], axis=1)  # children (lo, mid), (mid, hi)
+            pending[k] = np.stack([edges[:, :2].ravel(), edges[:, 1:].ravel()])
+            done[k] = rec[:, n_split:]
 
         if not any(p.size for p in pending):
             return integrals, errors, evals
@@ -212,19 +200,14 @@ def _p_disk_raw(r, r_T, t):
     a = r / r_T
     inv_2rt2 = 1.0 / (2.0 * r_T * r_T)
 
-    def num_den(y):
-        # one kernel call for y and a*y
-        j, yy = bessel_j0_y0(np.concatenate([y, a * y]))
-        j, ja = j[: y.size], j[y.size :]
-        yy, ya = yy[: y.size], yy[y.size :]
-        return (ja * yy - j * ya) / (j * j + yy * yy)
-
     def integrands(nodes):
         # nodes of the log part (u = ln y) and of the linear part, evaluated
-        # together; each part keeps its own operation order
+        # together with one kernel call on every y and a*y; each part keeps
+        # its own operation order
         u, y_lin = nodes
         y = np.concatenate([np.exp(u), y_lin])
-        nd = num_den(y)
+        (j, ja), (yy, ya) = (np.split(v, 2) for v in bessel_j0_y0(np.concatenate([y, a * y])))
+        nd = (ja * yy - j * ya) / (j * j + yy * yy)
         damp = np.exp(-t * y * y * inv_2rt2)
         k = u.size
         return [nd[:k] * damp[:k], nd[k:] / y_lin * damp[k:]]

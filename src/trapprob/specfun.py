@@ -150,23 +150,12 @@ def bessel_i(order, x):
     if not (0.0 <= x <= 50.0):
         raise DomainError(f"bessel_i needs 0 <= x <= 50, got {x!r}")
     q = x * x / 4.0
-    if order == 0:
-        term, total = 1.0, 1.0
-        k = 0
-        while True:
-            k += 1
-            term *= q / (k * k)
-            total += term
-            if term <= 1e-16 * total:
-                return total
-    # I2(x) = sum_k q^(k+1) / (k! (k+2)!),  leading term q/2
-    term, total = q / 2.0, q / 2.0
+    # I_n(x) = sum_k q^(k+n/2) / (k! (k+n)!): leading term 1 for I0, q/2 for I2
+    term = total = 1.0 if order == 0 else q / 2.0
     k = 0
-    if term == 0.0:
-        return 0.0
     while True:
         k += 1
-        term *= q / (k * (k + 2))
+        term *= q / (k * (k + order))
         total += term
         if term <= 1e-16 * total:
             return total

@@ -99,6 +99,46 @@ def test_adaptive_gk_shared_budget():
     assert evals == 240
 
 
+def _sqrt_abs_sin(x):
+    return np.sqrt(np.abs(np.sin(50.0 * x)))
+
+
+# (integrand, parts, repr of the (integrals, errors, evaluations) result),
+# recorded from the panel-list bookkeeping (per-panel tuples, a stable
+# descending sort and a running sum for the split count).  The first case
+# runs 117795 evaluations, so its rounds reach the 64-panel split cap.
+ADAPTIVE_GK_PINS = [
+    (
+        [_sqrt_abs_sin],
+        [(0.0, 10.0, 1)],
+        "([7.624661784025173], [8.986712492013588e-10], 117795)",
+    ),
+    (
+        [lambda x: np.cos(200.0 * x)],
+        [(0.0, 3.0, 4)],
+        "([0.00022091224165959064], [2.0030473043023897e-10], 4500)",
+    ),
+    (
+        [_sqrt_abs_sin, np.log],
+        [(0.0, 10.0, 3), (0.0, 2.0, 2)],
+        "([7.624661783873232, -0.6137056387792164], [6.815340381443538e-10, 5.743622778983862e-10], 121545)",
+    ),
+]
+
+
+@pytest.mark.parametrize("fs, parts, pinned", ADAPTIVE_GK_PINS)
+def test_adaptive_gk_bit_identical_pins(fs, parts, pinned):
+    got = _adaptive_gk(lambda nodes: [f(x) for f, x in zip(fs, nodes)], parts, 1e-9, 10**6)
+    assert repr(got) == pinned
+
+
+def test_adaptive_gk_nan_integrand_ends_in_convergence_error():
+    # a NaN error estimate never reaches the split threshold: every round
+    # splits up to 64 panels until the budget runs out
+    with pytest.raises(ConvergenceError):
+        _adaptive_gk(_lone(lambda x: np.full_like(x, np.nan)), [(0.0, 1.0, 4)], 1e-9, 10**5)
+
+
 # ---------------------------------------------------------------------------
 # f_disk
 # ---------------------------------------------------------------------------

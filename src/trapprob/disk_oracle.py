@@ -22,7 +22,7 @@ transform consistency check in the test suite (agreement ~1e-7, tolerance
 
 The integrand decays only like 1/ln^2(y) as y -> 0+ and oscillates on the
 scale pi r_T / r for large y, so the quadrature splits the range: a log
-substitution u = ln y on (0, y0] (plus an analytic tail for u < -60), and
+substitution u = ln y on (0, y0] (plus an exact tail for u < -60), and
 adaptive Gauss-Kronrod panels of sub-oscillation width on [y0, Y_max].
 """
 
@@ -221,10 +221,11 @@ def _p_disk_raw(r, r_T, t):
         integrands, [(u_cut, math.log(y0), 16), (y0, y_max, n0)], QUAD_TOL / 2.0, MAX_EVALS
     )
 
-    # Analytic tail over u < u_cut: there the integrand is
-    # -(pi/2) ln(a) / (u + gamma - ln 2)^2 up to O(1/u^4) corrections.
+    # Exact tail over u < u_cut: with v = u + gamma - ln 2 the integrand is
+    # -(pi/2) ln(a) / (v^2 + pi^2/4) up to terms of order e^(2 u_cut) <= e^-120,
+    # and its integral over v < -lam is -ln(a) atan(pi / (2 lam)).
     lam = abs(u_cut + GAMMA - math.log(2.0))
-    tail = -(math.pi * math.log(a) / 2.0) * (1.0 / lam - (math.pi**2 / 4.0) / (3.0 * lam**3))
+    tail = -math.log(a) * math.atan(math.pi / (2.0 * lam))
 
     return 1.0 + (2.0 / math.pi) * (part1 + part2 + tail)
 

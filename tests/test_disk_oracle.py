@@ -255,19 +255,22 @@ def test_p_disk_regression_pin():
 
 
 # p_disk(r, 0.5, tau * s) at the nine (r, tau) pairs of acceptance
-# criterion 3, for s = 0.05, 0.75, 3 and ln(1e8): values recorded with the
+# criterion 3, for s = 0.05, 0.75, 3 and ln(1e8).  First recorded with the
 # two sub-integrals run one after the other and two J0/Y0 calls per
-# integrand evaluation, each on the full 48-term series.
+# integrand evaluation, each on the full 48-term series; retaken when the
+# two-term tail series gave way to the exact arctangent tail, which moved
+# every nonzero value down by 1.56e-9 ln(r/r_T) (1.07e-9, 3.57e-9 and
+# 6.06e-9 at r = 1, 5 and 25) and nothing else.
 P_DISK_PINS = {
-    (1.0, 0.25): (5.492305633736372e-06, 0.17930212923234512, 0.41598786391441755, 0.6245752062865915),
-    (1.0, 2.5): (0.1130985388794139, 0.5370920931523998, 0.6617318912979671, 0.7573562662713678),
-    (1.0, 25.0): (0.4878280141787972, 0.7169014943731936, 0.7751782078098436, 0.8243025237560044),
-    (5.0, 0.25): (0.0, 3.569158635308156e-09, 6.990303746956528e-08, 0.012706231071871632),
-    (5.0, 2.5): (3.5691584132635512e-09, 0.00034149728045784755, 0.03658975120008301, 0.21310318741736534),
-    (5.0, 25.0): (1.887439652625833e-05, 0.11671808132103878, 0.26360674342327006, 0.4174472497922581),
-    (25.0, 0.25): (0.0, 0.0, 0.0, 6.063891500041052e-09),
-    (25.0, 2.5): (0.0, 0.0, 6.063892166174867e-09, 5.307165370449507e-05),
-    (25.0, 25.0): (0.0, 8.497650472172324e-09, 0.000859490486737502, 0.0602745579060463),
+    (1.0, 0.25): (5.491231210741354e-06, 0.179302128157922, 0.41598786283999456, 0.6245752052121685),
+    (1.0, 2.5): (0.1130985378049908, 0.5370920920779768, 0.6617318902235441, 0.7573562651969447),
+    (1.0, 25.0): (0.48782801310437407, 0.7169014932987705, 0.7751782067354205, 0.8243025226815814),
+    (5.0, 0.25): (0.0, 2.55351295663786e-15, 6.633388138777008e-08, 0.01270622750271544),
+    (5.0, 2.5): (2.220446049250313e-15, 0.00034149371130165473, 0.03658974763092682, 0.21310318384820925),
+    (5.0, 25.0): (1.8870827370176535e-05, 0.11671807775188259, 0.263606739854114, 0.4174472462231019),
+    (25.0, 0.25): (0.0, 0.0, 0.0, 2.1094237467877974e-15),
+    (25.0, 2.5): (0.0, 0.0, 2.7755575615628914e-15, 5.306558981510445e-05),
+    (25.0, 25.0): (0.0, 2.4337610815550192e-09, 0.0008594844228481113, 0.06027455184215691),
 }
 
 
@@ -275,6 +278,27 @@ def test_p_disk_bit_identical_pins():
     for (r, tau), pins in P_DISK_PINS.items():
         got = tuple(p_disk(r, R_T, tau * s) for s in (0.05, 0.75, 3.0, math.log(1e8)))
         assert got == pins, (r, tau)
+
+
+# p_disk(r, 0.5, t) from Talbot inversion of K0(r sqrt(2s)) / (s K0(r_T sqrt(2s)))
+# with mpmath at 30 digits (unchanged at 45), frozen here.  The two-term
+# tail series this replaced dropped a pi^4/(80 lam^5) term and read
+# 1.56e-9 ln(r/r_T) high at every t: 1.07e-9 at r = 1 (relative 2e-4 at
+# t = 0.0125) and 8.56e-9 at r = 125.
+P_DISK_TALBOT = {
+    (1.0, 0.0125): 5.4912312003927718356e-6,
+    (1.0, 1.0): 0.45780596373825520464,
+    (1.0, 1000.0): 0.83953421513543229659,
+    (5.0, 10.0): 0.05760439864318491972,
+    (5.0, 1e5): 0.64995622928182702201,
+    (25.0, 100.0): 0.0027310912689425035517,
+    (125.0, 1e4): 0.034072036902453138668,
+}
+
+
+@pytest.mark.parametrize("r, t", list(P_DISK_TALBOT))
+def test_p_disk_against_talbot_inversion(r, t):
+    assert_allclose(p_disk(r, R_T, t), P_DISK_TALBOT[r, t], rtol=0, atol=1e-11)
 
 
 def test_p_disk_one_kernel_call_per_round(monkeypatch):

@@ -220,12 +220,13 @@ _FIGURE_SERIES = ((2, "simulated", None), (5, "disk", "6,3"), (7, "log asympt", 
 
 
 def _cmd_figures(args):
-    rows = figure_series(args.radii, _time_grid(args), n=args.n, seed=args.seed)
+    times = _time_grid(args)
+    rows = figure_series(args.radii, times, n=args.n, seed=args.seed)
     _write_run(args, {f"{stem}.csv": (cols, [[row[c] for c in cols] for row in rows]) for stem, cols, _ in _FIGURES})
     for stem, cols, title in _FIGURES:
         series = []
         for idx, r in enumerate(args.radii):
-            sub = [row for row in rows if row["r"] == r]
+            sub = rows[idx * len(times) : (idx + 1) * len(times)]  # radius-major: one block per radius
             for col, label, dash in _FIGURE_SERIES:
                 series.append({
                     "label": f"r={r:g} {label}",

@@ -137,6 +137,9 @@ def _capture_table(trap, radii, times, n, seed):
     ``times`` (original units; walks are capped at its last point).  The
     trajectories of radius k have indices k*n on.
     """
+    for r in radii:  # before any walk; radii <= 0 keep the walk's own message
+        if 0.0 < r < trap.r_T:
+            raise DomainError(f"release radius {r!r} inside the disk of radius {trap.r_T!r}")
     h = _frame(trap)[1]
     prop, lo, hi, pd = np.empty((4, len(radii), times.size))
     for k, r in enumerate(radii):

@@ -13,6 +13,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import trapprob.segment_sim
+import trapprob.verify
 from trapprob.cli import main
 from trapprob.segment_sim import SAMPLER_STREAM
 from trapprob.reporting import RunManifest, format_cell, svg_lineplot, write_csv
@@ -408,6 +409,25 @@ def test_bad_time_grid_exits_1(command, flags, message, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("trapprob: domain error:") and message in err
+
+
+def test_figures_repeated_radius_draws_each_copy_once(tmp_path):
+    # each copy of a repeated radius is its own block of rows, and its SVG
+    # series holds that block's grid points alone
+    assert main(["figures", "--n", "100", "--radii", "1,1", "--t-points", "3", "--out-dir", str(tmp_path)]) == 0
+    for name in ("figure1.svg", "figure2.svg"):
+        root = ET.fromstring((tmp_path / name).read_text())
+        polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline") or root.findall(".//polyline")
+        assert polylines
+        assert {len(p.get("points").split()) for p in polylines} == {3}, name
+
+
+def test_figures_checks_radii_before_any_walk(tmp_path, capsys, monkeypatch):
+    walks = []
+    monkeypatch.setattr(trapprob.verify, "release_and_sample", lambda *args, **kwargs: walks.append(args))
+    assert main(["figures", "--radii", "0.3,125", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "trapprob: domain error: release radius 0.3 inside the disk of radius 0.5\n"
+    assert walks == []
 
 
 def test_one_point_time_grid_works(tmp_path):

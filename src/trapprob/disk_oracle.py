@@ -106,7 +106,7 @@ def _adaptive_gk(f, parts, tol, max_evals):
     pending = []  # per part: rows (lo, hi) of the panels to evaluate
     for a, b, n_panels in parts:
         edges = np.linspace(a, b, n_panels + 1)
-        pending.append(np.stack([edges[:-1], edges[1:]]))
+        pending.append(np.array([edges[:-1], edges[1:]]))
     # per part: rows (error, value, lo, hi) of the accepted panels
     done = [np.empty((4, 0)) for _ in parts]
     integrals = [None] * len(parts)
@@ -128,23 +128,25 @@ def _adaptive_gk(f, parts, tol, max_evals):
             fv = values[k].reshape(x.shape)
             i15 = (fv * _WGK).sum(axis=1) * half[k]
             i7 = (fv * _WG).sum(axis=1) * half[k]
-            rec = np.concatenate([done[k], np.vstack([np.abs(i15 - i7), i15, pending[k]])], axis=1)
-            # stable, so equal errors keep their order: accepted panels
-            # first, then the new ones in the order they were made
-            rec = rec[:, np.argsort(-rec[0], kind="stable")]
+            rec = np.concatenate([done[k], [np.abs(i15 - i7), i15, *pending[k]]], axis=1)
             total_err = math.fsum(rec[0])
             if total_err <= tol:
                 integrals[k], errors[k] = math.fsum(rec[1]), total_err
                 pending[k] = np.empty((2, 0))
                 continue
 
+            # stable, so equal errors keep their order: accepted panels
+            # first, then the new ones in the order they were made
+            rec = rec[:, np.argsort(-rec[0], kind="stable")]
+
             # split the leading panels that reach 90% of the error (all of
             # them, up to 64, where a NaN error never does)
             reached = np.flatnonzero(np.cumsum(rec[0]) >= 0.9 * total_err)
             n_split = min(64, reached[0] + 1 if reached.size else rec.shape[1])
-            lo, hi = rec[2, :n_split], rec[3, :n_split]
-            edges = np.stack([lo, 0.5 * (lo + hi), hi], axis=1)  # children (lo, mid), (mid, hi)
-            pending[k] = np.stack([edges[:, :2].ravel(), edges[:, 1:].ravel()])
+            lo, hi = rec[2:, :n_split]
+            mid = 0.5 * (lo + hi)
+            # the children (lo, mid), (mid, hi) of each split panel, in that order
+            pending[k] = np.array([[lo, mid], [mid, hi]]).transpose(0, 2, 1).reshape(2, -1)
             done[k] = rec[:, n_split:]
 
         if not any(p.size for p in pending):
@@ -206,7 +208,7 @@ def _p_disk_raw(r, r_T, t):
         # its own operation order
         u, y_lin = nodes
         y = np.concatenate([np.exp(u), y_lin])
-        (j, ja), (yy, ya) = (np.split(v, 2) for v in bessel_j0_y0(np.concatenate([y, a * y])))
+        (j, ja), (yy, ya) = (v.reshape(2, -1) for v in bessel_j0_y0(np.concatenate([y, a * y])))
         nd = (ja * yy - j * ya) / (j * j + yy * yy)
         damp = np.exp(-t * y * y * inv_2rt2)
         k = u.size

@@ -103,6 +103,35 @@ def test_bessel_i_domain_errors():
         bessel_i(0, 50.0 + 1e-9)
 
 
+def _bessel_i_per_order(order, x):
+    """Reference: one ascending-series loop per order."""
+    q = x * x / 4.0
+    if order == 0:
+        term, total, k = 1.0, 1.0, 0
+        while True:
+            k += 1
+            term *= q / (k * k)
+            total += term
+            if term <= 1e-16 * total:
+                return total
+    term, total, k = q / 2.0, q / 2.0, 0
+    if term == 0.0:
+        return 0.0
+    while True:
+        k += 1
+        term *= q / (k * (k + 2))
+        total += term
+        if term <= 1e-16 * total:
+            return total
+
+
+def test_bessel_i_one_loop_equals_per_order_loops():
+    xs = np.concatenate([np.linspace(0.0, 50.0, 2001), np.geomspace(5e-324, 50.0, 2001), [-0.0, 2e-154, 3e-162]])
+    for x in xs.tolist():
+        for order in (0, 2):
+            assert bessel_i(order, x).hex() == _bessel_i_per_order(order, x).hex(), (order, x)
+
+
 def test_bessel_i_positivity():
     xs = np.linspace(0.0, 50.0, 101)
     for x in xs:

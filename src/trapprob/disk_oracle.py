@@ -129,24 +129,24 @@ def _adaptive_gk(f, parts, tol, max_evals):
             i15 = (fv * _WGK).sum(axis=1) * half[k]
             i7 = (fv * _WG).sum(axis=1) * half[k]
             rec = np.concatenate([done[k], [np.abs(i15 - i7), i15, *pending[k]]], axis=1)
-            total_err = math.fsum(rec[0])
+            total_err = math.fsum(rec[0].tolist())
             if total_err <= tol:
-                integrals[k], errors[k] = math.fsum(rec[1]), total_err
+                integrals[k], errors[k] = math.fsum(rec[1].tolist()), total_err
                 pending[k] = np.empty((2, 0))
                 continue
 
             # stable, so equal errors keep their order: accepted panels
             # first, then the new ones in the order they were made
-            rec = rec[:, np.argsort(-rec[0], kind="stable")]
+            rec = rec.take((-rec[0]).argsort(kind="stable"), axis=1)
 
             # split the leading panels that reach 90% of the error (all of
             # them, up to 64, where a NaN error never does)
-            reached = np.flatnonzero(np.cumsum(rec[0]) >= 0.9 * total_err)
-            n_split = min(64, reached[0] + 1 if reached.size else rec.shape[1])
+            reached = np.cumsum(rec[0]) >= 0.9 * total_err
+            n_split = min(64, reached.argmax() + 1 if reached.any() else reached.size)
             lo, hi = rec[2:, :n_split]
             mid = 0.5 * (lo + hi)
             # the children (lo, mid), (mid, hi) of each split panel, in that order
-            pending[k] = np.array([[lo, mid], [mid, hi]]).transpose(0, 2, 1).reshape(2, -1)
+            pending[k] = np.array([lo, mid, mid, hi]).T.reshape(-1, 2).T
             done[k] = rec[:, n_split:]
 
         if not any(p.size for p in pending):

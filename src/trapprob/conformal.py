@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trapprob.errors import BoundaryError, DomainError
+from trapprob.errors import BoundaryError, DomainError, require_count
 from trapprob.specfun import GAMMA
 
 # Points closer to the segment than this are treated as on it: below this
@@ -174,9 +174,7 @@ def harmonic_measure_nodes(n):
 
     Returns (nodes, weights) as float arrays.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"need a positive integer node count, got {n!r}")
-    n = int(n)
+    n = require_count(n, "node count")
     k = np.arange(1, n + 1)
     nodes = np.cos((2 * k - 1) * np.pi / (2.0 * n))
     return nodes, np.full(n, 1.0 / n)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one check that
+every function taking a count applies to it.
 
 The CLI maps these onto distinct exit codes (see ``trapprob.cli``):
 DomainError -> 1, HypothesisError -> 2, ConvergenceError -> 3.
@@ -23,3 +24,14 @@ class HypothesisError(TrapProbError, RuntimeError):
 
 class ConvergenceError(TrapProbError, RuntimeError):
     """An iterative scheme exhausted its budget before reaching tolerance."""
+
+
+def require_count(n, what="count", minimum=1):
+    """``n`` as an int; DomainError unless it is a finite integral value of
+    at least ``minimum`` (so nan, inf and 2.5 are refused, not truncated)."""
+    try:
+        if int(n) == n >= minimum:
+            return int(n)
+    except (TypeError, ValueError, OverflowError):  # int() of nan, inf or a non-number
+        pass
+    raise DomainError(f"{what} must be an integer >= {minimum}, got {n!r}")

@@ -25,16 +25,19 @@ that finish inside those m steps simply leave their unused blocks behind.
 Each draw is the one that step k of trajectory j would take on its own.
 :func:`release_circle` draws the release angle of trajectory j from the
 same kernel and key with counter (0, 1, j mod 2^32, j div 2^32); the walk
-keeps the second word 0, so the two never share a block.
+keeps the second word 0, so the two never share a block.  Trajectory
+indices run over [0, 2^64): a batch whose indices would pass 2^64 - 1 is
+refused rather than wrapped onto another batch's streams.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from trapprob.conformal import PlanePoint
-from trapprob.errors import ConvergenceError, DomainError
+from trapprob.errors import ConvergenceError, DomainError, require_count
 
 # Landing within this distance of an endpoint counts as a capture: the
 # line-jump maps |X| > 1 to exactly +-1, so endpoint landings are legitimate.
@@ -106,6 +109,13 @@ class AbelianEstimate:
 def _check_seed(seed):
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
+
+
+def _check_first_index(first_index, n):
+    """The trajectory indices first_index .. first_index + n - 1 must all lie
+    in [0, 2^64): past the top they would wrap onto another batch's streams."""
+    if not (isinstance(first_index, numbers.Integral) and 0 <= int(first_index) <= 2**64 - max(n, 1)):
+        raise DomainError(f"first_index must be an integer in [0, 2^64 - {max(n, 1)}], got {first_index!r}")
 
 
 def philox4x32(c0, c1, c2, c3, k0, k1):
@@ -230,10 +240,10 @@ def release_circle(r, n, seed, first_index=0):
     """
     if not r > 0.0:
         raise DomainError(f"release radius must be positive, got {r!r}")
-    if n != int(n) or n < 1:
-        raise DomainError(f"need a positive integer count, got {n!r}")
+    n = require_count(n, "release count")
     _check_seed(seed)
-    index = np.uint64(first_index) + np.arange(int(n), dtype=np.uint64)
+    _check_first_index(first_index, n)
+    index = np.uint64(first_index) + np.arange(n, dtype=np.uint64)
     w0, w1, _, _ = philox4x32(0, 1, index & _MASK32, index >> 32, seed & _MASK32, seed >> 32)
     theta = (2.0 * np.pi) * _open_unit(w0, w1)
     # .tolist() yields the same doubles as float() of each element, faster
@@ -269,6 +279,7 @@ def sample_batch(starts, t_max, seed, first_index=0):
     _check_seed(seed)
     x0 = np.array([p.x for p in starts], dtype=float)
     y0 = np.array([p.y for p in starts], dtype=float)
+    _check_first_index(first_index, x0.size)
     # the result columns, filled row by row and packed into records once
     times = np.zeros(x0.size)
     xs = x0.copy()  # the start rows on the trap keep their abscissa
@@ -325,12 +336,14 @@ def sample_batch(starts, t_max, seed, first_index=0):
 
 
 def wilson_interval(successes, n, z=Z_99):
-    """Wilson score interval for a binomial proportion (vectorized).
+    """Wilson score interval for a binomial proportion (vectorized in
+    ``successes``; ``n`` is one count of at least 1).
 
     The bounds are probabilities, so they are clipped to [0, 1]; at the
     extremes (0 or n successes) the unclipped arithmetic can stray below 0
     or above 1 by a few 1e-18 of cancellation dust.
     """
+    n = require_count(n, "trial count")
     successes = np.asarray(successes, dtype=float)
     phat = successes / n
     denom = 1.0 + z * z / n
@@ -354,6 +367,8 @@ def survival_curve(records, times, r):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise DomainError("times must be a non-empty 1-d grid")
+    if not np.isfinite(times).all():
+        raise DomainError("grid times must be finite")
     if np.any(np.diff(times) < 0):
         raise DomainError("times grid must be ascending")
     censored = records.censored

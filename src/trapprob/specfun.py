@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from trapprob.errors import DomainError
+from trapprob.errors import DomainError, require_count
 
 # Euler-Mascheroni constant, 30 significant digits.
 GAMMA = 0.577215664901532860606512090082
@@ -131,9 +131,7 @@ class BoundedValue:
 
 def harmonic_number(n):
     """n-th harmonic number 1 + 1/2 + ... + 1/n (0 for n = 0)."""
-    if n != int(n) or n < 0:
-        raise DomainError(f"harmonic_number needs a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = require_count(n, "harmonic_number's n", minimum=0)
     if n < _NSER:
         return float(_HARM_LD[n])
     return math.fsum(1.0 / k for k in range(1, n + 1))

@@ -27,7 +27,7 @@ import numpy as np
 
 from trapprob.conformal import PlanePoint, green_segment, make_segment_trap, r_z
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
-from trapprob.errors import DomainError, HypothesisError
+from trapprob.errors import DomainError, HypothesisError, require_count
 from trapprob.segment_sim import abelian_estimate, release_circle, sample_batch, survival_curve
 
 # Cap the simulated horizon at this multiple of tau: the censoring bracket
@@ -140,6 +140,7 @@ def _capture_table(trap, radii, times, n, seed):
     for r in radii:  # before any walk; radii <= 0 keep the walk's own message
         if 0.0 < r < trap.r_T:
             raise DomainError(f"release radius {r!r} inside the disk of radius {trap.r_T!r}")
+    n = require_count(n, "trajectory count")
     h = _frame(trap)[1]
     prop, lo, hi, pd = np.empty((4, len(radii), times.size))
     for k, r in enumerate(radii):
@@ -165,6 +166,7 @@ def check_theorem1(trap, r, tau, n, seed):
     zero-lhs self-test.
     """
     _check_tau(tau)
+    n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
     if not tau > 0.5 * math.e * d2:
         raise HypothesisError(
@@ -177,7 +179,7 @@ def check_theorem1(trap, r, tau, n, seed):
     if trap.kind == "disk":
         mid, slack = fd, 0.0
     else:
-        mid, slack = _abelian_mc(trap, float(r), tau, int(n), seed)
+        mid, slack = _abelian_mc(trap, float(r), tau, n, seed)
     return _report(
         f"theorem1[{trap.kind} r={r:g} tau={tau:g} n={n}]",
         abs(mid - fd),
@@ -195,6 +197,7 @@ def check_theorem2(trap, z, tau, n, seed):
     for a non-finite tau.
     """
     _check_tau(tau)
+    n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
     rz = r_z(trap, z)
     rz2 = rz * rz  # float ** 2 raises OverflowError past about 1e154
@@ -209,7 +212,7 @@ def check_theorem2(trap, z, tau, n, seed):
     if trap.kind == "disk":
         mid, slack = f_disk(abs(z), trap.r_T, tau), 0.0
     else:
-        mid, slack = _abelian_mc(trap, z, tau, int(n), seed)
+        mid, slack = _abelian_mc(trap, z, tau, n, seed)
     tag = f"{trap.kind} z=({z.x:g},{z.y:g}) tau={tau:g} n={n}"
     lower = None
     if lower_ok:
@@ -234,7 +237,7 @@ def conjecture_probe(trap, radii, times, n, seed):
     if any(r < trap.r0 for r in radii):
         raise DomainError(f"all release radii must be >= r0 = {trap.r0:g}")
     times = np.asarray(times, dtype=float)
-    prop, lo, hi, pd = _capture_table(trap, radii, times, int(n), seed)
+    prop, lo, hi, pd = _capture_table(trap, radii, times, n, seed)
 
     # reductions over the radius axis; a skipped cell adds 0 to its sup
     diff = np.abs(prop - pd)
@@ -268,7 +271,7 @@ def figure_series(radii=None, t_grid=None, n=100000, seed=0):
     t_grid = np.asarray(t_grid, dtype=float)
     radii = [float(r) for r in radii]
     trap = make_segment_trap(-1.0, 1.0)  # r_T = 1/2 exactly
-    prop, lo, hi, pd = (a.tolist() for a in _capture_table(trap, radii, t_grid, int(n), seed))
+    prop, lo, hi, pd = (a.tolist() for a in _capture_table(trap, radii, t_grid, n, seed))
 
     rows = []
     for k, r in enumerate(radii):

@@ -243,6 +243,9 @@ def test_nodes_match_arcsine_moments():
 def test_nodes_bad_count():
     with pytest.raises(DomainError):
         harmonic_measure_nodes(0)
+    for n in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="node count"):
+            harmonic_measure_nodes(n)
     with pytest.raises(DomainError):
         harmonic_measure_nodes(2.5)
 

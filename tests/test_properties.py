@@ -1,6 +1,7 @@
 """Property tests over the K0 and disk-trap entry points, the segment
-sampler and every CLI command (``bessel``, ``disk``, ``simulate``,
-``verify``, ``figures`` and ``conjecture``).
+sampler, the functions that take a count and every CLI command
+(``bessel``, ``disk``, ``simulate``, ``verify``, ``figures`` and
+``conjecture``).
 
 Every call either returns a finite value in its domain or raises a
 ``TrapProbError``; every CLI run exits with a documented code.  The drawn
@@ -26,7 +27,24 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import trapprob.segment_sim as sim
-from trapprob import BoundedValue, PlanePoint, TrapProbError, f_disk, hunt_approx, k0, k0_bounds, p_disk, sample_batch
+from trapprob import (
+    BoundedValue,
+    BoundReport,
+    PlanePoint,
+    TrapProbError,
+    check_theorem1,
+    check_theorem2,
+    f_disk,
+    harmonic_measure_nodes,
+    harmonic_number,
+    hunt_approx,
+    k0,
+    k0_bounds,
+    make_segment_trap,
+    p_disk,
+    release_circle,
+    sample_batch,
+)
 from trapprob.cli import main
 
 EDGES = [
@@ -59,6 +77,16 @@ T_MAX = st.one_of(
     st.floats(min_value=0.0, exclude_min=True, allow_nan=False),  # up to +inf
 )
 SEEDS = st.one_of(st.sampled_from([-1, 0, 2**64 - 1, 2**64]), st.integers(0, 2**64 - 1))
+# FLOATS as counts (nan, infinities, fractions, negatives and zero), and
+# small integers.  A finite integral count above COUNT_MAX asks for that
+# many points, walks or terms (harmonic_number sums n terms, about 1 s at
+# n = 1e7), so it measures memory and time, not the count check, and is
+# left out.
+COUNT_MAX = 64
+COUNTS = st.one_of(
+    st.integers(-2, COUNT_MAX),
+    FLOATS.filter(lambda n: not (math.isfinite(n) and n == int(n) and n > COUNT_MAX)),
+)
 
 
 @PROPERTY
@@ -153,6 +181,50 @@ def test_sample_batch_records_are_well_formed_or_raises(starts, t_max, seed, fir
     assert (abs(records.x[hit]) <= 1.0 + sim.ENDPOINT_TOL).all()
     assert np.isnan(records.x[records.censored]).all()
     assert ((records.steps >= 0) & (records.steps <= TEST_STEP_CAP)).all()
+
+
+@PROPERTY
+@given(FLOATS, COUNTS, SEEDS)
+def test_release_circle_points_lie_on_the_circle_or_raises(r, n, seed):
+    try:
+        points = release_circle(r, n, seed)
+    except TrapProbError:
+        return
+    assert n == int(n) >= 1 and len(points) == int(n)
+    assert all(abs(p.x) <= r and abs(p.y) <= r for p in points)
+
+
+@PROPERTY
+@given(COUNTS)
+def test_count_arguments_are_integral_or_raise(n):
+    try:
+        nodes, weights = harmonic_measure_nodes(n)
+    except TrapProbError:
+        nodes = None
+    if nodes is not None:
+        assert n == int(n) >= 1 and nodes.shape == weights.shape == (int(n),)
+        assert (np.abs(nodes) < 1.0).all() and math.isclose(weights.sum(), 1.0, rel_tol=1e-14)
+    try:
+        h = harmonic_number(n)
+    except TrapProbError:
+        return
+    assert n == int(n) >= 0 and math.isfinite(h) and h >= 0.0
+
+
+@PROPERTY
+@given(COUNTS, SEEDS)
+def test_theorem_checks_take_a_count_or_raise(n, seed):
+    segment = make_segment_trap(-1.0, 1.0)
+    with mock.patch.object(sim, "STEP_CAP", TEST_STEP_CAP):
+        try:
+            reports = [check_theorem1(segment, 5.0, 100.0, n, seed)]
+            reports += check_theorem2(segment, PlanePoint(5.0, 0.0), 100.0, n, seed)
+        except TrapProbError:
+            return
+    assert n == int(n) >= 1
+    for rep in reports:
+        assert isinstance(rep, BoundReport) and f"n={int(n)}]" in rep.label
+        assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs) and rep.statistical_slack >= 0.0
 
 
 def _or_ordinary(lo, hi):

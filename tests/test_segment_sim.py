@@ -437,11 +437,32 @@ def test_release_circle_uniform_angles():
 def test_release_circle_validation():
     with pytest.raises(DomainError):
         release_circle(0.0, 5, 0)
-    with pytest.raises(DomainError):
-        release_circle(1.0, 0, 0)
+    for n in (0, -1, 2.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="release count"):
+            release_circle(1.0, n, 0)
     for seed in (-1, 2**64):
         with pytest.raises(DomainError, match="seed must be in"):
             release_circle(1.0, 5, seed)
+
+
+@pytest.mark.parametrize("first_index", [2**64 - 2, 2**64 - 1, 2**64, -1, 1.5, 2.0, "0", None])
+def test_first_index_out_of_range_is_refused(first_index):
+    # 3 trajectories from 2^64 - 2 would wrap onto indices 0 and 1, which
+    # another batch owns; a float or string index is not truncated or parsed
+    with pytest.raises(DomainError, match="first_index"):
+        release_circle(5.0, 3, 0, first_index=first_index)
+    with pytest.raises(DomainError, match="first_index"):
+        sample_batch([PlanePoint(0.0, 2.0)] * 3, 10.0, 0, first_index=first_index)
+
+
+def test_first_index_reaches_the_last_trajectory():
+    # indices 2^64 - 3 .. 2^64 - 1 are the last three; a numpy integer
+    # index is an integer too
+    top = 2**64 - 3
+    starts = release_circle(5.0, 3, 7, first_index=top)
+    whole = sample_batch(starts, 100.0, 7, first_index=top)
+    _assert_same_records(sample_batch(starts[2:], 100.0, 7, first_index=top + 2), whole[2:])
+    assert release_circle(5.0, 3, 7, first_index=np.uint64(top)) == starts
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +528,13 @@ def test_survival_curve_grid_validation():
         survival_curve(_toy_records(), [1.0, 11.0], r=5.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_survival_curve_rejects_non_finite_times(bad):
+    records = _toy_records()[:3]  # no censored record, so the cap check passes
+    with pytest.raises(DomainError, match="grid times must be finite"):
+        survival_curve(records, [1.0, bad], r=5.0)
+
+
 def test_survival_curve_all_captured_allows_any_grid():
     records = _toy_records()[:3]
     curve = survival_curve(records, [100.0], r=5.0)
@@ -531,6 +559,12 @@ def test_wilson_edge_cases():
     assert lo == 0.0 and 0.0 < hi < 0.25
     lo, hi = wilson_interval(50.0, 50)
     assert 0.75 < lo < 1.0 and hi == 1.0
+
+
+@pytest.mark.parametrize("n", [0, -3, math.nan, math.inf, 2.5])
+def test_wilson_rejects_a_bad_trial_count(n):
+    with pytest.raises(DomainError, match="trial count"):
+        wilson_interval(1, n)
 
 
 def test_wilson_vectorized_monotone():

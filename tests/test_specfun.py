@@ -69,6 +69,9 @@ def test_harmonic_rejects_bad_input():
         harmonic_number(-1)
     with pytest.raises(DomainError):
         harmonic_number(2.5)
+    for n in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            harmonic_number(n)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,15 @@ def test_release_and_sample_rejects_a_cap_that_overflows_in_the_unit_frame():
     assert len(release_and_sample(tiny, 1e-149, 10, 1e-300, seed=1)) == 10
 
 
+@pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, 0])
+def test_theorems_reject_a_bad_trajectory_count(segment, n):
+    # 2.5 walks cannot run, and truncating to 2 would mislabel the report
+    with pytest.raises(DomainError, match="trajectory count"):
+        check_theorem1(segment, 5.0, 100.0, n, SEED)
+    with pytest.raises(DomainError, match="trajectory count"):
+        check_theorem2(segment, PlanePoint(5.0, 0.0), 100.0, n, SEED)
+
+
 @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
 def test_theorems_reject_a_non_finite_tau(segment, tau):
     with pytest.raises(DomainError, match="tau must be finite"):

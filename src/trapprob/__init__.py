@@ -27,9 +27,7 @@ from trapprob.errors import (
     TrapProbError,
 )
 from trapprob.segment_sim import (
-    AbelianEstimate,
     SurvivalCurve,
-    abelian_estimate,
     release_circle,
     sample_batch,
     sample_hit,
@@ -55,7 +53,6 @@ from trapprob.verify import (
 
 __all__ = [
     "GAMMA",
-    "AbelianEstimate",
     "BoundReport",
     "BoundaryError",
     "BoundedValue",
@@ -66,7 +63,6 @@ __all__ = [
     "SurvivalCurve",
     "TrapGeometry",
     "TrapProbError",
-    "abelian_estimate",
     "bessel_i",
     "bessel_j0_y0",
     "check_theorem1",

@@ -87,25 +87,6 @@ class SurvivalCurve:
     release_radius: float
 
 
-@dataclass(frozen=True)
-class AbelianEstimate:
-    """Censoring-aware Monte Carlo bracket of E[exp(-hitting time / tau)]."""
-
-    tau: float
-    mean_low: float
-    mean_high: float
-    std_error: float
-    n: int
-
-    @property
-    def midpoint(self):
-        return 0.5 * (self.mean_low + self.mean_high)
-
-    @property
-    def half_width(self):
-        return 0.5 * (self.mean_high - self.mean_low)
-
-
 def _check_seed(seed):
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
@@ -385,30 +366,3 @@ def survival_curve(records, times, r):
     lo, hi = wilson_interval(counts, n)
     return SurvivalCurve(times, frac, lo, hi, n, float(r))
 
-
-def abelian_estimate(records, tau):
-    """Monte Carlo bracket of the Abelian mean E[exp(-hitting time / tau)].
-
-    ``records`` is a record array of ``RECORD_DTYPE``.  Uncensored records
-    contribute exp(-time/tau) exactly.  A censored record only reveals that
-    its hitting time exceeds its accumulated time S, so it contributes 0 to
-    the lower mean and exp(-S/tau) to the upper (a bound at least as tight
-    as exp(-t_max/tau) since S > t_max).  The standard error is the larger
-    of the two deviations-of-the-summands, divided by sqrt(n).
-    """
-    if len(records) == 0:
-        raise DomainError("abelian_estimate needs at least one record")
-    if not tau > 0.0:
-        raise DomainError(f"tau must be positive, got {tau!r}")
-    n = len(records)
-    highs = np.exp(-records.time / tau)
-    lows = np.where(records.censored, 0.0, highs)
-    sd_low = float(np.std(lows, ddof=1)) if n > 1 else 0.0
-    sd_high = float(np.std(highs, ddof=1)) if n > 1 else 0.0
-    return AbelianEstimate(
-        tau=float(tau),
-        mean_low=float(np.mean(lows)),
-        mean_high=float(np.mean(highs)),
-        std_error=max(sd_low, sd_high) / math.sqrt(n),
-        n=n,
-    )

@@ -28,7 +28,7 @@ import numpy as np
 from trapprob.conformal import PlanePoint, green_segment, make_segment_trap, r_z
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import DomainError, HypothesisError, require_count
-from trapprob.segment_sim import abelian_estimate, release_circle, sample_batch, survival_curve
+from trapprob.segment_sim import release_circle, sample_batch, survival_curve
 
 # Cap the simulated horizon at this multiple of tau: the censoring bracket
 # exp(-t_max/tau) = exp(-20) ~ 2e-9 is then negligible against MC noise.
@@ -114,21 +114,26 @@ def release_and_sample(trap, r, n, t_max, seed, first_index=0):
     return sample_batch(starts, _unit_time(t_max, h), seed, first_index=first_index)
 
 
-def _abelian_mc(trap, start, tau, n, seed):
-    """Midpoint and statistical slack of the Monte Carlo Abelian mean for a
-    segment trap, in original time units.
+def _abelian_bracket(records, tau):
+    """Midpoint and statistical slack of the Monte Carlo bracket of the
+    Abelian mean E[exp(-hitting time / tau)], from sampler records and tau
+    in the records' time units.
 
-    ``start`` is either a fixed PlanePoint (all trajectories from one point)
-    or a release radius (uniform on that circle).
+    An uncensored record contributes exp(-time/tau) to both ends.  A
+    censored record only reveals that its hitting time exceeds its
+    accumulated time S, so it contributes 0 to the lower mean and
+    exp(-S/tau) to the upper (at least as tight as exp(-t_max/tau), since
+    S > t_max).  The slack is the bracket's half-width plus SLACK_SIGMAS
+    standard errors, the larger of the two summands' deviations over
+    sqrt(n).
     """
-    h = _frame(trap)[1]
-    t_max = TMAX_OVER_TAU * tau
-    if isinstance(start, PlanePoint):
-        records = sample_batch([_normalize(trap, start)] * n, _unit_time(t_max, h), seed)
-    else:
-        records = release_and_sample(trap, start, n, t_max, seed)
-    est = abelian_estimate(records, tau / (h * h))
-    return est.midpoint, est.half_width + SLACK_SIGMAS * est.std_error
+    n = len(records)
+    highs = np.exp(-records.time / tau)
+    lows = np.where(records.censored, 0.0, highs)
+    sd_low = float(np.std(lows, ddof=1)) if n > 1 else 0.0
+    sd_high = float(np.std(highs, ddof=1)) if n > 1 else 0.0
+    low, high = float(np.mean(lows)), float(np.mean(highs))
+    return 0.5 * (low + high), 0.5 * (high - low) + SLACK_SIGMAS * (max(sd_low, sd_high) / math.sqrt(n))
 
 
 def _capture_table(trap, radii, times, n, seed):
@@ -179,7 +184,9 @@ def check_theorem1(trap, r, tau, n, seed):
     if trap.kind == "disk":
         mid, slack = fd, 0.0
     else:
-        mid, slack = _abelian_mc(trap, float(r), tau, n, seed)
+        h = _frame(trap)[1]
+        records = release_and_sample(trap, float(r), n, TMAX_OVER_TAU * tau, seed)
+        mid, slack = _abelian_bracket(records, tau / (h * h))
     return _report(
         f"theorem1[{trap.kind} r={r:g} tau={tau:g} n={n}]",
         abs(mid - fd),
@@ -212,7 +219,9 @@ def check_theorem2(trap, z, tau, n, seed):
     if trap.kind == "disk":
         mid, slack = f_disk(abs(z), trap.r_T, tau), 0.0
     else:
-        mid, slack = _abelian_mc(trap, z, tau, n, seed)
+        h = _frame(trap)[1]
+        records = sample_batch([_normalize(trap, z)] * n, _unit_time(TMAX_OVER_TAU * tau, h), seed)
+        mid, slack = _abelian_bracket(records, tau / (h * h))
     tag = f"{trap.kind} z=({z.x:g},{z.y:g}) tau={tau:g} n={n}"
     lower = None
     if lower_ok:

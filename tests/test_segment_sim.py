@@ -14,11 +14,9 @@ from numpy.testing import assert_allclose
 
 import trapprob.segment_sim as sim
 from trapprob import (
-    AbelianEstimate,
     ConvergenceError,
     DomainError,
     PlanePoint,
-    abelian_estimate,
     make_segment_trap,
     release_circle,
     sample_batch,
@@ -33,7 +31,7 @@ from trapprob.segment_sim import (
     philox4x32,
     philox_normals,
 )
-from trapprob.verify import release_and_sample
+from trapprob.verify import SLACK_SIGMAS, _abelian_bracket, release_and_sample
 
 
 class _FakeRng:
@@ -574,8 +572,14 @@ def test_wilson_vectorized_monotone():
 
 
 # ---------------------------------------------------------------------------
-# abelian_estimate
+# the Abelian bracket behind the theorem verdicts (verify._abelian_bracket)
 # ---------------------------------------------------------------------------
+
+def _sigmas(lows, highs):
+    """SLACK_SIGMAS standard errors of the bracket's two means."""
+    sd = max(float(np.std(lows, ddof=1)), float(np.std(highs, ddof=1)))
+    return SLACK_SIGMAS * (sd / math.sqrt(len(lows)))
+
 
 def test_abelian_hand_value():
     records = _records(
@@ -583,48 +587,39 @@ def test_abelian_hand_value():
         (4.0, 0.2, False, 2),
         (22.0, math.nan, True, 3),
     )
-    est = abelian_estimate(records, tau=2.0)
+    mid, slack = _abelian_bracket(records, 2.0)
     w1, w2, w3 = math.exp(-0.5), math.exp(-2.0), math.exp(-11.0)
-    assert_allclose(est.mean_low, (w1 + w2) / 3.0, rtol=1e-14)
-    assert_allclose(est.mean_high, (w1 + w2 + w3) / 3.0, rtol=1e-14)
-    assert est.mean_low <= est.mean_high
-    assert_allclose(est.midpoint, 0.5 * (est.mean_low + est.mean_high), rtol=1e-15)
-    # half_width = 0.5 * (mean_high - mean_low) cancels two means ~0.25 to
-    # extract a difference ~1.7e-5, so a few 1e-12 of relative noise is the
-    # float floor here.
-    assert_allclose(est.half_width, w3 / 6.0, rtol=1e-9)
-    assert est.n == 3 and est.tau == 2.0
+    low, high = (w1 + w2) / 3.0, (w1 + w2 + w3) / 3.0
+    assert_allclose(mid, 0.5 * (low + high), rtol=1e-14)
+    # the slack is the half-width w3/6 ~ 2.8e-6 plus three standard errors
+    # ~ 0.5; reading the half-width back from it leaves a few 1e-11 of
+    # relative noise as the float floor here
+    assert_allclose(slack - _sigmas([w1, w2, 0.0], [w1, w2, w3]), w3 / 6.0, rtol=1e-9)
 
 
 def test_abelian_no_censoring_collapses_bracket():
     records = _toy_records()[:3]
-    est = abelian_estimate(records, tau=5.0)
-    assert est.mean_low == est.mean_high
-    assert est.half_width == 0.0
-    assert est.std_error > 0.0
+    mid, slack = _abelian_bracket(records, 5.0)
+    highs = np.exp(-records.time / 5.0)
+    assert mid == float(np.mean(highs))
+    assert slack == _sigmas(highs, highs) > 0.0
+
+
+def test_abelian_single_record_has_no_standard_error():
+    mid, slack = _abelian_bracket(_records((30.0, math.nan, True, 2)), 10.0)
+    assert mid == slack == 0.5 * math.exp(-3.0)
 
 
 def test_abelian_bracket_width_bounded_by_cap():
     # every censored record has S > t_max, so the bracket width is at most
     # (#censored/n) exp(-t_max/tau)
     records = sample_batch([PlanePoint(0.0, 4.0)] * 300, 50.0, seed=13)
-    est = abelian_estimate(records, tau=10.0)
+    mid, slack = _abelian_bracket(records, 10.0)
+    highs = np.exp(-records.time / 10.0)
+    half_width = slack - _sigmas(np.where(records.censored, 0.0, highs), highs)
     n_cens = records.censored.sum()
-    assert est.mean_high - est.mean_low <= (n_cens / 300.0) * math.exp(-5.0) + 1e-15
-    assert 0.0 <= est.mean_low <= est.mean_high <= 1.0
-
-
-def test_abelian_validation():
-    with pytest.raises(DomainError):
-        abelian_estimate([], 1.0)
-    with pytest.raises(DomainError):
-        abelian_estimate(_toy_records(), 0.0)
-
-
-def test_abelian_estimate_type():
-    est = abelian_estimate(_toy_records(), 3.0)
-    assert isinstance(est, AbelianEstimate)
-    assert est.std_error > 0.0
+    assert 2.0 * half_width <= (n_cens / 300.0) * math.exp(-5.0) + 1e-15
+    assert 0.0 <= mid - half_width <= mid + half_width <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ import numpy as np
 import trapprob
 from trapprob.conformal import PlanePoint, make_segment_trap
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
-from trapprob.errors import ConvergenceError, DomainError, HypothesisError
-from trapprob.reporting import PALETTE, RunManifest, format_cell, svg_lineplot, write_csv, write_manifest
+from trapprob.errors import ConvergenceError, DomainError, HypothesisError, require_count
+from trapprob.reporting import PALETTE, format_cell, svg_lineplot, write_csv, write_manifest
 from trapprob.segment_sim import SAMPLER_STREAM
 from trapprob.specfun import _k0_brackets, _k0_values, bessel_i
 from trapprob.verify import (
@@ -93,16 +93,19 @@ def _now():
 
 
 def _manifest(args, path):
+    """Write the provenance of this invocation to ``path``: rerunning with
+    the same command and seed reproduces the CSV outputs byte for byte.
+    ``sampler_stream`` names the version of the sampler's random stream."""
     params = {k: v for k, v in vars(args).items() if k not in ("func", "command") and not k.startswith("_")}
-    manifest = RunManifest(
-        command=args.command,
-        seed=int(getattr(args, "seed", 0)),
-        parameters=params,
-        tool_version=trapprob.__version__,
-        sampler_stream=SAMPLER_STREAM,
-        started=args._started,
-        finished=_now(),
-    )
+    manifest = {
+        "command": args.command,
+        "seed": int(getattr(args, "seed", 0)),
+        "parameters": params,
+        "tool_version": trapprob.__version__,
+        "sampler_stream": SAMPLER_STREAM,
+        "started": args._started,
+        "finished": _now(),
+    }
     write_manifest(path, manifest)
 
 
@@ -147,11 +150,12 @@ def _cmd_bessel(args):
         raise DomainError("need 0 < x-min < x-max < inf")
     if args.points < 0:
         raise DomainError(f"--points must be >= 0, got {args.points}")
+    max_m = require_count(args.max_m, "--max-m", minimum=0)
     xs = _log_grid("x", args.x_min, args.x_max, args.points)
     header = ["x", "k0", "k0_err", "i0"]
-    for m in range(args.max_m + 1):
+    for m in range(max_m + 1):
         header += [f"lower_{m}", f"upper_{m}"]
-    _emit_table(args, header, _bessel_rows(xs, args.max_m))
+    _emit_table(args, header, _bessel_rows(xs, max_m))
     return 0
 
 

@@ -134,19 +134,33 @@ def _segment_distance(z):
     return math.hypot(abs(z.x) - 1.0, z.y)
 
 
+def _phi_scaled(z, s):
+    """phi(z)/s for s = 1 or 4, where dividing by s is exact.
+
+    Each factor of the root is built from its parts: z.as_complex + 1.0
+    would turn an imaginary -0.0 into +0.0 and put the two factors on
+    opposite sides of the cut.  sqrt(a/s) sqrt(b/s) = sqrt(a b)/s, so
+    phi(z)/4, about z/2, stays in the double range for every finite z.
+    """
+    root = cmath.sqrt(complex((z.x - 1.0) / s, z.y / s)) * cmath.sqrt(complex((z.x + 1.0) / s, z.y / s))
+    return complex(z.x / s, z.y / s) + root
+
+
 def phi_segment(z):
     """Exterior conformal map z + sqrt(z^2 - 1) of the normalized segment.
 
     The branch is fixed by writing sqrt(z^2 - 1) = sqrt(z - 1) sqrt(z + 1)
     with principal square roots, which makes the product positive for
     z > 1 and negative for z < -1 and puts the cut exactly on the segment;
-    |phi(z)| > 1 strictly off the segment.
+    |phi(z)| > 1 strictly off the segment.  DomainError where phi(z),
+    about 2z, passes the double range (|z| from about 9e307).
     """
     if _segment_distance(z) <= BOUNDARY_TOL:
         raise BoundaryError(f"point ({z.x}, {z.y}) lies on the segment trap")
-    # each factor from its parts: z.as_complex + 1.0 would turn an imaginary
-    # -0.0 into +0.0 and put the two factors on opposite sides of the cut
-    return z.as_complex + cmath.sqrt(complex(z.x - 1.0, z.y)) * cmath.sqrt(complex(z.x + 1.0, z.y))
+    w = _phi_scaled(z, 1.0)
+    if not cmath.isfinite(w):
+        raise DomainError(f"phi({z.x}, {z.y}) lies outside the double range")
+    return w
 
 
 def green_segment(z):
@@ -154,11 +168,16 @@ def green_segment(z):
 
     Returns ln|phi(z)|/pi, which is >= 0, vanishes as z approaches the
     segment, and grows like ln|z|/pi.  Points within BOUNDARY_TOL of the
-    segment get exactly 0.
+    segment get exactly 0.  Where |phi(z)| passes the double range, ln|phi|
+    is ln 4 + ln|phi(z)/4|.
     """
     if _segment_distance(z) <= BOUNDARY_TOL:
         return 0.0
-    val = math.log(abs(phi_segment(z))) / math.pi
+    try:
+        log_phi = math.log(abs(phi_segment(z)))
+    except (DomainError, OverflowError):  # phi(z) or |phi(z)| past the double range
+        log_phi = math.log(4.0) + math.log(abs(_phi_scaled(z, 4.0)))
+    val = log_phi / math.pi
     return val if val > 0.0 else 0.0
 
 

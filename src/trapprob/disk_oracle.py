@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from trapprob.errors import ConvergenceError, DomainError
+from trapprob.errors import ConvergenceError, DomainError, require_finite
 from trapprob.specfun import GAMMA, _k0_scaled, bessel_j0_y0
 
 # Absolute quadrature target for p_disk.
@@ -153,12 +153,6 @@ def _adaptive_gk(f, parts, tol, max_evals):
             return integrals, errors, evals
 
 
-def _require_finite(**args):
-    for name, value in args.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 def f_disk(r, r_T, tau):
     """Abelian mean of the disk hitting probability, K0-ratio closed form.
 
@@ -167,7 +161,7 @@ def f_disk(r, r_T, tau):
     exp(-kappa (r - r_T)) S(kappa r) / S(kappa r_T), S(x) = e^x K0(x) from
     one kernel call, so tiny tau cannot divide by an underflowed K0.
     """
-    _require_finite(r=r, r_T=r_T, tau=tau)
+    require_finite(r=r, r_T=r_T, tau=tau)
     if not (r_T > 0.0 and r > 0.0 and tau > 0.0):
         raise DomainError(f"f_disk needs positive arguments, got r={r!r} r_T={r_T!r} tau={tau!r}")
     if r <= r_T:
@@ -240,7 +234,7 @@ def p_disk(r, r_T, t):
     so small that r/r_T or 1/(2 r_T^2) overflows, and ConvergenceError if the
     adaptive quadrature exceeds its evaluation budget.
     """
-    _require_finite(r=r, r_T=r_T, t=t)
+    require_finite(r=r, r_T=r_T, t=t)
     if not r_T > 0.0:
         raise DomainError(f"disk radius must be positive, got {r_T!r}")
     if r < r_T:
@@ -265,7 +259,7 @@ def hunt_approx(r, r_T, t, variant="raw"):
     """
     if variant not in ("raw", "tau0"):
         raise DomainError(f"unknown variant {variant!r}")
-    _require_finite(r=r, r_T=r_T, t=t)
+    require_finite(r=r, r_T=r_T, t=t)
     if not r_T > 0.0:
         raise DomainError(f"disk radius must be positive, got {r_T!r}")
     if r < r_T:

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared across the package, and the one check that
-every function taking a count applies to it.
+"""Exception hierarchy shared across the package, the one check that
+every function taking a count applies to it, and the finiteness check of
+real arguments.
 
 The CLI maps these onto distinct exit codes (see ``trapprob.cli``):
 DomainError -> 1, HypothesisError -> 2, ConvergenceError -> 3.
 """
+
+import math
 
 
 class TrapProbError(Exception):
@@ -35,3 +38,11 @@ def require_count(n, what="count", minimum=1):
     except (TypeError, ValueError, OverflowError):  # int() of nan, inf or a non-number
         pass
     raise DomainError(f"{what} must be an integer >= {minimum}, got {n!r}")
+
+
+def require_finite(**args):
+    """DomainError naming the first of the keyword arguments that is not
+    finite."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")

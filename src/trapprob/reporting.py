@@ -8,7 +8,6 @@ platform; timestamps live only in the manifest.
 
 import json
 import math
-from dataclasses import asdict, dataclass
 
 FLOAT_FORMAT = "%.12g"
 
@@ -17,21 +16,6 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 # svg_lineplot's canvas (width, height) in pixels and its y-axis range
 SVG_SIZE = (720, 480)
 SVG_Y_RANGE = (0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance of one CLI invocation; rerunning with the same command and
-    seed reproduces the CSV outputs byte for byte.  ``sampler_stream`` names
-    the version of the sampler's random stream (``SAMPLER_STREAM``)."""
-
-    command: str
-    seed: int
-    parameters: dict
-    tool_version: str
-    sampler_stream: str
-    started: str
-    finished: str
 
 
 def format_cell(value):
@@ -55,8 +39,9 @@ def write_csv(path, header, rows):
 
 
 def write_manifest(path, manifest):
+    """Write a run manifest (a JSON-serialisable dict) with sorted keys."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

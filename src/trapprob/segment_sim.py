@@ -333,6 +333,19 @@ def wilson_interval(successes, n, z=Z_99):
     return np.clip(center - half, 0.0, 1.0), np.clip(center + half, 0.0, 1.0)
 
 
+def _check_grid(times):
+    """``times`` as a float array; DomainError unless it is a non-empty 1-d
+    grid of finite times in ascending order."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise DomainError("times must be a non-empty 1-d grid")
+    if not np.isfinite(times).all():
+        raise DomainError("grid times must be finite")
+    if np.any(np.diff(times) < 0):
+        raise DomainError("times grid must be ascending")
+    return times
+
+
 def survival_curve(records, times, r):
     """Empirical capture proportion at each grid time with Wilson 99% bands.
 
@@ -345,13 +358,7 @@ def survival_curve(records, times, r):
     """
     if len(records) == 0:
         raise DomainError("survival_curve needs at least one record")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise DomainError("times must be a non-empty 1-d grid")
-    if not np.isfinite(times).all():
-        raise DomainError("grid times must be finite")
-    if np.any(np.diff(times) < 0):
-        raise DomainError("times grid must be ascending")
+    times = _check_grid(times)
     censored = records.censored
     censored_times = records.time[censored]
     if censored_times.size and censored_times.min() <= times[-1]:

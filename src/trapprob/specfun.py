@@ -130,11 +130,19 @@ class BoundedValue:
 
 
 def harmonic_number(n):
-    """n-th harmonic number 1 + 1/2 + ... + 1/n (0 for n = 0)."""
+    """n-th harmonic number 1 + 1/2 + ... + 1/n (0 for n = 0).
+
+    Below 48 it is read from the extended-precision table.  From 48 on it is
+    the asymptotic expansion ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4)
+    - 1/(252n^6), in constant time; its first omitted term 1/(240n^8) is
+    below 1.6e-16 there, and the result is within about 1 ulp of H_n.
+    """
     n = require_count(n, "harmonic_number's n", minimum=0)
     if n < _NSER:
         return float(_HARM_LD[n])
-    return math.fsum(1.0 / k for k in range(1, n + 1))
+    x = float(n)
+    inv2 = 1.0 / (x * x)
+    return math.log(x) + (GAMMA + (0.5 / x - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 / 252.0))))
 
 
 def bessel_i(order, x):
@@ -311,9 +319,7 @@ def k0_bounds(x, m):
     """
     if not 0.0 < x < math.inf:
         raise DomainError(f"k0_bounds requires finite x > 0, got {x!r}")
-    if not (math.isfinite(m) and m == int(m) and m >= 0):
-        raise DomainError(f"k0_bounds needs a nonnegative integer order, got {m!r}")
-    m = int(m)
+    m = require_count(m, "k0_bounds' order", minimum=0)
     x = float(x)
     return _k0_bracket(x, m, _phi_partial(x, m)[m], bessel_i(0, x) if x <= 50.0 else math.inf)
 

@@ -4,7 +4,10 @@ Each check compares a Monte Carlo quantity from the segment sampler against
 the disk-oracle closed forms and packages the comparison as a
 :class:`BoundReport`: left side, right side, margin, and a verdict that
 tolerates Monte Carlo noise explicitly (3 standard errors plus the full
-censoring bracket) rather than by silent fudge factors.
+censoring bracket) rather than by silent fudge factors.  Both theorem
+checks turn the sampler's records into that bracket of the Abelian mean
+E[exp(-T/tau)] with one helper, ``_abelian_bracket``: theorem 1 from walks
+released on a circle, theorem 2 from walks that all start at z.
 
 The two theorem checks:
 
@@ -27,8 +30,8 @@ import numpy as np
 
 from trapprob.conformal import PlanePoint, green_segment, make_segment_trap, r_z
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
-from trapprob.errors import DomainError, HypothesisError, require_count
-from trapprob.segment_sim import release_circle, sample_batch, survival_curve
+from trapprob.errors import DomainError, HypothesisError, require_count, require_finite
+from trapprob.segment_sim import _check_grid, release_circle, sample_batch, survival_curve
 
 # Cap the simulated horizon at this multiple of tau: the censoring bracket
 # exp(-t_max/tau) = exp(-20) ~ 2e-9 is then negligible against MC noise.
@@ -142,7 +145,8 @@ def _capture_table(trap, radii, times, n, seed):
     ``times`` (original units; walks are capped at its last point).  The
     trajectories of radius k have indices k*n on.
     """
-    for r in radii:  # before any walk; radii <= 0 keep the walk's own message
+    _check_grid(times)  # before any walk, like the radii
+    for r in radii:  # radii <= 0 keep the walk's own message
         if 0.0 < r < trap.r_T:
             raise DomainError(f"release radius {r!r} inside the disk of radius {trap.r_T!r}")
     n = require_count(n, "trajectory count")
@@ -157,11 +161,6 @@ def _capture_table(trap, radii, times, n, seed):
     return prop, lo, hi, pd
 
 
-def _check_tau(tau):
-    if not math.isfinite(tau):
-        raise DomainError(f"tau must be finite, got {tau!r}")
-
-
 def check_theorem1(trap, r, tau, n, seed):
     """Check |f_hat(r, tau) - f_disk(r, r_T, tau)| <= 2.9 (d^2/tau) f_disk.
 
@@ -170,7 +169,7 @@ def check_theorem1(trap, r, tau, n, seed):
     the oracle itself (the two distributions coincide), which makes this a
     zero-lhs self-test.
     """
-    _check_tau(tau)
+    require_finite(tau=tau)
     n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
     if not tau > 0.5 * math.e * d2:
@@ -203,7 +202,7 @@ def check_theorem2(trap, z, tau, n, seed):
     returned as None.  Raises HypothesisError when both fail, DomainError
     for a non-finite tau.
     """
-    _check_tau(tau)
+    require_finite(tau=tau)
     n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
     rz = r_z(trap, z)

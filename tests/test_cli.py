@@ -16,7 +16,7 @@ import trapprob.segment_sim
 import trapprob.verify
 from trapprob.cli import main
 from trapprob.segment_sim import SAMPLER_STREAM
-from trapprob.reporting import RunManifest, format_cell, svg_lineplot, write_csv
+from trapprob.reporting import format_cell, svg_lineplot, write_csv
 
 # ---------------------------------------------------------------------------
 # reporting primitives
@@ -196,7 +196,8 @@ def test_disk_degenerate_inputs_exit_1(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--points", "-1"], ["--x-max", "inf"], ["--max-m", "48"], ["--x-max", "1.7976931348623157e308"]]
+    "flags",
+    [["--points", "-1"], ["--x-max", "inf"], ["--max-m", "48"], ["--x-max", "1.7976931348623157e308"], ["--max-m", "-1"]],
 )
 def test_bessel_bad_grid_exits_1(flags, capsys):
     assert main(["bessel", *flags]) == 1

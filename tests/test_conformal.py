@@ -205,6 +205,35 @@ def test_green_grows_logarithmically():
         assert abs(g - math.log(radius / 0.5) / math.pi) < tol
 
 
+# past about 9e307, phi(z) ~ 2z (or its modulus) leaves the double range
+HUGE_POINTS = [
+    (7e307, 7e307),
+    (9e307, 0.0),
+    (-9e307, -0.0),
+    (1e308, 1e308),
+    (-1.7e308, 1.7e308),
+    (0.0, 1.79e308),
+    (1.7976931348623157e308, -1.7976931348623157e308),
+]
+
+
+@pytest.mark.parametrize("x, y", HUGE_POINTS)
+def test_green_at_the_edge_of_the_double_range_matches_mpmath(x, y):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z = mpmath.mpc(x, y)
+        want = float(mpmath.log(abs(z + mpmath.sqrt(z - 1) * mpmath.sqrt(z + 1))) / mpmath.pi)
+    assert_allclose(green_segment(PlanePoint(x, y)), want, rtol=4e-16)
+
+
+def test_phi_outside_the_double_range_raises():
+    with pytest.raises(DomainError, match="outside the double range"):
+        phi_segment(PlanePoint(9e307, 0.0))
+    # just below, phi is a double and green_segment reads it as before
+    assert abs(phi_segment(PlanePoint(8e307, 0.0)).real - 1.6e308) < 1e293
+    assert green_segment(PlanePoint(8e307, 0.0)) == math.log(abs(phi_segment(PlanePoint(8e307, 0.0)))) / math.pi
+
+
 def test_green_monotone_along_ray():
     radii = np.geomspace(1.5, 1e4, 50)
     vals = [green_segment(PlanePoint(float(r), 0.0)) for r in radii]

@@ -79,9 +79,9 @@ T_MAX = st.one_of(
 SEEDS = st.one_of(st.sampled_from([-1, 0, 2**64 - 1, 2**64]), st.integers(0, 2**64 - 1))
 # FLOATS as counts (nan, infinities, fractions, negatives and zero), and
 # small integers.  A finite integral count above COUNT_MAX asks for that
-# many points, walks or terms (harmonic_number sums n terms, about 1 s at
-# n = 1e7), so it measures memory and time, not the count check, and is
-# left out.
+# many points or walks, so it measures memory and time, not the count
+# check, and is left out (harmonic_number, which takes any count in
+# constant time, also gets integral counts up to 1e15).
 COUNT_MAX = 64
 COUNTS = st.one_of(
     st.integers(-2, COUNT_MAX),
@@ -200,15 +200,22 @@ def test_count_arguments_are_integral_or_raise(n):
     try:
         nodes, weights = harmonic_measure_nodes(n)
     except TrapProbError:
-        nodes = None
-    if nodes is not None:
-        assert n == int(n) >= 1 and nodes.shape == weights.shape == (int(n),)
-        assert (np.abs(nodes) < 1.0).all() and math.isclose(weights.sum(), 1.0, rel_tol=1e-14)
+        return
+    assert n == int(n) >= 1 and nodes.shape == weights.shape == (int(n),)
+    assert (np.abs(nodes) < 1.0).all() and math.isclose(weights.sum(), 1.0, rel_tol=1e-14)
+
+
+@PROPERTY
+@given(st.one_of(COUNTS, st.integers(0, 10**15), st.integers(0, 10**15).map(float)))
+def test_harmonic_number_is_integral_or_raises(n):
     try:
         h = harmonic_number(n)
     except TrapProbError:
         return
+    # ln(n + 1) <= H_n <= 1 + ln n for n >= 1
     assert n == int(n) >= 0 and math.isfinite(h) and h >= 0.0
+    if n >= 1:
+        assert math.log1p(n) * (1.0 - 1e-15) <= h <= (1.0 + math.log(n)) * (1.0 + 1e-15)
 
 
 @PROPERTY

@@ -64,6 +64,16 @@ def test_harmonic_large_matches_digamma():
         assert_allclose(harmonic_number(n), sp.digamma(n + 1) + GAMMA, rtol=1e-14)
 
 
+def test_harmonic_expansion_within_two_ulp_of_mpmath():
+    # from n = 48 on, harmonic_number is the asymptotic expansion; a count
+    # of 1e15 returns at once rather than summing 1e15 terms
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for n in [*range(48, 2001, 7), 2000, 10**4, 10**6, 10**9, 2**53 - 1, 10**15]:
+            want = mpmath.harmonic(n)
+            assert abs(harmonic_number(n) - want) <= 2.0 * math.ulp(float(want)), n
+
+
 def test_harmonic_rejects_bad_input():
     with pytest.raises(DomainError):
         harmonic_number(-1)

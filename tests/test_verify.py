@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import trapprob.verify
+
 from trapprob.conformal import (
     PlanePoint,
+    green_segment,
     make_disk_trap,
     make_segment_trap,
 )
@@ -97,6 +100,16 @@ def test_theorem2_far_point_does_not_overflow(segment):
     lower, upper = check_theorem2(segment, PlanePoint(1e200, 0.0), 1e300, 10, SEED)
     assert upper is None and lower is not None
     assert math.isfinite(lower.lhs) and math.isfinite(lower.rhs)
+
+
+def test_theorem2_at_the_edge_of_the_double_range(segment):
+    # phi(z) ~ 2z passes the double range here; the lower side must still
+    # compare a finite left side, not -inf
+    z = PlanePoint(1e308, 1e308)
+    lower, upper = check_theorem2(segment, z, 1e300, 10, SEED)
+    assert upper is None
+    base = 1.0 - 2.0 * math.pi * green_segment(z) / math.log(1e300 / segment.tau0)
+    assert math.isfinite(lower.lhs) and lower.lhs == base - 0.8 * 4.0 / 1e300
 
 
 def test_theorem1_disk_self_test():
@@ -258,6 +271,20 @@ def test_conjecture_probe_equals_a_cell_by_cell_loop():
 def test_conjecture_probe_radius_gate(segment):
     with pytest.raises(DomainError):
         conjecture_probe(segment, [0.25, 5.0], [1.0], 100, seed=0)
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [([], "non-empty 1-d grid"), ([10.0, 1.0], "ascending"), ([1.0, math.nan], "finite"), ([math.nan, 1.0], "finite")],
+)
+def test_time_grids_are_checked_before_any_walk(segment, monkeypatch, grid, message):
+    walks = []
+    monkeypatch.setattr(trapprob.verify, "release_and_sample", lambda *args, **kwargs: walks.append(args))
+    with pytest.raises(DomainError, match=message):
+        figure_series(radii=(1.0, 5.0), t_grid=grid, n=10, seed=0)
+    with pytest.raises(DomainError, match=message):
+        conjecture_probe(segment, [1.0, 5.0], grid, 10, 0)
+    assert walks == []
 
 
 def test_figure_series_shape_and_bands():

@@ -372,4 +372,3 @@ def survival_curve(records, times, r):
     frac = counts / n
     lo, hi = wilson_interval(counts, n)
     return SurvivalCurve(times, frac, lo, hi, n, float(r))
-

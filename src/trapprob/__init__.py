@@ -13,7 +13,6 @@ from trapprob.conformal import (
     TrapGeometry,
     green_segment,
     harmonic_measure_nodes,
-    make_disk_trap,
     make_segment_trap,
     phi_segment,
     r_z,
@@ -30,7 +29,6 @@ from trapprob.segment_sim import (
     SurvivalCurve,
     release_circle,
     sample_batch,
-    sample_hit,
     survival_curve,
     wilson_interval,
 )
@@ -76,14 +74,12 @@ __all__ = [
     "hunt_approx",
     "k0",
     "k0_bounds",
-    "make_disk_trap",
     "make_segment_trap",
     "p_disk",
     "phi_segment",
     "r_z",
     "release_circle",
     "sample_batch",
-    "sample_hit",
     "survival_curve",
     "wilson_interval",
 ]

@@ -187,7 +187,11 @@ def _cmd_simulate(args):
     censored = records.censored.tolist()
     xs = [None if cen else x for x, cen in zip((c + h * records.x).tolist(), censored)]
     ys = [None if cen else 0.0 for cen in censored]
-    columns = (range(len(records)), (records.time * h * h).tolist(), xs, ys, censored, records.steps.tolist())
+    # a censored walk's time may pass the double range once scaled back
+    # from units of h^2; it is then longer than any cap and reads inf
+    with np.errstate(over="ignore"):
+        times = (records.time * h * h).tolist()
+    columns = (range(len(records)), times, xs, ys, censored, records.steps.tolist())
     _write_run(args, {"records.csv": (["index", "time", "x", "y", "censored", "steps"], zip(*columns))})
     n_censored = int(records.censored.sum())
     mean_steps = float(records.steps.mean())

@@ -1,9 +1,10 @@
 """Trap geometry: conformal radius, the segment's exterior conformal map,
 its Green's function with pole at infinity, and harmonic measure.
 
-Two trap shapes are supported: an axis-aligned segment [a, b] x {0} and an
-origin-centered disk.  A segment of length L has conformal radius L/4; the
-normalized segment [-1, 1] has the explicit exterior map
+The trap is an axis-aligned segment [a, b] x {0}; the disk it is compared
+with enters only through its radius, in ``disk_oracle``.  A segment of
+length L has conformal radius L/4; the normalized segment [-1, 1] has the
+explicit exterior map
 
     phi(z) = z + sqrt(z^2 - 1),   |phi(z)| > 1 off the segment,
 
@@ -44,24 +45,17 @@ class PlanePoint:
     def as_complex(self):
         return complex(self.x, self.y)
 
-    def __abs__(self):
-        return math.hypot(self.x, self.y)
-
 
 @dataclass(frozen=True)
 class TrapGeometry:
-    """A segment or disk trap with its derived constants.
+    """A segment trap with its derived constants.
 
     Attributes
     ----------
-    kind : str
-        ``"segment"`` or ``"disk"``.
     a, b : float
-        Segment endpoints on the horizontal axis (segment kind only).
-    radius : float
-        Disk radius (disk kind only).
+        Segment endpoints on the horizontal axis.
     r_T : float
-        Conformal radius: (b - a)/4 for a segment, the radius for a disk.
+        Conformal radius (b - a)/4.
     r0 : float
         max over the trap of |w|.
     diam : float
@@ -72,10 +66,8 @@ class TrapGeometry:
         (1/2) e^(2 gamma) r_T^2, the natural time scale of the trap.
     """
 
-    kind: str
     a: float
     b: float
-    radius: float
     r_T: float
     r0: float
     diam: float
@@ -97,33 +89,13 @@ def make_segment_trap(a, b):
         raise DomainError(f"segment length {diam!r} is outside the double range once squared")
     d = max(diam, _E_GAMMA * r_t)
     return TrapGeometry(
-        kind="segment",
         a=a,
         b=b,
-        radius=math.nan,
         r_T=r_t,
         r0=max(abs(a), abs(b)),
         diam=diam,
         d=d,
         tau0=0.5 * math.exp(2.0 * GAMMA) * r_t * r_t,
-    )
-
-
-def make_disk_trap(radius):
-    """Build the geometry record for the origin-centered disk of given radius."""
-    radius = float(radius)
-    if not radius > 0.0:
-        raise DomainError(f"disk radius must be positive, got {radius!r}")
-    return TrapGeometry(
-        kind="disk",
-        a=math.nan,
-        b=math.nan,
-        radius=radius,
-        r_T=radius,
-        r0=radius,
-        diam=2.0 * radius,
-        d=2.0 * radius,  # 2 r_T > e^gamma r_T since e^gamma < 2
-        tau0=0.5 * math.exp(2.0 * GAMMA) * radius * radius,
     )
 
 
@@ -202,13 +174,7 @@ def harmonic_measure_nodes(n):
 def r_z(trap, z):
     """max(sup over the trap of |w - z|, e^gamma r_T).
 
-    For a segment the supremum is attained at an endpoint; for a disk it is
-    |z| + radius.
+    The supremum is attained at an endpoint of the segment.
     """
-    if trap.kind == "segment":
-        far = max(math.hypot(z.x - trap.a, z.y), math.hypot(z.x - trap.b, z.y))
-    elif trap.kind == "disk":
-        far = abs(z) + trap.radius
-    else:
-        raise DomainError(f"unknown trap kind {trap.kind!r}")
+    far = max(math.hypot(z.x - trap.a, z.y), math.hypot(z.x - trap.b, z.y))
     return max(far, _E_GAMMA * trap.r_T)

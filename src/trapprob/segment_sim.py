@@ -87,16 +87,15 @@ class SurvivalCurve:
     release_radius: float
 
 
-def _check_seed(seed):
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
-
-
-def _check_first_index(first_index, n):
-    """The trajectory indices first_index .. first_index + n - 1 must all lie
-    in [0, 2^64): past the top they would wrap onto another batch's streams."""
-    if not (isinstance(first_index, numbers.Integral) and 0 <= int(first_index) <= 2**64 - max(n, 1)):
-        raise DomainError(f"first_index must be an integer in [0, 2^64 - {max(n, 1)}], got {first_index!r}")
+def _check_word64(value, what, span=1):
+    """DomainError unless ``value`` is an integer and value .. value + span - 1
+    all lie in [0, 2^64), the range of a Philox key or trajectory index:
+    past the top an index would wrap onto another batch's streams, and a
+    float would reach the kernel's bit operations."""
+    span = max(span, 1)
+    if not (isinstance(value, numbers.Integral) and 0 <= int(value) <= 2**64 - span):
+        bound = "[0, 2^64)" if span == 1 else f"[0, 2^64 - {span}]"
+        raise DomainError(f"{what} must be in {bound} and an integer, got {value!r}")
 
 
 def philox4x32(c0, c1, c2, c3, k0, k1):
@@ -164,53 +163,6 @@ def jump_to_axis(x, y, g1, g2):
     return x + abs(y) / abs(g1) * g2, q * q
 
 
-def jump_to_line(x, g1, g2):
-    """One on-axis move from |x| > 1: land on the vertical line x = sign(x).
-
-    Returns (new_x, new_y, elapsed) with new_x = sign(x), vertical offset
-    (|x|-1)/|g1| * g2 and elapsed time (|x|-1)^2/g1^2.
-    """
-    gap = abs(x) - 1.0
-    q = gap / g1  # squared by a product, as in sample_batch
-    return math.copysign(1.0, x), gap / abs(g1) * g2, q * q
-
-
-def sample_hit(start, t_max, rng):
-    """Simulate one trajectory from ``start`` against the normalized segment.
-
-    Each step consumes exactly two standard-normal draws from ``rng`` (a
-    pair is redrawn in the measure-zero event that the first draw underflows
-    to exactly 0).  Returns one ``RECORD_DTYPE`` row (a ``np.record``);
-    raises ConvergenceError if the walk exceeds STEP_CAP steps.  This is the
-    scalar reference for :func:`sample_batch`: fed that kernel's normals, it
-    returns the same record.
-    """
-    if not t_max > 0.0:
-        raise DomainError(f"t_max must be positive, got {t_max!r}")
-    x, y = float(start.x), float(start.y)
-    elapsed = 0.0
-    steps = 0
-    while not (y == 0.0 and abs(x) <= 1.0 + ENDPOINT_TOL):
-        if steps >= STEP_CAP:
-            raise ConvergenceError(
-                f"trajectory from ({start.x}, {start.y}) exceeded {STEP_CAP} steps"
-            )
-        g1, g2 = rng.standard_normal(2)
-        while g1 == 0.0:
-            g1, g2 = rng.standard_normal(2)
-        if y != 0.0:
-            x, dt = jump_to_axis(x, y, g1, g2)
-            y = 0.0
-        else:
-            x, y, dt = jump_to_line(x, g1, g2)
-        elapsed += dt
-        steps += 1
-        if elapsed > t_max:  # censored, even where the landing is on the trap
-            x = math.nan
-            break
-    return np.rec.fromrecords([(elapsed, x, elapsed > t_max, steps)], dtype=RECORD_DTYPE)[0]
-
-
 def release_circle(r, n, seed, first_index=0):
     """n independent uniform points on the circle of radius r (origin center).
 
@@ -222,8 +174,8 @@ def release_circle(r, n, seed, first_index=0):
     if not r > 0.0:
         raise DomainError(f"release radius must be positive, got {r!r}")
     n = require_count(n, "release count")
-    _check_seed(seed)
-    _check_first_index(first_index, n)
+    _check_word64(seed, "seed")
+    _check_word64(first_index, "first_index", n)
     index = np.uint64(first_index) + np.arange(n, dtype=np.uint64)
     w0, w1, _, _ = philox4x32(0, 1, index & _MASK32, index >> 32, seed & _MASK32, seed >> 32)
     theta = (2.0 * np.pi) * _open_unit(w0, w1)
@@ -257,10 +209,10 @@ def sample_batch(starts, t_max, seed, first_index=0):
     """
     if not t_max > 0.0:
         raise DomainError(f"t_max must be positive, got {t_max!r}")
-    _check_seed(seed)
+    _check_word64(seed, "seed")
     x0 = np.array([p.x for p in starts], dtype=float)
     y0 = np.array([p.y for p in starts], dtype=float)
-    _check_first_index(first_index, x0.size)
+    _check_word64(first_index, "first_index", x0.size)
     # the result columns, filled row by row and packed into records once
     times = np.zeros(x0.size)
     xs = x0.copy()  # the start rows on the trap keep their abscissa
@@ -283,7 +235,8 @@ def sample_batch(starts, t_max, seed, first_index=0):
             ahead = max(1, min(DRAW_AHEAD, DRAW_AHEAD**2 // pos.size, STEP_CAP - step))
             g1s, g2s = philox_normals(seed, index, np.arange(step, step + ahead)[:, None])
         g1, g2, g1s, g2s = g1s[0], g2s[0], g1s[1:], g2s[1:]
-        # jump_to_axis where y != 0, jump_to_line where y == 0 (|x| > 1)
+        # jump_to_axis where y != 0; where y == 0 (|x| > 1), a jump to the
+        # vertical line through the nearer endpoint
         on_axis = y == 0.0
         dist = np.where(on_axis, np.abs(x) - 1.0, np.abs(y))
         offset = dist / np.abs(g1) * g2

@@ -88,18 +88,6 @@ def _normalize(trap, p):
     return PlanePoint((p.x - c) / h, p.y / h)
 
 
-def _green(trap, z):
-    """Green's function with pole at infinity, either trap kind."""
-    if trap.kind == "segment":
-        return green_segment(_normalize(trap, z))
-    if trap.kind == "disk":
-        rr = abs(z)
-        if rr <= trap.radius:
-            return 0.0
-        return math.log(rr / trap.radius) / math.pi
-    raise DomainError(f"unknown trap kind {trap.kind!r}")
-
-
 def release_and_sample(trap, r, n, t_max, seed, first_index=0):
     """Simulate n trajectories released uniformly on the circle of radius r
     (origin centre) against a segment trap, capped at time t_max.
@@ -145,10 +133,12 @@ def _capture_table(trap, radii, times, n, seed):
     ``times`` (original units; walks are capped at its last point).  The
     trajectories of radius k have indices k*n on.
     """
-    _check_grid(times)  # before any walk, like the radii
+    times = _check_grid(times)  # before any walk, like the radii and p_disk's time rule
     for r in radii:  # radii <= 0 keep the walk's own message
         if 0.0 < r < trap.r_T:
             raise DomainError(f"release radius {r!r} inside the disk of radius {trap.r_T!r}")
+    if times[0] < 0.0:
+        raise DomainError(f"time must be >= 0, got {float(times[0])!r}")
     n = require_count(n, "trajectory count")
     h = _frame(trap)[1]
     prop, lo, hi, pd = np.empty((4, len(radii), times.size))
@@ -164,10 +154,10 @@ def _capture_table(trap, radii, times, n, seed):
 def check_theorem1(trap, r, tau, n, seed):
     """Check |f_hat(r, tau) - f_disk(r, r_T, tau)| <= 2.9 (d^2/tau) f_disk.
 
-    Requires tau > (e/2) d^2 and r >= r0 (HypothesisError otherwise) and a
-    finite tau (DomainError).  For a disk trap the sampler is replaced by
-    the oracle itself (the two distributions coincide), which makes this a
-    zero-lhs self-test.
+    f_hat is the Monte Carlo bracket of walks released on the circle of
+    radius r; f_disk is the exact mean for the disk of the segment's
+    conformal radius.  Requires tau > (e/2) d^2 and r >= r0
+    (HypothesisError otherwise) and a finite tau (DomainError).
     """
     require_finite(tau=tau)
     n = require_count(n, "trajectory count")
@@ -180,14 +170,11 @@ def check_theorem1(trap, r, tau, n, seed):
         raise HypothesisError(f"release radius {r:g} is below r0 = {trap.r0:g}")
     fd = f_disk(r, trap.r_T, tau)
     rhs = 2.9 * d2 / tau * fd
-    if trap.kind == "disk":
-        mid, slack = fd, 0.0
-    else:
-        h = _frame(trap)[1]
-        records = release_and_sample(trap, float(r), n, TMAX_OVER_TAU * tau, seed)
-        mid, slack = _abelian_bracket(records, tau / (h * h))
+    h = _frame(trap)[1]
+    records = release_and_sample(trap, float(r), n, TMAX_OVER_TAU * tau, seed)
+    mid, slack = _abelian_bracket(records, tau / (h * h))
     return _report(
-        f"theorem1[{trap.kind} r={r:g} tau={tau:g} n={n}]",
+        f"theorem1[segment r={r:g} tau={tau:g} n={n}]",
         abs(mid - fd),
         rhs,
         slack,
@@ -214,14 +201,12 @@ def check_theorem2(trap, z, tau, n, seed):
             f"tau={tau:g} satisfies neither tau > (e/2) d^2 = {0.5 * math.e * d2:g} "
             f"nor tau > (e/2) R_z^2 = {0.5 * math.e * rz2:g}"
         )
-    base = 1.0 - 2.0 * math.pi * _green(trap, z) / math.log(tau / trap.tau0)
-    if trap.kind == "disk":
-        mid, slack = f_disk(abs(z), trap.r_T, tau), 0.0
-    else:
-        h = _frame(trap)[1]
-        records = sample_batch([_normalize(trap, z)] * n, _unit_time(TMAX_OVER_TAU * tau, h), seed)
-        mid, slack = _abelian_bracket(records, tau / (h * h))
-    tag = f"{trap.kind} z=({z.x:g},{z.y:g}) tau={tau:g} n={n}"
+    unit_z = _normalize(trap, z)
+    base = 1.0 - 2.0 * math.pi * green_segment(unit_z) / math.log(tau / trap.tau0)
+    h = _frame(trap)[1]
+    records = sample_batch([unit_z] * n, _unit_time(TMAX_OVER_TAU * tau, h), seed)
+    mid, slack = _abelian_bracket(records, tau / (h * h))
+    tag = f"segment z=({z.x:g},{z.y:g}) tau={tau:g} n={n}"
     lower = None
     if lower_ok:
         lower = _report(f"theorem2-lower[{tag}]", base - 0.8 * d2 / tau, mid, slack)
@@ -276,7 +261,9 @@ def figure_series(radii=None, t_grid=None, n=100000, seed=0):
         radii = DEFAULT_RADII
     if t_grid is None:
         t_grid = np.logspace(-1.0, 5.0, 25)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _check_grid(t_grid)
+    if t_grid[0] <= 0.0:  # hunt_approx's rule, before any walk
+        raise DomainError(f"time must be positive, got {float(t_grid[0])!r}")
     radii = [float(r) for r in radii]
     trap = make_segment_trap(-1.0, 1.0)  # r_T = 1/2 exactly
     prop, lo, hi, pd = (a.tolist() for a in _capture_table(trap, radii, t_grid, n, seed))

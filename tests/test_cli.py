@@ -275,6 +275,19 @@ def test_simulate_shifted_segment(tmp_path):
     assert 0 < n_hit < 400
 
 
+def test_simulate_time_past_the_double_range_reads_inf(tmp_path):
+    # on a segment of half-length 1e153 the walk's times are in units of
+    # 1e306; a censored time past 180 units overflows when scaled back and
+    # must read inf, without a numpy overflow warning (an error here)
+    rc = main(["simulate", "--a", "-1e153", "--b", "1e153", "--radius", "2e153", "--n", "50",
+               "--tmax", "1e306", "--seed", "0", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    cells = [ln.split(",") for ln in (tmp_path / "records.csv").read_text().strip().splitlines()[1:]]
+    times = [float(row[1]) for row in cells]
+    assert math.inf in times
+    assert all(t > 1e306 for t, row in zip(times, cells) if row[4] == "1")
+
+
 def test_simulate_negative_seed_exits_1(tmp_path, capsys):
     rc = main(["simulate", "--radius", "2", "--n", "5", "--seed", "-1", "--out-dir", str(tmp_path)])
     assert rc == 1

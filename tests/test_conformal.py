@@ -13,7 +13,6 @@ from trapprob import (
     PlanePoint,
     green_segment,
     harmonic_measure_nodes,
-    make_disk_trap,
     make_segment_trap,
     phi_segment,
     r_z,
@@ -38,7 +37,6 @@ GREEN_REF = {
 
 def test_unit_segment_constants():
     trap = make_segment_trap(-1.0, 1.0)
-    assert trap.kind == "segment"
     assert trap.r_T == 0.25 * 2.0
     assert trap.r0 == 1.0
     assert trap.diam == 2.0
@@ -64,21 +62,11 @@ def test_offset_segment_fields():
     assert_allclose(trap.tau0, 4.0 * 0.3965273697656813, rtol=1e-14)
 
 
-def test_disk_trap_fields():
-    trap = make_disk_trap(0.5)
-    assert trap.kind == "disk"
-    assert trap.r_T == 0.5
-    assert trap.diam == 1.0 == trap.d
-    assert trap.r0 == 0.5
-
-
 def test_degenerate_traps_rejected():
     with pytest.raises(DomainError):
         make_segment_trap(1.0, 1.0)
     with pytest.raises(DomainError):
         make_segment_trap(2.0, -2.0)
-    with pytest.raises(DomainError):
-        make_disk_trap(0.0)
 
 
 @pytest.mark.parametrize(
@@ -93,7 +81,7 @@ def test_segment_outside_the_double_range_rejected(a, b):
 
 def test_plane_point_basics():
     p = PlanePoint(3.0, -4.0)
-    assert abs(p) == 5.0
+    assert math.hypot(p.x, p.y) == 5.0
     assert p.as_complex == complex(3.0, -4.0)
     with pytest.raises(DomainError):
         PlanePoint(math.inf, 0.0)
@@ -324,17 +312,10 @@ def test_r_z_segment():
 
 
 def test_r_z_floor():
-    # a segment can never trigger the e^gamma r_T floor (its half-length
-    # 2 r_T already exceeds e^gamma r_T), but a disk does near its center
+    # a segment can never trigger the e^gamma r_T floor: its half-length
+    # 2 r_T already exceeds e^gamma r_T
     trap = make_segment_trap(-1.0, 1.0)
     assert r_z(trap, PlanePoint(0.0, 0.01)) > E_GAMMA * 0.5
-    disk = make_disk_trap(2.0)
-    assert r_z(disk, PlanePoint(0.1, 0.0)) == E_GAMMA * 2.0
-
-
-def test_r_z_disk():
-    trap = make_disk_trap(2.0)
-    assert r_z(trap, PlanePoint(3.0, 4.0)) == 7.0
 
 
 def test_scaling_covariance():

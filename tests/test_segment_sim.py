@@ -20,14 +20,12 @@ from trapprob import (
     make_segment_trap,
     release_circle,
     sample_batch,
-    sample_hit,
     survival_curve,
     wilson_interval,
 )
 from trapprob.segment_sim import (
     RECORD_DTYPE,
     jump_to_axis,
-    jump_to_line,
     philox4x32,
     philox_normals,
 )
@@ -49,6 +47,60 @@ def _numpy_philox(seed, index):
     """numpy's Philox generator keyed by (seed, index): a draw source for
     sample_hit independent of the walk's kernel."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+# ---------------------------------------------------------------------------
+# the scalar reference walk: one trajectory at a time, one pair of normals
+# per step from any draw source
+# ---------------------------------------------------------------------------
+
+def jump_to_line(x, g1, g2):
+    """One on-axis move from |x| > 1: land on the vertical line x = sign(x)
+    (the scalar form of sample_batch's on-axis step).
+
+    Returns (new_x, new_y, elapsed) with new_x = sign(x), vertical offset
+    (|x|-1)/|g1| * g2 and elapsed time (|x|-1)^2/g1^2.
+    """
+    gap = abs(x) - 1.0
+    q = gap / g1  # squared by a product, as in sample_batch
+    return math.copysign(1.0, x), gap / abs(g1) * g2, q * q
+
+
+def sample_hit(start, t_max, rng):
+    """Simulate one trajectory from ``start`` against the normalized segment.
+
+    Each step consumes exactly two standard-normal draws from ``rng`` (a
+    pair is redrawn in the measure-zero event that the first draw underflows
+    to exactly 0).  Returns one ``RECORD_DTYPE`` row (a ``np.record``);
+    raises ConvergenceError if the walk exceeds sim.STEP_CAP steps (read
+    at call time, so a test can lower it).  This is the scalar reference
+    for sample_batch: fed that kernel's normals, it returns the same
+    record.
+    """
+    if not t_max > 0.0:
+        raise DomainError(f"t_max must be positive, got {t_max!r}")
+    x, y = float(start.x), float(start.y)
+    elapsed = 0.0
+    steps = 0
+    while not (y == 0.0 and abs(x) <= 1.0 + sim.ENDPOINT_TOL):
+        if steps >= sim.STEP_CAP:
+            raise ConvergenceError(
+                f"trajectory from ({start.x}, {start.y}) exceeded {sim.STEP_CAP} steps"
+            )
+        g1, g2 = rng.standard_normal(2)
+        while g1 == 0.0:
+            g1, g2 = rng.standard_normal(2)
+        if y != 0.0:
+            x, dt = jump_to_axis(x, y, g1, g2)
+            y = 0.0
+        else:
+            x, y, dt = jump_to_line(x, g1, g2)
+        elapsed += dt
+        steps += 1
+        if elapsed > t_max:  # censored, even where the landing is on the trap
+            x = math.nan
+            break
+    return np.rec.fromrecords([(elapsed, x, elapsed > t_max, steps)], dtype=RECORD_DTYPE)[0]
 
 
 def _digest(records):
@@ -200,7 +252,7 @@ def test_zero_draw_redraw():
 def test_step_cap_raises(monkeypatch):
     monkeypatch.setattr(sim, "STEP_CAP", 1)
     with pytest.raises(ConvergenceError):
-        sim.sample_hit(PlanePoint(0.0, 1e6), math.inf, _numpy_philox(11, 0))
+        sample_hit(PlanePoint(0.0, 1e6), math.inf, _numpy_philox(11, 0))
     with pytest.raises(ConvergenceError):
         sim.sample_batch([PlanePoint(0.0, 1e6)] * 3, math.inf, seed=11)
 
@@ -404,7 +456,7 @@ def test_release_circle_geometry():
     pts = release_circle(7.0, 500, seed=1)
     assert len(pts) == 500
     for p in pts:
-        assert_allclose(abs(p), 7.0, rtol=1e-12)
+        assert_allclose(math.hypot(p.x, p.y), 7.0, rtol=1e-12)
 
 
 def test_release_circle_counter():
@@ -438,9 +490,13 @@ def test_release_circle_validation():
     for n in (0, -1, 2.5, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="release count"):
             release_circle(1.0, n, 0)
-    for seed in (-1, 2**64):
+    # a float seed is refused like a float first_index, not left to end in
+    # a TypeError at the kernel's bit operations
+    for seed in (-1, 2**64, 1.5, 2.0, np.float64(3.0), "0", None):
         with pytest.raises(DomainError, match="seed must be in"):
             release_circle(1.0, 5, seed)
+        with pytest.raises(DomainError, match="seed must be in"):
+            sample_batch([PlanePoint(0.0, 2.0)] * 3, 10.0, seed)
 
 
 @pytest.mark.parametrize("first_index", [2**64 - 2, 2**64 - 1, 2**64, -1, 1.5, 2.0, "0", None])

@@ -16,12 +16,12 @@ import trapprob.verify
 from trapprob.conformal import (
     PlanePoint,
     green_segment,
-    make_disk_trap,
     make_segment_trap,
 )
-from trapprob.disk_oracle import p_disk
+from trapprob.disk_oracle import f_disk, p_disk
 from trapprob.errors import DomainError, HypothesisError
 from trapprob.segment_sim import survival_curve
+from trapprob.specfun import GAMMA
 from trapprob.verify import (
     BoundReport,
     _report,
@@ -94,6 +94,14 @@ def test_theorems_reject_a_non_finite_tau(segment, tau):
         check_theorem2(segment, PlanePoint(5.0, 0.0), tau, 10, SEED)
 
 
+@pytest.mark.parametrize("seed", [2.0, 1.5, "0", None])
+def test_theorems_reject_a_seed_that_is_not_an_integer(segment, seed):
+    with pytest.raises(DomainError, match="seed"):
+        check_theorem1(segment, 5.0, 120.0, 10, seed=seed)
+    with pytest.raises(DomainError, match="seed"):
+        check_theorem2(segment, PlanePoint(5.0, 0.0), 120.0, 10, seed=seed)
+
+
 def test_theorem2_far_point_does_not_overflow(segment):
     # R_z ~ 1e200: its square is past the double range, so only the lower
     # side's hypothesis can hold
@@ -112,22 +120,10 @@ def test_theorem2_at_the_edge_of_the_double_range(segment):
     assert math.isfinite(lower.lhs) and lower.lhs == base - 0.8 * 4.0 / 1e300
 
 
-def test_theorem1_disk_self_test():
-    # For a disk trap the sampler is bypassed: lhs and slack are exactly 0.
-    trap = make_disk_trap(1.5)
-    rep = check_theorem1(trap, 4.0, 40.0, 10, seed=0)
-    assert rep.lhs == 0.0
-    assert rep.statistical_slack == 0.0
-    assert rep.verdict == "holds"
-    assert rep.rhs > 0.0
-
-
 def test_theorem1_segment_holds(segment):
     rep = check_theorem1(segment, 5.0, 120.0, 4000, seed=SEED)
     assert rep.verdict in ("holds", "holds_within_mc_error")
     # rhs is the closed form 2.9 (d^2 / tau) f_disk, independent of the MC run
-    from trapprob.disk_oracle import f_disk
-
     assert_allclose(rep.rhs, 2.9 * 4.0 / 120.0 * f_disk(5.0, 0.5, 120.0), rtol=1e-14)
     assert rep.statistical_slack > 0.0
     assert "theorem1" in rep.label
@@ -190,12 +186,26 @@ def test_theorem2_neither_side_raises(segment):
 
 
 def test_theorem2_disk_self_test():
-    trap = make_disk_trap(1.0)
-    lower, upper = check_theorem2(trap, PlanePoint(3.0, 0.0), 100.0, 10, seed=0)
-    assert lower.statistical_slack == 0.0
-    # mid is the exact disk value, so both sides must hold outright
-    assert lower.verdict == "holds"
-    assert upper.verdict == "holds"
+    # The theorem-2 sandwich on the exact disk of radius R = 1, no sampler:
+    # there d = 2R, R_z = |z| + R, H(z) = ln(|z|/R)/pi, and f_disk(|z|, R,
+    # tau) is the exact pointwise mean, which must lie between
+    # 1 - 2 ln(|z|/R)/ln(tau/tau0) -+ 0.8 d^2/tau (resp. 0.8 R_z^2/tau)
+    # at 60 tau up to 1e12, wherever that side's hypothesis holds
+    radius = 1.0
+    tau0 = 0.5 * math.exp(2.0 * GAMMA) * radius * radius
+    d2 = (2.0 * radius) ** 2
+    taus = np.logspace(math.log10(0.5 * math.e * d2) + 1e-9, 12.0, 60).tolist()
+    for r in (1.0001, 1.5, 3.0, 10.0, 100.0):
+        rz2 = (r + radius) ** 2
+        upper_sides = 0
+        for tau in taus:
+            mid = f_disk(r, radius, tau)
+            base = 1.0 - 2.0 * math.log(r / radius) / math.log(tau / tau0)
+            assert base - 0.8 * d2 / tau <= mid, (r, tau)
+            if tau > 0.5 * math.e * rz2:
+                assert mid <= base + 0.8 * rz2 / tau, (r, tau)
+                upper_sides += 1
+        assert upper_sides >= 40, r
 
 
 def test_theorem2_sandwich_is_consistent(segment):
@@ -284,6 +294,19 @@ def test_time_grids_are_checked_before_any_walk(segment, monkeypatch, grid, mess
         figure_series(radii=(1.0, 5.0), t_grid=grid, n=10, seed=0)
     with pytest.raises(DomainError, match=message):
         conjecture_probe(segment, [1.0, 5.0], grid, 10, 0)
+    assert walks == []
+
+
+def test_non_positive_grid_times_are_refused_before_any_walk(segment, monkeypatch):
+    # the figures refuse t <= 0 with hunt_approx's message, the probe t < 0
+    # with p_disk's; both before the first walk
+    walks = []
+    monkeypatch.setattr(trapprob.verify, "release_and_sample", lambda *args, **kwargs: walks.append(args))
+    for grid in ([0.0, 10.0], [-1.0, 10.0]):
+        with pytest.raises(DomainError, match=r"^time must be positive, got"):
+            figure_series(radii=(1.0, 5.0), t_grid=grid, n=10, seed=0)
+    with pytest.raises(DomainError, match=r"^time must be >= 0, got -1.0$"):
+        conjecture_probe(segment, [1.0, 5.0], [-1.0, 10.0], 10, 0)
     assert walks == []
 
 

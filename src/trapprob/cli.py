@@ -11,7 +11,6 @@ satisfied, 3 convergence failure, 64 usage error.
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import re
@@ -28,6 +27,7 @@ from trapprob.reporting import PALETTE, format_cell, svg_lineplot, write_csv, wr
 from trapprob.segment_sim import SAMPLER_STREAM
 from trapprob.specfun import _k0_brackets, _k0_values, bessel_i
 from trapprob.verify import (
+    DEFAULT_RADII,
     BoundReport,
     _frame,
     check_theorem1,
@@ -209,9 +209,7 @@ def _cmd_verify(args):
     records = [dataclasses.asdict(r) for r in reports]
     header = [field.name for field in dataclasses.fields(BoundReport)]
     _write_run(args, {"bound_reports.csv": (header, [list(rec.values()) for rec in records])})
-    with open(os.path.join(args.out_dir, "bound_reports.json"), "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(os.path.join(args.out_dir, "bound_reports.json"), records)
     for rep in reports:
         print(f"{rep.label}: {rep.verdict} (margin {rep.margin:.3e}, slack {rep.statistical_slack:.3e})")
     return 0
@@ -276,7 +274,7 @@ def build_parser():
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out-dir", default=".")
     grid = _Parser(add_help=False)
-    grid.add_argument("--radii", type=_grid, default=[1.0, 5.0, 25.0, 125.0])
+    grid.add_argument("--radii", type=_grid, default=list(DEFAULT_RADII))
     grid.add_argument("--t-min", type=float, default=0.1)
     grid.add_argument("--t-max", type=float, default=1e5)
 

@@ -174,7 +174,10 @@ def harmonic_measure_nodes(n):
 def r_z(trap, z):
     """max(sup over the trap of |w - z|, e^gamma r_T).
 
-    The supremum is attained at an endpoint of the segment.
+    The supremum is attained at an endpoint of the segment.  DomainError
+    where that distance passes the double range.
     """
     far = max(math.hypot(z.x - trap.a, z.y), math.hypot(z.x - trap.b, z.y))
+    if far == math.inf:
+        raise DomainError(f"distance from ({z.x}, {z.y}) to the trap passes the double range")
     return max(far, _E_GAMMA * trap.r_T)

@@ -226,6 +226,16 @@ def _p_disk_raw(r, r_T, t):
     return 1.0 + (2.0 / math.pi) * (part1 + part2 + tail)
 
 
+def _check_disk(r, r_T, t):
+    """The rules p_disk and hunt_approx share: DomainError unless r, r_T
+    and t are finite, r_T > 0 and r >= r_T."""
+    require_finite(r=r, r_T=r_T, t=t)
+    if not r_T > 0.0:
+        raise DomainError(f"disk radius must be positive, got {r_T!r}")
+    if r < r_T:
+        raise DomainError(f"release radius {r!r} inside the disk of radius {r_T!r}")
+
+
 def p_disk(r, r_T, t):
     """Probability that Brownian motion from distance r hits the disk of
     radius r_T by time t, clamped to [0, 1].
@@ -234,11 +244,7 @@ def p_disk(r, r_T, t):
     so small that r/r_T or 1/(2 r_T^2) overflows, and ConvergenceError if the
     adaptive quadrature exceeds its evaluation budget.
     """
-    require_finite(r=r, r_T=r_T, t=t)
-    if not r_T > 0.0:
-        raise DomainError(f"disk radius must be positive, got {r_T!r}")
-    if r < r_T:
-        raise DomainError(f"release radius {r!r} inside the disk of radius {r_T!r}")
+    _check_disk(r, r_T, t)
     if t < 0.0:
         raise DomainError(f"time must be >= 0, got {t!r}")
     two_rt2 = 2.0 * r_T * r_T
@@ -259,11 +265,7 @@ def hunt_approx(r, r_T, t, variant="raw"):
     """
     if variant not in ("raw", "tau0"):
         raise DomainError(f"unknown variant {variant!r}")
-    require_finite(r=r, r_T=r_T, t=t)
-    if not r_T > 0.0:
-        raise DomainError(f"disk radius must be positive, got {r_T!r}")
-    if r < r_T:
-        raise DomainError(f"release radius {r!r} inside the disk of radius {r_T!r}")
+    _check_disk(r, r_T, t)
     if not t > 0.0:
         raise DomainError(f"time must be positive, got {t!r}")
     # where r / r_T overflows, log r - log r_T is still finite

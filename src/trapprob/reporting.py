@@ -39,7 +39,8 @@ def write_csv(path, header, rows):
 
 
 def write_manifest(path, manifest):
-    """Write a run manifest (a JSON-serialisable dict) with sorted keys."""
+    """Write a run manifest, or any JSON-serialisable value, with sorted
+    keys."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

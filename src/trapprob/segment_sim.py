@@ -271,7 +271,7 @@ def sample_batch(starts, t_max, seed, first_index=0):
 
 def wilson_interval(successes, n, z=Z_99):
     """Wilson score interval for a binomial proportion (vectorized in
-    ``successes``; ``n`` is one count of at least 1).
+    ``successes``, each in [0, n]; ``n`` is one count of at least 1).
 
     The bounds are probabilities, so they are clipped to [0, 1]; at the
     extremes (0 or n successes) the unclipped arithmetic can stray below 0
@@ -279,6 +279,8 @@ def wilson_interval(successes, n, z=Z_99):
     """
     n = require_count(n, "trial count")
     successes = np.asarray(successes, dtype=float)
+    if successes.size and not (successes.min() >= 0.0 and successes.max() <= n):  # a NaN fails both
+        raise DomainError(f"success counts must lie in [0, {n}]")
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2.0 * n)) / denom

@@ -167,6 +167,9 @@ def bessel_i(order, x):
             return total
 
 
+# past about 1e154, x^2 and pi x overflow to inf in the Hankel branch: its
+# 1/x^2 and amplitude then read 0, within its absolute accuracy
+@np.errstate(over="ignore")
 def _j0_y0_arrays(x):
     """Vectorized (J0, Y0) on a strictly positive float array."""
     j = np.empty_like(x)
@@ -216,7 +219,7 @@ def _j0_y0_arrays(x):
 
 
 def bessel_j0_y0(x):
-    """Order-zero Bessel functions (J0(x), Y0(x)) for x > 0.
+    """Order-zero Bessel functions (J0(x), Y0(x)) for finite x > 0.
 
     Accepts a scalar or an ndarray.  Accuracy: better than 1e-12 absolute for
     x <= 15 (ascending series) and 1e-10 for larger x (Hankel phase/amplitude
@@ -225,11 +228,12 @@ def bessel_j0_y0(x):
     Raises
     ------
     DomainError
-        If any entry is <= 0 (Y0 has a logarithmic singularity at 0).
+        If any entry is <= 0 (Y0 has a logarithmic singularity at 0) or
+        not finite.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(arr > 0.0):
-        raise DomainError("bessel_j0_y0 requires x > 0")
+    if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):  # a NaN fails both
+        raise DomainError("bessel_j0_y0 requires finite x > 0")
     j, y = _j0_y0_arrays(np.atleast_1d(arr))
     if arr.ndim == 0:
         return float(j[0]), float(y[0])

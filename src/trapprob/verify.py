@@ -129,26 +129,27 @@ def _abelian_bracket(records, tau):
 
 def _capture_table(trap, radii, times, n, seed):
     """Captured fraction, its Wilson band (ci_lo, ci_hi) and the disk
-    surrogate p_disk(r, r_T, t), each a radius x time array on the grid
-    ``times`` (original units; walks are capped at its last point).  The
-    trajectories of radius k have indices k*n on.
+    surrogate p_disk(r, r_T, t), each a radius x time array on the checked
+    grid ``times`` (original units; walks are capped at its last point).
+    The disk column comes first, so p_disk's rules refuse a bad radius or
+    time before any walk.  The trajectories of radius k have indices k*n on.
     """
-    times = _check_grid(times)  # before any walk, like the radii and p_disk's time rule
-    for r in radii:  # radii <= 0 keep the walk's own message
-        if 0.0 < r < trap.r_T:
-            raise DomainError(f"release radius {r!r} inside the disk of radius {trap.r_T!r}")
-    if times[0] < 0.0:
-        raise DomainError(f"time must be >= 0, got {float(times[0])!r}")
+    require_count(len(radii), "number of release radii")
     n = require_count(n, "trajectory count")
+    pd = np.array([[p_disk(r, trap.r_T, t) for t in times.tolist()] for r in radii])
     h = _frame(trap)[1]
-    prop, lo, hi, pd = np.empty((4, len(radii), times.size))
+    prop, lo, hi = np.empty((3, len(radii), times.size))
     for k, r in enumerate(radii):
         records = release_and_sample(trap, r, n, float(times[-1]), seed, first_index=k * n)
         curve = survival_curve(records, times / (h * h), r)
         prop[k], lo[k], hi[k] = curve.captured_fraction, curve.ci_low, curve.ci_high
-    for k, r in enumerate(radii):  # after every walk, as a walk's error comes first
-        pd[k] = [p_disk(r, trap.r_T, t) for t in times.tolist()]
     return prop, lo, hi, pd
+
+
+def _rows(columns):
+    """One dict per cell of the equal-size arrays in ``columns`` (2-d ones
+    radius-major), keyed in column order, with Python scalars."""
+    return [dict(zip(columns, cells)) for cells in zip(*(np.ravel(v).tolist() for v in columns.values()))]
 
 
 def check_theorem1(trap, r, tau, n, seed):
@@ -229,7 +230,7 @@ def conjecture_probe(trap, radii, times, n, seed):
     radii = [float(r) for r in radii]
     if any(r < trap.r0 for r in radii):
         raise DomainError(f"all release radii must be >= r0 = {trap.r0:g}")
-    times = np.asarray(times, dtype=float)
+    times = _check_grid(times)
     prop, lo, hi, pd = _capture_table(trap, radii, times, n, seed)
 
     # reductions over the radius axis; a skipped cell adds 0 to its sup
@@ -245,7 +246,7 @@ def conjecture_probe(trap, radii, times, n, seed):
         "skipped_capture": np.sum(~cap_ok & (prop != 0.0), axis=0),
         "skipped_survival": np.sum(~surv_ok, axis=0),
     }
-    return [dict(zip(columns, cells)) for cells in zip(*(v.tolist() for v in columns.values()))]
+    return _rows(columns)
 
 
 def figure_series(radii=None, t_grid=None, n=100000, seed=0):
@@ -262,30 +263,19 @@ def figure_series(radii=None, t_grid=None, n=100000, seed=0):
     if t_grid is None:
         t_grid = np.logspace(-1.0, 5.0, 25)
     t_grid = _check_grid(t_grid)
-    if t_grid[0] <= 0.0:  # hunt_approx's rule, before any walk
-        raise DomainError(f"time must be positive, got {float(t_grid[0])!r}")
     radii = [float(r) for r in radii]
     trap = make_segment_trap(-1.0, 1.0)  # r_T = 1/2 exactly
-    prop, lo, hi, pd = (a.tolist() for a in _capture_table(trap, radii, t_grid, n, seed))
-
-    rows = []
-    for k, r in enumerate(radii):
-        for j, t in enumerate(t_grid.tolist()):
-            row = {
-                "r": r,
-                "t": t,
-                "prop": prop[k][j],
-                "ci_lo": lo[k][j],
-                "ci_hi": hi[k][j],
-                "p_disk": pd[k][j],
-                "hunt_raw": hunt_approx(r, trap.r_T, t, "raw"),
-                "hunt_tau0": hunt_approx(r, trap.r_T, t, "tau0"),
-            }
-            row["surv"] = 1.0 - row["prop"]
-            row["surv_ci_lo"] = 1.0 - row["ci_hi"]
-            row["surv_ci_hi"] = 1.0 - row["ci_lo"]
-            row["surv_p_disk"] = 1.0 - row["p_disk"]
-            row["surv_hunt_raw"] = 1.0 - row["hunt_raw"]
-            row["surv_hunt_tau0"] = 1.0 - row["hunt_tau0"]
-            rows.append(row)
-    return rows
+    # hunt_approx's rules (t > 0 among them) refuse a bad radius or time before any walk
+    raw, tau0 = (np.array([[hunt_approx(r, trap.r_T, t, v) for t in t_grid.tolist()] for r in radii])
+                 for v in ("raw", "tau0"))
+    prop, lo, hi, pd = _capture_table(trap, radii, t_grid, n, seed)
+    columns = {
+        "r": np.repeat(radii, t_grid.size), "t": np.tile(t_grid, len(radii)),
+        "prop": prop, "ci_lo": lo, "ci_hi": hi,
+        "p_disk": pd, "hunt_raw": raw, "hunt_tau0": tau0,
+    }
+    # survival-side complements; a band's ends swap
+    for key, of in (("surv", "prop"), ("surv_ci_lo", "ci_hi"), ("surv_ci_hi", "ci_lo"), ("surv_p_disk", "p_disk"),
+                    ("surv_hunt_raw", "hunt_raw"), ("surv_hunt_tau0", "hunt_tau0")):
+        columns[key] = 1.0 - columns[of]
+    return _rows(columns)

@@ -318,6 +318,14 @@ def test_r_z_floor():
     assert r_z(trap, PlanePoint(0.0, 0.01)) > E_GAMMA * 0.5
 
 
+def test_r_z_refuses_a_distance_past_the_double_range():
+    trap = make_segment_trap(-1.0, 1.0)
+    with pytest.raises(DomainError, match="passes the double range"):
+        r_z(trap, PlanePoint(1.7e308, 1.7e308))
+    # the farther end is about 1.41e308 away here, still a double
+    assert math.isfinite(r_z(trap, PlanePoint(1e308, 1e308)))
+
+
 def test_scaling_covariance():
     # physics on segment (2, 6) is the unit-segment physics of (z - 4)/2:
     # conformal radius and tau0 scale as h and h^2, r_z as h

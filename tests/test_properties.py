@@ -1,5 +1,6 @@
-"""Property tests over the K0 and disk-trap entry points, the segment
-sampler, the functions that take a count and every CLI command
+"""Property tests over the K0, J0/Y0 and disk-trap entry points, the
+segment sampler, the Wilson interval, R_z, the functions that take a count
+and every CLI command
 (``bessel``, ``disk``, ``simulate``, ``verify``, ``figures`` and
 ``conjecture``).
 
@@ -32,6 +33,7 @@ from trapprob import (
     BoundReport,
     PlanePoint,
     TrapProbError,
+    bessel_j0_y0,
     check_theorem1,
     check_theorem2,
     f_disk,
@@ -42,8 +44,10 @@ from trapprob import (
     k0_bounds,
     make_segment_trap,
     p_disk,
+    r_z,
     release_circle,
     sample_batch,
+    wilson_interval,
 )
 from trapprob.cli import main
 
@@ -135,6 +139,19 @@ def test_p_disk_is_a_probability_or_raises(r, r_T, t):
     assert math.isfinite(value) and 0.0 <= value <= 1.0
 
 
+@PROPERTY
+@given(st.one_of(FLOATS, st.lists(FLOATS, max_size=6)))
+@example(math.inf)
+@example([2.0, math.inf])
+def test_bessel_j0_y0_is_finite_or_raises(x):
+    try:
+        j, y = bessel_j0_y0(x)
+    except TrapProbError:
+        return
+    assert np.all(np.asarray(x) > 0.0)
+    assert np.all(np.isfinite(j)) and np.all(np.isfinite(y)) and np.all(np.abs(j) <= 1.0)
+
+
 def _exit_code(argv):
     """The exit code of ``main(argv)`` under the lowered step cap, its
     output discarded."""
@@ -181,6 +198,34 @@ def test_sample_batch_records_are_well_formed_or_raises(starts, t_max, seed, fir
     assert (abs(records.x[hit]) <= 1.0 + sim.ENDPOINT_TOL).all()
     assert np.isnan(records.x[records.censored]).all()
     assert ((records.steps >= 0) & (records.steps <= TEST_STEP_CAP)).all()
+
+
+@PROPERTY
+@given(st.one_of(FLOATS, st.lists(FLOATS, max_size=6), st.integers(-3, COUNT_MAX + 3)),
+       st.one_of(COUNTS, st.integers(1, 2**63)))
+@example(5, 3)
+@example(4, 3)
+@example(-1, 3)
+@example(math.nan, 3)
+def test_wilson_interval_is_a_band_of_probabilities_or_raises(successes, n):
+    try:
+        lo, hi = wilson_interval(successes, n)
+    except TrapProbError:
+        return
+    counts = np.asarray(successes, dtype=float)
+    assert n == int(n) >= 1 and np.all((0.0 <= counts) & (counts <= n))
+    assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
+
+
+@PROPERTY
+@given(FLOATS, FLOATS, FLOATS, FLOATS)
+@example(a=-1.0, b=1.0, x=1.7e308, y=1.7e308)
+def test_r_z_is_finite_or_raises(a, b, x, y):
+    try:
+        value = r_z(make_segment_trap(a, b), PlanePoint(x, y))
+    except TrapProbError:
+        return
+    assert math.isfinite(value) and value > 0.0
 
 
 @PROPERTY

@@ -621,6 +621,12 @@ def test_wilson_rejects_a_bad_trial_count(n):
         wilson_interval(1, n)
 
 
+@pytest.mark.parametrize("successes", [4, 5, -1, math.nan, [0, 1, 4], [math.nan, 1]])
+def test_wilson_rejects_a_success_count_outside_zero_to_n(successes):
+    with pytest.raises(DomainError, match=r"success counts must lie in \[0, 3\]"):
+        wilson_interval(successes, 3)
+
+
 def test_wilson_vectorized_monotone():
     lo, hi = wilson_interval(np.arange(0, 101), 100)
     assert np.all(np.diff(lo) > -1e-15) and np.all(np.diff(hi) > -1e-15)

@@ -1,6 +1,7 @@
 """Tests for the special-function kernels (harmonic numbers, I0/I2, J0/Y0, K0)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -222,6 +223,18 @@ def test_j0_y0_domain_error():
         bessel_j0_y0(0.0)
     with pytest.raises(DomainError):
         bessel_j0_y0(np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan, np.array([2.0, math.inf]), np.array([math.nan, 2.0])])
+def test_j0_y0_rejects_a_non_finite_argument(x):
+    with pytest.raises(DomainError, match="requires finite x > 0"):
+        bessel_j0_y0(x)
+
+
+def test_j0_y0_near_the_top_of_the_double_range():
+    # x^2 and pi x overflow here: both values read 0, within |J0|, |Y0| <= sqrt(2/(pi x))
+    j, y = bessel_j0_y0(np.array([1e300, sys.float_info.max]))
+    assert np.all(np.abs(j) <= 1e-150) and np.all(np.abs(y) <= 1e-150)
 
 
 def test_j0_y0_scalar_round_trip():

@@ -118,6 +118,14 @@ def test_theorem2_at_the_edge_of_the_double_range(segment):
     assert upper is None
     base = 1.0 - 2.0 * math.pi * green_segment(z) / math.log(1e300 / segment.tau0)
     assert math.isfinite(lower.lhs) and lower.lhs == base - 0.8 * 4.0 / 1e300
+    assert lower.verdict == "holds"
+
+
+def test_theorem2_refuses_a_point_whose_r_z_passes_the_double_range(segment):
+    # both sides used to be checked against R_z = inf: the upper one was
+    # dropped in silence and the lower one read "holds"
+    with pytest.raises(DomainError, match="passes the double range"):
+        check_theorem2(segment, PlanePoint(1.7e308, 1.7e308), 1e300, 10, SEED)
 
 
 def test_theorem1_segment_holds(segment):
@@ -307,6 +315,19 @@ def test_non_positive_grid_times_are_refused_before_any_walk(segment, monkeypatc
             figure_series(radii=(1.0, 5.0), t_grid=grid, n=10, seed=0)
     with pytest.raises(DomainError, match=r"^time must be >= 0, got -1.0$"):
         conjecture_probe(segment, [1.0, 5.0], [-1.0, 10.0], 10, 0)
+    assert walks == []
+
+
+def test_bad_radius_lists_are_refused_before_any_walk(segment, monkeypatch):
+    walks = []
+    monkeypatch.setattr(trapprob.verify, "release_and_sample", lambda *args, **kwargs: walks.append(args))
+    for call in (lambda: figure_series(radii=[], t_grid=[1.0, 10.0], n=10, seed=0),
+                 lambda: conjecture_probe(segment, [], [1.0, 10.0], 10, 0)):
+        with pytest.raises(DomainError, match="number of release radii must be an integer >= 1, got 0"):
+            call()
+    # a radius <= 0 gets the disk oracle's rule, as one inside the disk does
+    with pytest.raises(DomainError, match=r"^release radius 0.0 inside the disk of radius 0.5$"):
+        figure_series(radii=(1.0, 0.0), t_grid=[1.0, 10.0], n=10, seed=0)
     assert walks == []
 
 

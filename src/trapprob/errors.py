@@ -7,6 +7,7 @@ DomainError -> 1, HypothesisError -> 2, ConvergenceError -> 3.
 """
 
 import math
+import sys
 
 
 class TrapProbError(Exception):
@@ -31,13 +32,18 @@ class ConvergenceError(TrapProbError, RuntimeError):
 
 def require_count(n, what="count", minimum=1):
     """``n`` as an int; DomainError unless it is a finite integral value of
-    at least ``minimum`` (so nan, inf and 2.5 are refused, not truncated)."""
+    at least ``minimum`` (so nan, inf and 2.5 are refused, not truncated)
+    and at most the largest double (so 10**400 is refused here, not by an
+    OverflowError where the count meets a float)."""
     try:
-        if int(n) == n >= minimum:
-            return int(n)
+        count = int(n) if int(n) == n else None
     except (TypeError, ValueError, OverflowError):  # int() of nan, inf or a non-number
-        pass
-    raise DomainError(f"{what} must be an integer >= {minimum}, got {n!r}")
+        count = None
+    if count is None or count < minimum:
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {n!r}")
+    if count > sys.float_info.max:
+        raise DomainError(f"{what} must be at most {sys.float_info.max:.4g}, got an integer of {count.bit_length()} bits")
+    return count
 
 
 def require_finite(**args):

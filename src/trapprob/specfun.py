@@ -20,13 +20,16 @@ library is used at runtime.  K0 is reached two ways:
   K0 ratio from the scaled values, so nothing underflows.
 
 J0 and Y0 use the ascending series up to x = 15 and the Hankel asymptotic
-expansion beyond.  The alternating/cancelling series run in 80-bit extended
-precision (``numpy.longdouble``): the Y0 series at x = 15 has terms of
-size ~2e5 cancelling down to O(1), which costs ~20 bits - fatal in double,
-harmless in extended.  Each J0/Y0 argument gets only the series terms it
-needs: with the arguments sorted in descending order, Horner term n runs
-on the leading entries with x > ``_JY_TERM_X[n]``, so an array of small
-arguments costs a few terms instead of all 48, with the same result bits.
+expansion beyond.  The series is the builder of a double-precision table,
+summed once at import: its alternating/cancelling sums run in 80-bit
+extended precision (``numpy.longdouble``; the Y0 series at x = 15 has terms
+of size ~2e5 cancelling down to O(1), which costs ~20 bits - fatal in
+double, harmless in extended) at 96 points of (0, 15].  The table splits
+(0, 15] into 64 equal pieces, each with degree-8 polynomials for J0 and
+for the power part B of the Y0 series, Y0 = (2/pi)((ln(x/2) + gamma) J0 +
+B); below x = 0.9375 the pieces are the series' first 9 terms in x^2/4,
+so J0(x) is exactly 1.0 for x < 1e-8.  At run time an argument costs one
+gathered table column and one double Horner pass.
 """
 
 import math
@@ -57,8 +60,7 @@ K0_M0_REMAINDER = 0.974
 
 _LD = np.longdouble
 _GAMMA_LD = _LD("0.57721566490153286060651209008240243")
-# Ascending-series length.  The J0/Y0 kernel truncates per element (see
-# _JY_TERM_X): x = 15 needs terms 0..43, x < 1e-3 at most 5 and x < 1e-8 two.
+# Ascending-series length (x = 15 needs terms 0..43).
 _NSER = 48
 
 # Factorials, harmonic numbers and series coefficients in extended precision.
@@ -73,27 +75,35 @@ _C_Y0 = np.array(
     [(-1) ** (n + 1) * _HARM_LD[n] / _FACT_LD[n] ** 2 for n in range(_NSER)],
     dtype=_LD,
 )
-
-# _JY_TERM_X[n] is the largest x at which term n and every later term of the
-# J0 and Y0 sums, max(|_C_J0[k]|, |_C_Y0[k]|) (x^2/4)^k for k >= n, stay
-# below _JY_TERM_TOL; term 0 is always applied (_JY_TERM_X[0] = 0).  Such
-# terms sit far below the extended-precision rounding of the sums, so
-# leaving them out keeps the double results bit for bit.  The margin
-# matters near the zeros of J0 and Y0, where a double ulp is finer than
-# that rounding: against the full 48-term sums on 9.6e6 arguments, most of
-# them packed within 1e-7 of a zero, a tolerance of 1e-22 changed 1310 results,
-# 1e-24 changed 5 and 1e-26 none.  Closed form per term, then the running
-# minimum over the later terms.
-_JY_TERM_TOL = 1e-30
-_ln_coef = np.log(np.maximum(np.abs(_C_J0), np.abs(_C_Y0))[1:]).astype(float)
-_x_k = 2.0 * np.exp((math.log(_JY_TERM_TOL) - _ln_coef) / (2 * np.arange(1, _NSER)))
-_JY_TERM_X = np.concatenate([[0.0], np.minimum.accumulate(_x_k[::-1])[::-1]])
+_C_JY = np.stack([_C_J0, _C_Y0])
 
 # Hankel asymptotic coefficients m_k = ((2k-1)!!)^2 / (8^k k!).
 _M_HANKEL = [1.0]
 for _k in range(1, 34):
     _M_HANKEL.append(_M_HANKEL[-1] * (2 * _k - 1) ** 2 / (8.0 * _k))
 _M_HANKEL = np.array(_M_HANKEL)
+# The signed P and Q columns in powers of x^-2, highest first:
+# P ~ sum (-1)^m m_{2m} x^(-2m),  Q ~ -sum (-1)^m m_{2m+1} x^(-2m-1).  Q has
+# one power fewer: its leading 0 keeps it at 0 through the first Horner step.
+_HANKEL_PQ = np.array([
+    [(-1) ** m * _M_HANKEL[2 * m], (-1) ** m * _M_HANKEL[2 * m + 1] if m < 16 else 0.0]
+    for m in range(16, -1, -1)
+])
+
+# The J0/Y0 table on (0, JY_SERIES_MAX_X] (see _jy_table): _JY_PIECES
+# pieces of width _JY_WIDTH (15/64, exact), each a polynomial of degree
+# _JY_DEGREE; the first _JY_SERIES_PIECES (up to x = 0.9375) are the series
+# in x^2/4.  The builder sums the series at _JY_BLOCK_NODES points in each
+# of _JY_BLOCKS blocks of pieces.
+_JY_PIECES = 64
+_JY_WIDTH = JY_SERIES_MAX_X / _JY_PIECES
+_JY_DEGREE = 8
+_JY_SERIES_PIECES = 4
+_JY_BLOCKS = 4
+_JY_BLOCK_NODES = 24
+# ln(x/2) + gamma = ln(x) + _Y0_LOG_SHIFT; x/2 underflows to 0 for the
+# smallest subnormal x
+_Y0_LOG_SHIFT = GAMMA - math.log(2.0)
 
 
 class BoundedValue:
@@ -167,6 +177,78 @@ def bessel_i(order, x):
             return total
 
 
+def _jy_series(x):
+    """(A, B) at the extended-precision points x, by all 48 series terms:
+    A = J0(x) and B = sum_n _C_Y0[n] (x^2/4)^n, so that
+    Y0(x) = (2/pi)((ln(x/2) + gamma) A + B).  Returns the 1-d extended
+    array [A, B]."""
+    t = x * x / 4
+    t = np.concatenate([t, t])
+    ab = np.zeros_like(t)
+    coefficients = np.repeat(_C_JY.T, x.size, axis=1)  # row n: C_J0[n] for A, C_Y0[n] for B
+    for row in coefficients[::-1]:  # Horner in t
+        ab *= t
+        ab += row
+    return ab
+
+
+def _jy_table():
+    """The coefficients of the J0/Y0 table: ``table[i, f, k]`` is the
+    power-i coefficient of A (f = 0) or B (f = 1) of _jy_series on piece k,
+    [k, k + 1] * _JY_WIDTH.
+
+    Piece k >= _JY_SERIES_PIECES is the degree-8 interpolant at its 9
+    Chebyshev points, in powers of x - (k + 1/2) _JY_WIDTH.  The earlier
+    pieces are the series' first 9 coefficients, in powers of x^2/4; the
+    next term is below 9e-18 for A and 3e-17 for B there.
+
+    The extended-precision series runs only at the 24 Chebyshev points of
+    each of the 4 blocks of 16 pieces; the rest runs in double.  The
+    blocks' degree-23 barycentric interpolants give the values at the
+    pieces' points (for these entire functions their error is far below
+    the series' own rounding), one matrix for every block.  Each piece's
+    powers then solve its Vandermonde system in the points' unit
+    cos(theta), by LU with partial pivoting: being backward stable, it
+    matches the values to rounding, which multiplying by a precomputed
+    inverse, with entries in the hundreds, would not.
+    """
+    n = _JY_DEGREE + 1
+    per_block = _JY_PIECES // _JY_BLOCKS
+    # a piece's points lie cos(theta) half-widths from its centre, a block's cos(phi)
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    phi = np.pi * (np.arange(_JY_BLOCK_NODES) + 0.5) / _JY_BLOCK_NODES
+    # the pieces' points in half-widths of their block, then the barycentric
+    # weights of the block's points at them (rows sum to 1)
+    points = ((np.arange(per_block)[:, None] - (per_block - 1) / 2 + np.cos(theta) / 2) / (per_block / 2)).ravel()
+    kernel = (-1.0) ** np.arange(_JY_BLOCK_NODES) * np.sin(phi) / (points[:, None] - np.cos(phi))
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    block_width = _LD(_JY_WIDTH) * per_block
+    nodes = (np.arange(_JY_BLOCKS, dtype=_LD)[:, None] + 0.5 + np.cos(phi) / 2) * block_width
+    ab = _jy_series(nodes.ravel()).astype(float).reshape(2, _JY_BLOCKS, _JY_BLOCK_NODES)
+    values = (ab @ kernel.T).reshape(2, _JY_PIECES, n)  # (A, B), piece, point
+    powers = np.linalg.solve(np.vander(np.cos(theta), increasing=True), values.reshape(-1, n).T)
+    powers *= ((2.0 / _JY_WIDTH) ** np.arange(n))[:, None]
+    table = np.ascontiguousarray(powers.reshape(n, 2, _JY_PIECES))
+    table[:, :, :_JY_SERIES_PIECES] = _C_JY[:, :n].T[..., None]
+    return table
+
+
+_JY_TABLE = _jy_table()
+
+
+def _j0_y0_series(x):
+    """(J0, Y0) from the table, on a float array of 0 < x <= 15."""
+    k = np.minimum((x * (1.0 / _JY_WIDTH)).astype(np.intp), _JY_PIECES - 1)
+    u = np.where(k < _JY_SERIES_PIECES, 0.25 * x * x, x - (k + 0.5) * _JY_WIDTH)
+    rows = _JY_TABLE.take(k, axis=2)  # power, (A, B), element
+    ab = rows[_JY_DEGREE] * u
+    for row in rows[_JY_DEGREE - 1:0:-1]:  # Horner, A and B together
+        ab += row
+        ab *= u
+    ab += rows[0]
+    return ab[0], (2.0 / math.pi) * ((np.log(x) + _Y0_LOG_SHIFT) * ab[0] + ab[1])
+
+
 # past about 1e154, x^2 and pi x overflow to inf in the Hankel branch: its
 # 1/x^2 and amplitude then read 0, within its absolute accuracy
 @np.errstate(over="ignore")
@@ -177,38 +259,19 @@ def _j0_y0_arrays(x):
 
     small = x <= JY_SERIES_MAX_X
     if small.any():
-        neg = -x[small]
-        order = np.argsort(neg)  # series arguments in descending order
-        idx = np.flatnonzero(small)[order]
-        # counts[n]: the leading entries that need term n (x > _JY_TERM_X[n])
-        counts = np.searchsorted(neg[order], -_JY_TERM_X)
-        xs = x[idx].astype(_LD)
-        t = xs * xs / 4
-        js = np.zeros_like(t)
-        ps = np.zeros_like(t)
-        for n in range(np.count_nonzero(counts) - 1, -1, -1):  # Horner in t
-            c = counts[n]
-            jv, pv, tv = js[:c], ps[:c], t[:c]
-            jv *= tv
-            jv += _C_J0[n]
-            pv *= tv
-            pv += _C_Y0[n]
-        ell = np.log(xs / 2) + _GAMMA_LD
-        j[idx] = js.astype(float)
-        y[idx] = ((2 / _LD(np.pi)) * (ell * js + ps)).astype(float)
+        j[small], y[small] = _j0_y0_series(x[small])
 
     big = ~small
     if big.any():
         xb = x[big]
+        n = xb.size
         xi2 = 1.0 / (xb * xb)
-        # P ~ sum (-1)^m m_{2m} x^(-2m),  Q ~ -sum (-1)^m m_{2m+1} x^(-2m-1)
-        p = np.zeros_like(xb)
-        q = np.zeros_like(xb)
-        for m in range(16, -1, -1):
-            p = p * xi2 + (-1) ** m * _M_HANKEL[2 * m]
-        for m in range(15, -1, -1):
-            q = q * xi2 + (-1) ** m * _M_HANKEL[2 * m + 1]
-        q = -q / xb
+        xi2 = np.concatenate([xi2, xi2])
+        pq = np.zeros(2 * n)
+        for c in _HANKEL_PQ.repeat(n, axis=1):  # Horner, [P, Q] together
+            pq *= xi2
+            pq += c
+        p, q = pq[:n], -pq[n:] / xb
         amp = np.sqrt(2.0 / (np.pi * xb))
         w = xb - np.pi / 4.0
         cw, sw = np.cos(w), np.sin(w)
@@ -221,9 +284,14 @@ def _j0_y0_arrays(x):
 def bessel_j0_y0(x):
     """Order-zero Bessel functions (J0(x), Y0(x)) for finite x > 0.
 
-    Accepts a scalar or an ndarray.  Accuracy: better than 1e-12 absolute for
-    x <= 15 (ascending series) and 1e-10 for larger x (Hankel phase/amplitude
-    asymptotics); in practice both branches sit near 1e-14.
+    Accepts a scalar or an ndarray.  Accuracy: for x <= 15 (the table built
+    from the ascending series) within 1e-14 absolute for J0 and
+    3e-14 max(1, |Y0|) for Y0 against mpmath, and within 1.5e-14 and
+    3e-14 max(1, |Y0|) of the extended-precision series itself (measured
+    6e-15 and 1.5e-14, both at the top of the range, where the series' own
+    rounding is largest); 1e-10 absolute for larger x (Hankel phase/amplitude
+    asymptotics), in practice near 1e-14.  Each entry depends on its own
+    argument only.
 
     Raises
     ------

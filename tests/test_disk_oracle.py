@@ -260,17 +260,19 @@ def test_p_disk_regression_pin():
 # integrand evaluation, each on the full 48-term series; retaken when the
 # two-term tail series gave way to the exact arctangent tail, which moved
 # every nonzero value down by 1.56e-9 ln(r/r_T) (1.07e-9, 3.57e-9 and
-# 6.06e-9 at r = 1, 5 and 25) and nothing else.
+# 6.06e-9 at r = 1, 5 and 25) and nothing else; retaken when J0/Y0 on
+# x <= 15 came to be read from a double table built from that series,
+# which moved 11 of the 36 values, each by at most 3.3e-16.
 P_DISK_PINS = {
     (1.0, 0.25): (5.491231210741354e-06, 0.179302128157922, 0.41598786283999456, 0.6245752052121685),
-    (1.0, 2.5): (0.1130985378049908, 0.5370920920779768, 0.6617318902235441, 0.7573562651969447),
-    (1.0, 25.0): (0.48782801310437407, 0.7169014932987705, 0.7751782067354205, 0.8243025226815814),
-    (5.0, 0.25): (0.0, 2.55351295663786e-15, 6.633388138777008e-08, 0.01270622750271544),
-    (5.0, 2.5): (2.220446049250313e-15, 0.00034149371130165473, 0.03658974763092682, 0.21310318384820925),
-    (5.0, 25.0): (1.8870827370176535e-05, 0.11671807775188259, 0.263606739854114, 0.4174472462231019),
+    (1.0, 2.5): (0.11309853780499068, 0.5370920920779768, 0.6617318902235441, 0.7573562651969448),
+    (1.0, 25.0): (0.48782801310437407, 0.7169014932987705, 0.7751782067354205, 0.8243025226815813),
+    (5.0, 0.25): (0.0, 2.6645352591003757e-15, 6.633388138777008e-08, 0.012706227502715661),
+    (5.0, 2.5): (2.55351295663786e-15, 0.00034149371130165473, 0.036589747630926706, 0.21310318384820937),
+    (5.0, 25.0): (1.8870827370176535e-05, 0.11671807775188259, 0.263606739854114, 0.41744724622310203),
     (25.0, 0.25): (0.0, 0.0, 0.0, 2.1094237467877974e-15),
-    (25.0, 2.5): (0.0, 0.0, 2.7755575615628914e-15, 5.306558981510445e-05),
-    (25.0, 25.0): (0.0, 2.4337610815550192e-09, 0.0008594844228481113, 0.06027455184215691),
+    (25.0, 2.5): (0.0, 0.0, 2.55351295663786e-15, 5.306558981510445e-05),
+    (25.0, 25.0): (0.0, 2.4337610815550192e-09, 0.0008594844228480003, 0.06027455184215691),
 }
 
 

@@ -81,15 +81,17 @@ T_MAX = st.one_of(
     st.floats(min_value=0.0, exclude_min=True, allow_nan=False),  # up to +inf
 )
 SEEDS = st.one_of(st.sampled_from([-1, 0, 2**64 - 1, 2**64]), st.integers(0, 2**64 - 1))
-# FLOATS as counts (nan, infinities, fractions, negatives and zero), and
-# small integers.  A finite integral count above COUNT_MAX asks for that
-# many points or walks, so it measures memory and time, not the count
-# check, and is left out (harmonic_number, which takes any count in
-# constant time, also gets integral counts up to 1e15).
+# FLOATS as counts (nan, infinities, fractions, negatives and zero), small
+# integers, and integers past the double range (up to 10**400), which every
+# count check refuses.  A finite integral count from COUNT_MAX to the
+# largest double asks for that many points or walks, so it measures memory
+# and time, not the count check, and is left out (harmonic_number, which
+# takes any count in constant time, also gets integral counts up to 1e15).
 COUNT_MAX = 64
 COUNTS = st.one_of(
     st.integers(-2, COUNT_MAX),
     FLOATS.filter(lambda n: not (math.isfinite(n) and n == int(n) and n > COUNT_MAX)),
+    st.integers(int(sys.float_info.max) + 1, 10**400),
 )
 
 
@@ -202,7 +204,7 @@ def test_sample_batch_records_are_well_formed_or_raises(starts, t_max, seed, fir
 
 @PROPERTY
 @given(st.one_of(FLOATS, st.lists(FLOATS, max_size=6), st.integers(-3, COUNT_MAX + 3)),
-       st.one_of(COUNTS, st.integers(1, 2**63)))
+       st.one_of(COUNTS, st.integers(1, 10**400)))
 @example(5, 3)
 @example(4, 3)
 @example(-1, 3)
@@ -251,7 +253,7 @@ def test_count_arguments_are_integral_or_raise(n):
 
 
 @PROPERTY
-@given(st.one_of(COUNTS, st.integers(0, 10**15), st.integers(0, 10**15).map(float)))
+@given(st.one_of(COUNTS, st.integers(0, 10**400), st.integers(0, 10**15).map(float)))
 def test_harmonic_number_is_integral_or_raises(n):
     try:
         h = harmonic_number(n)

@@ -615,7 +615,7 @@ def test_wilson_edge_cases():
     assert 0.75 < lo < 1.0 and hi == 1.0
 
 
-@pytest.mark.parametrize("n", [0, -3, math.nan, math.inf, 2.5])
+@pytest.mark.parametrize("n", [0, -3, math.nan, math.inf, 2.5, pytest.param(10**400, id="10**400")])
 def test_wilson_rejects_a_bad_trial_count(n):
     with pytest.raises(DomainError, match="trial count"):
         wilson_interval(1, n)

@@ -22,8 +22,9 @@ from trapprob.specfun import (
     _C_J0,
     _C_Y0,
     _GAMMA_LD,
-    _JY_TERM_TOL,
-    _JY_TERM_X,
+    _JY_PIECES,
+    _JY_WIDTH,
+    _M_HANKEL,
     _NSER,
     GAMMA,
     JY_SERIES_MAX_X,
@@ -83,6 +84,9 @@ def test_harmonic_rejects_bad_input():
     for n in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             harmonic_number(n)
+    # past the double range: refused by the count check, not an OverflowError
+    with pytest.raises(DomainError, match="harmonic_number's n must be at most"):
+        harmonic_number(10**400)
 
 
 # ---------------------------------------------------------------------------
@@ -256,52 +260,75 @@ def _j0_y0_full_series(x):
     return js.astype(float), ((2 / ld(np.pi)) * (ell * js + ps)).astype(float)
 
 
-def test_j0_y0_truncated_series_is_bit_identical():
-    thresholds = _JY_TERM_X[1:][_JY_TERM_X[1:] <= JY_SERIES_MAX_X]
-    zeros = [2.4048255576957724, 5.520078110286311, 8.653727912911013, 11.791534439014281,
-             14.930917708487787,  # of J0
-             0.8935769662791675, 3.957678419314858, 7.086051060301773, 10.222345043496416,
-             13.361097473872764]  # of Y0
+# the first five zeros of J0 and of Y0
+J0_ZEROS = [2.4048255576957724, 5.520078110286311, 8.653727912911013, 11.791534439014281, 14.930917708487787]
+Y0_ZEROS = [0.8935769662791675, 3.957678419314858, 7.086051060301773, 10.222345043496416, 13.361097473872764]
+
+
+def test_j0_y0_table_against_the_full_series():
+    # the double table against the extended-precision series it is built
+    # from, on the series range, every piece edge and the doubles either
+    # side, and 4001 points packed within a relative 2e-9 of each zero
+    edges = np.arange(1, _JY_PIECES + 1) * _JY_WIDTH
     xs = np.concatenate([
         np.geomspace(1e-30, JY_SERIES_MAX_X, 200_001),
-        np.nextafter(thresholds, 0.0), thresholds, np.nextafter(thresholds, np.inf),
-        (np.asarray(zeros)[:, None] * (1.0 + 1e-12 * np.arange(-2000, 2001))).ravel(),
+        np.nextafter(edges, 0.0), edges, np.nextafter(edges[:-1], np.inf),
+        (np.asarray(J0_ZEROS + Y0_ZEROS)[:, None] * (1.0 + 1e-12 * np.arange(-2000, 2001))).ravel(),
     ])
-    np.random.default_rng(5).shuffle(xs)  # the kernel sorts; feed it unsorted
     j, y = bessel_j0_y0(xs)
     j_ref, y_ref = _j0_y0_full_series(xs)
+    assert np.max(np.abs(j - j_ref)) <= 1.5e-14
+    assert np.max(np.abs(y - y_ref) / np.maximum(1.0, np.abs(y_ref))) <= 3e-14
+
+
+def test_j0_y0_against_mpmath_on_the_series_range():
+    # about 2000 points on [1e-12, 15], 1e-9 neighbourhoods of the zeros
+    # included
+    mpmath = pytest.importorskip("mpmath")
+    zeros = np.asarray(J0_ZEROS + Y0_ZEROS)
+    xs = np.concatenate([
+        np.geomspace(1e-12, JY_SERIES_MAX_X, 1500),
+        (zeros[:, None] + np.linspace(-1e-9, 1e-9, 50)).ravel(),
+    ])
+    j, y = bessel_j0_y0(xs)
+    with mpmath.workdps(30):
+        for x, jv, yv in zip(xs.tolist(), j.tolist(), y.tolist()):
+            j_ref, y_ref = float(mpmath.besselj(0, x)), float(mpmath.bessely(0, x))
+            assert abs(jv - j_ref) <= 1e-14, x
+            assert abs(yv - y_ref) <= 3e-14 * max(1.0, abs(y_ref)), x
+
+
+def test_j0_is_exactly_one_below_1e_minus_8():
+    xs = np.concatenate([np.geomspace(5e-324, 1e-8, 2001), [np.nextafter(1e-8, 0.0)]])
+    j, y = bessel_j0_y0(xs)
+    assert np.all(j == 1.0)
+    assert np.all(np.isfinite(y))
+
+
+def _hankel_reference(xb):
+    """Reference: the Hankel branch as two separate Horner loops, each
+    step a new array."""
+    with np.errstate(over="ignore"):
+        xi2 = 1.0 / (xb * xb)
+        p = np.zeros_like(xb)
+        q = np.zeros_like(xb)
+        for m in range(16, -1, -1):
+            p = p * xi2 + (-1) ** m * _M_HANKEL[2 * m]
+        for m in range(15, -1, -1):
+            q = q * xi2 + (-1) ** m * _M_HANKEL[2 * m + 1]
+        q = -q / xb
+        amp = np.sqrt(2.0 / (np.pi * xb))
+        w = xb - np.pi / 4.0
+        cw, sw = np.cos(w), np.sin(w)
+        return amp * (p * cw - q * sw), amp * (p * sw + q * cw)
+
+
+def test_j0_y0_hankel_branch_is_bit_identical_to_the_reference():
+    xs = np.append(np.geomspace(np.nextafter(JY_SERIES_MAX_X, np.inf), 1e300, 20001), sys.float_info.max)
+    j, y = bessel_j0_y0(xs)
+    j_ref, y_ref = _hankel_reference(xs)
     assert np.array_equal(j.view(np.int64), j_ref.view(np.int64))
     assert np.array_equal(y.view(np.int64), y_ref.view(np.int64))
-
-
-def test_jy_term_thresholds_match_definition():
-    # _JY_TERM_X[n]: the largest x with max(|c_J0(k)|, |c_Y0(k)|) (x^2/4)^k
-    # < tol for every k >= n.  Recomputed by bisection on that predicate in
-    # 40-digit arithmetic with exact coefficients.
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        fact, harm = [1], [mpmath.mpf(0)]
-        for k in range(1, _NSER):
-            fact.append(fact[-1] * k)
-            harm.append(harm[-1] + mpmath.mpf(1) / k)
-        coef = [max(mpmath.mpf(1), harm[k]) / mpmath.mpf(fact[k]) ** 2 for k in range(_NSER)]
-        tol = mpmath.mpf(_JY_TERM_TOL)
-
-        def small_enough(x, n):
-            t = x * x / 4
-            return all(coef[k] * t**k < tol for k in range(n, _NSER))
-
-        assert _JY_TERM_X[0] == 0.0 and _JY_TERM_X.shape == (_NSER,)
-        for n in range(1, _NSER):
-            lo, hi = mpmath.mpf("1e-40"), mpmath.mpf(100)
-            assert small_enough(lo, n) and not small_enough(hi, n)
-            for _ in range(70):  # geometric bisection to ~1e-19 relative
-                mid = mpmath.sqrt(lo * hi)
-                if small_enough(mid, n):
-                    lo = mid
-                else:
-                    hi = mid
-            assert abs(_JY_TERM_X[n] / float(lo) - 1.0) < 1e-12, n
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_release_and_sample_rejects_a_cap_that_overflows_in_the_unit_frame():
     assert len(release_and_sample(tiny, 1e-149, 10, 1e-300, seed=1)) == 10
 
 
-@pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, 0])
+@pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, 0, pytest.param(10**400, id="10**400")])
 def test_theorems_reject_a_bad_trajectory_count(segment, n):
     # 2.5 walks cannot run, and truncating to 2 would mislabel the report
     with pytest.raises(DomainError, match="trajectory count"):

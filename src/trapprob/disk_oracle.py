@@ -24,6 +24,9 @@ The integrand decays only like 1/ln^2(y) as y -> 0+ and oscillates on the
 scale pi r_T / r for large y, so the quadrature splits the range: a log
 substitution u = ln y on (0, y0] (plus an exact tail for u < -60), and
 adaptive Gauss-Kronrod panels of sub-oscillation width on [y0, Y_max].
+The log part starts from panels graded toward u = ln y0, where its
+integrand's features sit, so at QUAD_TOL a call ends after one round: one
+J0/Y0 kernel call on every node of both parts.
 """
 
 import math
@@ -39,6 +42,11 @@ QUAD_TOL = 1e-6
 # Evaluation budget shared by both sub-integrals of one p_disk call, which
 # run in lockstep: one J0/Y0 kernel call per quadrature round.
 MAX_EVALS = 10**6
+# Starting panel edges of the log part, as offsets below ln y0 (then u_cut).
+# The integrand's features sit near the top: the oscillations of J0(a e^u)
+# thin out like e^u below ln y0, and the tail's Lorentzian is centred near
+# u = 0.1.  Panels graded toward the top let a call converge in one round.
+LOG_PANEL_OFFSETS = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0])
 
 
 def _mirror(half, sign):
@@ -90,23 +98,21 @@ _WG[7::-2] = _WG[7::2]
 def _adaptive_gk(f, parts, tol, max_evals):
     """Adaptive Gauss-Kronrod integration of several integrals in lockstep.
 
-    ``parts`` lists (a, b, n_panels), one per integral.  ``f`` takes a list
-    of node arrays, one per part (empty once that part has converged), and
-    returns the integrand values in a list of the same shapes, so one call
-    serves every part of a round.  Each part starts from n_panels equal
-    panels; each round splits its worst panels (those carrying 90% of its
-    total error estimate, at most 64 per round) until its summed
-    |GK15 - G7| error drops below tol.  A part gives the same result bits
-    as when it is integrated alone.
+    ``parts`` lists the ascending panel edges of each integral, as arrays.
+    ``f`` takes a list of node arrays, one per part (empty once that part
+    has converged), and returns the integrand values in a list of the same
+    shapes, so one call serves every part of a round.  Each part starts
+    from the panels between its edges; each round splits its worst panels
+    (those carrying 90% of its total error estimate, at most 64 per round)
+    until its summed |GK15 - G7| error drops below tol.  A part gives the
+    same result bits as when it is integrated alone.
 
     Returns (integrals, error_estimates, evaluations): a list of values and
     a list of error estimates, one per part, and the evaluation count
     summed over the parts, which must not exceed max_evals.
     """
-    pending = []  # per part: rows (lo, hi) of the panels to evaluate
-    for a, b, n_panels in parts:
-        edges = np.linspace(a, b, n_panels + 1)
-        pending.append(np.array([edges[:-1], edges[1:]]))
+    # per part: rows (lo, hi) of the panels to evaluate
+    pending = [np.array([edges[:-1], edges[1:]]) for edges in parts]
     # per part: rows (error, value, lo, hi) of the accepted panels
     done = [np.empty((4, 0)) for _ in parts]
     integrals = [None] * len(parts)
@@ -119,7 +125,7 @@ def _adaptive_gk(f, parts, tol, max_evals):
         values = f([x.ravel() for x in xs])
         evals += sum(x.size for x in xs)
         if evals > max_evals:
-            spans = ", ".join(f"[{a:g}, {b:g}]" for (a, b, _), p in zip(parts, pending) if p.size)
+            spans = ", ".join(f"[{e[0]:g}, {e[-1]:g}]" for e, p in zip(parts, pending) if p.size)
             raise ConvergenceError(f"quadrature exceeded {max_evals} evaluations on {spans}")
 
         for k, x in enumerate(xs):
@@ -213,8 +219,10 @@ def _p_disk_raw(r, r_T, t):
     u_cut = min(-60.0, math.log(y0) - 20.0)
     n0 = max(4, min(2000, math.ceil((y_max - y0) / (math.pi * r_T / r))))
 
+    u_edges = math.log(y0) - LOG_PANEL_OFFSETS[::-1]
+    u_edges = np.concatenate([[u_cut], u_edges[u_edges > u_cut]])
     (part1, part2), _, _ = _adaptive_gk(
-        integrands, [(u_cut, math.log(y0), 16), (y0, y_max, n0)], QUAD_TOL / 2.0, MAX_EVALS
+        integrands, [u_edges, np.linspace(y0, y_max, n0 + 1)], QUAD_TOL / 2.0, MAX_EVALS
     )
 
     # Exact tail over u < u_cut: with v = u + gamma - ln 2 the integrand is

@@ -283,8 +283,10 @@ def wilson_interval(successes, n, z=Z_99):
         raise DomainError(f"success counts must lie in [0, {n}]")
     phat = successes / n
     denom = 1.0 + z * z / n
-    center = (phat + z * z / (2.0 * n)) / denom
-    half = (z / denom) * np.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n))
+    center = (phat + z * z / 2.0 / n) / denom  # 2 n would overflow for the largest counts
+    # the 1/n outside the root: phat (1 - phat) / n + z^2 / (4 n^2) inside it
+    # would reach the subnormal range, and then 0, for counts past about 1e150
+    half = (z / denom) * np.sqrt(successes * (1.0 - phat) + z * z / 4.0) / n
     return np.clip(center - half, 0.0, 1.0), np.clip(center + half, 0.0, 1.0)
 
 

@@ -49,7 +49,7 @@ def _lone(f):
 
 
 def test_adaptive_gk_smooth():
-    (val,), (err,), evals = _adaptive_gk(_lone(np.exp), [(0.0, 1.0, 1)], 1e-12, 10**5)
+    (val,), (err,), evals = _adaptive_gk(_lone(np.exp), [np.linspace(0.0, 1.0, 2)], 1e-12, 10**5)
     assert_allclose(val, math.e - 1.0, rtol=1e-14)
     assert err < 1e-12
     assert evals == 15
@@ -58,7 +58,7 @@ def test_adaptive_gk_smooth():
 def test_adaptive_gk_splits_hard_integrand():
     # |x|^(1/2) has a derivative singularity at 0: needs refinement
     f = lambda x: np.sqrt(np.abs(x))
-    (val,), (err,), evals = _adaptive_gk(_lone(f), [(-1.0, 1.0, 2)], 1e-10, 10**6)
+    (val,), (err,), evals = _adaptive_gk(_lone(f), [np.linspace(-1.0, 1.0, 3)], 1e-10, 10**6)
     assert_allclose(val, 4.0 / 3.0, rtol=1e-9)
     assert evals > 30
 
@@ -66,14 +66,14 @@ def test_adaptive_gk_splits_hard_integrand():
 def test_adaptive_gk_budget_error():
     f = lambda x: np.sin(1.0 / (x + 1e-3))
     with pytest.raises(ConvergenceError):
-        _adaptive_gk(_lone(f), [(0.0, 1.0, 16)], 1e-14, 200)
+        _adaptive_gk(_lone(f), [np.linspace(0.0, 1.0, 17)], 1e-14, 200)
 
 
 def test_adaptive_gk_lockstep_equals_lone_runs():
     # the parts converge after different numbers of rounds; the early one
     # is handed empty node arrays from then on
     fs = (lambda x: np.sqrt(np.abs(x)), np.exp, lambda x: np.log1p(x * x))
-    parts = [(-1.0, 1.0, 2), (0.0, 1.0, 1), (0.0, 40.0, 3)]
+    parts = [np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 2), np.linspace(0.0, 40.0, 4)]
     shapes = []
 
     def together(nodes):
@@ -92,7 +92,7 @@ def test_adaptive_gk_lockstep_equals_lone_runs():
 
 def test_adaptive_gk_shared_budget():
     # the budget bounds the evaluations of all parts together
-    parts = [(0.0, 1.0, 8), (0.0, 1.0, 8)]
+    parts = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9)]
     with pytest.raises(ConvergenceError):
         _adaptive_gk(lambda nodes: [np.exp(x) for x in nodes], parts, 1e-12, 239)
     _, _, evals = _adaptive_gk(lambda nodes: [np.exp(x) for x in nodes], parts, 1e-12, 240)
@@ -110,17 +110,17 @@ def _sqrt_abs_sin(x):
 ADAPTIVE_GK_PINS = [
     (
         [_sqrt_abs_sin],
-        [(0.0, 10.0, 1)],
+        [np.linspace(0.0, 10.0, 2)],
         "([7.624661784025173], [8.986712492013588e-10], 117795)",
     ),
     (
         [lambda x: np.cos(200.0 * x)],
-        [(0.0, 3.0, 4)],
+        [np.linspace(0.0, 3.0, 5)],
         "([0.00022091224165959064], [2.0030473043023897e-10], 4500)",
     ),
     (
         [_sqrt_abs_sin, np.log],
-        [(0.0, 10.0, 3), (0.0, 2.0, 2)],
+        [np.linspace(0.0, 10.0, 4), np.linspace(0.0, 2.0, 3)],
         "([7.624661783873232, -0.6137056387792164], [6.815340381443538e-10, 5.743622778983862e-10], 121545)",
     ),
 ]
@@ -136,7 +136,7 @@ def test_adaptive_gk_nan_integrand_ends_in_convergence_error():
     # a NaN error estimate never reaches the split threshold: every round
     # splits up to 64 panels until the budget runs out
     with pytest.raises(ConvergenceError):
-        _adaptive_gk(_lone(lambda x: np.full_like(x, np.nan)), [(0.0, 1.0, 4)], 1e-9, 10**5)
+        _adaptive_gk(_lone(lambda x: np.full_like(x, np.nan)), [np.linspace(0.0, 1.0, 5)], 1e-9, 10**5)
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +262,20 @@ def test_p_disk_regression_pin():
 # every nonzero value down by 1.56e-9 ln(r/r_T) (1.07e-9, 3.57e-9 and
 # 6.06e-9 at r = 1, 5 and 25) and nothing else; retaken when J0/Y0 on
 # x <= 15 came to be read from a double table built from that series,
-# which moved 11 of the 36 values, each by at most 3.3e-16.
+# which moved 11 of the 36 values, each by at most 3.3e-16; retaken when
+# the log part started from panels graded toward ln y0 instead of 16 equal
+# ones, which moved 23 values, each to within 3e-15 of Talbot inversion
+# (the largest move, 3.3e-13 at (1, 0.25), s = 0.75, was the old error).
 P_DISK_PINS = {
-    (1.0, 0.25): (5.491231210741354e-06, 0.179302128157922, 0.41598786283999456, 0.6245752052121685),
-    (1.0, 2.5): (0.11309853780499068, 0.5370920920779768, 0.6617318902235441, 0.7573562651969448),
-    (1.0, 25.0): (0.48782801310437407, 0.7169014932987705, 0.7751782067354205, 0.8243025226815813),
-    (5.0, 0.25): (0.0, 2.6645352591003757e-15, 6.633388138777008e-08, 0.012706227502715661),
-    (5.0, 2.5): (2.55351295663786e-15, 0.00034149371130165473, 0.036589747630926706, 0.21310318384820937),
-    (5.0, 25.0): (1.8870827370176535e-05, 0.11671807775188259, 0.263606739854114, 0.41744724622310203),
-    (25.0, 0.25): (0.0, 0.0, 0.0, 2.1094237467877974e-15),
-    (25.0, 2.5): (0.0, 0.0, 2.55351295663786e-15, 5.306558981510445e-05),
-    (25.0, 25.0): (0.0, 2.4337610815550192e-09, 0.0008594844228480003, 0.06027455184215691),
+    (1.0, 0.25): (5.491231202747748e-06, 0.17930212815825397, 0.41598786284013733, 0.6245752052122049),
+    (1.0, 2.5): (0.11309853780515122, 0.5370920920780473, 0.6617318902235696, 0.7573562651969514),
+    (1.0, 25.0): (0.4878280131044702, 0.7169014932987836, 0.7751782067354251, 0.8243025226815823),
+    (5.0, 0.25): (0.0, 2.55351295663786e-15, 6.633386284704557e-08, 0.012706227502715661),
+    (5.0, 2.5): (2.55351295663786e-15, 0.00034149371130265394, 0.03658974763092682, 0.2131031838482188),
+    (5.0, 25.0): (1.8870827372952093e-05, 0.11671807775188259, 0.263606739854123, 0.4174472462231045),
+    (25.0, 0.25): (0.0, 0.0, 0.0, 2.55351295663786e-15),
+    (25.0, 2.5): (0.0, 0.0, 2.55351295663786e-15, 5.306558981543752e-05),
+    (25.0, 25.0): (0.0, 2.4337610815550192e-09, 0.0008594844228480003, 0.0602745518421568),
 }
 
 
@@ -286,7 +289,9 @@ def test_p_disk_bit_identical_pins():
 # with mpmath at 30 digits (unchanged at 45), frozen here.  The two-term
 # tail series this replaced dropped a pi^4/(80 lam^5) term and read
 # 1.56e-9 ln(r/r_T) high at every t: 1.07e-9 at r = 1 (relative 2e-4 at
-# t = 0.0125) and 8.56e-9 at r = 125.
+# t = 0.0125) and 8.56e-9 at r = 125.  The last two points are where the
+# log part's former 16 equal starting panels erred most on the criterion-3
+# grid: 1.13e-11 and 3.6e-13 off.
 P_DISK_TALBOT = {
     (1.0, 0.0125): 5.4912312003927718356e-6,
     (1.0, 1.0): 0.45780596373825520464,
@@ -295,15 +300,20 @@ P_DISK_TALBOT = {
     (5.0, 1e5): 0.64995622928182702201,
     (25.0, 100.0): 0.0027310912689425035517,
     (125.0, 1e4): 0.034072036902453138668,
+    (25.0, 38.539218317376886): 1.3489341144024792716e-5,
+    (1.0, 0.21479955615259266): 0.20309508828223184228,
 }
 
 
 @pytest.mark.parametrize("r, t", list(P_DISK_TALBOT))
 def test_p_disk_against_talbot_inversion(r, t):
-    assert_allclose(p_disk(r, R_T, t), P_DISK_TALBOT[r, t], rtol=0, atol=1e-11)
+    assert_allclose(p_disk(r, R_T, t), P_DISK_TALBOT[r, t], rtol=0, atol=1e-13)
 
 
-def test_p_disk_one_kernel_call_per_round(monkeypatch):
+@pytest.fixture
+def quadrature_rounds(monkeypatch):
+    """(kernel_sizes, rounds): filled with the size of each J0/Y0 kernel
+    call and the node count of each quadrature round of every p_disk call."""
     kernel_sizes, rounds = [], []
     kernel, driver = disk_oracle.bessel_j0_y0, disk_oracle._adaptive_gk
 
@@ -320,13 +330,51 @@ def test_p_disk_one_kernel_call_per_round(monkeypatch):
 
     monkeypatch.setattr(disk_oracle, "bessel_j0_y0", counting_kernel)
     monkeypatch.setattr(disk_oracle, "_adaptive_gk", counting_driver)
-    for r, t in ((1.0, 0.3), (5.0, 0.1), (25.0, 3.0)):  # 2, 3 and 4 rounds
+    return kernel_sizes, rounds
+
+
+def test_p_disk_one_kernel_call_per_round(monkeypatch, quadrature_rounds):
+    # at the default tolerance every call converges in one round, so a
+    # tighter one makes the rounds to count
+    monkeypatch.setattr(disk_oracle, "QUAD_TOL", 1e-12)
+    kernel_sizes, rounds = quadrature_rounds
+    for r, t in ((1.0, 0.3), (5.0, 0.1), (25.0, 3.0)):  # 3, 3 and 4 rounds
         kernel_sizes.clear()
         rounds.clear()
         p_disk(r, R_T, t)
         assert len(rounds) >= 2
         # each round: one call on the y and a*y of every pending node
         assert kernel_sizes == [2 * n for n in rounds]
+
+
+# Gauss-Legendre panels in s = t/tau of the Laplace checks (acceptance
+# criterion 3 and the spot check below)
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+S_EDGES = [0.0, 0.05, 0.15, 0.35, 0.75, 1.5, 3.0, 6.0, 10.0, math.log(1e8)]
+
+
+def test_p_disk_converges_in_one_round(quadrature_rounds):
+    # the log part's starting panels are graded toward ln y0, where the
+    # integrand's features sit; with 16 equal ones 47% of criterion 3's
+    # quadratures needed 2-4 rounds
+    s = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * GL_NODES for a, b in zip(S_EDGES, S_EDGES[1:])])
+    s = np.append(s, S_EDGES[-1])
+    # each grid with the number of its calls that integrate; the others
+    # take the free-diffusion shortcut and run no round
+    grids = {
+        "criterion 3": ([(rr * R_T, tt * R_T * R_T * sv) for rr in (2.0, 10.0, 50.0) for tt in (1.0, 10.0, 100.0)
+                         for sv in s.tolist()], 1048),
+        "figure_series": ([(r, t) for r in (1.0, 5.0, 25.0, 125.0) for t in np.logspace(-1.0, 5.0, 25).tolist()], 83),
+    }
+    _, rounds = quadrature_rounds
+    for name, (grid, n_integrated) in grids.items():
+        per_call = []
+        for r, t in grid:
+            rounds.clear()
+            p_disk(r, R_T, t)
+            per_call.append(len(rounds))
+        assert set(per_call) <= {0, 1}, name
+        assert per_call.count(1) == n_integrated, name
 
 
 def test_p_disk_bounds_and_monotonicity():
@@ -367,17 +415,15 @@ def test_p_disk_approaches_one():
 def test_p_disk_laplace_consistency_spot_check():
     # (1/tau) int e^(-t/tau) p dt == f_disk; Gauss-Legendre in s = t/tau.
     # The full nine-combination certification runs in the acceptance suite.
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    edges = [0.0, 0.05, 0.15, 0.35, 0.75, 1.5, 3.0, 6.0, 10.0, math.log(1e8)]
     for r, tau in ((1.0, 2.5), (5.0, 25.0)):
         total = 0.0
-        for a, b in zip(edges, edges[1:]):
-            s = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            w = 0.5 * (b - a) * weights
+        for a, b in zip(S_EDGES, S_EDGES[1:]):
+            s = 0.5 * (b - a) * GL_NODES + 0.5 * (a + b)
+            w = 0.5 * (b - a) * GL_WEIGHTS
             total += float(
                 w @ [math.exp(-si) * p_disk(r, R_T, tau * si) for si in s]
             )
-        total += math.exp(-edges[-1]) * p_disk(r, R_T, tau * edges[-1])
+        total += math.exp(-S_EDGES[-1]) * p_disk(r, R_T, tau * S_EDGES[-1])
         assert abs(total - f_disk(r, R_T, tau)) < 1e-4
 
 

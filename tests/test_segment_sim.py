@@ -615,6 +615,16 @@ def test_wilson_edge_cases():
     assert 0.75 < lo < 1.0 and hi == 1.0
 
 
+def test_wilson_band_keeps_its_width_for_huge_counts():
+    # 5 successes: the band in units of 1/n tends to [1.6706, 14.9642]; the
+    # variance term phat (1 - phat) / n once reached the subnormal range
+    # near n = 1e150 and read [2.56, 14.08] at n = 1e154, and 2 n overflowed
+    # at the largest double
+    for n in [10**e for e in range(6, 301, 2)] + [int(np.finfo(float).max)]:
+        lo, hi = wilson_interval(5, n)
+        assert_allclose([lo * n, hi * n], [1.6706, 14.9642], atol=6e-4, rtol=0)
+
+
 @pytest.mark.parametrize("n", [0, -3, math.nan, math.inf, 2.5, pytest.param(10**400, id="10**400")])
 def test_wilson_rejects_a_bad_trial_count(n):
     with pytest.raises(DomainError, match="trial count"):

@@ -25,7 +25,7 @@ from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import ConvergenceError, DomainError, HypothesisError, require_count
 from trapprob.reporting import PALETTE, format_cell, svg_lineplot, write_csv, write_manifest
 from trapprob.segment_sim import SAMPLER_STREAM
-from trapprob.specfun import _k0_brackets, _k0_values, bessel_i
+from trapprob.specfun import _k0_bracket, _k0_values, _phi_partial, bessel_i
 from trapprob.verify import (
     DEFAULT_RADII,
     BoundReport,
@@ -131,16 +131,18 @@ def _write_run(args, tables):
 
 def _bessel_rows(xs, max_m):
     """Rows [x, k0, k0_err, i0, lower_0, upper_0, ..., upper_max_m] of the
-    bessel table: the k0 column from one kernel call, and for each x one
-    I0(x) and one prefix pass for every bracket."""
+    bessel table: the k0 column from one kernel call, every bracket's
+    prefix sum from one pass over the grid, and one I0(x) for each x."""
     xs = np.asarray(xs, dtype=float)
     values, bounds = _k0_values(xs)
+    with np.errstate(over="ignore"):  # a sum below the double range reads -inf, as in k0_bounds
+        sums = _phi_partial(xs, max_m).T.astype(float)
     rows = []
-    for x, value, bound in zip(xs.tolist(), values.tolist(), bounds.tolist()):
+    for x, value, bound, partials in zip(xs.tolist(), values.tolist(), bounds.tolist(), sums.tolist()):
         i0 = bessel_i(0, x)
         row = [x, value, bound, i0]
-        for bracket in _k0_brackets(x, max_m, i0):
-            row += bracket
+        for m, partial in enumerate(partials):
+            row += _k0_bracket(x, m, partial, i0)
         rows.append(row)
     return rows
 

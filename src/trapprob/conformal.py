@@ -124,8 +124,12 @@ def phi_segment(z):
     The branch is fixed by writing sqrt(z^2 - 1) = sqrt(z - 1) sqrt(z + 1)
     with principal square roots, which makes the product positive for
     z > 1 and negative for z < -1 and puts the cut exactly on the segment;
-    |phi(z)| > 1 strictly off the segment.  DomainError where phi(z),
-    about 2z, passes the double range (|z| from about 9e307).
+    |phi(z)| > 1 strictly off the segment.  BoundaryError within
+    BOUNDARY_TOL = 1e-12 of the segment, DomainError where phi(z), about
+    2z, passes the double range (|z| from about 9e307).  Beyond an endpoint
+    |phi(z)| - 1 grows like sqrt(2 delta) in the distance delta, so the
+    last points outside the tolerance there still have |phi(z)| near
+    1 + 1.5e-6, not 1 (the jump green_segment documents).
     """
     if _segment_distance(z) <= BOUNDARY_TOL:
         raise BoundaryError(f"point ({z.x}, {z.y}) lies on the segment trap")
@@ -140,8 +144,11 @@ def green_segment(z):
 
     Returns ln|phi(z)|/pi, which is >= 0, vanishes as z approaches the
     segment, and grows like ln|z|/pi.  Points within BOUNDARY_TOL of the
-    segment get exactly 0.  Where |phi(z)| passes the double range, ln|phi|
-    is ln 4 + ln|phi(z)/4|.
+    segment get exactly 0.  Beyond an endpoint H grows like sqrt(2 delta)/pi
+    in the distance delta, so it jumps there: it is 0 at delta = 5e-13 and
+    4.7e-7 at delta = 1.1e-12 (where sqrt(2 delta)/pi would give 3.2e-7 and
+    4.7e-7).  Where |phi(z)| passes the double range, ln|phi| is
+    ln 4 + ln|phi(z)/4|.
     """
     if _segment_distance(z) <= BOUNDARY_TOL:
         return 0.0

@@ -21,12 +21,13 @@ transform consistency check in the test suite (agreement ~1e-7, tolerance
 1e-4).
 
 The integrand decays only like 1/ln^2(y) as y -> 0+ and oscillates on the
-scale pi r_T / r for large y, so the quadrature splits the range: a log
-substitution u = ln y on (0, y0] (plus an exact tail for u < -60), and
-adaptive Gauss-Kronrod panels of sub-oscillation width on [y0, Y_max].
-The log part starts from panels graded toward u = ln y0, where its
-integrand's features sit, so at QUAD_TOL a call ends after one round: one
-J0/Y0 kernel call on every node of both parts.
+scale pi r_T / r for large y, so the quadrature runs over one variable s
+that is logarithmic on (0, y0] and linear on [y0, Y_max]: y = y0 e^s for
+s < 0 (plus an exact tail below u = ln y <= -60) and y = y0 (1 + s) for
+s >= 0.  One adaptive Gauss-Kronrod integral covers both, from panels
+graded toward s = 0 below it, where the integrand's features sit, and
+panels of sub-oscillation width above it; at QUAD_TOL a call ends after
+one round: one J0/Y0 kernel call on every node.
 """
 
 import math
@@ -39,13 +40,14 @@ from trapprob.specfun import GAMMA, _k0_scaled, bessel_j0_y0
 
 # Absolute quadrature target for p_disk.
 QUAD_TOL = 1e-6
-# Evaluation budget shared by both sub-integrals of one p_disk call, which
-# run in lockstep: one J0/Y0 kernel call per quadrature round.
+# Evaluation budget of one p_disk quadrature (one J0/Y0 kernel call per
+# round).
 MAX_EVALS = 10**6
-# Starting panel edges of the log part, as offsets below ln y0 (then u_cut).
-# The integrand's features sit near the top: the oscillations of J0(a e^u)
-# thin out like e^u below ln y0, and the tail's Lorentzian is centred near
-# u = 0.1.  Panels graded toward the top let a call converge in one round.
+# Starting panel edges of the log part (y <= y0) at s = -LOG_PANEL_OFFSETS,
+# above s_cut.  The integrand's features sit near the top: the oscillations
+# of J0(a e^u) thin out like e^u below ln y0, and the tail's Lorentzian is
+# centred near u = 0.1.  Panels graded toward the top let a call converge in
+# one round.
 LOG_PANEL_OFFSETS = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0])
 
 
@@ -95,68 +97,49 @@ _WG[7::2] = [
 _WG[7::-2] = _WG[7::2]
 
 
-def _adaptive_gk(f, parts, tol, max_evals):
-    """Adaptive Gauss-Kronrod integration of several integrals in lockstep.
+def _adaptive_gk(f, edges, tol, max_evals):
+    """Adaptive Gauss-Kronrod integration of f from edges[0] to edges[-1].
 
-    ``parts`` lists the ascending panel edges of each integral, as arrays.
-    ``f`` takes a list of node arrays, one per part (empty once that part
-    has converged), and returns the integrand values in a list of the same
-    shapes, so one call serves every part of a round.  Each part starts
-    from the panels between its edges; each round splits its worst panels
-    (those carrying 90% of its total error estimate, at most 64 per round)
-    until its summed |GK15 - G7| error drops below tol.  A part gives the
-    same result bits as when it is integrated alone.
+    ``edges`` are the ascending starting panel edges, as an array; ``f``
+    takes an array of nodes and returns the integrand there, and each round
+    calls it once, on every pending panel.  Each round splits the worst
+    panels (those carrying 90% of the total error estimate, at most 64 per
+    round) until the summed |GK15 - G7| error drops below tol.
 
-    Returns (integrals, error_estimates, evaluations): a list of values and
-    a list of error estimates, one per part, and the evaluation count
-    summed over the parts, which must not exceed max_evals.
+    Returns (integral, error_estimate, evaluations); the evaluations must
+    not exceed max_evals.
     """
-    # per part: rows (lo, hi) of the panels to evaluate
-    pending = [np.array([edges[:-1], edges[1:]]) for edges in parts]
-    # per part: rows (error, value, lo, hi) of the accepted panels
-    done = [np.empty((4, 0)) for _ in parts]
-    integrals = [None] * len(parts)
-    errors = [None] * len(parts)
+    pending = np.array([edges[:-1], edges[1:]])  # rows (lo, hi) of the panels to evaluate
+    done = np.empty((4, 0))  # rows (error, value, lo, hi) of the accepted panels
     evals = 0
     while True:
-        mid = [0.5 * (lo + hi) for lo, hi in pending]
-        half = [0.5 * (hi - lo) for lo, hi in pending]
-        xs = [m[:, None] + h[:, None] * _XGK for m, h in zip(mid, half)]
-        values = f([x.ravel() for x in xs])
-        evals += sum(x.size for x in xs)
+        lo, hi = pending
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
+        evals += x.size
         if evals > max_evals:
-            spans = ", ".join(f"[{e[0]:g}, {e[-1]:g}]" for e, p in zip(parts, pending) if p.size)
-            raise ConvergenceError(f"quadrature exceeded {max_evals} evaluations on {spans}")
+            raise ConvergenceError(f"quadrature exceeded {max_evals} evaluations on [{edges[0]:g}, {edges[-1]:g}]")
+        fv = f(x.ravel()).reshape(x.shape)
+        i15 = (fv * _WGK).sum(axis=1) * half
+        i7 = (fv * _WG).sum(axis=1) * half
+        rec = np.concatenate([done, [np.abs(i15 - i7), i15, lo, hi]], axis=1)
+        total_err = math.fsum(rec[0].tolist())
+        if total_err <= tol:
+            return math.fsum(rec[1].tolist()), total_err, evals
 
-        for k, x in enumerate(xs):
-            if not x.size:
-                continue
-            fv = values[k].reshape(x.shape)
-            i15 = (fv * _WGK).sum(axis=1) * half[k]
-            i7 = (fv * _WG).sum(axis=1) * half[k]
-            rec = np.concatenate([done[k], [np.abs(i15 - i7), i15, *pending[k]]], axis=1)
-            total_err = math.fsum(rec[0].tolist())
-            if total_err <= tol:
-                integrals[k], errors[k] = math.fsum(rec[1].tolist()), total_err
-                pending[k] = np.empty((2, 0))
-                continue
+        # stable, so equal errors keep their order: accepted panels first,
+        # then the new ones in the order they were made
+        rec = rec.take((-rec[0]).argsort(kind="stable"), axis=1)
 
-            # stable, so equal errors keep their order: accepted panels
-            # first, then the new ones in the order they were made
-            rec = rec.take((-rec[0]).argsort(kind="stable"), axis=1)
-
-            # split the leading panels that reach 90% of the error (all of
-            # them, up to 64, where a NaN error never does)
-            reached = np.cumsum(rec[0]) >= 0.9 * total_err
-            n_split = min(64, reached.argmax() + 1 if reached.any() else reached.size)
-            lo, hi = rec[2:, :n_split]
-            mid = 0.5 * (lo + hi)
-            # the children (lo, mid), (mid, hi) of each split panel, in that order
-            pending[k] = np.array([lo, mid, mid, hi]).T.reshape(-1, 2).T
-            done[k] = rec[:, n_split:]
-
-        if not any(p.size for p in pending):
-            return integrals, errors, evals
+        # split the leading panels that reach 90% of the error (all of them,
+        # up to 64, where a NaN error never does)
+        reached = np.cumsum(rec[0]) >= 0.9 * total_err
+        n_split = min(64, reached.argmax() + 1 if reached.any() else reached.size)
+        lo, hi = rec[2:, :n_split]
+        mid = 0.5 * (lo + hi)
+        # the children (lo, mid), (mid, hi) of each split panel, in that order
+        pending = np.array([lo, mid, mid, hi]).T.reshape(-1, 2).T
+        done = rec[:, n_split:]
 
 
 def f_disk(r, r_T, tau):
@@ -201,29 +184,27 @@ def _p_disk_raw(r, r_T, t):
 
     a = r / r_T
     inv_2rt2 = 1.0 / (2.0 * r_T * r_T)
-
-    def integrands(nodes):
-        # nodes of the log part (u = ln y) and of the linear part, evaluated
-        # together with one kernel call on every y and a*y; each part keeps
-        # its own operation order
-        u, y_lin = nodes
-        y = np.concatenate([np.exp(u), y_lin])
-        (j, ja), (yy, ya) = (v.reshape(2, -1) for v in bessel_j0_y0(np.concatenate([y, a * y])))
-        nd = (ja * yy - j * ya) / (j * j + yy * yy)
-        damp = np.exp(-t * y * y * inv_2rt2)
-        k = u.size
-        return [nd[:k] * damp[:k], nd[k:] / y_lin * damp[k:]]
-
     y0 = min(1.0, r_T / math.sqrt(t))
     y_max = r_T * math.sqrt(32.0 * math.log(10.0) / t)  # damping < 1e-16 beyond
-    u_cut = min(-60.0, math.log(y0) - 20.0)
+    log_y0 = math.log(y0)
+    u_cut = min(-60.0, log_y0 - 20.0)
     n0 = max(4, min(2000, math.ceil((y_max - y0) / (math.pi * r_T / r))))
 
-    u_edges = math.log(y0) - LOG_PANEL_OFFSETS[::-1]
-    u_edges = np.concatenate([[u_cut], u_edges[u_edges > u_cut]])
-    (part1, part2), _, _ = _adaptive_gk(
-        integrands, [u_edges, np.linspace(y0, y_max, n0 + 1)], QUAD_TOL / 2.0, MAX_EVALS
-    )
+    def integrand(s):
+        # y = y0 e^s below s = 0 (so dy/y = ds), y0 (1 + s) above (dy/y = y0 ds/y);
+        # one kernel call on every y and a*y
+        log_part = s < 0.0
+        y = y0 * np.where(log_part, np.exp(np.minimum(s, 0.0)), 1.0 + s)
+        (j, ja), (yy, ya) = (v.reshape(2, -1) for v in bessel_j0_y0(np.concatenate([y, a * y])))
+        nd = (ja * yy - j * ya) / (j * j + yy * yy)
+        return nd * np.exp(-t * y * y * inv_2rt2) * np.where(log_part, 1.0, y0 / y)
+
+    # s_cut, the log panels' edges above it (ending at s = 0), then n0 equal
+    # panels up to y_max
+    s_cut = u_cut - log_y0
+    s_log = -LOG_PANEL_OFFSETS[::-1]
+    edges = np.concatenate([[s_cut], s_log[s_log > s_cut], np.linspace(0.0, y_max / y0 - 1.0, n0 + 1)[1:]])
+    integral, _, _ = _adaptive_gk(integrand, edges, QUAD_TOL, MAX_EVALS)
 
     # Exact tail over u < u_cut: with v = u + gamma - ln 2 the integrand is
     # -(pi/2) ln(a) / (v^2 + pi^2/4) up to terms of order e^(2 u_cut) <= e^-120,
@@ -231,7 +212,7 @@ def _p_disk_raw(r, r_T, t):
     lam = abs(u_cut + GAMMA - math.log(2.0))
     tail = -math.log(a) * math.atan(math.pi / (2.0 * lam))
 
-    return 1.0 + (2.0 / math.pi) * (part1 + part2 + tail)
+    return 1.0 + (2.0 / math.pi) * (integral + tail)
 
 
 def _check_disk(r, r_T, t):

@@ -28,8 +28,15 @@ double, harmless in extended) at 96 points of (0, 15].  The table splits
 (0, 15] into 64 equal pieces, each with degree-8 polynomials for J0 and
 for the power part B of the Y0 series, Y0 = (2/pi)((ln(x/2) + gamma) J0 +
 B); below x = 0.9375 the pieces are the series' first 9 terms in x^2/4,
-so J0(x) is exactly 1.0 for x < 1e-8.  At run time an argument costs one
-gathered table column and one double Horner pass.
+so J0(x) is exactly 1.0 for x < 1e-8.  A 65th piece holds the Hankel
+expansion's P and x|Q| as degree-8 polynomials in z - 1/2, z = (15/x)^2,
+interpolated from the 17-term sums in extended precision at import.  At
+run time an argument costs one gathered table column and one double
+Horner pass; the arguments past 15 then add the amplitude and the phase.
+
+The K0 truncation sums behind ``k0_bounds`` (``_phi_partial``) run in
+extended precision too, elementwise on a scalar or an array, so the
+``bessel`` table sums its whole grid in one pass.
 """
 
 import math
@@ -82,13 +89,14 @@ _M_HANKEL = [1.0]
 for _k in range(1, 34):
     _M_HANKEL.append(_M_HANKEL[-1] * (2 * _k - 1) ** 2 / (8.0 * _k))
 _M_HANKEL = np.array(_M_HANKEL)
-# The signed P and Q columns in powers of x^-2, highest first:
-# P ~ sum (-1)^m m_{2m} x^(-2m),  Q ~ -sum (-1)^m m_{2m+1} x^(-2m-1).  Q has
-# one power fewer: its leading 0 keeps it at 0 through the first Horner step.
-_HANKEL_PQ = np.array([
-    [(-1) ** m * _M_HANKEL[2 * m], (-1) ** m * _M_HANKEL[2 * m + 1] if m < 16 else 0.0]
-    for m in range(16, -1, -1)
-])
+# P ~ sum_{m<=16} (-1)^m m_{2m} x^(-2m) and x|Q| ~ sum_{m<=15} (-1)^m m_{2m+1}
+# x^(-2m) (Q itself is negative) as two columns of coefficients in powers of
+# z = (15/x)^2, in extended precision, padded with zero rows to the series'
+# length.
+_C_HANKEL = np.zeros((_NSER, 2), dtype=_LD)
+_C_HANKEL[:17, 0] = _M_HANKEL[0:34:2]
+_C_HANKEL[:16, 1] = _M_HANKEL[1:33:2]
+_C_HANKEL *= ((-1.0) ** np.arange(_NSER) / _LD(JY_SERIES_MAX_X) ** (2 * np.arange(_NSER)))[:, None]
 
 # The J0/Y0 table on (0, JY_SERIES_MAX_X] (see _jy_table): _JY_PIECES
 # pieces of width _JY_WIDTH (15/64, exact), each a polynomial of degree
@@ -177,30 +185,31 @@ def bessel_i(order, x):
             return total
 
 
-def _jy_series(x):
-    """(A, B) at the extended-precision points x, by all 48 series terms:
-    A = J0(x) and B = sum_n _C_Y0[n] (x^2/4)^n, so that
-    Y0(x) = (2/pi)((ln(x/2) + gamma) A + B).  Returns the 1-d extended
-    array [A, B]."""
-    t = x * x / 4
-    t = np.concatenate([t, t])
-    ab = np.zeros_like(t)
-    coefficients = np.repeat(_C_JY.T, x.size, axis=1)  # row n: C_J0[n] for A, C_Y0[n] for B
-    for row in coefficients[::-1]:  # Horner in t
-        ab *= t
-        ab += row
-    return ab
+def _ld_horner(coefficients, points):
+    """Column c of ``coefficients`` (rows in ascending powers) as a
+    polynomial at the extended-precision points ``points[c]``, every column
+    in one Horner pass; the values in the order of ``points``."""
+    t = np.concatenate(points)
+    out = np.zeros_like(t)
+    for row in np.repeat(coefficients, [p.size for p in points], axis=1)[::-1]:
+        out *= t
+        out += row
+    return out
 
 
 def _jy_table():
     """The coefficients of the J0/Y0 table: ``table[i, f, k]`` is the
-    power-i coefficient of A (f = 0) or B (f = 1) of _jy_series on piece k,
-    [k, k + 1] * _JY_WIDTH.
+    power-i coefficient of function f on piece k.
 
-    Piece k >= _JY_SERIES_PIECES is the degree-8 interpolant at its 9
-    Chebyshev points, in powers of x - (k + 1/2) _JY_WIDTH.  The earlier
-    pieces are the series' first 9 coefficients, in powers of x^2/4; the
-    next term is below 9e-18 for A and 3e-17 for B there.
+    Pieces k < 64 cover [k, k + 1] * _JY_WIDTH, with f = 0 for A = J0 and
+    f = 1 for B = sum_n _C_Y0[n] (x^2/4)^n, so that
+    Y0(x) = (2/pi)((ln(x/2) + gamma) A + B).  Piece k >= _JY_SERIES_PIECES
+    is the degree-8 interpolant at its 9 Chebyshev points, in powers of
+    x - (k + 1/2) _JY_WIDTH.  The earlier pieces are the series' first 9
+    coefficients, in powers of x^2/4; the next term is below 9e-18 for A
+    and 3e-17 for B there.  Piece 64 (x > 15) holds the Hankel P (f = 0)
+    and x|Q| (f = 1) of _C_HANKEL, interpolated the same way in powers of
+    z - 1/2, z = (15/x)^2 on [0, 1].
 
     The extended-precision series runs only at the 24 Chebyshev points of
     each of the 4 blocks of 16 pieces; the rest runs in double.  The
@@ -224,11 +233,15 @@ def _jy_table():
     kernel /= kernel.sum(axis=1, keepdims=True)
     block_width = _LD(_JY_WIDTH) * per_block
     nodes = (np.arange(_JY_BLOCKS, dtype=_LD)[:, None] + 0.5 + np.cos(phi) / 2) * block_width
-    ab = _jy_series(nodes.ravel()).astype(float).reshape(2, _JY_BLOCKS, _JY_BLOCK_NODES)
-    values = (ab @ kernel.T).reshape(2, _JY_PIECES, n)  # (A, B), piece, point
+    t = (nodes * nodes / 4).ravel()
+    z = 0.5 + np.cos(theta).astype(_LD) / 2
+    ab = _ld_horner(np.concatenate([_C_JY.T, _C_HANKEL], axis=1), [t, t, z, z]).astype(float)
+    series, hankel = ab[:2 * t.size].reshape(2, _JY_BLOCKS, _JY_BLOCK_NODES), ab[2 * t.size:].reshape(2, 1, n)
+    values = np.concatenate([(series @ kernel.T).reshape(2, _JY_PIECES, n), hankel], axis=1)  # function, piece, point
     powers = np.linalg.solve(np.vander(np.cos(theta), increasing=True), values.reshape(-1, n).T)
-    powers *= ((2.0 / _JY_WIDTH) ** np.arange(n))[:, None]
-    table = np.ascontiguousarray(powers.reshape(n, 2, _JY_PIECES))
+    table = powers.reshape(n, 2, _JY_PIECES + 1)
+    table[..., :-1] *= ((2.0 / _JY_WIDTH) ** np.arange(n))[:, None, None]
+    table[..., -1] *= (2.0 ** np.arange(n))[:, None]
     table[:, :, :_JY_SERIES_PIECES] = _C_JY[:, :n].T[..., None]
     return table
 
@@ -236,48 +249,37 @@ def _jy_table():
 _JY_TABLE = _jy_table()
 
 
-def _j0_y0_series(x):
-    """(J0, Y0) from the table, on a float array of 0 < x <= 15."""
-    k = np.minimum((x * (1.0 / _JY_WIDTH)).astype(np.intp), _JY_PIECES - 1)
+# past about 1e154, x^2 and pi x overflow to inf: the Hankel piece's z then
+# reads 0 and the amplitude 0, within its absolute accuracy
+@np.errstate(over="ignore")
+def _j0_y0_arrays(x):
+    """Vectorized (J0, Y0) on a strictly positive float array: one table
+    piece and one Horner pass per argument, then the Hankel amplitude and
+    phase on the arguments past 15."""
+    big = x > JY_SERIES_MAX_X
+    # the piece: x / _JY_WIDTH rounded down on (0, 15] (15 itself in the
+    # last), the Hankel piece past 15
+    k = np.minimum((np.minimum(x, JY_SERIES_MAX_X) * (1.0 / _JY_WIDTH)).astype(np.intp), _JY_PIECES - 1) + big
     u = np.where(k < _JY_SERIES_PIECES, 0.25 * x * x, x - (k + 0.5) * _JY_WIDTH)
-    rows = _JY_TABLE.take(k, axis=2)  # power, (A, B), element
+    any_big = big.any()
+    if any_big:
+        xb = x[big]
+        u[big] = JY_SERIES_MAX_X**2 / (xb * xb) - 0.5
+    rows = _JY_TABLE.take(k, axis=2)  # power, function, element
     ab = rows[_JY_DEGREE] * u
-    for row in rows[_JY_DEGREE - 1:0:-1]:  # Horner, A and B together
+    for row in rows[_JY_DEGREE - 1:0:-1]:  # Horner, both functions together
         ab += row
         ab *= u
     ab += rows[0]
-    return ab[0], (2.0 / math.pi) * ((np.log(x) + _Y0_LOG_SHIFT) * ab[0] + ab[1])
-
-
-# past about 1e154, x^2 and pi x overflow to inf in the Hankel branch: its
-# 1/x^2 and amplitude then read 0, within its absolute accuracy
-@np.errstate(over="ignore")
-def _j0_y0_arrays(x):
-    """Vectorized (J0, Y0) on a strictly positive float array."""
-    j = np.empty_like(x)
-    y = np.empty_like(x)
-
-    small = x <= JY_SERIES_MAX_X
-    if small.any():
-        j[small], y[small] = _j0_y0_series(x[small])
-
-    big = ~small
-    if big.any():
-        xb = x[big]
-        n = xb.size
-        xi2 = 1.0 / (xb * xb)
-        xi2 = np.concatenate([xi2, xi2])
-        pq = np.zeros(2 * n)
-        for c in _HANKEL_PQ.repeat(n, axis=1):  # Horner, [P, Q] together
-            pq *= xi2
-            pq += c
-        p, q = pq[:n], -pq[n:] / xb
+    j = ab[0]
+    y = (2.0 / math.pi) * ((np.log(x) + _Y0_LOG_SHIFT) * j + ab[1])
+    if any_big:
+        p, q = ab[0, big], -ab[1, big] / xb
         amp = np.sqrt(2.0 / (np.pi * xb))
         w = xb - np.pi / 4.0
         cw, sw = np.cos(w), np.sin(w)
         j[big] = amp * (p * cw - q * sw)
         y[big] = amp * (p * sw + q * cw)
-
     return j, y
 
 
@@ -289,9 +291,10 @@ def bessel_j0_y0(x):
     3e-14 max(1, |Y0|) for Y0 against mpmath, and within 1.5e-14 and
     3e-14 max(1, |Y0|) of the extended-precision series itself (measured
     6e-15 and 1.5e-14, both at the top of the range, where the series' own
-    rounding is largest); 1e-10 absolute for larger x (Hankel phase/amplitude
-    asymptotics), in practice near 1e-14.  Each entry depends on its own
-    argument only.
+    rounding is largest); for x > 15 (the Hankel piece) within 1e-14
+    absolute of mpmath on (15, 1e4] (measured 4.5e-15) and within 2e-16
+    of the 17-term expansion summed directly, up to the largest double.
+    Each entry depends on its own argument only.
 
     Raises
     ------
@@ -310,23 +313,27 @@ def bessel_j0_y0(x):
 
 def _phi_partial(x, m):
     """Extended-precision truncated sums -(ln(x/2)+g) + sum_{n<=k} (...) of
-    the K0 series for k = 0..m, from one pass.
+    the K0 series for k = 0..m, from one pass: an extended array of shape
+    (m + 1,) + shape of x, elementwise in a float or float array x.
 
     This prefix pass is shared by every truncation order of k0_bounds(),
-    which keeps the bracket monotone in m down to the last bit.
+    which keeps the bracket monotone in m down to the last bit.  Each
+    entry is the same elementwise extended arithmetic whatever the array,
+    so a sum does not depend on the other arguments.
     """
     if m >= _NSER:
         raise DomainError(f"truncation order {m} beyond tabulated range {_NSER - 1}")
-    t = _LD(x) * _LD(x) / 4
-    ell = np.log(_LD(x) / 2) + _GAMMA_LD
-    s = -ell
-    sums = [s]
+    x = np.asarray(x, dtype=_LD)
+    t = x * x / 4
+    ell = np.log(x / 2) + _GAMMA_LD
+    sums = np.empty((m + 1,) + x.shape, dtype=_LD)
+    sums[0] = s = -ell
     term = _LD(1.0)
     with np.errstate(over="ignore"):  # huge x: the sum runs to -inf
         for n in range(1, m + 1):
             term = term * t / (_LD(n) * _LD(n))
             s = s + term * (_HARM_LD[n] - ell)
-            sums.append(s)
+            sums[n] = s
     return sums
 
 
@@ -352,7 +359,8 @@ def _k0_tail(x, m, i0):
 
 def _k0_bracket(x, m, partial, i0):
     """The order-m bracket (lower, upper) from its prefix sum ``partial``
-    (a _phi_partial entry) and ``i0`` = I0(x) (+inf beyond 50)."""
+    (a _phi_partial entry, extended or rounded to a float) and ``i0`` =
+    I0(x) (+inf beyond 50)."""
     lower = float(partial)
     if m == 0:
         if x < 2.0 * math.exp(-GAMMA):
@@ -361,14 +369,6 @@ def _k0_bracket(x, m, partial, i0):
         return lower, math.inf
     tail = _k0_tail(x, m, i0)
     return lower, lower + tail if math.isfinite(tail) else math.inf
-
-
-def _k0_brackets(x, max_m, i0):
-    """Truncation brackets [(lower_m, upper_m) for m = 0..max_m] of K0(x)
-    from one _phi_partial pass and one I0(x); each pair equals
-    k0_bounds(x, m) bit for bit."""
-    sums = _phi_partial(x, max_m)
-    return [_k0_bracket(x, m, sums[m], i0) for m in range(max_m + 1)]
 
 
 def k0_bounds(x, m):

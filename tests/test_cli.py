@@ -481,15 +481,20 @@ PINNED_COMMANDS = [
 # were retaken when p_disk's log part came to start from panels graded
 # toward its top: one p_disk cell of figure1.csv and two ratios of
 # conjecture.csv moved in their last printed digit, each p_disk value to
-# within 3.3e-15 of Talbot inversion.  The other digests are as first taken.
+# within 3.3e-15 of Talbot inversion.  figure1.csv and conjecture.csv were
+# retaken when p_disk's two parts became one integral: the same cell of
+# figure1.csv and the t = 0.1 ratio of conjecture.csv moved in their last
+# printed digit, each p_disk value by 1.1e-16 and 2.2e-16 at the
+# quadrature's absolute floor, within 3.5e-15 of Talbot inversion.  The
+# other digests are as first taken.
 PINNED_SHA256 = {
     "bessel.csv": "c85cd508c0492b2a152b8ac2c5b9f07690dc53c3972765274216700bf589da1f",
     "bessel.csv.manifest.json": "bf451c70882c44b1022ee2da1164b649ce75ae5b194a389bfec62630c32e8e75",
-    "conjecture/conjecture.csv": "26d0d52c75f0631f188d3c820ef2cceaa61103d239f6a62afa2411a87a2b2a65",
+    "conjecture/conjecture.csv": "0e8184d4a72835ad526a20d5e63b22f7ffd93782c37ba10353a0ed56bf24ed26",
     "conjecture/manifest.json": "e82321dbe5a9b3e2e108211f6f26ca547c84638cc66ef34d27c33f6db8a26373",
     "disk.csv": "0716510287c94625bbc65258e99913e0163512e2ae35f74fa25c409fc121f34e",
     "disk.csv.manifest.json": "0356e07c61dc322f1d9fe7714764396031e839f3f6c382e87d90cb67baa6cdd2",
-    "figures/figure1.csv": "256d4809cbf3b178773f364063c9cab26b0a408a76e513596e7c07cea40d1a25",
+    "figures/figure1.csv": "37f35d68e720dbb6b7981993bd6493563460e9f9a94186bf2d0354ad82652b76",
     "figures/figure1.svg": "38bc26cb39516b8cf99a0635cbba461c6ffaa71931e163067e9f884504e733e0",
     "figures/figure2.csv": "1fd3a771d2687ffaf07dd83afedf29cad834e1e01f037801544b75a01c9d7f54",
     "figures/figure2.svg": "b27d2953310a035bc2bf04b5c4e31c712c3e9a5ca1a51eabf3802f3758746052",

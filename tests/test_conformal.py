@@ -178,6 +178,18 @@ def test_green_continuous_near_segment():
         assert_allclose(a / b, math.sqrt(10.0), rtol=1e-3)
 
 
+def test_green_jumps_at_the_boundary_tolerance_beyond_an_endpoint():
+    # within BOUNDARY_TOL of the segment H is 0 and phi_segment raises; just
+    # past it, beyond an endpoint, H is already about sqrt(2 delta)/pi
+    for sign in (1.0, -1.0):
+        inside, outside = PlanePoint(sign * (1.0 + 5e-13), 0.0), PlanePoint(sign * (1.0 + 1.1e-12), 0.0)
+        assert green_segment(inside) == 0.0
+        with pytest.raises(BoundaryError):
+            phi_segment(inside)
+        assert_allclose(green_segment(outside), 4.7213e-7, rtol=1e-4)
+        assert_allclose(green_segment(outside), math.sqrt(2.2e-12) / math.pi, rtol=1e-5)
+
+
 def test_green_symmetries():
     # reflection through both axes leaves |phi| unchanged
     for x, y in ((1.3, 0.4), (0.2, 2.0), (3.0, -1.0)):

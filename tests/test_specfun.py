@@ -30,6 +30,7 @@ from trapprob.specfun import (
     JY_SERIES_MAX_X,
     _k0_scaled,
     _k0_values,
+    _phi_partial,
 )
 
 # Reference values computed with mpmath at 40 significant digits and frozen here.
@@ -306,8 +307,8 @@ def test_j0_is_exactly_one_below_1e_minus_8():
 
 
 def _hankel_reference(xb):
-    """Reference: the Hankel branch as two separate Horner loops, each
-    step a new array."""
+    """Reference: the 17 P and 16 Q terms of the Hankel expansion summed
+    directly in powers of 1/x^2, two separate Horner loops."""
     with np.errstate(over="ignore"):
         xi2 = 1.0 / (xb * xb)
         p = np.zeros_like(xb)
@@ -323,12 +324,39 @@ def _hankel_reference(xb):
         return amp * (p * cw - q * sw), amp * (p * sw + q * cw)
 
 
-def test_j0_y0_hankel_branch_is_bit_identical_to_the_reference():
+def test_j0_y0_hankel_piece_against_the_direct_expansion():
+    # the table's piece for x > 15 holds P and x|Q| as degree-8 polynomials
+    # in (15/x)^2; against the expansion summed term by term it reads
+    # 5.6e-17 at worst
     xs = np.append(np.geomspace(np.nextafter(JY_SERIES_MAX_X, np.inf), 1e300, 20001), sys.float_info.max)
     j, y = bessel_j0_y0(xs)
     j_ref, y_ref = _hankel_reference(xs)
-    assert np.array_equal(j.view(np.int64), j_ref.view(np.int64))
-    assert np.array_equal(y.view(np.int64), y_ref.view(np.int64))
+    assert np.max(np.abs(j - j_ref)) <= 2e-16
+    assert np.max(np.abs(y - y_ref)) <= 2e-16
+
+
+def test_j0_y0_against_mpmath_on_the_hankel_range():
+    # 300 log-spaced points of (15, 1e4]; the worst reads 4.5e-15
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.geomspace(JY_SERIES_MAX_X, 1e4, 301)[1:]
+    j, y = bessel_j0_y0(xs)
+    with mpmath.workdps(30):
+        for x, jv, yv in zip(xs.tolist(), j.tolist(), y.tolist()):
+            assert abs(jv - float(mpmath.besselj(0, x))) <= 1e-14, x
+            assert abs(yv - float(mpmath.bessely(0, x))) <= 1e-14, x
+
+
+def test_j0_y0_entries_depend_on_their_own_argument_only():
+    # one array across every branch of the kernel (the series pieces, the
+    # interpolated pieces, both sides of 15, and where x^2 and pi x
+    # overflow) against one-element calls, bit for bit
+    xs = np.array([5e-324, 1e-8, 0.9375, 15.0, np.nextafter(15.0, np.inf), 1e154, 1e300, sys.float_info.max])
+    for order in (xs, xs[::-1]):
+        j, y = bessel_j0_y0(order)
+        for x, jv, yv in zip(order.tolist(), j.tolist(), y.tolist()):
+            j1, y1 = bessel_j0_y0(np.array([x]))
+            assert (jv.hex(), yv.hex()) == (float(j1[0]).hex(), float(y1[0]).hex()), x
+            assert (jv.hex(), yv.hex()) == tuple(v.hex() for v in bessel_j0_y0(x)), x
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +501,18 @@ def test_bessel_table_brackets_match_per_call_bounds():
         assert repr(row[3]) == repr(bessel_i(0, x))
         for m in range(9):
             assert [repr(v) for v in row[4 + 2 * m: 6 + 2 * m]] == [repr(v) for v in k0_bounds(x, m)], (x, m)
+
+
+def test_phi_partial_on_an_array_equals_the_scalar_calls():
+    # the bessel table's one prefix pass over its grid against one pass per
+    # x; the sums leave the double range at 2.5e5 (m = 40) and 1e300 (from
+    # m = 1), and the extended sum itself runs to -inf at 1e300 (from m = 9)
+    xs = np.concatenate([np.geomspace(1e-8, 50.0, 1000), [5e-324, 1e-8, 50.0, 2.5e5, 1e300]])
+    sums = _phi_partial(xs, 40)
+    assert sums.shape == (41, xs.size)
+    for x, column in zip(xs.tolist(), sums.T):
+        assert [repr(v) for v in column] == [repr(v) for v in _phi_partial(x, 40)], x
+    assert float(sums[40, -2]) == float(sums[1, -1]) == -math.inf and np.all(np.isneginf(sums[9:, -1]))
 
 
 # ---------------------------------------------------------------------------

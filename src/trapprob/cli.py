@@ -131,32 +131,23 @@ def _write_run(args, tables):
 
 def _bessel_rows(xs, max_m):
     """Rows [x, k0, k0_err, i0, lower_0, upper_0, ..., upper_max_m] of the
-    bessel table: the k0 column from one kernel call, every bracket's
-    prefix sum from one pass over the grid, and one I0(x) for each x."""
-    xs = np.asarray(xs, dtype=float)
-    values, bounds = _k0_values(xs)
-    with np.errstate(over="ignore"):  # a sum below the double range reads -inf, as in k0_bounds
-        sums = _phi_partial(xs, max_m).T.astype(float)
-    rows = []
-    for x, value, bound, partials in zip(xs.tolist(), values.tolist(), bounds.tolist(), sums.tolist()):
-        i0 = bessel_i(0, x)
-        row = [x, value, bound, i0]
-        for m, partial in enumerate(partials):
-            row += _k0_bracket(x, m, partial, i0)
-        rows.append(row)
-    return rows
+    bessel table: the k0 column from one kernel call, the i0 column from
+    one series pass, every bracket's prefix sum from one pass over the grid
+    and each order's brackets from one array call."""
+    i0 = bessel_i(0, xs)
+    columns = [xs, *_k0_values(xs), i0]
+    for m, partial in enumerate(_phi_partial(xs, max_m)):
+        columns += _k0_bracket(xs, m, partial, i0)
+    return [list(row) for row in zip(*(column.tolist() for column in columns))]
 
 
 def _cmd_bessel(args):
     if not 0.0 < args.x_min < args.x_max < math.inf:
         raise DomainError("need 0 < x-min < x-max < inf")
-    if args.points < 0:
-        raise DomainError(f"--points must be >= 0, got {args.points}")
+    points = require_count(args.points, "--points", minimum=0)
     max_m = require_count(args.max_m, "--max-m", minimum=0)
-    xs = _log_grid("x", args.x_min, args.x_max, args.points)
-    header = ["x", "k0", "k0_err", "i0"]
-    for m in range(max_m + 1):
-        header += [f"lower_{m}", f"upper_{m}"]
+    xs = _log_grid("x", args.x_min, args.x_max, points)
+    header = ["x", "k0", "k0_err", "i0", *(f"{side}_{m}" for m in range(max_m + 1) for side in ("lower", "upper"))]
     _emit_table(args, header, _bessel_rows(xs, max_m))
     return 0
 

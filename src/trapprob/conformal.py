@@ -41,10 +41,6 @@ class PlanePoint:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise DomainError(f"non-finite coordinates ({self.x!r}, {self.y!r})")
 
-    @property
-    def as_complex(self):
-        return complex(self.x, self.y)
-
 
 @dataclass(frozen=True)
 class TrapGeometry:
@@ -109,7 +105,7 @@ def _segment_distance(z):
 def _phi_scaled(z, s):
     """phi(z)/s for s = 1 or 4, where dividing by s is exact.
 
-    Each factor of the root is built from its parts: z.as_complex + 1.0
+    Each factor of the root is built from its parts: complex(z.x, z.y) + 1.0
     would turn an imaginary -0.0 into +0.0 and put the two factors on
     opposite sides of the cut.  sqrt(a/s) sqrt(b/s) = sqrt(a b)/s, so
     phi(z)/4, about z/2, stays in the double range for every finite z.

@@ -269,9 +269,10 @@ def sample_batch(starts, t_max, seed, first_index=0):
     return np.rec.fromarrays([times, xs, censored_col, steps_col], dtype=RECORD_DTYPE)
 
 
-def wilson_interval(successes, n, z=Z_99):
-    """Wilson score interval for a binomial proportion (vectorized in
-    ``successes``, each in [0, n]; ``n`` is one count of at least 1).
+def wilson_interval(successes, n):
+    """Wilson score interval with z = Z_99 (two-sided 99%) for a binomial
+    proportion (vectorized in ``successes``, each in [0, n]; ``n`` is one
+    count of at least 1).
 
     The bounds are probabilities, so they are clipped to [0, 1]; at the
     extremes (0 or n successes) the unclipped arithmetic can stray below 0
@@ -282,11 +283,11 @@ def wilson_interval(successes, n, z=Z_99):
     if successes.size and not (successes.min() >= 0.0 and successes.max() <= n):  # a NaN fails both
         raise DomainError(f"success counts must lie in [0, {n}]")
     phat = successes / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / 2.0 / n) / denom  # 2 n would overflow for the largest counts
+    denom = 1.0 + Z_99 * Z_99 / n
+    center = (phat + Z_99 * Z_99 / 2.0 / n) / denom  # 2 n would overflow for the largest counts
     # the 1/n outside the root: phat (1 - phat) / n + z^2 / (4 n^2) inside it
     # would reach the subnormal range, and then 0, for counts past about 1e150
-    half = (z / denom) * np.sqrt(successes * (1.0 - phat) + z * z / 4.0) / n
+    half = (Z_99 / denom) * np.sqrt(successes * (1.0 - phat) + Z_99 * Z_99 / 4.0) / n
     return np.clip(center - half, 0.0, 1.0), np.clip(center + half, 0.0, 1.0)
 
 

@@ -35,8 +35,11 @@ run time an argument costs one gathered table column and one double
 Horner pass; the arguments past 15 then add the amplitude and the phase.
 
 The K0 truncation sums behind ``k0_bounds`` (``_phi_partial``) run in
-extended precision too, elementwise on a scalar or an array, so the
-``bessel`` table sums its whole grid in one pass.
+extended precision too.  They, the bracket built from them
+(``_k0_bracket``) and ``bessel_i`` work elementwise on a scalar or an
+array, so ``k0_bounds``, the ``bessel`` table and ``_k0_scaled`` below
+1e-8 share one bracket, and the table takes each order's brackets for its
+whole grid in one call.
 """
 
 import math
@@ -60,6 +63,8 @@ _K0_NODES = 94
 _K0_BLOCK = 128
 _K0_HALF_K = 0.5 * np.arange(_K0_NODES)
 _U = 2.0**-53
+# the smallest subnormal double
+_TINY = 5e-324
 
 # Order-0 remainder constant of k0_bounds: 0.97311062304500... rounded up
 # (derivation in its docstring).
@@ -76,6 +81,8 @@ _HARM_LD = np.zeros(_NSER, dtype=_LD)
 for _n in range(1, _NSER):
     _FACT_LD[_n] = _FACT_LD[_n - 1] * _n
     _HARM_LD[_n] = _HARM_LD[_n - 1] + 1 / _LD(_n)
+
+_SQUARES_LD = np.arange(_NSER, dtype=_LD) ** 2
 
 _C_J0 = np.array([(-1) ** n / _FACT_LD[n] ** 2 for n in range(_NSER)], dtype=_LD)
 _C_Y0 = np.array(
@@ -166,23 +173,47 @@ def harmonic_number(n):
 def bessel_i(order, x):
     """Modified Bessel function I0 or I2 by the ascending power series.
 
-    Valid for 0 <= x <= 50 (all-positive terms, no cancellation); the series
-    is truncated once the next term drops below 1e-16 relative.
+    Takes a float, or an ndarray and returns an ndarray of its shape.  Valid
+    for 0 <= x <= 50 (all-positive terms, no cancellation); each entry's
+    series is truncated once its next term drops below 1e-16 relative.  An
+    array entry runs the scalar call's operations and stops at its own
+    term, so it equals that call bit for bit.
+
+    Raises
+    ------
+    DomainError
+        If the order is not 0 or 2, or an entry lies outside [0, 50] (the
+        message names the first such entry).
     """
     if order not in (0, 2):
         raise DomainError(f"bessel_i supports orders 0 and 2, got {order!r}")
-    if not (0.0 <= x <= 50.0):
-        raise DomainError(f"bessel_i needs 0 <= x <= 50, got {x!r}")
+    if not isinstance(x, np.ndarray):
+        if not (0.0 <= x <= 50.0):
+            raise DomainError(f"bessel_i needs 0 <= x <= 50, got {x!r}")
+        q = x * x / 4.0
+        # I_n(x) = sum_k q^(k+n/2) / (k! (k+n)!): leading term 1 for I0, q/2 for I2
+        term = total = 1.0 if order == 0 else q / 2.0
+        k = 0
+        while True:
+            k += 1
+            term *= q / (k * (k + order))
+            total += term
+            if term <= 1e-16 * total:
+                return total
+    bad = ~((x >= 0.0) & (x <= 50.0))  # a NaN is bad
+    if bad.any():
+        raise DomainError(f"bessel_i needs 0 <= x <= 50, got {float(x[bad][0])!r}")
+    # the scalar loop on every entry; an entry that has stopped adds 0
     q = x * x / 4.0
-    # I_n(x) = sum_k q^(k+n/2) / (k! (k+n)!): leading term 1 for I0, q/2 for I2
-    term = total = 1.0 if order == 0 else q / 2.0
+    term = total = np.ones_like(q) if order == 0 else q / 2.0
+    live = np.ones(q.shape, dtype=bool)
     k = 0
-    while True:
+    while live.any():
         k += 1
-        term *= q / (k * (k + order))
-        total += term
-        if term <= 1e-16 * total:
-            return total
+        term = term * (q / (k * (k + order)))
+        total = total + np.where(live, term, 0.0)
+        live &= term > 1e-16 * total
+    return total
 
 
 def _ld_horner(coefficients, points):
@@ -323,7 +354,7 @@ def _phi_partial(x, m):
     """
     if m >= _NSER:
         raise DomainError(f"truncation order {m} beyond tabulated range {_NSER - 1}")
-    x = np.asarray(x, dtype=_LD)
+    x = np.asarray(x, dtype=_LD)[()]  # a scalar stays a numpy scalar
     t = x * x / 4
     ell = np.log(x / 2) + _GAMMA_LD
     sums = np.empty((m + 1,) + x.shape, dtype=_LD)
@@ -331,44 +362,43 @@ def _phi_partial(x, m):
     term = _LD(1.0)
     with np.errstate(over="ignore"):  # huge x: the sum runs to -inf
         for n in range(1, m + 1):
-            term = term * t / (_LD(n) * _LD(n))
+            term = term * t / _SQUARES_LD[n]
             s = s + term * (_HARM_LD[n] - ell)
             sums[n] = s
     return sums
 
 
-def _k0_tail(x, m, i0):
-    """Stirling remainder attached to the order-m truncation upper bound.
-
-    ``i0`` is I0(x) (+inf beyond the range of bessel_i).  Two regimes: for
-    x < 2e^-gamma the tail carries |ln(x/(2(m+1)))|; for
-    2e^-gamma <= x < 2e^(h_m - gamma) a (gamma + ln(m+1)) factor replaces the
-    log.  Outside those ranges the upper bound is vacuous (+inf).
-    """
-    mp1 = m + 1
-    if x / (2.0 * mp1) == 0.0:  # subnormal x: the remainder underflows
-        return 0.0
-    # e^(2m+2) (x / (2(m+1)))^(2m+2), evaluated in logs to dodge under/overflow
-    ln_pw = (2 * mp1) * (1.0 + math.log(x / (2.0 * mp1)))
-    if x < 2.0 * math.exp(-GAMMA):
-        return i0 / (2.0 * math.pi) / mp1 * math.exp(ln_pw) * abs(math.log(x / (2.0 * mp1)))
-    if x < 2.0 * math.exp(float(_HARM_LD[m]) - GAMMA):
-        return i0 / (2.0 * math.pi) * (GAMMA + math.log(mp1)) / mp1 * math.exp(ln_pw)
-    return math.inf
-
-
 def _k0_bracket(x, m, partial, i0):
-    """The order-m bracket (lower, upper) from its prefix sum ``partial``
-    (a _phi_partial entry, extended or rounded to a float) and ``i0`` =
-    I0(x) (+inf beyond 50)."""
-    lower = float(partial)
-    if m == 0:
-        if x < 2.0 * math.exp(-GAMMA):
-            q = x * x / 4.0  # q |ln q| -> 0 where q underflows
-            return lower, lower + K0_M0_REMAINDER * q * abs(math.log(q)) if q > 0.0 else lower
-        return lower, math.inf
-    tail = _k0_tail(x, m, i0)
-    return lower, lower + tail if math.isfinite(tail) else math.inf
+    """The order-m bracket (lower, upper), elementwise on a float or float
+    array x, from its prefix sums ``partial`` (row m of _phi_partial) and
+    ``i0`` = I0(x) (+inf beyond 50).
+
+    The upper bound adds a remainder to lower.  At m = 0 it is
+    K0_M0_REMAINDER q |ln q|, q = x^2/4, on x < 2e^-gamma.  At m >= 1 it is
+    the Stirling tail I0/(2 pi (m+1)) (e y)^(2m+2), y = x/(2(m+1)), times
+    |ln y| for x < 2e^-gamma, or times gamma + ln(m+1) for
+    2e^-gamma <= x < 2e^(h_m - gamma); each factor is the larger on its own
+    range, so the tail takes the larger product.  Upper is +inf from
+    x = 2e^(h_m - gamma) on (h_0 = 0: 2e^-gamma at m = 0).  The logs are
+    taken of q or y plus the smallest subnormal, which keeps log(0) out and
+    moves only remainders far below lower's last bit.  The power is
+    exponentiated in extended precision and rounded once to a double, as
+    math.exp rounds it; numpy's double exp is not correctly rounded.
+    """
+    # past the range the power and x^2 overflow and a sum below the double
+    # range reads -inf, so lower + tail may be -inf + inf; np.where drops them
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = np.float64(partial)
+        if m == 0:
+            q = x * x / 4.0
+            tail = K0_M0_REMAINDER * q * abs(np.log(q + _TINY))
+        else:
+            mp1 = m + 1
+            ln_y = np.log(x / (2.0 * mp1) + _TINY)
+            pw = np.float64(np.exp((2 * mp1) * (1.0 + ln_y), dtype=_LD))
+            c = i0 / (2.0 * math.pi)
+            tail = np.maximum(c / mp1 * pw * abs(ln_y), c * (GAMMA + math.log(mp1)) / mp1 * pw)
+        return lower, np.where(x < 2.0 * math.exp(float(_HARM_LD[m]) - GAMMA), lower + tail, math.inf)
 
 
 def k0_bounds(x, m):
@@ -393,7 +423,8 @@ def k0_bounds(x, m):
         raise DomainError(f"k0_bounds requires finite x > 0, got {x!r}")
     m = require_count(m, "k0_bounds' order", minimum=0)
     x = float(x)
-    return _k0_bracket(x, m, _phi_partial(x, m)[m], bessel_i(0, x) if x <= 50.0 else math.inf)
+    lower, upper = _k0_bracket(x, m, _phi_partial(x, m)[m], bessel_i(0, x) if x <= 50.0 else math.inf)
+    return float(lower), float(upper)
 
 
 def _k0_scaled(x):
@@ -469,11 +500,12 @@ def _k0_scaled(x):
         wa[rows] = (w * arg).sum(axis=1)
     err = _U * ((10.0 + 93.0 * h) * h * wa + 106.0 * s)
 
-    for i in np.flatnonzero(x < _K0_TRAPEZOID_MIN_X):
-        lower, upper = k0_bounds(float(x[i]), 1)
-        scale = math.exp(x[i])
-        s[i] = scale * (0.5 * (lower + upper))
-        err[i] = scale * (0.5 * (upper - lower)) + 8.0 * _U * s[i]
+    tiny = x < _K0_TRAPEZOID_MIN_X
+    if tiny.any():
+        xs = x[tiny]
+        lower, upper = _k0_bracket(xs, 1, _phi_partial(xs, 1)[1], bessel_i(0, xs))
+        s[tiny] = np.exp(xs) * (0.5 * (lower + upper))
+        err[tiny] = np.exp(xs) * (0.5 * (upper - lower)) + 8.0 * _U * s[tiny]
     return s, err
 
 

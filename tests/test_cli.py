@@ -10,6 +10,7 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import trapprob.segment_sim
@@ -159,6 +160,23 @@ def test_bessel_csv_and_sidecar_manifest(tmp_path):
     assert manifest["command"] == "bessel"
     assert manifest["parameters"]["points"] == 2
     assert manifest["tool_version"]
+
+
+def test_bessel_zero_points_writes_the_header_only(tmp_path, capsys):
+    assert main(["bessel", "--points", "0", "--max-m", "1"]) == 0
+    assert capsys.readouterr().out == "x,k0,k0_err,i0,lower_0,upper_0,lower_1,upper_1\n"
+    out = tmp_path / "bessel.csv"
+    assert main(["bessel", "--points", "0", "--max-m", "0", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["x,k0,k0_err,i0,lower_0,upper_0"]
+
+
+def test_bessel_past_the_i0_range_names_one_x(capsys):
+    # the default 50-point grid from 1e-4 to 100: the message names the
+    # first x above 50, not the whole grid
+    assert main(["bessel", "--x-max", "100"]) == 1
+    xs = np.logspace(-4.0, 2.0, 50)
+    first = float(xs[xs > 50.0][0])
+    assert capsys.readouterr().err == f"trapprob: domain error: bessel_i needs 0 <= x <= 50, got {first!r}\n"
 
 
 # ---------------------------------------------------------------------------

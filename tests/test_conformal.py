@@ -82,7 +82,6 @@ def test_segment_outside_the_double_range_rejected(a, b):
 def test_plane_point_basics():
     p = PlanePoint(3.0, -4.0)
     assert math.hypot(p.x, p.y) == 5.0
-    assert p.as_complex == complex(3.0, -4.0)
     with pytest.raises(DomainError):
         PlanePoint(math.inf, 0.0)
     with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 """Tests for the walk-on-lines sampler and its estimators."""
 
+import cmath
 import gc
 import hashlib
 import importlib
@@ -18,6 +19,7 @@ from trapprob import (
     DomainError,
     PlanePoint,
     make_segment_trap,
+    phi_segment,
     release_circle,
     sample_batch,
     survival_curve,
@@ -25,6 +27,7 @@ from trapprob import (
 )
 from trapprob.segment_sim import (
     RECORD_DTYPE,
+    Z_99,
     jump_to_axis,
     philox4x32,
     philox_normals,
@@ -545,6 +548,47 @@ def test_hit_points_follow_arcsine_measure():
     assert abs(xs.mean()) < 4.0 / math.sqrt(2.0 * len(xs))  # symmetry
 
 
+def _hit_abscissa_cdf(w, x):
+    """P(cos theta <= x) for theta with the exterior Poisson kernel density
+    (|w|^2 - 1)/(2 pi |w - e^{i theta}|^2), |w| > 1.
+
+    With phi = theta - arg w wrapped to (-pi, pi],
+    atan2((|w|+1) sin(phi/2), (|w|-1) cos(phi/2))/pi is an antiderivative of
+    the density, so the arc [arccos x, 2 pi - arccos x] has the mass of its
+    difference mod 1 (1 at x = 1, where the arc is the whole circle)."""
+    rho, alpha = abs(w), cmath.phase(w)
+
+    def antiderivative(theta):
+        phi = np.angle(np.exp(1j * (theta - alpha)))
+        return np.arctan2((rho + 1.0) * np.sin(phi / 2.0), (rho - 1.0) * np.cos(phi / 2.0)) / np.pi
+
+    a = np.arccos(np.clip(x, -1.0, 1.0))
+    return np.where(x >= 1.0, 1.0, np.mod(antiderivative(2.0 * np.pi - a) - antiderivative(a), 1.0))
+
+
+@pytest.mark.parametrize("zx, zy", [(0.3, 0.5), (0.9, 0.05)])
+def test_whole_walk_hit_point_follows_the_harmonic_measure(zx, zy):
+    """The hit point of a walk from a fixed z has the harmonic measure of
+    the segment seen from z: the exterior Poisson kernel at w = phi(z),
+    pulled back by phi, so its abscissa is cos(theta).  This sets the whole
+    walk against an exact law, not against the reference walk.  KS * sqrt(n)
+    against 1.95 (alpha = 1e-3); seed 3 reads 0.53 and 0.89.
+
+    The captured rows stand for the whole law: at t_max = 1e300, 21 and 4
+    of the 2e4 walks are censored, and conditioning on capture moves the
+    probability of any set of hit points by at most the censored share
+    (0.1% and 0.02%), far below the KS band 1.95/sqrt(n) of about 1.4%.
+    """
+    n = 20000
+    records = sample_batch([PlanePoint(zx, zy)] * n, t_max=1e300, seed=3)
+    assert records.censored.sum() < 0.002 * n
+    xs = np.sort(records.x[~records.censored])
+    cdf = _hit_abscissa_cdf(phi_segment(PlanePoint(zx, zy)), xs)
+    rank = np.arange(1, xs.size + 1) / xs.size
+    ks = max((rank - cdf).max(), (cdf - (rank - 1.0 / xs.size)).max())
+    assert ks * math.sqrt(xs.size) < 1.95
+
+
 # ---------------------------------------------------------------------------
 # survival_curve
 # ---------------------------------------------------------------------------
@@ -600,8 +644,8 @@ def test_survival_curve_all_captured_allows_any_grid():
 # ---------------------------------------------------------------------------
 
 def test_wilson_closed_form():
-    z = 1.96
-    lo, hi = wilson_interval(50.0, 100, z=z)
+    z = Z_99
+    lo, hi = wilson_interval(50.0, 100)
     denom = 1.0 + z * z / 100.0
     center = (0.5 + z * z / 200.0) / denom
     half = (z / denom) * math.sqrt(0.25 / 100.0 + z * z / 40000.0)

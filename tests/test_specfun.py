@@ -151,6 +151,32 @@ def test_bessel_i_one_loop_equals_per_order_loops():
             assert bessel_i(order, x).hex() == _bessel_i_per_order(order, x).hex(), (order, x)
 
 
+def test_bessel_i_on_an_array_equals_the_scalar_calls():
+    # each entry stops at its own term: 0 and the smallest subnormal stop at
+    # the first, 50 runs longest; a 2-d array keeps its shape
+    xs = np.concatenate([
+        [0.0, 5e-324, 1e-8, 50.0, np.nextafter(50.0, 0.0)], np.geomspace(1e-300, 50.0, 400), np.linspace(0.0, 50.0, 401),
+    ])
+    for order in (0, 2):
+        values = bessel_i(order, xs)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        assert [repr(v) for v in values.tolist()] == [repr(bessel_i(order, x)) for x in xs.tolist()], order
+        assert np.array_equal(bessel_i(order, xs.reshape(2, -1)), values.reshape(2, -1))
+
+
+def test_bessel_i_on_an_empty_array():
+    for order in (0, 2):
+        values = bessel_i(order, np.array([]))
+        assert isinstance(values, np.ndarray) and values.shape == (0,)
+
+
+@pytest.mark.parametrize("xs, named", [([1.0, 60.0, 70.0], "60.0"), ([2.0, np.nan], "nan"), ([-0.5, 1.0], "-0.5")])
+def test_bessel_i_array_domain_error_names_one_entry(xs, named):
+    with pytest.raises(DomainError) as exc:
+        bessel_i(0, np.array(xs))
+    assert str(exc.value) == f"bessel_i needs 0 <= x <= 50, got {named}"
+
+
 def test_bessel_i_positivity():
     xs = np.linspace(0.0, 50.0, 101)
     for x in xs:
@@ -474,11 +500,12 @@ def test_k0_interval_contains_mpmath_at_the_ends():
             assert k0(x).value == 0.0
 
 
-@pytest.mark.parametrize("lo, hi, points", [(1e-8, 50.0, 1000), (1e-4, 10.0, 50)])
+@pytest.mark.parametrize("lo, hi, points", [(1e-8, 50.0, 1000), (1e-4, 10.0, 50), (1e-300, 1e-6, 300)])
 def test_k0_scalar_equals_table_entry(lo, hi, points):
-    # the benchmark's and the CLI default's bessel grids: scalar k0 and the
-    # table's k0/k0_err columns agree bit for bit, so no entry depends on
-    # the block it was computed in
+    # the benchmark's and the CLI default's bessel grids, and one reaching
+    # below 1e-8, where both take the order-1 bracket in one array call:
+    # scalar k0 and the table's k0/k0_err columns agree bit for bit, so no
+    # entry depends on the block it was computed in
     xs = np.logspace(math.log10(lo), math.log10(hi), points)
     rows = _bessel_rows(xs, 0)
     values, bounds = _k0_values(xs)

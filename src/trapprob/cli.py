@@ -75,14 +75,21 @@ def _time_grid(args):
         raise DomainError(f"need finite --t-min and --t-max, got {args.t_min!r} and {args.t_max!r}")
     if args.t_points < 1:
         raise DomainError(f"--t-points must be >= 1, got {args.t_points}")
-    return _log_grid("time", args.t_min, args.t_max, args.t_points)
+    return _log_grid("time", args.t_min, args.t_max, args.t_points, "--t-points")
 
 
-def _log_grid(name, lo, hi, points):
-    """``points`` log-spaced values from lo to hi; DomainError unless each
-    is a finite double."""
-    with np.errstate(over="ignore"):  # 10**log10(hi) may round past the largest double
-        grid = np.logspace(math.log10(lo), math.log10(hi), points)
+def _log_grid(name, lo, hi, points, flag):
+    """``points`` log-spaced values from lo to hi; DomainError naming
+    ``flag`` if they do not fit in memory, and unless each is a finite
+    double."""
+    too_many = DomainError(f"{flag} {points} is too many points: the {name} grid does not fit in memory")
+    if points > np.iinfo(np.intp).max:  # from 2^63 on numpy would build an empty range
+        raise too_many
+    try:
+        with np.errstate(over="ignore"):  # 10**log10(hi) may round past the largest double
+            grid = np.logspace(math.log10(lo), math.log10(hi), points)
+    except (ValueError, MemoryError):  # numpy refuses the size, or cannot allocate it
+        raise too_many from None
     if not np.all(np.isfinite(grid)):
         raise DomainError(f"the {name} grid from {lo!r} to {hi!r} leaves the double range")
     return grid
@@ -146,7 +153,7 @@ def _cmd_bessel(args):
         raise DomainError("need 0 < x-min < x-max < inf")
     points = require_count(args.points, "--points", minimum=0)
     max_m = require_count(args.max_m, "--max-m", minimum=0)
-    xs = _log_grid("x", args.x_min, args.x_max, points)
+    xs = _log_grid("x", args.x_min, args.x_max, points, "--points")
     header = ["x", "k0", "k0_err", "i0", *(f"{side}_{m}" for m in range(max_m + 1) for side in ("lower", "upper"))]
     _emit_table(args, header, _bessel_rows(xs, max_m))
     return 0

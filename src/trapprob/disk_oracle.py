@@ -17,8 +17,10 @@ Erratum note: the source article for this work prints the integral with a
 1/pi prefactor and an exponent "2 r_0"; both are typos (the t -> 0 limit
 would give 1/2 instead of 0, and the exponent is dimensionally wrong).  The
 transcription above is certified against f_D by the numerical Laplace
-transform consistency check in the test suite (agreement ~1e-7, tolerance
-1e-4).
+transform consistency check in the test suite (agreement 2.5e-7 on
+acceptance criterion 3's grid, tolerance 1e-4), and p_disk lies within
+3e-15 of Talbot inversion of that Laplace transform at nine points from
+t = 0.0125 to 1e5 (the tests assert 1e-13).
 
 The integrand decays only like 1/ln^2(y) as y -> 0+ and oscillates on the
 scale pi r_T / r for large y, so the quadrature runs over one variable s
@@ -27,7 +29,9 @@ s < 0 (plus an exact tail below u = ln y <= -60) and y = y0 (1 + s) for
 s >= 0.  One adaptive Gauss-Kronrod integral covers both, from panels
 graded toward s = 0 below it, where the integrand's features sit, and
 panels of sub-oscillation width above it; at QUAD_TOL a call ends after
-one round: one J0/Y0 kernel call on every node.
+one round: one J0/Y0 kernel call on every node.  _adaptive_gk hands the
+integrand its nodes in ascending order, so the log part is a leading
+slice.
 """
 
 import math
@@ -101,19 +105,19 @@ def _adaptive_gk(f, edges, tol, max_evals):
     """Adaptive Gauss-Kronrod integration of f from edges[0] to edges[-1].
 
     ``edges`` are the ascending starting panel edges, as an array; ``f``
-    takes an array of nodes and returns the integrand there, and each round
-    calls it once, on every pending panel.  Each round splits the worst
-    panels (those carrying 90% of the total error estimate, at most 64 per
-    round) until the summed |GK15 - G7| error drops below tol.
+    takes an ascending array of nodes and returns the integrand there, and
+    each round calls it once, on every pending panel.  Each round splits
+    the worst panels (those carrying 90% of the total error estimate, at
+    most 64 per round) until the summed |GK15 - G7| error drops below tol.
 
     Returns (integral, error_estimate, evaluations); the evaluations must
     not exceed max_evals.
     """
-    pending = np.array([edges[:-1], edges[1:]])  # rows (lo, hi) of the panels to evaluate
+    lo, hi = edges[:-1], edges[1:]  # the pending panels, ascending
+    unsort = slice(None)  # takes the pending panels back to the order the last split made them
     done = np.empty((4, 0))  # rows (error, value, lo, hi) of the accepted panels
     evals = 0
     while True:
-        lo, hi = pending
         half = 0.5 * (hi - lo)
         x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
         evals += x.size
@@ -121,14 +125,16 @@ def _adaptive_gk(f, edges, tol, max_evals):
             raise ConvergenceError(f"quadrature exceeded {max_evals} evaluations on [{edges[0]:g}, {edges[-1]:g}]")
         fv = f(x.ravel()).reshape(x.shape)
         i15 = (fv * _WGK).sum(axis=1) * half
-        i7 = (fv * _WG).sum(axis=1) * half
-        rec = np.concatenate([done, [np.abs(i15 - i7), i15, lo, hi]], axis=1)
-        total_err = math.fsum(rec[0].tolist())
+        err = np.abs(i15 - (fv * _WG).sum(axis=1) * half)
+        # fsum is exact, so the accepted panels need not be stacked first
+        total_err = math.fsum([*done[0].tolist(), *err.tolist()])
         if total_err <= tol:
-            return math.fsum(rec[1].tolist()), total_err, evals
+            return math.fsum([*done[1].tolist(), *i15.tolist()]), total_err, evals
 
+        new = np.array([err, i15, lo, hi])
         # stable, so equal errors keep their order: accepted panels first,
         # then the new ones in the order they were made
+        rec = np.concatenate([done, new[:, unsort]], axis=1)
         rec = rec.take((-rec[0]).argsort(kind="stable"), axis=1)
 
         # split the leading panels that reach 90% of the error (all of them,
@@ -137,8 +143,12 @@ def _adaptive_gk(f, edges, tol, max_evals):
         n_split = min(64, reached.argmax() + 1 if reached.any() else reached.size)
         lo, hi = rec[2:, :n_split]
         mid = 0.5 * (lo + hi)
-        # the children (lo, mid), (mid, hi) of each split panel, in that order
-        pending = np.array([lo, mid, mid, hi]).T.reshape(-1, 2).T
+        # the children (lo, mid), (mid, hi) of each split panel, made in
+        # that order and evaluated in ascending order
+        lo, hi = np.array([lo, mid, mid, hi]).T.reshape(-1, 2).T
+        ascending = lo.argsort(kind="stable")
+        unsort = ascending.argsort()
+        lo, hi = lo[ascending], hi[ascending]
         done = rec[:, n_split:]
 
 
@@ -192,18 +202,33 @@ def _p_disk_raw(r, r_T, t):
 
     def integrand(s):
         # y = y0 e^s below s = 0 (so dy/y = ds), y0 (1 + s) above (dy/y = y0 ds/y);
-        # one kernel call on every y and a*y
-        log_part = s < 0.0
-        y = y0 * np.where(log_part, np.exp(np.minimum(s, 0.0)), 1.0 + s)
-        (j, ja), (yy, ya) = (v.reshape(2, -1) for v in bessel_j0_y0(np.concatenate([y, a * y])))
+        # the s are ascending, so the log part is the first n_log; one kernel
+        # call on the buffer [y | a*y]
+        n, n_log = s.size, s.searchsorted(0.0)
+        buf = np.empty(2 * n)
+        y = buf[:n]
+        np.exp(s[:n_log], out=y[:n_log])
+        np.add(s[n_log:], 1.0, out=y[n_log:])
+        y *= y0
+        np.multiply(y, a, out=buf[n:])
+        jv, yv = bessel_j0_y0(buf)
+        j, ja, yy, ya = jv[:n], jv[n:], yv[:n], yv[n:]
         nd = (ja * yy - j * ya) / (j * j + yy * yy)
-        return nd * np.exp(-t * y * y * inv_2rt2) * np.where(log_part, 1.0, y0 / y)
+        nd *= np.exp(-t * y * y * inv_2rt2)
+        nd[n_log:] *= y0 / y[n_log:]
+        return nd
 
-    # s_cut, the log panels' edges above it (ending at s = 0), then n0 equal
-    # panels up to y_max
+    # s_cut, the n_top log panel edges s = -LOG_PANEL_OFFSETS above it
+    # (ending at s = -0.0), then n0 equal panels up to y_max, spaced as
+    # np.linspace(0, stop, n0 + 1) spaces them
     s_cut = u_cut - log_y0
-    s_log = -LOG_PANEL_OFFSETS[::-1]
-    edges = np.concatenate([[s_cut], s_log[s_log > s_cut], np.linspace(0.0, y_max / y0 - 1.0, n0 + 1)[1:]])
+    n_top = LOG_PANEL_OFFSETS.searchsorted(-s_cut)
+    stop = y_max / y0 - 1.0
+    edges = np.empty(n_top + n0 + 1)
+    edges[0] = s_cut
+    np.negative(LOG_PANEL_OFFSETS[n_top - 1::-1], out=edges[1:n_top + 1])
+    np.multiply(np.arange(1, n0 + 1), stop / n0, out=edges[n_top + 1:])
+    edges[-1] = stop
     integral, _, _ = _adaptive_gk(integrand, edges, QUAD_TOL, MAX_EVALS)
 
     # Exact tail over u < u_cut: with v = u + gamma - ln 2 the integrand is

@@ -43,6 +43,7 @@ whole grid in one call.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -173,21 +174,22 @@ def harmonic_number(n):
 def bessel_i(order, x):
     """Modified Bessel function I0 or I2 by the ascending power series.
 
-    Takes a float, or an ndarray and returns an ndarray of its shape.  Valid
-    for 0 <= x <= 50 (all-positive terms, no cancellation); each entry's
-    series is truncated once its next term drops below 1e-16 relative.  An
-    array entry runs the scalar call's operations and stops at its own
-    term, so it equals that call bit for bit.
+    Takes a real scalar, or an array or sequence of them and returns an
+    ndarray of its shape.  Valid for 0 <= x <= 50 (all-positive terms, no
+    cancellation); each entry's series is truncated once its next term
+    drops below 1e-16 relative.  An array entry runs the scalar call's
+    operations and stops at its own term, so it equals that call bit for
+    bit.
 
     Raises
     ------
     DomainError
-        If the order is not 0 or 2, or an entry lies outside [0, 50] (the
-        message names the first such entry).
+        If the order is not 0 or 2, x is not real, or an entry lies outside
+        [0, 50] (the message names the first such entry).
     """
     if order not in (0, 2):
         raise DomainError(f"bessel_i supports orders 0 and 2, got {order!r}")
-    if not isinstance(x, np.ndarray):
+    if isinstance(x, numbers.Real):
         if not (0.0 <= x <= 50.0):
             raise DomainError(f"bessel_i needs 0 <= x <= 50, got {x!r}")
         q = x * x / 4.0
@@ -200,6 +202,10 @@ def bessel_i(order, x):
             total += term
             if term <= 1e-16 * total:
                 return total
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"bessel_i needs real x, got {x!r}") from None
     bad = ~((x >= 0.0) & (x <= 50.0))  # a NaN is bad
     if bad.any():
         raise DomainError(f"bessel_i needs 0 <= x <= 50, got {float(x[bad][0])!r}")
@@ -278,24 +284,27 @@ def _jy_table():
 
 
 _JY_TABLE = _jy_table()
+# the centre of each piece on (0, 15]
+_JY_CENTRES = (np.arange(_JY_PIECES) + 0.5) * _JY_WIDTH
 
 
 # past about 1e154, x^2 and pi x overflow to inf: the Hankel piece's z then
-# reads 0 and the amplitude 0, within its absolute accuracy
+# reads 0 and the amplitude 0, within its absolute accuracy (and past 4e307
+# x / _JY_WIDTH overflows before it is capped at the last piece)
 @np.errstate(over="ignore")
 def _j0_y0_arrays(x):
     """Vectorized (J0, Y0) on a strictly positive float array: one table
     piece and one Horner pass per argument, then the Hankel amplitude and
-    phase on the arguments past 15."""
-    big = x > JY_SERIES_MAX_X
+    phase on the arguments past 15, gathered once by index."""
+    big = np.flatnonzero(x > JY_SERIES_MAX_X)
     # the piece: x / _JY_WIDTH rounded down on (0, 15] (15 itself in the
     # last), the Hankel piece past 15
-    k = np.minimum((np.minimum(x, JY_SERIES_MAX_X) * (1.0 / _JY_WIDTH)).astype(np.intp), _JY_PIECES - 1) + big
-    u = np.where(k < _JY_SERIES_PIECES, 0.25 * x * x, x - (k + 0.5) * _JY_WIDTH)
-    any_big = big.any()
-    if any_big:
-        xb = x[big]
-        u[big] = JY_SERIES_MAX_X**2 / (xb * xb) - 0.5
+    k = np.minimum(x * (1.0 / _JY_WIDTH), _JY_PIECES - 1).astype(np.intp)
+    u = np.where(k < _JY_SERIES_PIECES, 0.25 * x * x, x - _JY_CENTRES.take(k))
+    if big.size:
+        xb = x.take(big)
+        k.put(big, _JY_PIECES)
+        u.put(big, JY_SERIES_MAX_X**2 / (xb * xb) - 0.5)
     rows = _JY_TABLE.take(k, axis=2)  # power, function, element
     ab = rows[_JY_DEGREE] * u
     for row in rows[_JY_DEGREE - 1:0:-1]:  # Horner, both functions together
@@ -304,13 +313,14 @@ def _j0_y0_arrays(x):
     ab += rows[0]
     j = ab[0]
     y = (2.0 / math.pi) * ((np.log(x) + _Y0_LOG_SHIFT) * j + ab[1])
-    if any_big:
-        p, q = ab[0, big], -ab[1, big] / xb
+    if big.size:
+        p, q = ab.take(big, axis=1)  # P and x|Q|
+        q /= xb  # |Q| = -Q
         amp = np.sqrt(2.0 / (np.pi * xb))
         w = xb - np.pi / 4.0
         cw, sw = np.cos(w), np.sin(w)
-        j[big] = amp * (p * cw - q * sw)
-        y[big] = amp * (p * sw + q * cw)
+        j.put(big, amp * (p * cw + q * sw))  # amp (P cos w - Q sin w)
+        y.put(big, amp * (p * sw - q * cw))  # amp (P sin w + Q cos w)
     return j, y
 
 
@@ -336,7 +346,7 @@ def bessel_j0_y0(x):
     arr = np.asarray(x, dtype=float)
     if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):  # a NaN fails both
         raise DomainError("bessel_j0_y0 requires finite x > 0")
-    j, y = _j0_y0_arrays(np.atleast_1d(arr))
+    j, y = _j0_y0_arrays(arr.reshape(-1))
     if arr.ndim == 0:
         return float(j[0]), float(y[0])
     return j.reshape(arr.shape), y.reshape(arr.shape)
@@ -404,6 +414,7 @@ def _k0_bracket(x, m, partial, i0):
 def k0_bounds(x, m):
     """Two-sided truncation bracket (lower, upper) for K0(x) at order m.
 
+    x is a real scalar (DomainError for anything else, an array included).
     The lower bound holds for every x > 0; it is -inf where the truncated
     sum lies below the double range (from x = 1.8e153 at m = 1, 1.3e20 at
     m = 8, 2.5e5 at m = 40).
@@ -419,8 +430,8 @@ def k0_bounds(x, m):
     K0(2e^-gamma) e^(2 gamma) / (2 gamma) = 0.97311062304500...;
     C is that value rounded up.
     """
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"k0_bounds requires finite x > 0, got {x!r}")
+    if not (isinstance(x, numbers.Real) and 0.0 < x < math.inf):
+        raise DomainError(f"k0_bounds requires a finite real scalar x > 0, got {x!r}")
     m = require_count(m, "k0_bounds' order", minimum=0)
     x = float(x)
     lower, upper = _k0_bracket(x, m, _phi_partial(x, m)[m], bessel_i(0, x) if x <= 50.0 else math.inf)
@@ -529,9 +540,10 @@ def k0(x):
     (relative error about 4e-16 against mpmath; the order-1 truncation
     bracket below x = 1e-8), and 0 where e^-x underflows (x > 745.13).
     Returns a :class:`BoundedValue`; the bound is derived in
-    ``_k0_scaled``'s docstring.
+    ``_k0_scaled``'s docstring.  x is a real scalar (DomainError for
+    anything else, an array included).
     """
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"k0 requires finite x > 0, got {x!r}")
+    if not (isinstance(x, numbers.Real) and 0.0 < x < math.inf):
+        raise DomainError(f"k0 requires a finite real scalar x > 0, got {x!r}")
     value, bound = _k0_values(np.array([float(x)]))
     return BoundedValue(value[0], bound[0])

@@ -222,6 +222,32 @@ def test_bessel_bad_grid_exits_1(flags, capsys):
     assert capsys.readouterr().err.startswith("trapprob: domain error:")
 
 
+@pytest.mark.parametrize("count", [np.iinfo(np.intp).max + 1, 2**62, 10**19])
+def test_bessel_too_many_points_exits_1(count, capsys):
+    # numpy refuses each of these sizes before allocating (from 2^63 on it
+    # would build an empty range, so the CLI refuses them itself)
+    assert main(["bessel", "--points", str(count)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trapprob: domain error: --points ") and "is too many points" in err
+
+
+@pytest.mark.parametrize("command", ["bessel", "figures", "conjecture"])
+def test_grid_that_cannot_be_allocated_exits_1(command, monkeypatch, tmp_path, capsys):
+    # what numpy raises when the allocation itself fails, without making one
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(np, "logspace", no_memory)
+    if command == "bessel":
+        argv, flag = ["bessel", "--points", "100000000000"], "--points 100000000000"
+    else:
+        argv = [command, "--n", "10", "--radii", "1,5", "--t-points", "100000000000", "--out-dir", str(tmp_path)]
+        flag = "--t-points 100000000000"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"trapprob: domain error: {flag} is too many points")
+
+
 def test_disk_grid_exclusive():
     with pytest.raises(SystemExit) as exc:
         main(["disk", "--r", "1", "--rt", "0.5", "--t-grid", "1", "--tau-grid", "1"])
@@ -434,6 +460,8 @@ def test_conjecture_outputs(tmp_path, capsys):
         (["--t-min", "inf"], "need finite --t-min and --t-max"),
         # 10**log10(t_max) rounds past the largest double: the last point is inf
         (["--t-max", "1.7976931348623157e308"], "leaves the double range"),
+        # above the largest intp: numpy refuses the size before allocating
+        (["--t-points", "10000000000000000000"], "--t-points 10000000000000000000 is too many points"),
     ],
 )
 def test_bad_time_grid_exits_1(command, flags, message, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the disk-trap closed forms and the hitting-probability quadrature."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -217,6 +218,21 @@ def test_p_disk_regression_pin():
     assert_allclose(p_disk(1.0, R_T, 1.0), 0.4578059637382552, rtol=0, atol=2e-6)
 
 
+# Gauss-Legendre panels in s = t/tau of the Laplace checks (acceptance
+# criterion 3 and the spot check below)
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+S_EDGES = [0.0, 0.05, 0.15, 0.35, 0.75, 1.5, 3.0, 6.0, 10.0, math.log(1e8)]
+_S_NODES = np.append(
+    np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * GL_NODES for a, b in zip(S_EDGES, S_EDGES[1:])]), S_EDGES[-1]
+)
+# the (r, t) of every p_disk call of criterion 3 (1305) and of figure_series
+# at its default radii and times (100)
+CRITERION_3_GRID = [
+    (rr * R_T, tt * R_T * R_T * sv) for rr in (2.0, 10.0, 50.0) for tt in (1.0, 10.0, 100.0) for sv in _S_NODES.tolist()
+]
+FIGURE_GRID = [(r, t) for r in (1.0, 5.0, 25.0, 125.0) for t in np.logspace(-1.0, 5.0, 25).tolist()]
+
+
 # p_disk(r, 0.5, tau * s) at the nine (r, tau) pairs of acceptance
 # criterion 3, for s = 0.05, 0.75, 3 and ln(1e8).  First recorded with the
 # two sub-integrals run one after the other and two J0/Y0 calls per
@@ -248,6 +264,17 @@ def test_p_disk_bit_identical_pins():
     for (r, tau), pins in P_DISK_PINS.items():
         got = tuple(p_disk(r, R_T, tau * s) for s in (0.05, 0.75, 3.0, math.log(1e8)))
         assert got == pins, (r, tau)
+
+
+# SHA-256 of the float.hex of p_disk on CRITERION_3_GRID then FIGURE_GRID,
+# one value a line; recorded before p_disk's quadrature round was cut to
+# slices and index arrays
+P_DISK_GRID_SHA256 = "65219defdcc5422183e033f415cc0716189a9735c62c8e067515c00491ac6e78"
+
+
+def test_p_disk_whole_grid_digest():
+    text = "\n".join(p_disk(r, R_T, t).hex() for r, t in CRITERION_3_GRID + FIGURE_GRID)
+    assert hashlib.sha256(text.encode()).hexdigest() == P_DISK_GRID_SHA256
 
 
 # p_disk(r, 0.5, t) from Talbot inversion of K0(r sqrt(2s)) / (s K0(r_T sqrt(2s)))
@@ -312,25 +339,54 @@ def test_p_disk_one_kernel_call_per_round(monkeypatch, quadrature_rounds):
         assert kernel_sizes == [2 * n for n in rounds]
 
 
-# Gauss-Legendre panels in s = t/tau of the Laplace checks (acceptance
-# criterion 3 and the spot check below)
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-S_EDGES = [0.0, 0.05, 0.15, 0.35, 0.75, 1.5, 3.0, 6.0, 10.0, math.log(1e8)]
+def test_p_disk_calls_the_module_bindings(quadrature_rounds):
+    # the benchmark's tracer counts J0/Y0 elements and quadrature
+    # evaluations by rebinding disk_oracle.bessel_j0_y0 and
+    # disk_oracle._adaptive_gk; p_disk must look both up there at call time
+    kernel_sizes, rounds = quadrature_rounds
+    p_disk(5.0, R_T, 2.0)
+    assert len(rounds) == 1
+    assert kernel_sizes == [2 * rounds[0]]
+
+
+def test_adaptive_gk_counts_every_node_it_passes():
+    # (integral, error, evaluations), the evaluations being the nodes f saw
+    seen = []
+
+    def f(x):
+        seen.append(x.size)
+        return np.sqrt(np.abs(x))
+
+    result = _adaptive_gk(f, np.linspace(-1.0, 1.0, 3), 1e-10, 10**6)
+    assert len(result) == 3
+    val, err, evals = result
+    assert isinstance(val, float) and isinstance(err, float) and isinstance(evals, int)
+    assert len(seen) > 1
+    assert evals == sum(seen)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_adaptive_gk_passes_ascending_nodes(tol):
+    # p_disk's integrand splits its nodes at s = 0 by position, so every
+    # round must pass them in ascending order, later rounds included
+    orders = []
+
+    def f(x):
+        orders.append(bool(np.all(np.diff(x) > 0.0)))
+        return _sqrt_abs_sin(x)
+
+    _adaptive_gk(f, np.linspace(0.0, 3.0, 4), tol, 10**6)
+    assert len(orders) > 2
+    assert all(orders)
 
 
 def test_p_disk_converges_in_one_round(quadrature_rounds):
     # the log part's starting panels are graded toward ln y0, where the
     # integrand's features sit; with 16 equal ones 47% of criterion 3's
-    # quadratures needed 2-4 rounds
-    s = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * GL_NODES for a, b in zip(S_EDGES, S_EDGES[1:])])
-    s = np.append(s, S_EDGES[-1])
-    # each grid with the number of its calls that integrate; the others
-    # take the free-diffusion shortcut and run no round
-    grids = {
-        "criterion 3": ([(rr * R_T, tt * R_T * R_T * sv) for rr in (2.0, 10.0, 50.0) for tt in (1.0, 10.0, 100.0)
-                         for sv in s.tolist()], 1048),
-        "figure_series": ([(r, t) for r in (1.0, 5.0, 25.0, 125.0) for t in np.logspace(-1.0, 5.0, 25).tolist()], 83),
-    }
+    # quadratures needed 2-4 rounds.  Each grid with the number of its
+    # calls that integrate; the others take the free-diffusion shortcut and
+    # run no round.
+    grids = {"criterion 3": (CRITERION_3_GRID, 1048), "figure_series": (FIGURE_GRID, 83)}
     _, rounds = quadrature_rounds
     for name, (grid, n_integrated) in grids.items():
         per_call = []

@@ -1,5 +1,6 @@
 """Tests for the special-function kernels (harmonic numbers, I0/I2, J0/Y0, K0)."""
 
+import hashlib
 import math
 import sys
 
@@ -162,6 +163,22 @@ def test_bessel_i_on_an_array_equals_the_scalar_calls():
         assert isinstance(values, np.ndarray) and values.shape == xs.shape
         assert [repr(v) for v in values.tolist()] == [repr(bessel_i(order, x)) for x in xs.tolist()], order
         assert np.array_equal(bessel_i(order, xs.reshape(2, -1)), values.reshape(2, -1))
+
+
+def test_bessel_i_on_a_list_or_tuple_takes_the_array_path():
+    xs = [0.0, 1.0, 2.5, 50.0]
+    for order in (0, 2):
+        want = bessel_i(order, np.array(xs))
+        for seq in (xs, tuple(xs), [[1.0, 2.0], [3.0, 4.0]]):
+            got = bessel_i(order, seq)
+            assert isinstance(got, np.ndarray)
+            assert np.array_equal(got, bessel_i(order, np.array(seq, dtype=float)))
+        assert np.array_equal(bessel_i(order, xs), want)
+    with pytest.raises(DomainError, match="got 60.0"):
+        bessel_i(0, [1.0, 60.0])
+    for bad in ("abc", ["abc"], [1j], None, [1.0, [2.0]]):
+        with pytest.raises(DomainError):
+            bessel_i(0, bad)
 
 
 def test_bessel_i_on_an_empty_array():
@@ -385,6 +402,38 @@ def test_j0_y0_entries_depend_on_their_own_argument_only():
             assert (jv.hex(), yv.hex()) == tuple(v.hex() for v in bessel_j0_y0(x)), x
 
 
+# 2401 arguments across every branch of the kernel: the series pieces, every
+# edge of the interpolated pieces (multiples of 15/64), 15 and the doubles
+# either side of it, and the Hankel piece up to the largest double
+JY_MIX = np.concatenate(
+    [
+        np.geomspace(5e-324, 0.9375, 400),
+        np.linspace(0.9375, JY_SERIES_MAX_X, 1201),
+        np.geomspace(np.nextafter(JY_SERIES_MAX_X, np.inf), 1e4, 600),
+        np.geomspace(1e4, 1e308, 194),
+        [1e-8, np.nextafter(JY_SERIES_MAX_X, 0.0), JY_SERIES_MAX_X, np.nextafter(JY_SERIES_MAX_X, np.inf)],
+        [1e154, sys.float_info.max],
+    ]
+)
+# SHA-256 of the float.hex of J0 then Y0 on JY_MIX, one value a line;
+# recorded before the arguments past 15 came to be gathered by index
+JY_MIX_SHA256 = "af7f3ad28ec78bbaf5fd5cc8cacf5151ec25c7de44ffd86c0a2d8b2bcc089c89"
+
+
+def test_j0_y0_shuffled_array_equals_one_element_calls():
+    xs = np.random.default_rng(20).permutation(JY_MIX)
+    j, y = bessel_j0_y0(xs)
+    for x, jv, yv in zip(xs.tolist(), j.tolist(), y.tolist()):
+        j1, y1 = bessel_j0_y0(np.array([x]))
+        assert (jv.hex(), yv.hex()) == (float(j1[0]).hex(), float(y1[0]).hex()), x
+
+
+def test_j0_y0_digest():
+    j, y = bessel_j0_y0(JY_MIX)
+    text = "\n".join(v.hex() for v in j.tolist() + y.tolist())
+    assert hashlib.sha256(text.encode()).hexdigest() == JY_MIX_SHA256
+
+
 # ---------------------------------------------------------------------------
 # k0
 # ---------------------------------------------------------------------------
@@ -432,6 +481,22 @@ def test_k0_domain_error():
     for x in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             k0(x)
+
+
+@pytest.mark.parametrize("x", [[1.0, 2.0], [1.0], (1.0,), np.array([1.0, 2.0]), np.array([1.0]), np.array(1.0),
+                               "1.0", None, 1j])
+def test_k0_and_k0_bounds_refuse_anything_but_a_real_scalar(x):
+    with pytest.raises(DomainError, match="real scalar"):
+        k0(x)
+    with pytest.raises(DomainError, match="real scalar"):
+        k0_bounds(x, 1)
+
+
+def test_k0_and_k0_bounds_take_any_real_scalar():
+    # ints and numpy scalars are real scalars too
+    for x in (2, np.float64(2.0), np.float32(2.0), np.int64(2)):
+        assert k0(x) == k0(2.0)
+        assert k0_bounds(x, 3) == k0_bounds(2.0, 3)
 
 
 def test_k0_across_the_old_crossover():

@@ -20,6 +20,7 @@ from trapprob.conformal import (
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import (
     BoundaryError,
+    CapacityError,
     ConvergenceError,
     DomainError,
     HypothesisError,
@@ -54,6 +55,7 @@ __all__ = [
     "BoundReport",
     "BoundaryError",
     "BoundedValue",
+    "CapacityError",
     "ConvergenceError",
     "DomainError",
     "HypothesisError",

@@ -22,7 +22,7 @@ import numpy as np
 import trapprob
 from trapprob.conformal import PlanePoint, make_segment_trap
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
-from trapprob.errors import ConvergenceError, DomainError, HypothesisError, require_count
+from trapprob.errors import CapacityError, ConvergenceError, DomainError, HypothesisError, require_count
 from trapprob.reporting import PALETTE, format_cell, svg_lineplot, write_csv, write_manifest
 from trapprob.segment_sim import SAMPLER_STREAM
 from trapprob.specfun import _k0_bracket, _k0_values, _phi_partial, bessel_i
@@ -332,6 +332,10 @@ def main(argv=None):
     args._started = _now()
     try:
         return args.func(args)
+    except CapacityError:  # only the walks' records, n per radius, can outgrow memory
+        print(f"trapprob: domain error: --n {args.n} is too many trajectories: their records do not fit in memory",
+              file=sys.stderr)
+        return 1
     except DomainError as exc:
         print(f"trapprob: domain error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,10 @@ class DomainError(TrapProbError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
+class CapacityError(DomainError):
+    """A count passes its check, but what it asks for does not fit in memory."""
+
+
 class BoundaryError(DomainError):
     """A point lies on (or numerically indistinguishable from) the trap."""
 

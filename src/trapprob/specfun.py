@@ -174,12 +174,11 @@ def harmonic_number(n):
 def bessel_i(order, x):
     """Modified Bessel function I0 or I2 by the ascending power series.
 
-    Takes a real scalar, or an array or sequence of them and returns an
-    ndarray of its shape.  Valid for 0 <= x <= 50 (all-positive terms, no
-    cancellation); each entry's series is truncated once its next term
-    drops below 1e-16 relative.  An array entry runs the scalar call's
-    operations and stops at its own term, so it equals that call bit for
-    bit.
+    Takes a real scalar, which gives a Python float, or an array or
+    sequence of them, which gives an ndarray of its shape.  Valid for
+    0 <= x <= 50 (all-positive terms, no cancellation); each entry's series
+    is truncated once its next term drops below 1e-16 relative, so an entry
+    depends on its own x alone.
 
     Raises
     ------
@@ -189,28 +188,18 @@ def bessel_i(order, x):
     """
     if order not in (0, 2):
         raise DomainError(f"bessel_i supports orders 0 and 2, got {order!r}")
-    if isinstance(x, numbers.Real):
-        if not (0.0 <= x <= 50.0):
-            raise DomainError(f"bessel_i needs 0 <= x <= 50, got {x!r}")
-        q = x * x / 4.0
-        # I_n(x) = sum_k q^(k+n/2) / (k! (k+n)!): leading term 1 for I0, q/2 for I2
-        term = total = 1.0 if order == 0 else q / 2.0
-        k = 0
-        while True:
-            k += 1
-            term *= q / (k * (k + order))
-            total += term
-            if term <= 1e-16 * total:
-                return total
     try:
-        x = np.asarray(x, dtype=float)
+        xs = np.asarray(x, dtype=float)
+    except OverflowError:  # an int past the double range
+        raise DomainError(f"bessel_i needs 0 <= x <= 50, got {x!r}") from None
     except (TypeError, ValueError):
         raise DomainError(f"bessel_i needs real x, got {x!r}") from None
-    bad = ~((x >= 0.0) & (x <= 50.0))  # a NaN is bad
+    bad = ~((xs >= 0.0) & (xs <= 50.0))  # a NaN is bad
     if bad.any():
-        raise DomainError(f"bessel_i needs 0 <= x <= 50, got {float(x[bad][0])!r}")
-    # the scalar loop on every entry; an entry that has stopped adds 0
-    q = x * x / 4.0
+        raise DomainError(f"bessel_i needs 0 <= x <= 50, got {float(xs[bad][0])!r}")
+    # I_n(x) = sum_k q^(k+n/2) / (k! (k+n)!): leading term 1 for I0, q/2 for I2;
+    # every entry runs the series until its own term stops, a stopped one adds 0
+    q = xs * xs / 4.0
     term = total = np.ones_like(q) if order == 0 else q / 2.0
     live = np.ones(q.shape, dtype=bool)
     k = 0
@@ -219,7 +208,7 @@ def bessel_i(order, x):
         term = term * (q / (k * (k + order)))
         total = total + np.where(live, term, 0.0)
         live &= term > 1e-16 * total
-    return total
+    return float(total) if total.ndim == 0 else total
 
 
 def _ld_horner(coefficients, points):

@@ -30,8 +30,8 @@ import numpy as np
 
 from trapprob.conformal import PlanePoint, green_segment, make_segment_trap, r_z
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
-from trapprob.errors import DomainError, HypothesisError, require_count, require_finite
-from trapprob.segment_sim import _check_grid, release_circle, sample_batch, survival_curve
+from trapprob.errors import CapacityError, DomainError, HypothesisError, require_count, require_finite
+from trapprob.segment_sim import RECORD_DTYPE, _check_grid, _check_word64, release_circle, sample_batch, survival_curve
 
 # Cap the simulated horizon at this multiple of tau: the censoring bracket
 # exp(-t_max/tau) = exp(-20) ~ 2e-9 is then negligible against MC noise.
@@ -41,6 +41,12 @@ TMAX_OVER_TAU = 20.0
 SLACK_SIGMAS = 3.0
 
 DEFAULT_RADII = (1.0, 5.0, 25.0, 125.0)
+
+# Walks run in chunks of at most this many trajectories.  A live trajectory
+# costs about 360 B of working set, so a chunk stays near 24 MB however many
+# trajectories and radii a call asks for; a chunk this large keeps the
+# per-step numpy overhead of the lockstep loop small.
+WALK_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -88,21 +94,60 @@ def _normalize(trap, p):
     return PlanePoint((p.x - c) / h, p.y / h)
 
 
+def _walk(starts, count, t_max, seed, first_index=0):
+    """Records of the trajectories first_index .. first_index + count - 1,
+    walked in chunks of at most WALK_CHUNK; ``starts(lo, hi)`` gives the
+    unit-frame start points of offsets lo .. hi - 1 and t_max is in the
+    unit frame.
+
+    The records are allocated before the first chunk, so a count whose
+    records cannot fit raises CapacityError at once rather than after
+    walking chunk after chunk.
+    """
+    try:
+        records = np.recarray(count, dtype=RECORD_DTYPE)
+    except (MemoryError, ValueError):  # numpy cannot allocate it, or refuses the size
+        raise CapacityError(f"{count} trajectories are too many: their records do not fit in memory") from None
+    _check_word64(first_index, "first_index", count)
+    for lo in range(0, count, WALK_CHUNK):
+        hi = min(lo + WALK_CHUNK, count)
+        records[lo:hi] = sample_batch(starts(lo, hi), t_max, seed, first_index=first_index + lo)
+    return records
+
+
 def release_and_sample(trap, r, n, t_max, seed, first_index=0):
     """Simulate n trajectories released uniformly on the circle of radius r
-    (origin centre) against a segment trap, capped at time t_max.
+    (origin centre) against a segment trap, capped at time t_max; r may also
+    be a sequence of radii, with n trajectories each.
 
-    Trajectory i has index ``first_index + i`` for both its release point
-    and its walk, so chunks with their offsets reproduce the whole batch.
-    The walk runs in the segment's unit frame, so the returned record array
-    holds times in units of h^2 and hit abscissae in unit-frame coordinates
-    (h the half-length).
+    Trajectory i of radius k has index ``first_index + k n + i`` for both
+    its release point and its walk, and its record is row ``k n + i``, so
+    chunks with their offsets reproduce the whole batch.  Every radius is
+    checked before the first walk, and all of them are walked as one index
+    range in chunks of at most WALK_CHUNK trajectories.  The walk runs in
+    the segment's unit frame, so the returned record array holds times in
+    units of h^2 and hit abscissae in unit-frame coordinates (h the
+    half-length).
     """
-    starts = release_circle(r, n, seed, first_index)
+    radii = [r] if np.ndim(r) == 0 else list(r)
+    require_count(len(radii), "number of release radii")
+    for radius in radii:
+        if not 0.0 < radius < math.inf:
+            raise DomainError(f"release radius must be positive and finite, got {radius!r}")
+    n = require_count(n, "trajectory count")
     c, h = _frame(trap)
-    if (c, h) != (0.0, 1.0):  # on [-1, 1] the frame map is the identity
-        starts = [_normalize(trap, p) for p in starts]
-    return sample_batch(starts, _unit_time(t_max, h), seed, first_index=first_index)
+
+    def starts(lo, hi):
+        # one release_circle per radius piece of the offsets lo .. hi - 1
+        points = []
+        for k in range(lo // n, (hi - 1) // n + 1):
+            a, b = max(lo, k * n), min(hi, (k + 1) * n)
+            points += release_circle(radii[k], b - a, seed, first_index + a)
+        if (c, h) != (0.0, 1.0):  # on [-1, 1] the frame map is the identity
+            points = [_normalize(trap, p) for p in points]
+        return points
+
+    return _walk(starts, len(radii) * n, _unit_time(t_max, h), seed, first_index)
 
 
 def _abelian_bracket(records, tau):
@@ -132,16 +177,17 @@ def _capture_table(trap, radii, times, n, seed):
     surrogate p_disk(r, r_T, t), each a radius x time array on the checked
     grid ``times`` (original units; walks are capped at its last point).
     The disk column comes first, so p_disk's rules refuse a bad radius or
-    time before any walk.  The trajectories of radius k have indices k*n on.
+    time before any walk.  All radii are walked in one release_and_sample
+    call, so the trajectories of radius k have indices k*n on.
     """
     require_count(len(radii), "number of release radii")
     n = require_count(n, "trajectory count")
     pd = np.array([[p_disk(r, trap.r_T, t) for t in times.tolist()] for r in radii])
     h = _frame(trap)[1]
+    records = release_and_sample(trap, radii, n, float(times[-1]), seed)
     prop, lo, hi = np.empty((3, len(radii), times.size))
     for k, r in enumerate(radii):
-        records = release_and_sample(trap, r, n, float(times[-1]), seed, first_index=k * n)
-        curve = survival_curve(records, times / (h * h), r)
+        curve = survival_curve(records[k * n : (k + 1) * n], times / (h * h), r)
         prop[k], lo[k], hi[k] = curve.captured_fraction, curve.ci_low, curve.ci_high
     return prop, lo, hi, pd
 
@@ -205,7 +251,7 @@ def check_theorem2(trap, z, tau, n, seed):
     unit_z = _normalize(trap, z)
     base = 1.0 - 2.0 * math.pi * green_segment(unit_z) / math.log(tau / trap.tau0)
     h = _frame(trap)[1]
-    records = sample_batch([unit_z] * n, _unit_time(TMAX_OVER_TAU * tau, h), seed)
+    records = _walk(lambda lo, hi: [unit_z] * (hi - lo), n, _unit_time(TMAX_OVER_TAU * tau, h), seed)
     mid, slack = _abelian_bracket(records, tau / (h * h))
     tag = f"segment z=({z.x:g},{z.y:g}) tau={tau:g} n={n}"
     lower = None

@@ -248,6 +248,25 @@ def test_grid_that_cannot_be_allocated_exits_1(command, monkeypatch, tmp_path, c
     assert err.startswith(f"trapprob: domain error: {flag} is too many points")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--radius", "2"],
+        ["verify", "theorem1", "--r", "5", "--tau", "100"],
+        ["verify", "theorem2", "--zx", "5", "--tau", "100"],
+        ["figures"],
+        ["conjecture"],
+    ],
+)
+def test_too_many_trajectories_exit_1_naming_n(argv, tmp_path, capsys):
+    # numpy refuses the records of 10**15 walks (22 PiB) without allocating them
+    assert main([*argv, "--n", str(10**15), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"trapprob: domain error: --n {10**15} is too many trajectories: their records do not fit in memory\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_disk_grid_exclusive():
     with pytest.raises(SystemExit) as exc:
         main(["disk", "--r", "1", "--rt", "0.5", "--t-grid", "1", "--tau-grid", "1"])

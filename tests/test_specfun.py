@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,7 +155,8 @@ def test_bessel_i_one_loop_equals_per_order_loops():
 
 def test_bessel_i_on_an_array_equals_the_scalar_calls():
     # each entry stops at its own term: 0 and the smallest subnormal stop at
-    # the first, 50 runs longest; a 2-d array keeps its shape
+    # the first, 50 runs longest; a 2-d array keeps its shape, and each
+    # entry is what the scalar series loop gives
     xs = np.concatenate([
         [0.0, 5e-324, 1e-8, 50.0, np.nextafter(50.0, 0.0)], np.geomspace(1e-300, 50.0, 400), np.linspace(0.0, 50.0, 401),
     ])
@@ -162,7 +164,23 @@ def test_bessel_i_on_an_array_equals_the_scalar_calls():
         values = bessel_i(order, xs)
         assert isinstance(values, np.ndarray) and values.shape == xs.shape
         assert [repr(v) for v in values.tolist()] == [repr(bessel_i(order, x)) for x in xs.tolist()], order
+        assert [repr(v) for v in values.tolist()] == [repr(_bessel_i_per_order(order, x)) for x in xs.tolist()], order
         assert np.array_equal(bessel_i(order, xs.reshape(2, -1)), values.reshape(2, -1))
+
+
+def test_bessel_i_on_a_scalar_returns_a_python_float():
+    for x in (0.0, 2.5, 7, np.float64(2.5), np.int64(7), np.float32(2.5), np.array(2.5), True):
+        for order in (0, 2):
+            value = bessel_i(order, x)
+            assert type(value) is float
+            assert value == _bessel_i_per_order(order, float(x)), (order, x)
+
+
+@pytest.mark.parametrize("x", [10**400, -(10**400), [1.0, 10**400], Fraction(10**400), Fraction(-1, 3), 51, -math.inf])
+def test_bessel_i_refuses_a_real_outside_its_range(x):
+    # an int past the double range makes numpy raise OverflowError
+    with pytest.raises(DomainError, match="bessel_i needs 0 <= x <= 50"):
+        bessel_i(0, x)
 
 
 def test_bessel_i_on_a_list_or_tuple_takes_the_array_path():

@@ -19,10 +19,11 @@ from trapprob.conformal import (
     make_segment_trap,
 )
 from trapprob.disk_oracle import f_disk, p_disk
-from trapprob.errors import DomainError, HypothesisError
-from trapprob.segment_sim import survival_curve
+from trapprob.errors import CapacityError, DomainError, HypothesisError
+from trapprob.segment_sim import release_circle, sample_batch, survival_curve
 from trapprob.specfun import GAMMA
 from trapprob.verify import (
+    WALK_CHUNK,
     BoundReport,
     _report,
     check_theorem1,
@@ -356,3 +357,128 @@ def test_figure_series_matches_oracle_at_late_time():
     rows = figure_series(radii=(1.0,), t_grid=[50.0], n=4000, seed=SEED)
     row = rows[0]
     assert row["ci_lo"] - 0.02 <= row["p_disk"] <= row["ci_hi"] + 0.02
+
+
+# ----------------------------------------------------------------------
+# one walk per capture table
+
+
+def _unit_starts(trap, r, n, seed, first_index):
+    """release_circle's points mapped onto the normalized segment."""
+    c, h = 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
+    return [PlanePoint((p.x - c) / h, p.y / h) for p in release_circle(r, n, seed, first_index)]
+
+
+def _per_radius_records(trap, radii, n, t_max, seed):
+    """release_and_sample's records from one release_circle and one
+    sample_batch per radius, radius k from trajectory k*n on."""
+    h = 0.5 * (trap.b - trap.a)
+    return np.concatenate([
+        sample_batch(_unit_starts(trap, r, n, seed, k * n), t_max / (h * h), seed, first_index=k * n)
+        for k, r in enumerate(radii)
+    ]).view(np.recarray)
+
+
+def _one_batch(trap, radii, n, t_max, seed):
+    """The same records from a single sample_batch over every radius."""
+    h = 0.5 * (trap.b - trap.a)
+    starts = [p for k, r in enumerate(radii) for p in _unit_starts(trap, r, n, seed, k * n)]
+    return sample_batch(starts, t_max / (h * h), seed)
+
+
+def _assert_same_fields(got, want):
+    assert len(got) == len(want)
+    for field in ("time", "x", "censored", "steps"):
+        assert np.array_equal(got[field], want[field], equal_nan=field == "x"), field
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-3.0, 2.5)])
+def test_capture_tables_equal_a_per_radius_loop(monkeypatch, a, b):
+    trap = make_segment_trap(a, b)
+    radii = [trap.r0, 4.0, 11.0]
+    times = [0.05, 0.5, 5.0, 50.0]
+    _assert_same_fields(release_and_sample(trap, radii, 700, 50.0, 4), _per_radius_records(trap, radii, 700, 50.0, 4))
+    probe = conjecture_probe(trap, radii, times, 700, seed=4)
+    figures = figure_series(radii=radii, t_grid=times, n=700, seed=4) if (a, b) == (-1.0, 1.0) else None
+    monkeypatch.setattr(trapprob.verify, "release_and_sample", _per_radius_records)
+    assert conjecture_probe(trap, radii, times, 700, seed=4) == probe
+    if figures is not None:
+        assert figure_series(radii=radii, t_grid=times, n=700, seed=4) == figures
+
+
+def _spy(monkeypatch, name, sizes):
+    """Wrap trapprob.verify's ``name``; record the size of each call."""
+    inner = getattr(trapprob.verify, name)
+
+    def spy(*args, **kwargs):
+        sizes.append(len(args[0]) if name == "sample_batch" else args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(trapprob.verify, name, spy)
+
+
+def test_chunks_cut_inside_a_radius_and_change_no_record(monkeypatch):
+    # chunks of 1000 at n = 2500: the chunk [2000, 3000) holds the end of
+    # radius 0 and the start of radius 1
+    trap = make_segment_trap(-3.0, 2.5)
+    want = _one_batch(trap, [3.0, 8.0], 2500, 200.0, 6)
+    monkeypatch.setattr(trapprob.verify, "WALK_CHUNK", 1000)
+    walks, releases = [], []
+    _spy(monkeypatch, "sample_batch", walks)
+    _spy(monkeypatch, "release_circle", releases)
+    _assert_same_fields(release_and_sample(trap, [3.0, 8.0], 2500, 200.0, 6), want)
+    assert walks == [1000] * 5
+    assert releases == [1000, 1000, 500, 500, 1000, 1000]
+
+
+@pytest.mark.parametrize("call, walked", [("figures", 80000), ("probe", 80000), ("theorem1", 70000), ("theorem2", 70000)])
+def test_no_walk_exceeds_the_chunk(monkeypatch, segment, call, walked):
+    walks = []
+    _spy(monkeypatch, "sample_batch", walks)
+    runs = {
+        "figures": lambda: figure_series(radii=(1.0, 5.0), t_grid=[1.0, 10.0], n=40000, seed=1),
+        "probe": lambda: conjecture_probe(segment, [1.0, 5.0], [1.0, 10.0], 40000, 1),
+        "theorem1": lambda: check_theorem1(segment, 5.0, 6.0, 70000, 1),
+        "theorem2": lambda: check_theorem2(segment, PlanePoint(0.0, 0.5), 6.0, 70000, 1),
+    }
+    runs[call]()
+    assert walks == [WALK_CHUNK, walked - WALK_CHUNK]
+
+
+@pytest.mark.parametrize(
+    "radii, message",
+    [
+        ([], "number of release radii must be an integer >= 1, got 0"),
+        (0.0, "release radius must be positive and finite, got 0.0"),
+        ([5.0, -1.0], "release radius must be positive and finite, got -1.0"),
+        ([5.0, math.nan], "release radius must be positive and finite, got nan"),
+        ([5.0, math.inf], "release radius must be positive and finite, got inf"),
+    ],
+)
+def test_release_and_sample_checks_every_radius_before_any_walk(monkeypatch, segment, radii, message):
+    calls = []
+    _spy(monkeypatch, "sample_batch", calls)
+    _spy(monkeypatch, "release_circle", calls)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        release_and_sample(segment, radii, 10, 100.0, 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [10**15, 10**19])
+def test_an_impossible_trajectory_count_is_refused_before_any_walk(monkeypatch, segment, n):
+    # numpy refuses records for 10**15 walks (22 PiB) without allocating
+    # them, and 10**19 as past its largest dimension
+    calls = []
+    _spy(monkeypatch, "sample_batch", calls)
+    _spy(monkeypatch, "release_circle", calls)
+    runs = [
+        lambda: release_and_sample(segment, 5.0, n, 100.0, 0),
+        lambda: check_theorem1(segment, 5.0, 120.0, n, 0),
+        lambda: check_theorem2(segment, PlanePoint(5.0, 0.0), 120.0, n, 0),
+        lambda: figure_series(radii=(1.0, 5.0), t_grid=[1.0, 10.0], n=n, seed=0),
+        lambda: conjecture_probe(segment, [1.0, 5.0], [1.0, 10.0], n, 0),
+    ]
+    for run, count in zip(runs, (n, n, n, 2 * n, 2 * n)):
+        with pytest.raises(CapacityError, match=f"^{count} trajectories are too many: their records do not fit in memory$"):
+            run()
+    assert calls == []

@@ -73,7 +73,10 @@ class TrapGeometry:
 
 def make_segment_trap(a, b):
     """Build the geometry record for the segment [a, b] x {0} (a < b)."""
-    a, b = float(a), float(b)
+    try:
+        a, b = float(a), float(b)
+    except (TypeError, ValueError, OverflowError):  # a string, a complex or an int past the double range
+        raise DomainError(f"segment ends must be real numbers in the double range, got a={a!r}, b={b!r}") from None
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"segment ends must be finite, got a={a!r}, b={b!r}")
     if not a < b:

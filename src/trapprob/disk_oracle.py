@@ -106,16 +106,17 @@ def _adaptive_gk(f, edges, tol, max_evals):
 
     ``edges`` are the ascending starting panel edges, as an array; ``f``
     takes an ascending array of nodes and returns the integrand there, and
-    each round calls it once, on every pending panel.  Each round splits
-    the worst panels (those carrying 90% of the total error estimate, at
-    most 64 per round) until the summed |GK15 - G7| error drops below tol.
+    each round calls it once, on every pending panel.  Until the summed
+    |GK15 - G7| error drops below tol, each round keeps every panel whose
+    error is within its share tol (hi - lo) / (edges[-1] - edges[0]) and
+    halves the rest (a NaN error is never kept); halves of ascending
+    panels stay ascending.
 
     Returns (integral, error_estimate, evaluations); the evaluations must
     not exceed max_evals.
     """
     lo, hi = edges[:-1], edges[1:]  # the pending panels, ascending
-    unsort = slice(None)  # takes the pending panels back to the order the last split made them
-    done = np.empty((4, 0))  # rows (error, value, lo, hi) of the accepted panels
+    values, errors = [], []  # of the kept panels; fsum is exact, so their order does not matter
     evals = 0
     while True:
         half = 0.5 * (hi - lo)
@@ -126,30 +127,17 @@ def _adaptive_gk(f, edges, tol, max_evals):
         fv = f(x.ravel()).reshape(x.shape)
         i15 = (fv * _WGK).sum(axis=1) * half
         err = np.abs(i15 - (fv * _WG).sum(axis=1) * half)
-        # fsum is exact, so the accepted panels need not be stacked first
-        total_err = math.fsum([*done[0].tolist(), *err.tolist()])
+        total_err = math.fsum([*errors, *err.tolist()])
         if total_err <= tol:
-            return math.fsum([*done[1].tolist(), *i15.tolist()]), total_err, evals
-
-        new = np.array([err, i15, lo, hi])
-        # stable, so equal errors keep their order: accepted panels first,
-        # then the new ones in the order they were made
-        rec = np.concatenate([done, new[:, unsort]], axis=1)
-        rec = rec.take((-rec[0]).argsort(kind="stable"), axis=1)
-
-        # split the leading panels that reach 90% of the error (all of them,
-        # up to 64, where a NaN error never does)
-        reached = np.cumsum(rec[0]) >= 0.9 * total_err
-        n_split = min(64, reached.argmax() + 1 if reached.any() else reached.size)
-        lo, hi = rec[2:, :n_split]
+            return math.fsum([*values, *i15.tolist()]), total_err, evals
+        keep = err <= tol * (hi - lo) / (edges[-1] - edges[0])
+        values += i15[keep].tolist()
+        errors += err[keep].tolist()
+        if keep.all():  # the shares sum to tol only up to rounding
+            return math.fsum(values), total_err, evals
+        lo, hi = lo[~keep], hi[~keep]
         mid = 0.5 * (lo + hi)
-        # the children (lo, mid), (mid, hi) of each split panel, made in
-        # that order and evaluated in ascending order
-        lo, hi = np.array([lo, mid, mid, hi]).T.reshape(-1, 2).T
-        ascending = lo.argsort(kind="stable")
-        unsort = ascending.argsort()
-        lo, hi = lo[ascending], hi[ascending]
-        done = rec[:, n_split:]
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
 
 
 def f_disk(r, r_T, tau):

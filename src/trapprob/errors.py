@@ -1,12 +1,12 @@
 """Exception hierarchy shared across the package, the one check that
-every function taking a count applies to it, and the finiteness check of
-real arguments.
+every function taking a count applies to it, and the check that a real
+argument is a finite real scalar.
 
 The CLI maps these onto distinct exit codes (see ``trapprob.cli``):
 DomainError -> 1, HypothesisError -> 2, ConvergenceError -> 3.
 """
 
-import math
+import numbers
 import sys
 
 
@@ -51,8 +51,11 @@ def require_count(n, what="count", minimum=1):
 
 
 def require_finite(**args):
-    """DomainError naming the first of the keyword arguments that is not
-    finite."""
+    """DomainError naming the first of the keyword arguments that is not a
+    finite real scalar within the double range (a string, a list, an array
+    or 10**400 is refused here, not by a TypeError or OverflowError where
+    it meets arithmetic)."""
     for name, value in args.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
+        # a NaN fails both comparisons
+        if not (isinstance(value, numbers.Real) and -sys.float_info.max <= value <= sys.float_info.max):
+            raise DomainError(f"{name} must be finite and real, got {value!r}")

@@ -329,10 +329,13 @@ def bessel_j0_y0(x):
     Raises
     ------
     DomainError
-        If any entry is <= 0 (Y0 has a logarithmic singularity at 0) or
-        not finite.
+        If any entry is <= 0 (Y0 has a logarithmic singularity at 0), not
+        finite or not a real number.
     """
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a string, a complex or an int past the double range
+        raise DomainError("bessel_j0_y0 requires real x in the double range") from None
     if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):  # a NaN fails both
         raise DomainError("bessel_j0_y0 requires finite x > 0")
     j, y = _j0_y0_arrays(arr.reshape(-1))

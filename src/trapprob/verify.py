@@ -192,6 +192,15 @@ def _capture_table(trap, radii, times, n, seed):
     return prop, lo, hi, pd
 
 
+def _release_radii(radii):
+    """The release radii as floats; DomainError for a radius that is not a
+    real number."""
+    try:
+        return [float(r) for r in radii]
+    except (TypeError, ValueError, OverflowError):  # a string, a complex or an int past the double range
+        raise DomainError(f"release radii must be real numbers in the double range, got {radii!r}") from None
+
+
 def _rows(columns):
     """One dict per cell of the equal-size arrays in ``columns`` (2-d ones
     radius-major), keyed in column order, with Python scalars."""
@@ -202,11 +211,16 @@ def check_theorem1(trap, r, tau, n, seed):
     """Check |f_hat(r, tau) - f_disk(r, r_T, tau)| <= 2.9 (d^2/tau) f_disk.
 
     f_hat is the Monte Carlo bracket of walks released on the circle of
-    radius r; f_disk is the exact mean for the disk of the segment's
-    conformal radius.  Requires tau > (e/2) d^2 and r >= r0
-    (HypothesisError otherwise) and a finite tau (DomainError).
+    radius r0, which encloses the trap, carried out to radius r exactly:
+    a walk from the circle of radius r reaches that of radius r0 at a
+    uniform point independent of when, so f_hat(r) = f_disk(r, r0, tau)
+    f_hat(r0), and the bracket's midpoint and slack both scale by that
+    factor (exactly 1 at r = r0).  f_disk(r, r_T, tau) is the exact mean
+    for the disk of the segment's conformal radius.  Requires tau >
+    (e/2) d^2 and r >= r0 (HypothesisError otherwise) and a finite real
+    r and tau (DomainError).
     """
-    require_finite(tau=tau)
+    require_finite(r=r, tau=tau)
     n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
     if not tau > 0.5 * math.e * d2:
@@ -218,13 +232,14 @@ def check_theorem1(trap, r, tau, n, seed):
     fd = f_disk(r, trap.r_T, tau)
     rhs = 2.9 * d2 / tau * fd
     h = _frame(trap)[1]
-    records = release_and_sample(trap, float(r), n, TMAX_OVER_TAU * tau, seed)
+    records = release_and_sample(trap, trap.r0, n, TMAX_OVER_TAU * tau, seed)
     mid, slack = _abelian_bracket(records, tau / (h * h))
+    transfer = f_disk(r, trap.r0, tau)
     return _report(
-        f"theorem1[segment r={r:g} tau={tau:g} n={n}]",
-        abs(mid - fd),
+        f"theorem1[segment r={r:g} released at r0={trap.r0:g} tau={tau:g} n={n}]",
+        abs(transfer * mid - fd),
         rhs,
-        slack,
+        transfer * slack,
     )
 
 
@@ -273,7 +288,7 @@ def conjecture_probe(trap, radii, times, n, seed):
     exploratory evidence - rows carry the Monte Carlo band widths and no
     verdict.
     """
-    radii = [float(r) for r in radii]
+    radii = _release_radii(radii)
     if any(r < trap.r0 for r in radii):
         raise DomainError(f"all release radii must be >= r0 = {trap.r0:g}")
     times = _check_grid(times)
@@ -309,7 +324,7 @@ def figure_series(radii=None, t_grid=None, n=100000, seed=0):
     if t_grid is None:
         t_grid = np.logspace(-1.0, 5.0, 25)
     t_grid = _check_grid(t_grid)
-    radii = [float(r) for r in radii]
+    radii = _release_radii(radii)
     trap = make_segment_trap(-1.0, 1.0)  # r_T = 1/2 exactly
     # hunt_approx's rules (t > 0 among them) refuse a bad radius or time before any walk
     raw, tau0 = (np.array([[hunt_approx(r, trap.r_T, t, v) for t in t_grid.tolist()] for r in radii])

@@ -291,14 +291,17 @@ def test_criterion_07_circle_average_bound(acceptance):
     for mult in (1.1, 3.0, 10.0, 30.0):
         for r in (1.0, 5.0, 25.0, 125.0):
             reports.append(check_theorem1(trap, r, mult * base, N_MC, seed=SEED))
-    bad = [rep for rep in reports if rep.verdict == "violated"]
+    # every combo walks from r0 = 1 and carries the mean out to r exactly,
+    # so even the r = 125 ones, whose means are 4e-33 to 1e-7, are resolved
+    # and must hold outright
+    bad = [rep for rep in reports if rep.verdict != "holds"]
     worst = min(rep.margin + rep.statistical_slack for rep in reports)
     ok = not bad
     acceptance(
         7,
         "circle-average bound",
         ok,
-        f"{len(reports)} combos, worst slack-adjusted margin {worst:.2e}",
+        f"{len(reports)} combos, {len(reports) - len(bad)} hold, worst slack-adjusted margin {worst:.2e}",
     )
     assert not bad, [rep.label for rep in bad]
 

@@ -550,8 +550,13 @@ PINNED_COMMANDS = [
 # retaken when p_disk's two parts became one integral: the same cell of
 # figure1.csv and the t = 0.1 ratio of conjecture.csv moved in their last
 # printed digit, each p_disk value by 1.1e-16 and 2.2e-16 at the
-# quadrature's absolute floor, within 3.5e-15 of Talbot inversion.  The
-# other digests are as first taken.
+# quadrature's absolute floor, within 3.5e-15 of Talbot inversion.
+# theorem1/bound_reports.csv and .json and stdout were retaken when
+# check_theorem1 came to release at r0 = 6 and carry the mean out to r = 8
+# by f_disk(8, 6, tau): the label names the release radius, and lhs and
+# slack read 0.02466 and 0.02493 (0.03069 and 0.03347 from direct release
+# at r = 8), rhs and verdict unchanged.  The other digests are as first
+# taken.
 PINNED_SHA256 = {
     "bessel.csv": "c85cd508c0492b2a152b8ac2c5b9f07690dc53c3972765274216700bf589da1f",
     "bessel.csv.manifest.json": "bf451c70882c44b1022ee2da1164b649ce75ae5b194a389bfec62630c32e8e75",
@@ -566,13 +571,13 @@ PINNED_SHA256 = {
     "figures/manifest.json": "640e510ecb552f2fff2ac7b57ce74bf5184d4d6ecdbc05335a5323c9675cd4f2",
     "simulate/manifest.json": "03b4279f9822d3890f1fbc20e133814c162b3d8768f83a2f6038e59dc78aa886",
     "simulate/records.csv": "269dd6d6af3f330eff5a22ec5fcc478be2dd7d3cf2ff78055fa01f104cb74e52",
-    "theorem1/bound_reports.csv": "f86d7e9f3c451e5325b968a191cea5a968a16a2f582601e441569c57e0ca3f13",
-    "theorem1/bound_reports.json": "7734aa718917b5a519901e420dc813b5d07b1a777329de60834a8776ad05d0c8",
+    "theorem1/bound_reports.csv": "7cefdf79cc2f3e4f79c420d42a9773b72801eca4eafb33c6142059c05e84dc30",
+    "theorem1/bound_reports.json": "dac56ca73c8dbc70ae2492b919cf592295425c32a2c96db78994dfb7b1672da5",
     "theorem1/manifest.json": "ea962119a7f0cdd3c5b593f77307af57e82662060e2ac48304ec3f943e8258e7",
     "theorem2/bound_reports.csv": "823358058466e09b988bd65a116189e8276404d77f54b0921ad38b0442245a55",
     "theorem2/bound_reports.json": "a5918ca2d7716ef8682040659c7c17ce441ca65ac27dc823c1f067c55ecb2377",
     "theorem2/manifest.json": "b9a75d7999013d2fb0224cd28feb6157df8e93a9c41167417f41c41b1b402b6b",
-    "stdout": "51fba6b21d4269fe97cacb727b1f31377168214df408ccc119e5f3b28c3b1962",
+    "stdout": "bffe63e3fe6cda1d80efd94e11de5c21451321bda029e6f0c8dd2ca49824f7ee",
 }
 
 

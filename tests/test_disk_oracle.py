@@ -69,38 +69,36 @@ def _sqrt_abs_sin(x):
     return np.sqrt(np.abs(np.sin(50.0 * x)))
 
 
-# ([integrand], [panel edges], repr of ([integral], [error], evaluations)),
-# in the one-part list form the driver took and returned when it ran
-# several integrals in lockstep; recorded from the panel-list bookkeeping
-# (per-panel tuples, a stable descending sort and a running sum for the
-# split count).  The first case runs 117795 evaluations, so its rounds
-# reach the 64-panel split cap.
-ADAPTIVE_GK_PINS = [
-    (
-        [_sqrt_abs_sin],
-        [np.linspace(0.0, 10.0, 2)],
-        "([7.624661784025173], [8.986712492013588e-10], 117795)",
-    ),
-    (
-        [lambda x: np.cos(200.0 * x)],
-        [np.linspace(0.0, 3.0, 5)],
-        "([0.00022091224165959064], [2.0030473043023897e-10], 4500)",
-    ),
+# (integrand, panel edges, exact integral, evaluations) at tol 1e-9: the
+# exact integrals are mpmath's (sqrt|sin 50x| between its zeros k pi/50)
+# and sin(600)/200.  The counts pin the local split rule, under which each
+# round keeps the panels within their share of tol and halves the rest.
+ADAPTIVE_GK_EXACT = [
+    (_sqrt_abs_sin, np.linspace(0.0, 10.0, 2), 7.624661783239027, 150435),
+    (lambda x: np.cos(200.0 * x), np.linspace(0.0, 3.0, 5), 2.2091224165936597e-4, 3780),
 ]
 
 
-@pytest.mark.parametrize("fs, parts, pinned", ADAPTIVE_GK_PINS)
-def test_adaptive_gk_bit_identical_pins(fs, parts, pinned):
-    (f,), (edges,) = fs, parts
+@pytest.mark.parametrize("f, edges, exact, count", ADAPTIVE_GK_EXACT, ids=["sqrt_abs_sin_50x", "cos_200x"])
+def test_adaptive_gk_meets_tol_on_exact_integrals(f, edges, exact, count):
     val, err, evals = _adaptive_gk(f, edges, 1e-9, 10**6)
-    assert repr(([val], [err], evals)) == pinned
+    assert abs(val - exact) <= 1e-9
+    assert err <= 1e-9
+    assert evals == count
 
 
 def test_adaptive_gk_nan_integrand_ends_in_convergence_error():
-    # a NaN error estimate never reaches the split threshold: every round
-    # splits up to 64 panels until the budget runs out
+    # a NaN error is never within its share: every round halves every
+    # panel (4, 8, ..., 2048 of them) until the budget runs out
+    seen = []
+
+    def f(x):
+        seen.append(x.size)
+        return np.full_like(x, np.nan)
+
     with pytest.raises(ConvergenceError):
-        _adaptive_gk(lambda x: np.full_like(x, np.nan), np.linspace(0.0, 1.0, 5), 1e-9, 10**5)
+        _adaptive_gk(f, np.linspace(0.0, 1.0, 5), 1e-9, 10**5)
+    assert seen == [15 * 4 * 2**k for k in range(10)]
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +361,28 @@ def test_adaptive_gk_counts_every_node_it_passes():
     assert isinstance(val, float) and isinstance(err, float) and isinstance(evals, int)
     assert len(seen) > 1
     assert evals == sum(seen)
+    assert min(seen) > 0  # f never sees an empty round
+
+
+def test_adaptive_gk_returns_when_every_panel_is_within_its_share():
+    # five unit panels with the same 15 values carry the same error e; at
+    # the tol just below their sum 5e, each e is still within its share
+    # tol/5, so the round keeps every panel and returns rather than pass f
+    # an empty round
+    pattern = np.cos(16.0 * _XGK)
+    seen = []
+
+    def f(x):
+        assert x.size > 0, "an empty round"  # fails at once where the driver would loop on no panels
+        seen.append(x.size)
+        return np.tile(pattern, x.size // 15)
+
+    edges = np.linspace(0.0, 5.0, 6)
+    val, total, _ = _adaptive_gk(f, edges, math.inf, 10**6)
+    tol = float(np.nextafter(total, 0.0))
+    assert _adaptive_gk(f, edges, tol, 10**6) == (val, total, 75)
+    assert total > tol
+    assert seen == [75, 75]
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
@@ -372,7 +392,7 @@ def test_adaptive_gk_passes_ascending_nodes(tol):
     orders = []
 
     def f(x):
-        orders.append(bool(np.all(np.diff(x) > 0.0)))
+        orders.append(x.size > 0 and bool(np.all(np.diff(x) > 0.0)))
         return _sqrt_abs_sin(x)
 
     _adaptive_gk(f, np.linspace(0.0, 3.0, 4), tol, 10**6)

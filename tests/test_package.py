@@ -1,6 +1,7 @@
 """The package's public names: ``trapprob.__all__`` and the imports of its
-``__init__`` name the same set, and every name resolves; and importing the
-package loads no test-only dependency."""
+``__init__`` name the same set, and every name resolves; importing the
+package loads no test-only dependency; and the public entry points refuse
+an argument that is not a finite real number with a DomainError."""
 
 import ast
 import inspect
@@ -9,7 +10,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import trapprob
+from trapprob import (
+    DomainError,
+    bessel_j0_y0,
+    check_theorem1,
+    f_disk,
+    figure_series,
+    hunt_approx,
+    make_segment_trap,
+    p_disk,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -37,3 +51,32 @@ def test_importing_the_cli_loads_neither_scipy_nor_mpmath():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+SEGMENT = make_segment_trap(-1.0, 1.0)
+
+
+NOT_REAL_CALLS = {
+    "p_disk r='1'": lambda: p_disk("1", 0.5, 1.0),
+    "p_disk t=1j": lambda: p_disk(5.0, 0.5, 1j),
+    "p_disk r=10**400": lambda: p_disk(10**400, 0.5, 1.0),
+    "f_disk r=[1.0]": lambda: f_disk([1.0], 0.5, 1.0),
+    "hunt_approx r=[1.0]": lambda: hunt_approx([1.0], 0.5, 2.0),
+    "check_theorem1 r=array": lambda: check_theorem1(SEGMENT, np.array([5.0, 6.0]), 120.0, 10, 0),
+    "check_theorem1 r=[5.0]": lambda: check_theorem1(SEGMENT, [5.0], 120.0, 10, 0),
+    "check_theorem1 tau='120'": lambda: check_theorem1(SEGMENT, 5.0, "120", 10, 0),
+    "make_segment_trap a='a'": lambda: make_segment_trap("a", 1),
+    "make_segment_trap b=10**400": lambda: make_segment_trap(-1.0, 10**400),
+    "figure_series radii=['a']": lambda: figure_series(["a"]),
+    "figure_series radii=5.0": lambda: figure_series(5.0),
+    "bessel_j0_y0 x=['a']": lambda: bessel_j0_y0(["a"]),
+    "bessel_j0_y0 x=1j": lambda: bessel_j0_y0(1j),
+}
+
+
+@pytest.mark.parametrize("call", NOT_REAL_CALLS.values(), ids=NOT_REAL_CALLS.keys())
+def test_an_argument_that_is_not_a_finite_real_raises_domain_error(call):
+    # not the bare TypeError, ValueError or OverflowError of the arithmetic
+    # or float conversion that meets it first
+    with pytest.raises(DomainError):
+        call()

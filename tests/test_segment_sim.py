@@ -18,6 +18,7 @@ from trapprob import (
     ConvergenceError,
     DomainError,
     PlanePoint,
+    green_segment,
     make_segment_trap,
     phi_segment,
     release_circle,
@@ -587,6 +588,26 @@ def test_whole_walk_hit_point_follows_the_harmonic_measure(zx, zy):
     rank = np.arange(1, xs.size + 1) / xs.size
     ks = max((rank - cdf).max(), (cdf - (rank - 1.0 / xs.size)).max())
     assert ks * math.sqrt(xs.size) < 1.95
+
+
+def test_whole_walk_censored_share_follows_the_log_tail():
+    """From a fixed z the walk survives past t with probability
+    2 pi H(z) / ln(t / tau0) as t -> inf, H the Green's function with pole
+    at infinity and tau0 = e^(2 gamma) r_T^2 / 2; at t = 1e300 the next
+    term is O(1/ln^2 t), about 0.2% of the share.  The censored count of
+    each of two points is held to 4 Poisson standard deviations of
+    n 2 pi H(z) / ln(t_max / tau0) (seed 17 reads 64 against 66.3 at
+    (5, 0) and 70 against 56.9 at (-3, 2)).  One batch walks both points,
+    so its heavy-tailed step count (up to about 6e4) is paid once.
+    """
+    n, t_max = 10000, 1e300
+    zs = [PlanePoint(5.0, 0.0), PlanePoint(-3.0, 2.0)]
+    records = sample_batch([z for z in zs for _ in range(n)], t_max=t_max, seed=17)
+    log_tail = math.log(t_max / make_segment_trap(-1.0, 1.0).tau0)
+    for k, z in enumerate(zs):
+        expected = n * 2.0 * math.pi * green_segment(z) / log_tail
+        censored = int(records.censored[k * n : (k + 1) * n].sum())
+        assert abs(censored - expected) <= 4.0 * math.sqrt(expected), (z, censored, expected)
 
 
 # ---------------------------------------------------------------------------

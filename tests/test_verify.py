@@ -157,6 +157,46 @@ def test_theorem1_deterministic(segment):
     assert a == b
 
 
+def _abelian_mean(trap, r, tau, n, seed):
+    """Mean of exp(-T/tau) over n walks released at radius r, and its
+    standard error (a censored walk, at most e^-20, counts 0)."""
+    records = release_and_sample(trap, r, n, trapprob.verify.TMAX_OVER_TAU * tau, seed)
+    weights = np.where(records.censored, 0.0, np.exp(-records.time / tau))
+    return float(weights.mean()), float(weights.std(ddof=1)) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("r", [5.0, 25.0])
+def test_theorem1_radius_transfer_agrees_with_direct_release(segment, r):
+    # a walk from the circle of radius r reaches the circle of radius
+    # r0 = 1 at a uniform point independent of when, so its mean is
+    # f_disk(r, r0, tau) times the mean from r0; the direct release uses
+    # its own seed
+    tau, n = 120.0, 20000
+    transfer = f_disk(r, segment.r0, tau)
+    m0, se0 = _abelian_mean(segment, segment.r0, tau, n, seed=1)
+    m, se = _abelian_mean(segment, r, tau, n, seed=2)
+    assert abs(transfer * m0 - m) <= 4.0 * math.hypot(transfer * se0, se)
+    # check_theorem1 scales the r0 bracket by the same factor
+    rep = check_theorem1(segment, r, tau, n, seed=1)
+    at_r0 = check_theorem1(segment, segment.r0, tau, n, seed=1)
+    assert rep.statistical_slack == transfer * at_r0.statistical_slack
+    assert abs(rep.lhs - abs(transfer * m0 - f_disk(r, segment.r_T, tau))) <= 1e-6 * transfer
+    assert "released at r0=1 " in rep.label
+
+
+@pytest.mark.parametrize(
+    "a, b, r, tau",
+    [(-1.0, 1.0, 1.0, 6.0), (-1.0, 1.0, 5.0, 120.0), (-1.0, 1.0, 125.0, 5.98), (2.0, 6.0, 8.0, 40.0), (-3.0, 0.5, 40.0, 1e3)],
+)
+def test_f_disk_transfers_through_r0(a, b, r, tau):
+    # K0(k r)/K0(k r_T) = K0(k r)/K0(k r0) * K0(k r0)/K0(k r_T); at r = r0
+    # the factor is exactly 1
+    trap = make_segment_trap(a, b)
+    transfer = f_disk(r, trap.r0, tau)
+    assert_allclose(f_disk(r, trap.r_T, tau), transfer * f_disk(trap.r0, trap.r_T, tau), rtol=1e-13)
+    assert (transfer == 1.0) == (r == trap.r0)
+
+
 # ----------------------------------------------------------------------
 # pointwise sandwich
 

@@ -38,8 +38,12 @@ class PlanePoint:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DomainError(f"non-finite coordinates ({self.x!r}, {self.y!r})")
+        try:  # costs nothing when nothing is raised (Python 3.11 on)
+            if math.isfinite(self.x) and math.isfinite(self.y):
+                return
+        except (TypeError, OverflowError):  # a string, a complex or an int past the double range
+            pass
+        raise DomainError(f"non-finite or non-real coordinates ({self.x!r}, {self.y!r})")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from trapprob.conformal import PlanePoint
-from trapprob.errors import ConvergenceError, DomainError, require_count
+from trapprob.errors import ConvergenceError, DomainError, require_count, require_finite
 
 # Landing within this distance of an endpoint counts as a capture: the
 # line-jump maps |X| > 1 to exactly +-1, so endpoint landings are legitimate.
@@ -98,6 +98,13 @@ def _check_word64(value, what, span=1):
         raise DomainError(f"{what} must be in {bound} and an integer, got {value!r}")
 
 
+def _check_cap(t_max):
+    """DomainError unless the time cap ``t_max`` is a positive real number
+    (inf included: an uncapped walk)."""
+    if not (isinstance(t_max, numbers.Real) and t_max > 0.0):  # a NaN fails the comparison
+        raise DomainError(f"t_max must be a positive real number, got {t_max!r}")
+
+
 def philox4x32(c0, c1, c2, c3, k0, k1):
     """The Philox4x32-10 block function on 32-bit words held in uint64.
 
@@ -152,17 +159,6 @@ def philox_normals(seed, index, step):
     return radius * np.cos(theta), radius * np.sin(theta)
 
 
-def jump_to_axis(x, y, g1, g2):
-    """One off-axis move: land on the horizontal axis.
-
-    Returns (new_x, elapsed).  The landing abscissa x + (|y|/|g1|) g2 is
-    Cauchy(x, |y|) distributed and the elapsed time y^2/g1^2 is the exact
-    law of the axis-crossing time.
-    """
-    q = y / g1  # squared by a product, as in sample_batch: pow may differ in the last bit
-    return x + abs(y) / abs(g1) * g2, q * q
-
-
 def release_circle(r, n, seed, first_index=0):
     """n independent uniform points on the circle of radius r (origin center).
 
@@ -171,6 +167,7 @@ def release_circle(r, n, seed, first_index=0):
     2^32), j = first_index + i: a function of (seed, j) alone, so chunks
     with their offsets as ``first_index`` reproduce the whole set.
     """
+    require_finite(release_radius=r)
     if not r > 0.0:
         raise DomainError(f"release radius must be positive, got {r!r}")
     n = require_count(n, "release count")
@@ -207,17 +204,15 @@ def sample_batch(starts, t_max, seed, first_index=0):
     ``np.recarray`` of ``RECORD_DTYPE``, one row per start; raises
     ConvergenceError if a walk exceeds STEP_CAP steps.
     """
-    if not t_max > 0.0:
-        raise DomainError(f"t_max must be positive, got {t_max!r}")
+    _check_cap(t_max)
     _check_word64(seed, "seed")
     x0 = np.array([p.x for p in starts], dtype=float)
     y0 = np.array([p.y for p in starts], dtype=float)
     _check_word64(first_index, "first_index", x0.size)
-    # the result columns, filled row by row and packed into records once
-    times = np.zeros(x0.size)
-    xs = x0.copy()  # the start rows on the trap keep their abscissa
-    censored_col = np.zeros(x0.size, dtype=bool)
-    steps_col = np.zeros(x0.size, dtype=np.int64)
+    # the records, filled in place as walks finish; the start rows on the
+    # trap keep their abscissa and zero time and steps
+    out = np.zeros(x0.size, dtype=RECORD_DTYPE)
+    out["x"] = x0
 
     pos = np.flatnonzero(~_on_trap(x0, y0))  # rows of the live trajectories
     x, y = x0[pos], y0[pos]
@@ -235,15 +230,19 @@ def sample_batch(starts, t_max, seed, first_index=0):
             ahead = max(1, min(DRAW_AHEAD, DRAW_AHEAD**2 // pos.size, STEP_CAP - step))
             g1s, g2s = philox_normals(seed, index, np.arange(step, step + ahead)[:, None])
         g1, g2, g1s, g2s = g1s[0], g2s[0], g1s[1:], g2s[1:]
-        # jump_to_axis where y != 0; where y == 0 (|x| > 1), a jump to the
-        # vertical line through the nearer endpoint
-        on_axis = y == 0.0
-        dist = np.where(on_axis, np.abs(x) - 1.0, np.abs(y))
-        offset = dist / np.abs(g1) * g2
+        # where y != 0, a jump to the axis; where y == 0 (|x| > 1), a jump to
+        # the vertical line through the nearer endpoint
+        off_axis = y != 0.0
+        dist = np.where(off_axis, np.abs(y), np.abs(x) - 1.0)
         q = dist / g1
-        elapsed += q * q
-        x = np.where(on_axis, np.copysign(1.0, x), x + offset)
-        y = np.where(on_axis, offset, 0.0)
+        # |dist / g1| is dist / |g1| bit for bit: division rounds alike for
+        # either sign; the time is squared by a product, as pow may differ
+        # in the last bit
+        offset = np.abs(q) * g2
+        q *= q
+        elapsed += q
+        x = np.where(off_axis, x + offset, np.copysign(1.0, x))
+        y = np.where(off_axis, 0.0, offset)
         step += 1
         # a jump past the double range takes longer than any finite cap;
         # only an uncapped walk goes on from there, and it never returns
@@ -256,17 +255,25 @@ def sample_batch(starts, t_max, seed, first_index=0):
                 )
 
         censored = elapsed > t_max
-        done = censored | _on_trap(x, y)
-        if done.any():
-            rows = pos[done]
-            times[rows] = elapsed[done]
-            xs[rows] = np.where(censored[done], np.nan, x[done])
-            censored_col[rows] = censored[done]
-            steps_col[rows] = step
-            live = ~done
-            pos, x, y, elapsed, index = pos[live], x[live], y[live], elapsed[live], index[live]
-            g1s, g2s = g1s[:, live], g2s[:, live]
-    return np.rec.fromarrays([times, xs, censored_col, steps_col], dtype=RECORD_DTYPE)
+        # only an axis jump can land on the trap, so its branch replaces the
+        # test y == 0: a live on-axis row has |x| - 1 > ENDPOINT_TOL,
+        # |g1| < 9 and g2 != 0, so its line jump's offset is at least ~1e-40
+        # in size and never underflows to 0; a NaN abscissa fails the test
+        done = censored | (off_axis & (np.abs(x) <= 1.0 + ENDPOINT_TOL))
+        # the finished rows and the live ones as indices: take by index costs
+        # less than a boolean mask, which counts its rows on every use
+        idx = np.flatnonzero(done)
+        if idx.size:
+            rows = pos.take(idx)
+            cens = censored.take(idx)
+            out["time"][rows] = elapsed.take(idx)
+            out["x"][rows] = np.where(cens, np.nan, x.take(idx))
+            out["censored"][rows] = cens
+            out["steps"][rows] = step
+            live = np.flatnonzero(~done)
+            pos, x, y, elapsed, index = pos.take(live), x.take(live), y.take(live), elapsed.take(live), index.take(live)
+            g1s, g2s = g1s.take(live, axis=1), g2s.take(live, axis=1)
+    return out.view(np.recarray)
 
 
 def wilson_interval(successes, n):
@@ -314,6 +321,7 @@ def survival_curve(records, times, r):
     times exceed the cap by construction) - a censored time at or below the
     last grid point proves the grid exceeds the cap.
     """
+    require_finite(release_radius=r)
     if len(records) == 0:
         raise DomainError("survival_curve needs at least one record")
     times = _check_grid(times)

@@ -333,7 +333,10 @@ def bessel_j0_y0(x):
         finite or not a real number.
     """
     try:
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x)
+        if arr.dtype.kind == "c":  # the float cast would drop the imaginary part
+            raise TypeError
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):  # a string, a complex or an int past the double range
         raise DomainError("bessel_j0_y0 requires real x in the double range") from None
     if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):  # a NaN fails both

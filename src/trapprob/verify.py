@@ -24,6 +24,7 @@ weights are exactly invariant.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from trapprob.conformal import PlanePoint, green_segment, make_segment_trap, r_z
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import CapacityError, DomainError, HypothesisError, require_count, require_finite
-from trapprob.segment_sim import RECORD_DTYPE, _check_grid, _check_word64, release_circle, sample_batch, survival_curve
+from trapprob.segment_sim import RECORD_DTYPE, _check_cap, _check_grid, _check_word64, release_circle, sample_batch, survival_curve
 
 # Cap the simulated horizon at this multiple of tau: the censoring bracket
 # exp(-t_max/tau) = exp(-20) ~ 2e-9 is then negligible against MC noise.
@@ -81,8 +82,10 @@ def _frame(trap):
 
 
 def _unit_time(t, h):
-    """A time in units of h^2, the walk's frame.  DomainError where a
-    finite time overflows there, which would make a capped walk uncapped."""
+    """A time in units of h^2, the walk's frame.  DomainError unless ``t``
+    is a positive real number (inf included), and where a finite time
+    overflows there, which would make a capped walk uncapped."""
+    _check_cap(t)
     unit = t / (h * h)
     if unit == math.inf and t < math.inf:
         raise DomainError(f"time {t!r} overflows in units of the half-length squared {h * h!r}")
@@ -132,7 +135,7 @@ def release_and_sample(trap, r, n, t_max, seed, first_index=0):
     radii = [r] if np.ndim(r) == 0 else list(r)
     require_count(len(radii), "number of release radii")
     for radius in radii:
-        if not 0.0 < radius < math.inf:
+        if not (isinstance(radius, numbers.Real) and 0.0 < radius < math.inf):
             raise DomainError(f"release radius must be positive and finite, got {radius!r}")
     n = require_count(n, "trajectory count")
     c, h = _frame(trap)
@@ -195,6 +198,8 @@ def _capture_table(trap, radii, times, n, seed):
 def _release_radii(radii):
     """The release radii as floats; DomainError for a radius that is not a
     real number."""
+    if isinstance(radii, (str, bytes)):  # iterable, but character by character
+        raise DomainError(f"release radii must be real numbers, got {radii!r}")
     try:
         return [float(r) for r in radii]
     except (TypeError, ValueError, OverflowError):  # a string, a complex or an int past the double range

@@ -44,9 +44,10 @@ from trapprob.conformal import (
     make_segment_trap,
 )
 from trapprob.disk_oracle import f_disk, p_disk
-from trapprob.segment_sim import jump_to_axis
 from trapprob.specfun import GAMMA, bessel_i, harmonic_number, k0_bounds
 from trapprob.verify import check_theorem1, check_theorem2, figure_series
+
+from test_segment_sim import jump_to_axis
 
 N_MC = 100_000
 SEED = 0

@@ -16,6 +16,7 @@ import pytest
 import trapprob
 from trapprob import (
     DomainError,
+    PlanePoint,
     bessel_j0_y0,
     check_theorem1,
     f_disk,
@@ -23,7 +24,11 @@ from trapprob import (
     hunt_approx,
     make_segment_trap,
     p_disk,
+    release_circle,
+    sample_batch,
+    survival_curve,
 )
+from trapprob.verify import release_and_sample
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -71,6 +76,16 @@ NOT_REAL_CALLS = {
     "figure_series radii=5.0": lambda: figure_series(5.0),
     "bessel_j0_y0 x=['a']": lambda: bessel_j0_y0(["a"]),
     "bessel_j0_y0 x=1j": lambda: bessel_j0_y0(1j),
+    "bessel_j0_y0 x=array([1+2j])": lambda: bessel_j0_y0(np.array([1 + 2j])),
+    "figure_series radii='15'": lambda: figure_series("15", t_grid=[1.0, 2.0], n=10),
+    "figure_series radii=b'15'": lambda: figure_series(b"15", t_grid=[1.0, 2.0], n=10),
+    "release_circle r='5'": lambda: release_circle("5", 10, 0),
+    "release_and_sample r='5'": lambda: release_and_sample(SEGMENT, "5", 10, 1.0, 0),
+    "release_and_sample t_max='1.0'": lambda: release_and_sample(SEGMENT, 5.0, 10, "1.0", 0),
+    "sample_batch t_max='1'": lambda: sample_batch([PlanePoint(5.0, 0.0)], "1", 0),
+    "survival_curve r='x'": lambda: survival_curve(sample_batch([PlanePoint(5.0, 0.0)], 10.0, 0), [1.0], "x"),
+    "PlanePoint x='a'": lambda: PlanePoint("a", 0),
+    "PlanePoint y=10**400": lambda: PlanePoint(0.0, 10**400),
 }
 
 

@@ -29,7 +29,6 @@ from trapprob import (
 from trapprob.segment_sim import (
     RECORD_DTYPE,
     Z_99,
-    jump_to_axis,
     philox4x32,
     philox_normals,
 )
@@ -57,6 +56,18 @@ def _numpy_philox(seed, index):
 # the scalar reference walk: one trajectory at a time, one pair of normals
 # per step from any draw source
 # ---------------------------------------------------------------------------
+
+def jump_to_axis(x, y, g1, g2):
+    """One off-axis move: land on the horizontal axis (the scalar form of
+    sample_batch's off-axis step).
+
+    Returns (new_x, elapsed).  The landing abscissa x + (|y|/|g1|) g2 is
+    Cauchy(x, |y|) distributed and the elapsed time y^2/g1^2 is the exact
+    law of the axis-crossing time.
+    """
+    q = y / g1  # squared by a product, as in sample_batch: pow may differ in the last bit
+    return x + abs(y) / abs(g1) * g2, q * q
+
 
 def jump_to_line(x, g1, g2):
     """One on-axis move from |x| > 1: land on the vertical line x = sign(x)
@@ -289,8 +300,9 @@ def test_trajectories_terminate():
 def test_batch_matches_scalar_reference():
     # sample_hit fed the kernel's own normals for trajectory j reproduces row
     # j bit for bit: random starts, starts on the trap (inside, at and just
-    # past an endpoint), starts on the axis outside it, and starts placed so
-    # that the first jump lands on an endpoint
+    # past an endpoint), starts on the axis outside it, starts placed so
+    # that the first jump lands on an endpoint, and starts whose line jumps
+    # are the smallest and largest there are
     seed, t_max = 3, 50.0
     rng = np.random.default_rng(8)
     starts = [PlanePoint(float(px), float(py)) for px, py in rng.normal(0.0, 3.0, (1200, 2))]
@@ -300,6 +312,12 @@ def test_batch_matches_scalar_reference():
         g1, g2 = (float(g) for g in philox_normals(seed, j, 0))
         y = (0.5 + j % 3) * abs(g1)  # a landing time well inside t_max
         starts.append(PlanePoint(math.copysign(1.0, j % 2 - 0.5) - y / abs(g1) * g2, y))
+    # the extreme line-jump offsets: on-axis starts at the first doubles past
+    # +-(1 + ENDPOINT_TOL), whose tiny offsets must not count as landing on
+    # the axis, and starts 1e300 away, whose jumps overflow under the cap
+    edge = math.nextafter(1.0 + sim.ENDPOINT_TOL, 2.0)
+    starts += [PlanePoint(edge, 0.0), PlanePoint(-edge, 0.0)]
+    starts += [PlanePoint(1e300, 0.0), PlanePoint(-1e300, 0.0), PlanePoint(0.0, 1e300), PlanePoint(0.0, -1e300)]
     records = sample_batch(starts, t_max, seed)
 
     landed = 0
@@ -312,6 +330,8 @@ def test_batch_matches_scalar_reference():
         landed += row.steps == 1 and abs(abs(row.x) - 1.0) <= sim.ENDPOINT_TOL
     assert landed == 6
     assert 0 < records.censored.sum() < len(starts)
+    assert (records.steps[-6:-4] >= 2).all()  # the first jump lands off the axis
+    assert records.censored[-4:].all() and (records.time[-4:] == math.inf).all() and (records.steps[-4:] == 1).all()
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from trapprob.specfun import _k0_bracket, _k0_values, _phi_partial, bessel_i
 from trapprob.verify import (
     DEFAULT_RADII,
     BoundReport,
-    _frame,
     check_theorem1,
     check_theorem2,
     conjecture_probe,
@@ -179,19 +178,14 @@ def _cmd_disk(args):
 
 def _cmd_simulate(args):
     trap = make_segment_trap(args.a, args.b)
-    c, h = _frame(trap)
     records = release_and_sample(trap, args.radius, args.n, args.tmax, args.seed)
 
     # .tolist() gives Python scalars, which format_cell prints as 0/1 and
     # %.12g; hits lie on the axis, so y is 0 there and empty when censored
     censored = records.censored.tolist()
-    xs = [None if cen else x for x, cen in zip((c + h * records.x).tolist(), censored)]
+    xs = [None if cen else x for x, cen in zip(records.x.tolist(), censored)]
     ys = [None if cen else 0.0 for cen in censored]
-    # a censored walk's time may pass the double range once scaled back
-    # from units of h^2; it is then longer than any cap and reads inf
-    with np.errstate(over="ignore"):
-        times = (records.time * h * h).tolist()
-    columns = (range(len(records)), times, xs, ys, censored, records.steps.tolist())
+    columns = (range(len(records)), records.time.tolist(), xs, ys, censored, records.steps.tolist())
     _write_run(args, {"records.csv": (["index", "time", "x", "y", "censored", "steps"], zip(*columns))})
     n_censored = int(records.censored.sum())
     mean_steps = float(records.steps.mean())
@@ -238,7 +232,7 @@ def _cmd_figures(args):
                     "label": f"r={r:g} {label}",
                     "x": [row["t"] for row in sub],
                     "y": [row[cols[col]] for row in sub],
-                    "color": PALETTE[idx % 4],
+                    "color": PALETTE[idx % len(PALETTE)],
                     "dash": dash,
                 })
         svg_lineplot(

@@ -83,8 +83,6 @@ class SurvivalCurve:
     captured_fraction: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    n: int
-    release_radius: float
 
 
 def _check_word64(value, what, span=1):
@@ -311,7 +309,7 @@ def _check_grid(times):
     return times
 
 
-def survival_curve(records, times, r):
+def survival_curve(records, times):
     """Empirical capture proportion at each grid time with Wilson 99% bands.
 
     ``records`` is a record array of ``RECORD_DTYPE`` (as returned by
@@ -321,7 +319,6 @@ def survival_curve(records, times, r):
     times exceed the cap by construction) - a censored time at or below the
     last grid point proves the grid exceeds the cap.
     """
-    require_finite(release_radius=r)
     if len(records) == 0:
         raise DomainError("survival_curve needs at least one record")
     times = _check_grid(times)
@@ -337,4 +334,4 @@ def survival_curve(records, times, r):
     counts = np.searchsorted(hit_times, times, side="left")
     frac = counts / n
     lo, hi = wilson_interval(counts, n)
-    return SurvivalCurve(times, frac, lo, hi, n, float(r))
+    return SurvivalCurve(times, frac, lo, hi)

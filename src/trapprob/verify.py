@@ -20,7 +20,8 @@ The two theorem checks:
 Simulations run on the normalized segment; a general segment [a, b] is
 handled by the affine change of variables (lengths /h, times /h^2, with
 h the half-length), under which the Green's function and the Abelian
-weights are exactly invariant.
+weights are exactly invariant.  ``_walk`` alone makes that change: it
+takes the cap in the trap's units and returns records in them.
 """
 
 import math
@@ -32,7 +33,7 @@ import numpy as np
 from trapprob.conformal import PlanePoint, green_segment, make_segment_trap, r_z
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import CapacityError, DomainError, HypothesisError, require_count, require_finite
-from trapprob.segment_sim import RECORD_DTYPE, _check_cap, _check_grid, _check_word64, release_circle, sample_batch, survival_curve
+from trapprob.segment_sim import RECORD_DTYPE, _check_cap, _check_grid, release_circle, sample_batch, survival_curve
 
 # Cap the simulated horizon at this multiple of tau: the censoring bracket
 # exp(-t_max/tau) = exp(-20) ~ 2e-9 is then negligible against MC noise.
@@ -81,56 +82,55 @@ def _frame(trap):
     return 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
 
 
-def _unit_time(t, h):
-    """A time in units of h^2, the walk's frame.  DomainError unless ``t``
-    is a positive real number (inf included), and where a finite time
-    overflows there, which would make a capped walk uncapped."""
-    _check_cap(t)
-    unit = t / (h * h)
-    if unit == math.inf and t < math.inf:
-        raise DomainError(f"time {t!r} overflows in units of the half-length squared {h * h!r}")
-    return unit
-
-
 def _normalize(trap, p):
     c, h = _frame(trap)
     return PlanePoint((p.x - c) / h, p.y / h)
 
 
-def _walk(starts, count, t_max, seed, first_index=0):
-    """Records of the trajectories first_index .. first_index + count - 1,
-    walked in chunks of at most WALK_CHUNK; ``starts(lo, hi)`` gives the
-    unit-frame start points of offsets lo .. hi - 1 and t_max is in the
-    unit frame.
+def _walk(trap, starts, count, t_max, seed):
+    """Records of the trajectories 0 .. count - 1 in the trap's units,
+    walked on the normalized segment in chunks of at most WALK_CHUNK;
+    ``starts(lo, hi)`` gives the unit-frame start points of trajectories
+    lo .. hi - 1, and t_max is the cap in the trap's units.
 
-    The records are allocated before the first chunk, so a count whose
-    records cannot fit raises CapacityError at once rather than after
-    walking chunk after chunk.
+    The cap is a DomainError unless it is a positive real number (inf
+    included), and where a finite cap overflows in units of h^2 (h the
+    half-length), which would leave the walk uncapped.  The records are
+    allocated before the first chunk, so a count whose records cannot fit
+    raises CapacityError at once rather than after walking chunk after
+    chunk.
     """
+    _check_cap(t_max)
+    c, h = _frame(trap)
+    unit_cap = t_max / (h * h)
+    if unit_cap == math.inf and t_max < math.inf:
+        raise DomainError(f"time {t_max!r} overflows in units of the half-length squared {h * h!r}")
     try:
         records = np.recarray(count, dtype=RECORD_DTYPE)
     except (MemoryError, ValueError):  # numpy cannot allocate it, or refuses the size
         raise CapacityError(f"{count} trajectories are too many: their records do not fit in memory") from None
-    _check_word64(first_index, "first_index", count)
     for lo in range(0, count, WALK_CHUNK):
         hi = min(lo + WALK_CHUNK, count)
-        records[lo:hi] = sample_batch(starts(lo, hi), t_max, seed, first_index=first_index + lo)
+        records[lo:hi] = sample_batch(starts(lo, hi), unit_cap, seed, first_index=lo)
+    # a censored time may pass the double range once scaled back from units
+    # of h^2; it is then longer than any cap and reads inf
+    with np.errstate(over="ignore"):
+        records.time = records.time * h * h
+    records.x = c + h * records.x
     return records
 
 
-def release_and_sample(trap, r, n, t_max, seed, first_index=0):
+def release_and_sample(trap, r, n, t_max, seed):
     """Simulate n trajectories released uniformly on the circle of radius r
     (origin centre) against a segment trap, capped at time t_max; r may also
     be a sequence of radii, with n trajectories each.
 
-    Trajectory i of radius k has index ``first_index + k n + i`` for both
-    its release point and its walk, and its record is row ``k n + i``, so
-    chunks with their offsets reproduce the whole batch.  Every radius is
+    Trajectory i of radius k has index ``k n + i`` for both its release
+    point and its walk, and its record is row ``k n + i``.  Every radius is
     checked before the first walk, and all of them are walked as one index
-    range in chunks of at most WALK_CHUNK trajectories.  The walk runs in
-    the segment's unit frame, so the returned record array holds times in
-    units of h^2 and hit abscissae in unit-frame coordinates (h the
-    half-length).
+    range in chunks of at most WALK_CHUNK trajectories.  The records are in
+    the trap's units: hitting times and the hit abscissa ``x`` on the
+    segment's line.
     """
     radii = [r] if np.ndim(r) == 0 else list(r)
     require_count(len(radii), "number of release radii")
@@ -141,16 +141,16 @@ def release_and_sample(trap, r, n, t_max, seed, first_index=0):
     c, h = _frame(trap)
 
     def starts(lo, hi):
-        # one release_circle per radius piece of the offsets lo .. hi - 1
+        # one release_circle per radius piece of the trajectories lo .. hi - 1
         points = []
         for k in range(lo // n, (hi - 1) // n + 1):
             a, b = max(lo, k * n), min(hi, (k + 1) * n)
-            points += release_circle(radii[k], b - a, seed, first_index + a)
+            points += release_circle(radii[k], b - a, seed, a)
         if (c, h) != (0.0, 1.0):  # on [-1, 1] the frame map is the identity
             points = [_normalize(trap, p) for p in points]
         return points
 
-    return _walk(starts, len(radii) * n, _unit_time(t_max, h), seed, first_index)
+    return _walk(trap, starts, len(radii) * n, t_max, seed)
 
 
 def _abelian_bracket(records, tau):
@@ -178,7 +178,7 @@ def _abelian_bracket(records, tau):
 def _capture_table(trap, radii, times, n, seed):
     """Captured fraction, its Wilson band (ci_lo, ci_hi) and the disk
     surrogate p_disk(r, r_T, t), each a radius x time array on the checked
-    grid ``times`` (original units; walks are capped at its last point).
+    grid ``times`` (walks are capped at its last point).
     The disk column comes first, so p_disk's rules refuse a bad radius or
     time before any walk.  All radii are walked in one release_and_sample
     call, so the trajectories of radius k have indices k*n on.
@@ -186,11 +186,10 @@ def _capture_table(trap, radii, times, n, seed):
     require_count(len(radii), "number of release radii")
     n = require_count(n, "trajectory count")
     pd = np.array([[p_disk(r, trap.r_T, t) for t in times.tolist()] for r in radii])
-    h = _frame(trap)[1]
     records = release_and_sample(trap, radii, n, float(times[-1]), seed)
     prop, lo, hi = np.empty((3, len(radii), times.size))
-    for k, r in enumerate(radii):
-        curve = survival_curve(records[k * n : (k + 1) * n], times / (h * h), r)
+    for k in range(len(radii)):
+        curve = survival_curve(records[k * n : (k + 1) * n], times)
         prop[k], lo[k], hi[k] = curve.captured_fraction, curve.ci_low, curve.ci_high
     return prop, lo, hi, pd
 
@@ -236,9 +235,8 @@ def check_theorem1(trap, r, tau, n, seed):
         raise HypothesisError(f"release radius {r:g} is below r0 = {trap.r0:g}")
     fd = f_disk(r, trap.r_T, tau)
     rhs = 2.9 * d2 / tau * fd
-    h = _frame(trap)[1]
     records = release_and_sample(trap, trap.r0, n, TMAX_OVER_TAU * tau, seed)
-    mid, slack = _abelian_bracket(records, tau / (h * h))
+    mid, slack = _abelian_bracket(records, tau)
     transfer = f_disk(r, trap.r0, tau)
     return _report(
         f"theorem1[segment r={r:g} released at r0={trap.r0:g} tau={tau:g} n={n}]",
@@ -270,9 +268,8 @@ def check_theorem2(trap, z, tau, n, seed):
         )
     unit_z = _normalize(trap, z)
     base = 1.0 - 2.0 * math.pi * green_segment(unit_z) / math.log(tau / trap.tau0)
-    h = _frame(trap)[1]
-    records = _walk(lambda lo, hi: [unit_z] * (hi - lo), n, _unit_time(TMAX_OVER_TAU * tau, h), seed)
-    mid, slack = _abelian_bracket(records, tau / (h * h))
+    records = _walk(trap, lambda lo, hi: [unit_z] * (hi - lo), n, TMAX_OVER_TAU * tau, seed)
+    mid, slack = _abelian_bracket(records, tau)
     tag = f"segment z=({z.x:g},{z.y:g}) tau={tau:g} n={n}"
     lower = None
     if lower_ok:

@@ -501,6 +501,15 @@ def test_figures_repeated_radius_draws_each_copy_once(tmp_path):
         assert {len(p.get("points").split()) for p in polylines} == {3}, name
 
 
+def test_figures_draw_each_of_five_radii_in_its_own_colour(tmp_path):
+    # the palette holds six colours, so five radii need not share one
+    assert main(["figures", "--n", "50", "--radii", "1,2,3,4,5", "--t-points", "3", "--out-dir", str(tmp_path)]) == 0
+    for name in ("figure1.svg", "figure2.svg"):
+        root = ET.fromstring((tmp_path / name).read_text())
+        polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline") or root.findall(".//polyline")
+        assert len({p.get("stroke") for p in polylines}) == 5, name
+
+
 def test_figures_checks_radii_before_any_walk(tmp_path, capsys, monkeypatch):
     walks = []
     monkeypatch.setattr(trapprob.verify, "release_and_sample", lambda *args, **kwargs: walks.append(args))

@@ -26,7 +26,6 @@ from trapprob import (
     p_disk,
     release_circle,
     sample_batch,
-    survival_curve,
 )
 from trapprob.verify import release_and_sample
 
@@ -83,7 +82,6 @@ NOT_REAL_CALLS = {
     "release_and_sample r='5'": lambda: release_and_sample(SEGMENT, "5", 10, 1.0, 0),
     "release_and_sample t_max='1.0'": lambda: release_and_sample(SEGMENT, 5.0, 10, "1.0", 0),
     "sample_batch t_max='1'": lambda: sample_batch([PlanePoint(5.0, 0.0)], "1", 0),
-    "survival_curve r='x'": lambda: survival_curve(sample_batch([PlanePoint(5.0, 0.0)], 10.0, 0), [1.0], "x"),
     "PlanePoint x='a'": lambda: PlanePoint("a", 0),
     "PlanePoint y=10**400": lambda: PlanePoint(0.0, 10**400),
 }

@@ -465,13 +465,6 @@ def test_release_and_sample_pin():
     assert _digest(records) == "18471eb09b94a8b1c94186cbcb96b7eedc008f28134f9a44145288b8607f5826"
 
 
-def test_release_and_sample_split_invariant():
-    trap = make_segment_trap(-3.0, 2.0)
-    whole = release_and_sample(trap, 7.0, 90, 500.0, 8, first_index=2**32 - 40)
-    chunks = [release_and_sample(trap, 7.0, 30, 500.0, 8, first_index=2**32 - 40 + lo) for lo in (0, 30, 60)]
-    _assert_same_records(np.concatenate(chunks), whole)
-
-
 # ---------------------------------------------------------------------------
 # release_circle
 # ---------------------------------------------------------------------------
@@ -649,9 +642,8 @@ def _toy_records():
 
 
 def test_survival_curve_strict_counting():
-    curve = survival_curve(_toy_records(), [0.5, 1.0, 2.5, 9.0], r=5.0)
+    curve = survival_curve(_toy_records(), [0.5, 1.0, 2.5, 9.0])
     assert_allclose(curve.captured_fraction, [0.0, 0.0, 0.5, 0.75])
-    assert curve.n == 4 and curve.release_radius == 5.0
     lo, hi = wilson_interval(np.array([0.0, 0.0, 2.0, 3.0]), 4)
     assert_allclose(curve.ci_low, lo, rtol=1e-14)
     assert_allclose(curve.ci_high, hi, rtol=1e-14)
@@ -659,24 +651,24 @@ def test_survival_curve_strict_counting():
 
 def test_survival_curve_grid_validation():
     with pytest.raises(DomainError):
-        survival_curve(_toy_records(), [2.0, 1.0], r=5.0)
+        survival_curve(_toy_records(), [2.0, 1.0])
     with pytest.raises(DomainError):
-        survival_curve([], [1.0], r=5.0)
+        survival_curve([], [1.0])
     # grid reaching past the cap (censored at 10.5) must be refused
     with pytest.raises(DomainError):
-        survival_curve(_toy_records(), [1.0, 11.0], r=5.0)
+        survival_curve(_toy_records(), [1.0, 11.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_survival_curve_rejects_non_finite_times(bad):
     records = _toy_records()[:3]  # no censored record, so the cap check passes
     with pytest.raises(DomainError, match="grid times must be finite"):
-        survival_curve(records, [1.0, bad], r=5.0)
+        survival_curve(records, [1.0, bad])
 
 
 def test_survival_curve_all_captured_allows_any_grid():
     records = _toy_records()[:3]
-    curve = survival_curve(records, [100.0], r=5.0)
+    curve = survival_curve(records, [100.0])
     assert curve.captured_fraction[0] == 1.0
 
 

@@ -289,11 +289,8 @@ def test_conjecture_probe_rows(segment):
 
 def _probe_cell_by_cell(trap, radii, times, n, seed):
     """conjecture_probe's reductions as one scalar branch per (time, radius) cell."""
-    h = 0.5 * (trap.b - trap.a)
-    curves = [
-        survival_curve(release_and_sample(trap, r, n, times[-1], seed, first_index=k * n), np.divide(times, h * h), r)
-        for k, r in enumerate(radii)
-    ]
+    records = _per_radius_records(trap, radii, n, times[-1], seed)
+    curves = [survival_curve(records[k * n : (k + 1) * n], times) for k in range(len(radii))]
     rows = []
     for j, t in enumerate(times):
         row = dict(t=t, sup_rel_capture=0.0, sup_rel_survival=0.0, max_ci_halfwidth=0.0,
@@ -409,27 +406,45 @@ def _unit_starts(trap, r, n, seed, first_index):
     return [PlanePoint((p.x - c) / h, p.y / h) for p in release_circle(r, n, seed, first_index)]
 
 
+def _unit_walk(trap, starts, t_max, seed, first_index=0):
+    """sample_batch's walk of unit-frame starts under the cap t_max (in the
+    trap's units), its times and abscissae mapped back to the trap's units."""
+    c, h = 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
+    records = sample_batch(starts, t_max / (h * h), seed, first_index=first_index)
+    records.time = records.time * h * h
+    records.x = c + h * records.x
+    return records
+
+
 def _per_radius_records(trap, radii, n, t_max, seed):
     """release_and_sample's records from one release_circle and one
     sample_batch per radius, radius k from trajectory k*n on."""
-    h = 0.5 * (trap.b - trap.a)
     return np.concatenate([
-        sample_batch(_unit_starts(trap, r, n, seed, k * n), t_max / (h * h), seed, first_index=k * n)
+        _unit_walk(trap, _unit_starts(trap, r, n, seed, k * n), t_max, seed, first_index=k * n)
         for k, r in enumerate(radii)
     ]).view(np.recarray)
 
 
 def _one_batch(trap, radii, n, t_max, seed):
     """The same records from a single sample_batch over every radius."""
-    h = 0.5 * (trap.b - trap.a)
     starts = [p for k, r in enumerate(radii) for p in _unit_starts(trap, r, n, seed, k * n)]
-    return sample_batch(starts, t_max / (h * h), seed)
+    return _unit_walk(trap, starts, t_max, seed)
 
 
 def _assert_same_fields(got, want):
     assert len(got) == len(want)
     for field in ("time", "x", "censored", "steps"):
         assert np.array_equal(got[field], want[field], equal_nan=field == "x"), field
+
+
+def test_release_and_sample_returns_the_unit_walk_in_the_trap_units():
+    # h = 2.75 is not a power of two, so the map back is not exact scaling
+    trap = make_segment_trap(-3.0, 2.5)
+    records = release_and_sample(trap, 6.0, 800, 60.0, 3)
+    _assert_same_fields(records, _unit_walk(trap, _unit_starts(trap, 6.0, 800, 3, 0), 60.0, 3))
+    hit = ~records.censored
+    assert 0 < hit.sum() < len(records)
+    assert np.all((records.x[hit] >= -3.0 - 1e-12) & (records.x[hit] <= 2.5 + 1e-12))
 
 
 @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-3.0, 2.5)])

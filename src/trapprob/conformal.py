@@ -102,6 +102,12 @@ def make_segment_trap(a, b):
     )
 
 
+def _check_trap(trap):
+    """DomainError unless ``trap`` is a segment trap record."""
+    if not isinstance(trap, TrapGeometry):
+        raise DomainError(f"trap must be a TrapGeometry from make_segment_trap, got {trap!r}")
+
+
 def _segment_distance(z):
     """Distance from z to the normalized segment [-1, 1] x {0}."""
     if abs(z.x) <= 1.0:
@@ -185,8 +191,9 @@ def r_z(trap, z):
     """max(sup over the trap of |w - z|, e^gamma r_T).
 
     The supremum is attained at an endpoint of the segment.  DomainError
-    where that distance passes the double range.
+    where that distance passes the double range or ``trap`` is not a trap.
     """
+    _check_trap(trap)
     far = max(math.hypot(z.x - trap.a, z.y), math.hypot(z.x - trap.b, z.y))
     if far == math.inf:
         raise DomainError(f"distance from ({z.x}, {z.y}) to the trap passes the double range")

@@ -1,14 +1,16 @@
 """Exact-in-distribution sampling of segment-trap hitting times.
 
-The trap is the normalized segment [-1, 1] x {0} (callers rescale, shift
-and rotate).  A planar Brownian path started off the trap must cross the
-horizontal axis before hitting the trap, and - when on the axis outside the
-trap - must cross the vertical line through the nearer endpoint first.  The
-time to reach a line at distance D is distributed as D^2/g^2 with g standard
-normal, and the landing offset along the line is (D/|g1|) g2; so alternating
-those two jumps walks the path onto the trap in finitely many steps while
-reproducing the exact joint law of (hitting time, hit point).  A trajectory
-is censored as soon as its accumulated time exceeds the cap t_max.
+The trap is a segment [a, b] x {0} of the horizontal axis, with centre c
+and half-length h (callers rotate); the walk runs in the trap's own
+lengths and times.  A planar Brownian path started off the trap must
+cross the horizontal axis before hitting the trap, and - when on the axis
+outside the trap - must cross the vertical line through the nearer
+endpoint first.  The time to reach a line at distance D is distributed as
+D^2/g^2 with g standard normal, and the landing offset along the line is
+(D/|g1|) g2; so alternating those two jumps walks the path onto the trap
+in finitely many steps while reproducing the exact joint law of (hitting
+time, hit point).  A trajectory is censored as soon as its accumulated
+time exceeds the cap t_max.
 
 :func:`sample_batch` advances all trajectories of a batch together as
 arrays and returns a record array (fields ``time, x, censored, steps``).
@@ -36,11 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trapprob.conformal import PlanePoint
+from trapprob.conformal import PlanePoint, _check_trap
 from trapprob.errors import ConvergenceError, DomainError, require_count, require_finite
 
-# Landing within this distance of an endpoint counts as a capture: the
-# line-jump maps |X| > 1 to exactly +-1, so endpoint landings are legitimate.
+# Landing within this fraction of the half-length h past an endpoint counts
+# as a capture: the line jump maps |x - c| > h to exactly c +- h, so
+# endpoint landings are legitimate.
 ENDPOINT_TOL = 1e-15
 
 # Guard against pathological floating-point stalls near the endpoints.
@@ -69,8 +72,8 @@ PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 PHILOX_ROUNDS = 10
 _MASK32 = 0xFFFFFFFF
 
-# One trajectory per row; ``x`` is the unit-frame hit abscissa, NaN when
-# censored.  A row is censored iff its walk did not hit the trap by the
+# One trajectory per row; ``x`` is the hit abscissa on the trap's line, NaN
+# when censored.  A row is censored iff its walk did not hit the trap by the
 # cap; its ``time`` is then the first accumulated time past the cap.
 RECORD_DTYPE = np.dtype([("time", "f8"), ("x", "f8"), ("censored", "?"), ("steps", "i8")])
 
@@ -180,14 +183,11 @@ def release_circle(r, n, seed, first_index=0):
     return [PlanePoint(px, py) for px, py in zip(xs, ys)]
 
 
-def _on_trap(x, y):
-    return (y == 0.0) & (np.abs(x) <= 1.0 + ENDPOINT_TOL)
-
-
 # a jump time past the double range reads inf, which censors the walk
 @np.errstate(over="ignore")
-def sample_batch(starts, t_max, seed, first_index=0):
-    """Simulate one trajectory per start point (a sequence of PlanePoints).
+def sample_batch(trap, starts, t_max, seed, first_index=0):
+    """Simulate one trajectory per start point (a sequence of PlanePoints)
+    against the segment trap ``trap``, capped at time t_max.
 
     All live trajectories take their next step together; a trajectory that
     is captured or censored is written to the result and dropped.  Step k
@@ -199,11 +199,15 @@ def sample_batch(starts, t_max, seed, first_index=0):
     for ``live`` running walks, never past STEP_CAP), and a finished
     walk's unused draws are dropped with it; since each draw depends on
     (seed, trajectory, step) alone, this changes no result.  Returns an
-    ``np.recarray`` of ``RECORD_DTYPE``, one row per start; raises
-    ConvergenceError if a walk exceeds STEP_CAP steps.
+    ``np.recarray`` of ``RECORD_DTYPE``, one row per start, in the
+    trap's lengths and times; raises ConvergenceError if a walk exceeds
+    STEP_CAP steps.
     """
+    _check_trap(trap)
     _check_cap(t_max)
     _check_word64(seed, "seed")
+    c, h = 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
+    rim = h * (1.0 + ENDPOINT_TOL)  # the capture half-width about c
     x0 = np.array([p.x for p in starts], dtype=float)
     y0 = np.array([p.y for p in starts], dtype=float)
     _check_word64(first_index, "first_index", x0.size)
@@ -212,8 +216,11 @@ def sample_batch(starts, t_max, seed, first_index=0):
     out = np.zeros(x0.size, dtype=RECORD_DTYPE)
     out["x"] = x0
 
-    pos = np.flatnonzero(~_on_trap(x0, y0))  # rows of the live trajectories
-    x, y = x0[pos], y0[pos]
+    # the walk runs on abscissae relative to c, which its rows get back at
+    # the end; pos holds the rows of the live trajectories
+    x = x0 - c
+    pos = walked = np.flatnonzero(~((y0 == 0.0) & (np.abs(x) <= rim)))
+    x, y = x[pos], y0[pos]
     elapsed = np.zeros(pos.size)
     index = np.uint64(first_index) + pos.astype(np.uint64)
     step = 0
@@ -228,10 +235,10 @@ def sample_batch(starts, t_max, seed, first_index=0):
             ahead = max(1, min(DRAW_AHEAD, DRAW_AHEAD**2 // pos.size, STEP_CAP - step))
             g1s, g2s = philox_normals(seed, index, np.arange(step, step + ahead)[:, None])
         g1, g2, g1s, g2s = g1s[0], g2s[0], g1s[1:], g2s[1:]
-        # where y != 0, a jump to the axis; where y == 0 (|x| > 1), a jump to
+        # where y != 0, a jump to the axis; where y == 0 (|x| > h), a jump to
         # the vertical line through the nearer endpoint
         off_axis = y != 0.0
-        dist = np.where(off_axis, np.abs(y), np.abs(x) - 1.0)
+        dist = np.where(off_axis, np.abs(y), np.abs(x) - h)
         q = dist / g1
         # |dist / g1| is dist / |g1| bit for bit: division rounds alike for
         # either sign; the time is squared by a product, as pow may differ
@@ -239,7 +246,7 @@ def sample_batch(starts, t_max, seed, first_index=0):
         offset = np.abs(q) * g2
         q *= q
         elapsed += q
-        x = np.where(off_axis, x + offset, np.copysign(1.0, x))
+        x = np.where(off_axis, x + offset, np.copysign(h, x))
         y = np.where(off_axis, 0.0, offset)
         step += 1
         # a jump past the double range takes longer than any finite cap;
@@ -254,10 +261,12 @@ def sample_batch(starts, t_max, seed, first_index=0):
 
         censored = elapsed > t_max
         # only an axis jump can land on the trap, so its branch replaces the
-        # test y == 0: a live on-axis row has |x| - 1 > ENDPOINT_TOL,
-        # |g1| < 9 and g2 != 0, so its line jump's offset is at least ~1e-40
-        # in size and never underflows to 0; a NaN abscissa fails the test
-        done = censored | (off_axis & (np.abs(x) <= 1.0 + ENDPOINT_TOL))
+        # test y == 0: a live on-axis row has |x| - h > h ENDPOINT_TOL,
+        # |g1| < 9 and g2 != 0, so its line jump's offset is at least
+        # ~1e-40 h in size; make_segment_trap keeps (2 h)^2 a normal double,
+        # so h > 7e-155 and the offset never underflows to 0; a NaN abscissa
+        # fails the test
+        done = censored | (off_axis & (np.abs(x) <= rim))
         # the finished rows and the live ones as indices: take by index costs
         # less than a boolean mask, which counts its rows on every use
         idx = np.flatnonzero(done)
@@ -271,6 +280,7 @@ def sample_batch(starts, t_max, seed, first_index=0):
             live = np.flatnonzero(~done)
             pos, x, y, elapsed, index = pos.take(live), x.take(live), y.take(live), elapsed.take(live), index.take(live)
             g1s, g2s = g1s.take(live, axis=1), g2s.take(live, axis=1)
+    out["x"][walked] += c
     return out.view(np.recarray)
 
 

@@ -17,11 +17,10 @@ The two theorem checks:
   1 - 2 pi H(z)/ln(tau/tau0) -+ 0.8 d^2/tau (resp. 0.8 R_z^2/tau), each
   side valid under its own hypothesis on tau.
 
-Simulations run on the normalized segment; a general segment [a, b] is
-handled by the affine change of variables (lengths /h, times /h^2, with
-h the half-length), under which the Green's function and the Abelian
-weights are exactly invariant.  ``_walk`` alone makes that change: it
-takes the cap in the trap's units and returns records in them.
+The walks run on the trap's own segment [a, b], in its lengths and times.
+Only the Green's function is evaluated on the normalized segment [-1, 1],
+at the image of z under the affine map (x, y) -> ((x - c)/h, y/h), with c
+the centre and h the half-length; it is invariant under that map.
 """
 
 import math
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trapprob.conformal import PlanePoint, green_segment, make_segment_trap, r_z
+from trapprob.conformal import PlanePoint, _check_trap, green_segment, make_segment_trap, r_z
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import CapacityError, DomainError, HypothesisError, require_count, require_finite
 from trapprob.segment_sim import RECORD_DTYPE, _check_cap, _check_grid, release_circle, sample_batch, survival_curve
@@ -76,47 +75,24 @@ def _report(label, lhs, rhs, slack):
     return BoundReport(label, float(lhs), float(rhs), float(margin), float(slack), verdict)
 
 
-def _frame(trap):
-    """Centre c and half-length h of a segment trap; z -> ((x - c)/h, y/h)
-    maps it onto the normalized segment [-1, 1]."""
-    return 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
-
-
-def _normalize(trap, p):
-    c, h = _frame(trap)
-    return PlanePoint((p.x - c) / h, p.y / h)
-
-
 def _walk(trap, starts, count, t_max, seed):
-    """Records of the trajectories 0 .. count - 1 in the trap's units,
-    walked on the normalized segment in chunks of at most WALK_CHUNK;
-    ``starts(lo, hi)`` gives the unit-frame start points of trajectories
-    lo .. hi - 1, and t_max is the cap in the trap's units.
+    """Records of the trajectories 0 .. count - 1 against ``trap``, capped
+    at t_max and walked in chunks of at most WALK_CHUNK; ``starts(lo, hi)``
+    gives the start points of trajectories lo .. hi - 1.
 
     The cap is a DomainError unless it is a positive real number (inf
-    included), and where a finite cap overflows in units of h^2 (h the
-    half-length), which would leave the walk uncapped.  The records are
-    allocated before the first chunk, so a count whose records cannot fit
-    raises CapacityError at once rather than after walking chunk after
-    chunk.
+    included).  The records are allocated before the first chunk, so a
+    count whose records cannot fit raises CapacityError at once rather than
+    after walking chunk after chunk.
     """
     _check_cap(t_max)
-    c, h = _frame(trap)
-    unit_cap = t_max / (h * h)
-    if unit_cap == math.inf and t_max < math.inf:
-        raise DomainError(f"time {t_max!r} overflows in units of the half-length squared {h * h!r}")
     try:
         records = np.recarray(count, dtype=RECORD_DTYPE)
     except (MemoryError, ValueError):  # numpy cannot allocate it, or refuses the size
         raise CapacityError(f"{count} trajectories are too many: their records do not fit in memory") from None
     for lo in range(0, count, WALK_CHUNK):
         hi = min(lo + WALK_CHUNK, count)
-        records[lo:hi] = sample_batch(starts(lo, hi), unit_cap, seed, first_index=lo)
-    # a censored time may pass the double range once scaled back from units
-    # of h^2; it is then longer than any cap and reads inf
-    with np.errstate(over="ignore"):
-        records.time = records.time * h * h
-    records.x = c + h * records.x
+        records[lo:hi] = sample_batch(trap, starts(lo, hi), t_max, seed, first_index=lo)
     return records
 
 
@@ -132,13 +108,13 @@ def release_and_sample(trap, r, n, t_max, seed):
     the trap's units: hitting times and the hit abscissa ``x`` on the
     segment's line.
     """
+    _check_trap(trap)
     radii = [r] if np.ndim(r) == 0 else list(r)
     require_count(len(radii), "number of release radii")
     for radius in radii:
         if not (isinstance(radius, numbers.Real) and 0.0 < radius < math.inf):
             raise DomainError(f"release radius must be positive and finite, got {radius!r}")
     n = require_count(n, "trajectory count")
-    c, h = _frame(trap)
 
     def starts(lo, hi):
         # one release_circle per radius piece of the trajectories lo .. hi - 1
@@ -146,8 +122,6 @@ def release_and_sample(trap, r, n, t_max, seed):
         for k in range(lo // n, (hi - 1) // n + 1):
             a, b = max(lo, k * n), min(hi, (k + 1) * n)
             points += release_circle(radii[k], b - a, seed, a)
-        if (c, h) != (0.0, 1.0):  # on [-1, 1] the frame map is the identity
-            points = [_normalize(trap, p) for p in points]
         return points
 
     return _walk(trap, starts, len(radii) * n, t_max, seed)
@@ -224,6 +198,7 @@ def check_theorem1(trap, r, tau, n, seed):
     (e/2) d^2 and r >= r0 (HypothesisError otherwise) and a finite real
     r and tau (DomainError).
     """
+    _check_trap(trap)
     require_finite(r=r, tau=tau)
     n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
@@ -254,6 +229,7 @@ def check_theorem2(trap, z, tau, n, seed):
     returned as None.  Raises HypothesisError when both fail, DomainError
     for a non-finite tau.
     """
+    _check_trap(trap)
     require_finite(tau=tau)
     n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
@@ -266,9 +242,10 @@ def check_theorem2(trap, z, tau, n, seed):
             f"tau={tau:g} satisfies neither tau > (e/2) d^2 = {0.5 * math.e * d2:g} "
             f"nor tau > (e/2) R_z^2 = {0.5 * math.e * rz2:g}"
         )
-    unit_z = _normalize(trap, z)
+    c, h = 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
+    unit_z = PlanePoint((z.x - c) / h, z.y / h)  # z's image on the normalized segment
     base = 1.0 - 2.0 * math.pi * green_segment(unit_z) / math.log(tau / trap.tau0)
-    records = _walk(trap, lambda lo, hi: [unit_z] * (hi - lo), n, TMAX_OVER_TAU * tau, seed)
+    records = _walk(trap, lambda lo, hi: [z] * (hi - lo), n, TMAX_OVER_TAU * tau, seed)
     mid, slack = _abelian_bracket(records, tau)
     tag = f"segment z=({z.x:g},{z.y:g}) tau={tau:g} n={n}"
     lower = None
@@ -290,6 +267,7 @@ def conjecture_probe(trap, radii, times, n, seed):
     exploratory evidence - rows carry the Monte Carlo band widths and no
     verdict.
     """
+    _check_trap(trap)
     radii = _release_radii(radii)
     if any(r < trap.r0 for r in radii):
         raise DomainError(f"all release radii must be >= r0 = {trap.r0:g}")

@@ -1,7 +1,8 @@
 """The package's public names: ``trapprob.__all__`` and the imports of its
 ``__init__`` name the same set, and every name resolves; importing the
 package loads no test-only dependency; and the public entry points refuse
-an argument that is not a finite real number with a DomainError."""
+an argument that is not a finite real number, and a trap that is not a
+segment trap record, with a DomainError."""
 
 import ast
 import inspect
@@ -19,11 +20,14 @@ from trapprob import (
     PlanePoint,
     bessel_j0_y0,
     check_theorem1,
+    check_theorem2,
+    conjecture_probe,
     f_disk,
     figure_series,
     hunt_approx,
     make_segment_trap,
     p_disk,
+    r_z,
     release_circle,
     sample_batch,
 )
@@ -81,7 +85,7 @@ NOT_REAL_CALLS = {
     "release_circle r='5'": lambda: release_circle("5", 10, 0),
     "release_and_sample r='5'": lambda: release_and_sample(SEGMENT, "5", 10, 1.0, 0),
     "release_and_sample t_max='1.0'": lambda: release_and_sample(SEGMENT, 5.0, 10, "1.0", 0),
-    "sample_batch t_max='1'": lambda: sample_batch([PlanePoint(5.0, 0.0)], "1", 0),
+    "sample_batch t_max='1'": lambda: sample_batch(SEGMENT, [PlanePoint(5.0, 0.0)], "1", 0),
     "PlanePoint x='a'": lambda: PlanePoint("a", 0),
     "PlanePoint y=10**400": lambda: PlanePoint(0.0, 10**400),
 }
@@ -92,4 +96,23 @@ def test_an_argument_that_is_not_a_finite_real_raises_domain_error(call):
     # not the bare TypeError, ValueError or OverflowError of the arithmetic
     # or float conversion that meets it first
     with pytest.raises(DomainError):
+        call()
+
+
+NOT_A_TRAP_CALLS = {
+    "check_theorem1 trap=None": lambda: check_theorem1(None, 5.0, 120.0, 10, 0),
+    "check_theorem2 trap=(-1, 1)": lambda: check_theorem2((-1, 1), PlanePoint(5.0, 0.0), 120.0, 10, 0),
+    "release_and_sample trap='seg'": lambda: release_and_sample("seg", 5.0, 10, 1.0, 0),
+    "conjecture_probe trap=None": lambda: conjecture_probe(None, [5.0], [1.0], 10, 0),
+    "r_z trap=None": lambda: r_z(None, PlanePoint(5.0, 0.0)),
+    # an old-style call (starts, t_max, seed, first_index): the start list
+    # lands where the trap goes
+    "sample_batch trap=[PlanePoint]": lambda: sample_batch([PlanePoint(5.0, 0.0)], 1.0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("call", NOT_A_TRAP_CALLS.values(), ids=NOT_A_TRAP_CALLS.keys())
+def test_a_trap_that_is_not_a_trap_record_raises_domain_error(call):
+    # not the bare AttributeError of the first trap field read
+    with pytest.raises(DomainError, match="trap must be a TrapGeometry"):
         call()

@@ -31,6 +31,7 @@ import trapprob.segment_sim as sim
 from trapprob import (
     BoundedValue,
     BoundReport,
+    ConvergenceError,
     PlanePoint,
     TrapProbError,
     bessel_j0_y0,
@@ -64,6 +65,7 @@ FLOATS = st.one_of(
 EXIT_CODES = {0, 1, 2, 3, 64}
 PROPERTY = settings(max_examples=150, deadline=None)
 TEST_STEP_CAP = 300
+UNIT = make_segment_trap(-1.0, 1.0)
 
 FINITE = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 5e-16, 3.0, 5e-324, 1e-300, 1e300, -1e300]),
@@ -189,7 +191,7 @@ def test_hunt_approx_is_a_number_or_raises(r, r_T, t, variant):
 def test_sample_batch_records_are_well_formed_or_raises(starts, t_max, seed, first_index):
     with mock.patch.object(sim, "STEP_CAP", TEST_STEP_CAP):
         try:
-            records = sample_batch(starts, t_max, seed, first_index=first_index)
+            records = sample_batch(UNIT, starts, t_max, seed, first_index=first_index)
         except TrapProbError:
             return
     assert records.dtype == sim.RECORD_DTYPE and len(records) == len(starts)
@@ -200,6 +202,31 @@ def test_sample_batch_records_are_well_formed_or_raises(starts, t_max, seed, fir
     assert (abs(records.x[hit]) <= 1.0 + sim.ENDPOINT_TOL).all()
     assert np.isnan(records.x[records.censored]).all()
     assert ((records.steps >= 0) & (records.steps <= TEST_STEP_CAP)).all()
+
+
+# segments [a, a + length]: most half-lengths are not powers of two, so the
+# walk's lengths and times are not the unit walk's scaled exactly
+SEGMENTS = st.builds(lambda a, length: make_segment_trap(a, a + length),
+                     st.floats(min_value=-10.0, max_value=10.0), st.floats(min_value=1e-3, max_value=20.0))
+NEAR = st.floats(min_value=-30.0, max_value=30.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEGMENTS, st.lists(st.builds(PlanePoint, NEAR, st.one_of(st.just(0.0), NEAR)), min_size=1, max_size=6),
+       st.floats(min_value=1e-3, max_value=1e3), st.integers(0, 2**64 - 1))
+# the first jump lands on the trap at exactly the cap: captured, not censored
+@example(make_segment_trap(-1.4048376681967356, 1.4048376681967356), [PlanePoint(0.0, 0.5358221556440268)],
+         3.5554308354127357, 11)
+def test_a_record_is_censored_iff_its_time_passes_the_cap(trap, starts, t_max, seed):
+    with mock.patch.object(sim, "STEP_CAP", TEST_STEP_CAP):
+        try:
+            records = sample_batch(trap, starts, t_max, seed)
+        except ConvergenceError:
+            return
+    assert (records.censored == (records.time > t_max)).all()
+    c, h = 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
+    hit = records.x[~records.censored]
+    assert (abs(hit - c) <= h + 1e-12 * (abs(c) + h)).all()
 
 
 @PROPERTY

@@ -34,6 +34,8 @@ from trapprob.segment_sim import (
 )
 from trapprob.verify import SLACK_SIGMAS, _abelian_bracket, release_and_sample
 
+UNIT = make_segment_trap(-1.0, 1.0)
+
 
 class _FakeRng:
     """Deterministic stand-in feeding preset draws to the sampler."""
@@ -269,23 +271,32 @@ def test_step_cap_raises(monkeypatch):
     with pytest.raises(ConvergenceError):
         sample_hit(PlanePoint(0.0, 1e6), math.inf, _numpy_philox(11, 0))
     with pytest.raises(ConvergenceError):
-        sim.sample_batch([PlanePoint(0.0, 1e6)] * 3, math.inf, seed=11)
+        sim.sample_batch(UNIT, [PlanePoint(0.0, 1e6)] * 3, math.inf, seed=11)
 
 
 def test_uncapped_walk_past_the_double_range_raises():
     # from x = 1.7e308 on the axis a line jump overflows the offset whenever
     # |g2/g1| > 1.06; an uncapped walk could never come back from there
     with pytest.raises(ConvergenceError, match="left the double range"):
-        sample_batch([PlanePoint(1.7e308, 0.0)] * 20, math.inf, seed=4)
+        sample_batch(UNIT, [PlanePoint(1.7e308, 0.0)] * 20, math.inf, seed=4)
     # with a finite cap the same jumps take an infinite time: censored
-    records = sample_batch([PlanePoint(1.7e308, 0.0)] * 20, 1e300, seed=4)
+    records = sample_batch(UNIT, [PlanePoint(1.7e308, 0.0)] * 20, 1e300, seed=4)
     assert records.censored.all() and (records.time == math.inf).all()
 
 
+def test_a_walk_that_reaches_the_trap_at_the_cap_is_captured():
+    # on [-h, h] the first jump from (0, y0) lands on the trap at exactly
+    # t_max, which is not past the cap; walked in units of h, the same walk
+    # read censored at time t_max, and a survival curve ending at the cap
+    # refused its records
+    h, y0, t_max = 1.4048376681967356, 0.5358221556440268, 3.5554308354127357
+    records = sample_batch(make_segment_trap(-h, h), [PlanePoint(0.0, y0)], t_max, 11)
+    assert records.time[0] == t_max and not records.censored[0] and records.steps[0] == 1
+    assert survival_curve(records, [1.0, t_max]).captured_fraction.tolist() == [0.0, 0.0]
+
+
 def test_trajectories_terminate():
-    records = sample_batch(
-        [PlanePoint(0.0, 5.0)] * 400, 1e6, seed=5, first_index=0
-    )
+    records = sample_batch(UNIT, [PlanePoint(0.0, 5.0)] * 400, 1e6, seed=5, first_index=0)
     assert isinstance(records, np.recarray) and records.dtype == RECORD_DTYPE
     assert len(records) == 400
     hit = ~records.censored
@@ -318,7 +329,7 @@ def test_batch_matches_scalar_reference():
     edge = math.nextafter(1.0 + sim.ENDPOINT_TOL, 2.0)
     starts += [PlanePoint(edge, 0.0), PlanePoint(-edge, 0.0)]
     starts += [PlanePoint(1e300, 0.0), PlanePoint(-1e300, 0.0), PlanePoint(0.0, 1e300), PlanePoint(0.0, -1e300)]
-    records = sample_batch(starts, t_max, seed)
+    records = sample_batch(UNIT, starts, t_max, seed)
 
     landed = 0
     for j, start in enumerate(starts):
@@ -346,10 +357,10 @@ def _assert_same_records(a, b):
 
 def test_batch_deterministic_and_split_invariant():
     starts = [PlanePoint(0.0, 3.0)] * 64 + [PlanePoint(4.0, -2.0)] * 64
-    a = sample_batch(starts, 100.0, seed=42)
-    _assert_same_records(sample_batch(starts, 100.0, seed=42), a)
+    a = sample_batch(UNIT, starts, 100.0, seed=42)
+    _assert_same_records(sample_batch(UNIT, starts, 100.0, seed=42), a)
     b = [  # the same batch as 4 chunks
-        sample_batch(starts[lo : lo + 32], 100.0, seed=42, first_index=lo)
+        sample_batch(UNIT, starts[lo : lo + 32], 100.0, seed=42, first_index=lo)
         for lo in range(0, len(starts), 32)
     ]
     _assert_same_records(np.concatenate(b), a)
@@ -358,19 +369,19 @@ def test_batch_deterministic_and_split_invariant():
 def test_batch_index_high_word_is_used():
     starts = [PlanePoint(0.5, 2.0), PlanePoint(-3.0, 1.0)] * 16
     first = 2**32 - 16
-    whole = sample_batch(starts, 100.0, seed=42, first_index=first)
-    halves = [sample_batch(starts[lo : lo + 16], 100.0, seed=42, first_index=first + lo) for lo in (0, 16)]
+    whole = sample_batch(UNIT, starts, 100.0, seed=42, first_index=first)
+    halves = [sample_batch(UNIT, starts[lo : lo + 16], 100.0, seed=42, first_index=first + lo) for lo in (0, 16)]
     _assert_same_records(np.concatenate(halves), whole)
     # trajectory 2^32 + 5 is not trajectory 5
-    low = sample_batch(starts[5:6], 100.0, seed=42, first_index=5)
-    high = sample_batch(starts[5:6], 100.0, seed=42, first_index=2**32 + 5)
+    low = sample_batch(UNIT, starts[5:6], 100.0, seed=42, first_index=5)
+    high = sample_batch(UNIT, starts[5:6], 100.0, seed=42, first_index=2**32 + 5)
     assert (low.time[0], low.steps[0]) != (high.time[0], high.steps[0])
 
 
 def test_batch_index_offset_consistency():
     starts = [PlanePoint(0.0, 3.0), PlanePoint(2.5, 1.0), PlanePoint(-5.0, 0.5)]
-    whole = sample_batch(starts, 100.0, seed=9)
-    tail = sample_batch(starts[1:], 100.0, seed=9, first_index=1)
+    whole = sample_batch(UNIT, starts, 100.0, seed=9)
+    tail = sample_batch(UNIT, starts[1:], 100.0, seed=9, first_index=1)
     assert whole[1].time == tail[0].time and whole[2].time == tail[1].time
 
 
@@ -397,7 +408,7 @@ def test_draw_ahead_matches_per_step_draws(monkeypatch):
     xy = np.random.default_rng(600).normal(0.0, 3.0, (600, 2))
     starts = [PlanePoint(float(px), float(py)) for px, py in xy]
     blocks = _spy_on_blocks(monkeypatch)
-    records = sim.sample_batch(starts, t_max, seed)
+    records = sim.sample_batch(UNIT, starts, t_max, seed)
     monkeypatch.undo()
 
     assert max(len(b) for b in blocks) > 1
@@ -432,19 +443,19 @@ def test_step_cap_fires_after_the_same_steps(monkeypatch):
     # neither draw past the cap nor stop elsewhere
     xy = np.random.default_rng(3).normal(0.0, 3.0, (40, 2))
     starts = [PlanePoint(float(px), float(py)) for px, py in xy]
-    full = sample_batch(starts, 1e8, seed=21)
+    full = sample_batch(UNIT, starts, 1e8, seed=21)
     j = int(np.flatnonzero(full.steps > 3)[0])
 
     monkeypatch.setattr(sim, "STEP_CAP", 3)
     blocks = _spy_on_blocks(monkeypatch)
     want = f"trajectory {j} from ({starts[j].x}, {starts[j].y}) exceeded 3 steps"
     with pytest.raises(ConvergenceError, match=re.escape(want)):
-        sim.sample_batch(starts, 1e8, seed=21)
+        sim.sample_batch(UNIT, starts, 1e8, seed=21)
     assert max(int(b.max()) for b in blocks) == 2
 
     # a cap equal to the longest walk is not exceeded
     monkeypatch.setattr(sim, "STEP_CAP", int(full.steps.max()))
-    _assert_same_records(sim.sample_batch(starts, 1e8, seed=21), full)
+    _assert_same_records(sim.sample_batch(UNIT, starts, 1e8, seed=21), full)
 
 
 def test_walk_pin_on_the_previous_release_points():
@@ -454,7 +465,7 @@ def test_walk_pin_on_the_previous_release_points():
     # the walk reproduces every draw and record
     theta = np.random.Generator(np.random.Philox(key=np.array([0, 2**64 - 1], dtype=np.uint64))).random(2500) * (2.0 * np.pi)
     starts = [PlanePoint(float(px), float(py)) for px, py in zip(5.0 * np.cos(theta), 5.0 * np.sin(theta))]
-    records = sample_batch(starts, 20.0 * 3.0 * 0.5 * math.e * 4.0, 0)
+    records = sample_batch(UNIT, starts, 20.0 * 3.0 * 0.5 * math.e * 4.0, 0)
     assert _digest(records) == "3e9b1d15f40993424df01c712d70dcd551830cb44dbb7ffc8a457a4f286018da"
 
 
@@ -513,7 +524,7 @@ def test_release_circle_validation():
         with pytest.raises(DomainError, match="seed must be in"):
             release_circle(1.0, 5, seed)
         with pytest.raises(DomainError, match="seed must be in"):
-            sample_batch([PlanePoint(0.0, 2.0)] * 3, 10.0, seed)
+            sample_batch(UNIT, [PlanePoint(0.0, 2.0)] * 3, 10.0, seed)
 
 
 @pytest.mark.parametrize("first_index", [2**64 - 2, 2**64 - 1, 2**64, -1, 1.5, 2.0, "0", None])
@@ -523,7 +534,7 @@ def test_first_index_out_of_range_is_refused(first_index):
     with pytest.raises(DomainError, match="first_index"):
         release_circle(5.0, 3, 0, first_index=first_index)
     with pytest.raises(DomainError, match="first_index"):
-        sample_batch([PlanePoint(0.0, 2.0)] * 3, 10.0, 0, first_index=first_index)
+        sample_batch(UNIT, [PlanePoint(0.0, 2.0)] * 3, 10.0, 0, first_index=first_index)
 
 
 def test_first_index_reaches_the_last_trajectory():
@@ -531,8 +542,8 @@ def test_first_index_reaches_the_last_trajectory():
     # index is an integer too
     top = 2**64 - 3
     starts = release_circle(5.0, 3, 7, first_index=top)
-    whole = sample_batch(starts, 100.0, 7, first_index=top)
-    _assert_same_records(sample_batch(starts[2:], 100.0, 7, first_index=top + 2), whole[2:])
+    whole = sample_batch(UNIT, starts, 100.0, 7, first_index=top)
+    _assert_same_records(sample_batch(UNIT, starts[2:], 100.0, 7, first_index=top + 2), whole[2:])
     assert release_circle(5.0, 3, 7, first_index=np.uint64(top)) == starts
 
 
@@ -549,7 +560,7 @@ def test_hit_points_follow_arcsine_measure():
     # than the chi-square noise floor at this n (measured across seeds).
     n = 20000
     starts = release_circle(2.0, n, seed=77)
-    records = sample_batch(starts, 1e10, seed=77)
+    records = sample_batch(UNIT, starts, 1e10, seed=77)
     xs = records.x[~records.censored]
     assert len(xs) > 0.8 * n
 
@@ -580,13 +591,24 @@ def _hit_abscissa_cdf(w, x):
     return np.where(x >= 1.0, 1.0, np.mod(antiderivative(2.0 * np.pi - a) - antiderivative(a), 1.0))
 
 
-@pytest.mark.parametrize("zx, zy", [(0.3, 0.5), (0.9, 0.05)])
-def test_whole_walk_hit_point_follows_the_harmonic_measure(zx, zy):
+@pytest.mark.parametrize(
+    "a, b, zx, zy",
+    [
+        pytest.param(-1.0, 1.0, 0.3, 0.5, id="0.3-0.5"),
+        pytest.param(-1.0, 1.0, 0.9, 0.05, id="0.9-0.05"),
+        pytest.param(-3.0, 2.5, 0.3, 0.5, id="0.3-0.5-on-[-3,2.5]"),
+        pytest.param(-3.0, 2.5, 0.9, 0.05, id="0.9-0.05-on-[-3,2.5]"),
+    ],
+)
+def test_whole_walk_hit_point_follows_the_harmonic_measure(a, b, zx, zy):
     """The hit point of a walk from a fixed z has the harmonic measure of
     the segment seen from z: the exterior Poisson kernel at w = phi(z),
     pulled back by phi, so its abscissa is cos(theta).  This sets the whole
     walk against an exact law, not against the reference walk.  KS * sqrt(n)
-    against 1.95 (alpha = 1e-3); seed 3 reads 0.53 and 0.89.
+    against 1.95 (alpha = 1e-3); seed 3 reads 0.53 and 0.89 on both
+    segments.  On a general segment with centre c and half-length h the
+    walk starts at the image (c + h zx, h zy) of the unit point (zx, zy),
+    and its hit abscissa x has the law of c + h cos(theta).
 
     The captured rows stand for the whole law: at t_max = 1e300, 21 and 4
     of the 2e4 walks are censored, and conditioning on capture moves the
@@ -594,10 +616,11 @@ def test_whole_walk_hit_point_follows_the_harmonic_measure(zx, zy):
     (0.1% and 0.02%), far below the KS band 1.95/sqrt(n) of about 1.4%.
     """
     n = 20000
-    records = sample_batch([PlanePoint(zx, zy)] * n, t_max=1e300, seed=3)
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    records = sample_batch(make_segment_trap(a, b), [PlanePoint(c + h * zx, h * zy)] * n, t_max=1e300, seed=3)
     assert records.censored.sum() < 0.002 * n
     xs = np.sort(records.x[~records.censored])
-    cdf = _hit_abscissa_cdf(phi_segment(PlanePoint(zx, zy)), xs)
+    cdf = _hit_abscissa_cdf(phi_segment(PlanePoint(zx, zy)), (xs - c) / h)
     rank = np.arange(1, xs.size + 1) / xs.size
     ks = max((rank - cdf).max(), (cdf - (rank - 1.0 / xs.size)).max())
     assert ks * math.sqrt(xs.size) < 1.95
@@ -611,16 +634,24 @@ def test_whole_walk_censored_share_follows_the_log_tail():
     each of two points is held to 4 Poisson standard deviations of
     n 2 pi H(z) / ln(t_max / tau0) (seed 17 reads 64 against 66.3 at
     (5, 0) and 70 against 56.9 at (-3, 2)).  One batch walks both points,
-    so its heavy-tailed step count (up to about 6e4) is paid once.
+    so its heavy-tailed step count (up to about 6e4) is paid once.  The
+    same holds on [-3, 2.5] (centre c, half-length h) for the images
+    (c + h x, h y) of the two points, with H at the unit points and the
+    trap's own tau0; there n = 5000 shortens the added walk (4.4e4 steps)
+    (seed 17 reads 38 against 33.2 and 21 against 28.5).
     """
-    n, t_max = 10000, 1e300
+    t_max = 1e300
     zs = [PlanePoint(5.0, 0.0), PlanePoint(-3.0, 2.0)]
-    records = sample_batch([z for z in zs for _ in range(n)], t_max=t_max, seed=17)
-    log_tail = math.log(t_max / make_segment_trap(-1.0, 1.0).tau0)
-    for k, z in enumerate(zs):
-        expected = n * 2.0 * math.pi * green_segment(z) / log_tail
-        censored = int(records.censored[k * n : (k + 1) * n].sum())
-        assert abs(censored - expected) <= 4.0 * math.sqrt(expected), (z, censored, expected)
+    for a, b, n in ((-1.0, 1.0, 10000), (-3.0, 2.5, 5000)):
+        trap = make_segment_trap(a, b)
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        starts = [PlanePoint(c + h * z.x, h * z.y) for z in zs for _ in range(n)]
+        records = sample_batch(trap, starts, t_max=t_max, seed=17)
+        log_tail = math.log(t_max / trap.tau0)
+        for k, z in enumerate(zs):
+            expected = n * 2.0 * math.pi * green_segment(z) / log_tail
+            censored = int(records.censored[k * n : (k + 1) * n].sum())
+            assert abs(censored - expected) <= 4.0 * math.sqrt(expected), (a, b, z, censored, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +793,7 @@ def test_abelian_single_record_has_no_standard_error():
 def test_abelian_bracket_width_bounded_by_cap():
     # every censored record has S > t_max, so the bracket width is at most
     # (#censored/n) exp(-t_max/tau)
-    records = sample_batch([PlanePoint(0.0, 4.0)] * 300, 50.0, seed=13)
+    records = sample_batch(UNIT, [PlanePoint(0.0, 4.0)] * 300, 50.0, seed=13)
     mid, slack = _abelian_bracket(records, 10.0)
     highs = np.exp(-records.time / 10.0)
     half_width = slack - _sigmas(np.where(records.censored, 0.0, highs), highs)

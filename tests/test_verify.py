@@ -69,12 +69,13 @@ def test_report_fields():
 # circle-averaged bound
 
 
-def test_release_and_sample_rejects_a_cap_that_overflows_in_the_unit_frame():
+def test_release_and_sample_on_a_tiny_segment_takes_any_cap():
     # h = 5e-151: t_max = 1e10 is 4e310 in units of h^2, past the double
-    # range; an infinite cap there would leave the walk uncapped
+    # range, but the walk compares times with the cap in the trap's own
+    # units; all 10 walks hit the trap, within 113 steps
     tiny = make_segment_trap(0.0, 1e-150)
-    with pytest.raises(DomainError, match="overflows"):
-        release_and_sample(tiny, 1e-149, 10, 1e10, seed=1)
+    records = release_and_sample(tiny, 1e-149, 10, 1e10, seed=1)
+    assert len(records) == 10 and not records.censored.any()
     assert len(release_and_sample(tiny, 1e-149, 10, 1e-300, seed=1)) == 10
 
 
@@ -400,35 +401,19 @@ def test_figure_series_matches_oracle_at_late_time():
 # one walk per capture table
 
 
-def _unit_starts(trap, r, n, seed, first_index):
-    """release_circle's points mapped onto the normalized segment."""
-    c, h = 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
-    return [PlanePoint((p.x - c) / h, p.y / h) for p in release_circle(r, n, seed, first_index)]
-
-
-def _unit_walk(trap, starts, t_max, seed, first_index=0):
-    """sample_batch's walk of unit-frame starts under the cap t_max (in the
-    trap's units), its times and abscissae mapped back to the trap's units."""
-    c, h = 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
-    records = sample_batch(starts, t_max / (h * h), seed, first_index=first_index)
-    records.time = records.time * h * h
-    records.x = c + h * records.x
-    return records
-
-
 def _per_radius_records(trap, radii, n, t_max, seed):
     """release_and_sample's records from one release_circle and one
     sample_batch per radius, radius k from trajectory k*n on."""
     return np.concatenate([
-        _unit_walk(trap, _unit_starts(trap, r, n, seed, k * n), t_max, seed, first_index=k * n)
+        sample_batch(trap, release_circle(r, n, seed, k * n), t_max, seed, first_index=k * n)
         for k, r in enumerate(radii)
     ]).view(np.recarray)
 
 
 def _one_batch(trap, radii, n, t_max, seed):
     """The same records from a single sample_batch over every radius."""
-    starts = [p for k, r in enumerate(radii) for p in _unit_starts(trap, r, n, seed, k * n)]
-    return _unit_walk(trap, starts, t_max, seed)
+    starts = [p for k, r in enumerate(radii) for p in release_circle(r, n, seed, k * n)]
+    return sample_batch(trap, starts, t_max, seed)
 
 
 def _assert_same_fields(got, want):
@@ -437,14 +422,20 @@ def _assert_same_fields(got, want):
         assert np.array_equal(got[field], want[field], equal_nan=field == "x"), field
 
 
-def test_release_and_sample_returns_the_unit_walk_in_the_trap_units():
-    # h = 2.75 is not a power of two, so the map back is not exact scaling
-    trap = make_segment_trap(-3.0, 2.5)
-    records = release_and_sample(trap, 6.0, 800, 60.0, 3)
-    _assert_same_fields(records, _unit_walk(trap, _unit_starts(trap, 6.0, 800, 3, 0), 60.0, 3))
+def test_release_and_sample_returns_the_unit_walk_in_the_trap_units(segment):
+    # on [2, 6] (c = 4, h = 2) every length is the unit one times a power of
+    # two, which is exact: the walk is the [-1, 1] walk of the mapped starts
+    # with times x4 and abscissae x -> 4 + 2x, bit for bit
+    trap = make_segment_trap(2.0, 6.0)
+    records = release_and_sample(trap, 9.0, 800, 60.0, 3)
+    unit_starts = [PlanePoint((p.x - 4.0) / 2.0, p.y / 2.0) for p in release_circle(9.0, 800, 3)]
+    unit = sample_batch(segment, unit_starts, 15.0, 3)
+    unit.time = 4.0 * unit.time
+    unit.x = 4.0 + 2.0 * unit.x
+    _assert_same_fields(records, unit)
     hit = ~records.censored
     assert 0 < hit.sum() < len(records)
-    assert np.all((records.x[hit] >= -3.0 - 1e-12) & (records.x[hit] <= 2.5 + 1e-12))
+    assert np.all((records.x[hit] >= 2.0) & (records.x[hit] <= 6.0))
 
 
 @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-3.0, 2.5)])
@@ -466,7 +457,7 @@ def _spy(monkeypatch, name, sizes):
     inner = getattr(trapprob.verify, name)
 
     def spy(*args, **kwargs):
-        sizes.append(len(args[0]) if name == "sample_batch" else args[1])
+        sizes.append(len(args[1]) if name == "sample_batch" else args[1])
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(trapprob.verify, name, spy)

@@ -27,7 +27,6 @@ from trapprob.errors import (
     TrapProbError,
 )
 from trapprob.segment_sim import (
-    SurvivalCurve,
     release_circle,
     sample_batch,
     survival_curve,
@@ -60,7 +59,6 @@ __all__ = [
     "DomainError",
     "HypothesisError",
     "PlanePoint",
-    "SurvivalCurve",
     "TrapGeometry",
     "TrapProbError",
     "bessel_i",

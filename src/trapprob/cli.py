@@ -23,7 +23,7 @@ import trapprob
 from trapprob.conformal import PlanePoint, make_segment_trap
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import CapacityError, ConvergenceError, DomainError, HypothesisError, require_count
-from trapprob.reporting import PALETTE, format_cell, svg_lineplot, write_csv, write_manifest
+from trapprob.reporting import PALETTE, csv_lines, svg_lineplot, write_csv, write_manifest
 from trapprob.segment_sim import SAMPLER_STREAM
 from trapprob.specfun import _k0_bracket, _k0_values, _phi_partial, bessel_i
 from trapprob.verify import (
@@ -115,36 +115,36 @@ def _manifest(args, path):
     write_manifest(path, manifest)
 
 
-def _emit_table(args, header, rows):
-    """Write a CSV to --out (plus a manifest next to it) or print to stdout."""
+def _emit_table(args, table):
+    """Write a table, {column name: sequence of scalars}, as a CSV to --out
+    (plus a manifest next to it) or to stdout."""
     if args.out:
-        write_csv(args.out, header, rows)
+        write_csv(args.out, table)
         _manifest(args, args.out + ".manifest.json")
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format_cell(v) for v in row))
+        sys.stdout.writelines(csv_lines(table))
 
 
 def _write_run(args, tables):
-    """Make --out-dir, write each {file name: (header, rows)} CSV in it and
-    then its manifest.json; a command writes any other files after this."""
+    """Make --out-dir, write each {file name: table} CSV in it and then its
+    manifest.json; a command writes any other files after this."""
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        write_csv(os.path.join(args.out_dir, name), header, rows)
+    for name, table in tables.items():
+        write_csv(os.path.join(args.out_dir, name), table)
     _manifest(args, os.path.join(args.out_dir, "manifest.json"))
 
 
-def _bessel_rows(xs, max_m):
-    """Rows [x, k0, k0_err, i0, lower_0, upper_0, ..., upper_max_m] of the
-    bessel table: the k0 column from one kernel call, the i0 column from
-    one series pass, every bracket's prefix sum from one pass over the grid
-    and each order's brackets from one array call."""
+def _bessel_table(xs, max_m):
+    """The bessel table's columns x, k0, k0_err, i0, lower_0, upper_0, ...,
+    upper_max_m: the k0 columns from one kernel call, the i0 column from one
+    series pass, every bracket's prefix sum from one pass over the grid and
+    each order's brackets from one array call."""
     i0 = bessel_i(0, xs)
-    columns = [xs, *_k0_values(xs), i0]
+    k0, k0_err = _k0_values(xs)
+    table = {"x": xs, "k0": k0, "k0_err": k0_err, "i0": i0}
     for m, partial in enumerate(_phi_partial(xs, max_m)):
-        columns += _k0_bracket(xs, m, partial, i0)
-    return [list(row) for row in zip(*(column.tolist() for column in columns))]
+        table[f"lower_{m}"], table[f"upper_{m}"] = _k0_bracket(xs, m, partial, i0)
+    return {name: column.tolist() for name, column in table.items()}
 
 
 def _cmd_bessel(args):
@@ -152,27 +152,16 @@ def _cmd_bessel(args):
         raise DomainError("need 0 < x-min < x-max < inf")
     points = require_count(args.points, "--points", minimum=0)
     max_m = require_count(args.max_m, "--max-m", minimum=0)
-    xs = _log_grid("x", args.x_min, args.x_max, points, "--points")
-    header = ["x", "k0", "k0_err", "i0", *(f"{side}_{m}" for m in range(max_m + 1) for side in ("lower", "upper"))]
-    _emit_table(args, header, _bessel_rows(xs, max_m))
+    _emit_table(args, _bessel_table(_log_grid("x", args.x_min, args.x_max, points, "--points"), max_m))
     return 0
 
 
 def _cmd_disk(args):
-    grid = args.t_grid if args.t_grid is not None else args.tau_grid
-    header = ["t", "p_disk", "f_disk", "hunt_raw", "hunt_tau0"]
-    rows = []
-    for t in grid:
-        rows.append(
-            [
-                t,
-                p_disk(args.r, args.rt, t),
-                f_disk(args.r, args.rt, t),
-                hunt_approx(args.r, args.rt, t, "raw"),
-                hunt_approx(args.r, args.rt, t, "tau0"),
-            ]
-        )
-    _emit_table(args, header, rows)
+    # time by time, so the first time that some function refuses ends the command
+    r, rt = args.r, args.rt
+    columns = zip(*[(t, p_disk(r, rt, t), f_disk(r, rt, t), hunt_approx(r, rt, t, "raw"), hunt_approx(r, rt, t, "tau0"))
+                    for t in args.t_grid])
+    _emit_table(args, dict(zip(("t", "p_disk", "f_disk", "hunt_raw", "hunt_tau0"), columns)))
     return 0
 
 
@@ -185,8 +174,9 @@ def _cmd_simulate(args):
     censored = records.censored.tolist()
     xs = [None if cen else x for x, cen in zip(records.x.tolist(), censored)]
     ys = [None if cen else 0.0 for cen in censored]
-    columns = (range(len(records)), records.time.tolist(), xs, ys, censored, records.steps.tolist())
-    _write_run(args, {"records.csv": (["index", "time", "x", "y", "censored", "steps"], zip(*columns))})
+    table = {"index": range(len(records)), "time": records.time.tolist(), "x": xs, "y": ys, "censored": censored,
+             "steps": records.steps.tolist()}
+    _write_run(args, {"records.csv": table})
     n_censored = int(records.censored.sum())
     mean_steps = float(records.steps.mean())
     print(f"simulated {args.n} trajectories: {n_censored} censored, mean steps {mean_steps:.2f}")
@@ -201,8 +191,8 @@ def _cmd_verify(args):
         lower, upper = check_theorem2(trap, PlanePoint(args.zx, args.zy), args.tau, args.n, args.seed)
         reports = [rep for rep in (lower, upper) if rep is not None]
     records = [dataclasses.asdict(r) for r in reports]
-    header = [field.name for field in dataclasses.fields(BoundReport)]
-    _write_run(args, {"bound_reports.csv": (header, [list(rec.values()) for rec in records])})
+    table = {field.name: [rec[field.name] for rec in records] for field in dataclasses.fields(BoundReport)}
+    _write_run(args, {"bound_reports.csv": table})
     write_manifest(os.path.join(args.out_dir, "bound_reports.json"), records)
     for rep in reports:
         print(f"{rep.label}: {rep.verdict} (margin {rep.margin:.3e}, slack {rep.statistical_slack:.3e})")
@@ -210,7 +200,8 @@ def _cmd_verify(args):
 
 
 # (file stem, CSV columns, quantity plotted) of each figure, and the
-# (column index, label, dash) of the three series it plots per radius
+# (index in its CSV columns, label, dash) of the three series it plots per
+# radius
 _FIGURES = (
     ("figure1", ["r", "t", "prop", "ci_lo", "ci_hi", "p_disk", "hunt_raw", "hunt_tau0"], "proportion captured"),
     ("figure2", ["r", "t", "surv", "surv_ci_lo", "surv_ci_hi", "surv_p_disk", "surv_hunt_raw", "surv_hunt_tau0"],
@@ -221,17 +212,17 @@ _FIGURE_SERIES = ((2, "simulated", None), (5, "disk", "6,3"), (7, "log asympt", 
 
 def _cmd_figures(args):
     times = _time_grid(args)
-    rows = figure_series(args.radii, times, n=args.n, seed=args.seed)
-    _write_run(args, {f"{stem}.csv": (cols, [[row[c] for c in cols] for row in rows]) for stem, cols, _ in _FIGURES})
+    table = figure_series(args.radii, times, n=args.n, seed=args.seed)
+    _write_run(args, {f"{stem}.csv": {c: table[c] for c in cols} for stem, cols, _ in _FIGURES})
     for stem, cols, title in _FIGURES:
         series = []
         for idx, r in enumerate(args.radii):
-            sub = rows[idx * len(times) : (idx + 1) * len(times)]  # radius-major: one block per radius
+            block = slice(idx * len(times), (idx + 1) * len(times))  # radius-major: one block per radius
             for col, label, dash in _FIGURE_SERIES:
                 series.append({
                     "label": f"r={r:g} {label}",
-                    "x": [row["t"] for row in sub],
-                    "y": [row[cols[col]] for row in sub],
+                    "x": table["t"][block],
+                    "y": table[cols[col]][block],
                     "color": PALETTE[idx % len(PALETTE)],
                     "dash": dash,
                 })
@@ -248,9 +239,9 @@ def _cmd_figures(args):
 
 def _cmd_conjecture(args):
     trap = make_segment_trap(args.a, args.b)
-    rows = conjecture_probe(trap, args.radii, _time_grid(args), args.n, args.seed)
-    _write_run(args, {"conjecture.csv": (list(rows[0]), [list(row.values()) for row in rows])})
-    worst = max(row["sup_rel_survival"] for row in rows)
+    table = conjecture_probe(trap, args.radii, _time_grid(args), args.n, args.seed)
+    _write_run(args, {"conjecture.csv": table})
+    worst = max(table["sup_rel_survival"])
     print(f"wrote conjecture.csv; worst survival-relative deviation {worst:.4f}")
     return 0
 
@@ -283,9 +274,7 @@ def build_parser():
     p = sub.add_parser("disk", help="exact disk-trap capture curves")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--rt", type=float, required=True)
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--t-grid", type=_grid, default=None)
-    grp.add_argument("--tau-grid", type=_grid, default=None)
+    p.add_argument("--t-grid", type=_grid, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_disk)
 

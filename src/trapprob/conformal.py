@@ -58,10 +58,9 @@ class TrapGeometry:
         Conformal radius (b - a)/4.
     r0 : float
         max over the trap of |w|.
-    diam : float
-        Diameter of the trap.
     d : float
-        max(diam, e^gamma * r_T).
+        The paper's d = max(diam, e^gamma * r_T), diam the diameter of the
+        trap; for a segment it is the length b - a, since e^gamma/4 < 1.
     tau0 : float
         (1/2) e^(2 gamma) r_T^2, the natural time scale of the trap.
     """
@@ -70,7 +69,6 @@ class TrapGeometry:
     b: float
     r_T: float
     r0: float
-    diam: float
     d: float
     tau0: float
 
@@ -86,17 +84,15 @@ def make_segment_trap(a, b):
     if not a < b:
         raise DomainError(f"degenerate trap: need a < b, got a={a!r}, b={b!r}")
     r_t = (b - a) / 4.0
-    diam = b - a
+    d = b - a
     # times scale with the squared length, which must be a (normal) double
-    if not sys.float_info.min <= diam * diam < math.inf:
-        raise DomainError(f"segment length {diam!r} is outside the double range once squared")
-    d = max(diam, _E_GAMMA * r_t)
+    if not sys.float_info.min <= d * d < math.inf:
+        raise DomainError(f"segment length {d!r} is outside the double range once squared")
     return TrapGeometry(
         a=a,
         b=b,
         r_T=r_t,
         r0=max(abs(a), abs(b)),
-        diam=diam,
         d=d,
         tau0=0.5 * math.exp(2.0 * GAMMA) * r_t * r_t,
     )
@@ -106,6 +102,12 @@ def _check_trap(trap):
     """DomainError unless ``trap`` is a segment trap record."""
     if not isinstance(trap, TrapGeometry):
         raise DomainError(f"trap must be a TrapGeometry from make_segment_trap, got {trap!r}")
+
+
+def _check_point(z):
+    """DomainError unless ``z`` is a PlanePoint."""
+    if not isinstance(z, PlanePoint):
+        raise DomainError(f"point must be a PlanePoint, got {z!r}")
 
 
 def _segment_distance(z):
@@ -140,6 +142,7 @@ def phi_segment(z):
     last points outside the tolerance there still have |phi(z)| near
     1 + 1.5e-6, not 1 (the jump green_segment documents).
     """
+    _check_point(z)
     if _segment_distance(z) <= BOUNDARY_TOL:
         raise BoundaryError(f"point ({z.x}, {z.y}) lies on the segment trap")
     w = _phi_scaled(z, 1.0)
@@ -159,6 +162,7 @@ def green_segment(z):
     4.7e-7).  Where |phi(z)| passes the double range, ln|phi| is
     ln 4 + ln|phi(z)/4|.
     """
+    _check_point(z)
     if _segment_distance(z) <= BOUNDARY_TOL:
         return 0.0
     try:
@@ -191,9 +195,11 @@ def r_z(trap, z):
     """max(sup over the trap of |w - z|, e^gamma r_T).
 
     The supremum is attained at an endpoint of the segment.  DomainError
-    where that distance passes the double range or ``trap`` is not a trap.
+    where that distance passes the double range, ``trap`` is not a trap or
+    ``z`` is not a PlanePoint.
     """
     _check_trap(trap)
+    _check_point(z)
     far = max(math.hypot(z.x - trap.a, z.y), math.hypot(z.x - trap.b, z.y))
     if far == math.inf:
         raise DomainError(f"distance from ({z.x}, {z.y}) to the trap passes the double range")

@@ -30,12 +30,21 @@ def format_cell(value):
     return str(value)
 
 
-def write_csv(path, header, rows):
-    """Write rows (sequences of scalars) under a header line."""
+def csv_lines(table):
+    """The lines of ``table``, a mapping {column name: sequence of
+    scalars} with sequences of one length, as CSV: the header of the names,
+    then one line per row with each cell through format_cell; each line
+    ends in a newline."""
+    yield ",".join(table) + "\n"
+    for row in zip(*table.values()):
+        yield ",".join(format_cell(v) for v in row) + "\n"
+
+
+def write_csv(path, table):
+    """Write ``table``, {column name: sequence of scalars}, as a CSV file
+    (see csv_lines)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(v) for v in row) + "\n")
+        fh.writelines(csv_lines(table))
 
 
 def write_manifest(path, manifest):

@@ -34,7 +34,6 @@ refused rather than wrapped onto another batch's streams.
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,16 +75,6 @@ _MASK32 = 0xFFFFFFFF
 # when censored.  A row is censored iff its walk did not hit the trap by the
 # cap; its ``time`` is then the first accumulated time past the cap.
 RECORD_DTYPE = np.dtype([("time", "f8"), ("x", "f8"), ("censored", "?"), ("steps", "i8")])
-
-
-@dataclass(frozen=True)
-class SurvivalCurve:
-    """Empirical capture proportion against time with Wilson 99% bands."""
-
-    times: np.ndarray
-    captured_fraction: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
 
 
 def _check_word64(value, what, span=1):
@@ -201,15 +190,18 @@ def sample_batch(trap, starts, t_max, seed, first_index=0):
     (seed, trajectory, step) alone, this changes no result.  Returns an
     ``np.recarray`` of ``RECORD_DTYPE``, one row per start, in the
     trap's lengths and times; raises ConvergenceError if a walk exceeds
-    STEP_CAP steps.
+    STEP_CAP steps, and DomainError for a start that is not a PlanePoint.
     """
     _check_trap(trap)
     _check_cap(t_max)
     _check_word64(seed, "seed")
     c, h = 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
     rim = h * (1.0 + ENDPOINT_TOL)  # the capture half-width about c
-    x0 = np.array([p.x for p in starts], dtype=float)
-    y0 = np.array([p.y for p in starts], dtype=float)
+    try:
+        x0 = np.array([p.x for p in starts], dtype=float)
+        y0 = np.array([p.y for p in starts], dtype=float)
+    except (AttributeError, TypeError):  # a start that is not a PlanePoint, or starts that are not a sequence
+        raise DomainError("starts must be a sequence of PlanePoints") from None
     _check_word64(first_index, "first_index", x0.size)
     # the records, filled in place as walks finish; the start rows on the
     # trap keep their abscissa and zero time and steps
@@ -323,11 +315,12 @@ def survival_curve(records, times):
     """Empirical capture proportion at each grid time with Wilson 99% bands.
 
     ``records`` is a record array of ``RECORD_DTYPE`` (as returned by
-    :func:`sample_batch`).  captured_fraction(t) counts records with
-    ``not censored and time < t``.  All records must share a cap
-    t_max >= max(times); this is checked against the censored records (whose
-    times exceed the cap by construction) - a censored time at or below the
-    last grid point proves the grid exceeds the cap.
+    :func:`sample_batch`).  Returns three arrays on the grid ``times``:
+    captured_fraction, ci_low and ci_high.  captured_fraction(t) is the
+    share of records with ``not censored and time < t``.  All records must
+    share a cap t_max >= max(times); this is checked against the censored
+    records (whose times exceed the cap by construction) - a censored time
+    at or below the last grid point proves the grid exceeds the cap.
     """
     if len(records) == 0:
         raise DomainError("survival_curve needs at least one record")
@@ -342,6 +335,4 @@ def survival_curve(records, times):
     n = len(records)
     hit_times = np.sort(records.time[~censored])
     counts = np.searchsorted(hit_times, times, side="left")
-    frac = counts / n
-    lo, hi = wilson_interval(counts, n)
-    return SurvivalCurve(times, frac, lo, hi)
+    return (counts / n, *wilson_interval(counts, n))

@@ -163,8 +163,7 @@ def _capture_table(trap, radii, times, n, seed):
     records = release_and_sample(trap, radii, n, float(times[-1]), seed)
     prop, lo, hi = np.empty((3, len(radii), times.size))
     for k in range(len(radii)):
-        curve = survival_curve(records[k * n : (k + 1) * n], times)
-        prop[k], lo[k], hi[k] = curve.captured_fraction, curve.ci_low, curve.ci_high
+        prop[k], lo[k], hi[k] = survival_curve(records[k * n : (k + 1) * n], times)
     return prop, lo, hi, pd
 
 
@@ -177,12 +176,6 @@ def _release_radii(radii):
         return [float(r) for r in radii]
     except (TypeError, ValueError, OverflowError):  # a string, a complex or an int past the double range
         raise DomainError(f"release radii must be real numbers in the double range, got {radii!r}") from None
-
-
-def _rows(columns):
-    """One dict per cell of the equal-size arrays in ``columns`` (2-d ones
-    radius-major), keyed in column order, with Python scalars."""
-    return [dict(zip(columns, cells)) for cells in zip(*(np.ravel(v).tolist() for v in columns.values()))]
 
 
 def check_theorem1(trap, r, tau, n, seed):
@@ -264,8 +257,12 @@ def conjecture_probe(trap, radii, times, n, seed):
     |Prop(r,t) - p_disk(r,t)| normalized by p_disk (capture-relative) and by
     1 - p_disk (survival-relative; skipped where 1 - p_disk is within ten
     Wilson half-widths of 0, since the ratio degenerates there).  This is
-    exploratory evidence - rows carry the Monte Carlo band widths and no
-    verdict.
+    exploratory evidence - the table carries the Monte Carlo band widths
+    and no verdict.
+
+    Returns the table as {column name: list of Python scalars}, one entry
+    per grid time, with the columns t, sup_rel_capture, sup_rel_survival,
+    max_ci_halfwidth, skipped_capture and skipped_survival in that order.
     """
     _check_trap(trap)
     radii = _release_radii(radii)
@@ -287,7 +284,7 @@ def conjecture_probe(trap, radii, times, n, seed):
         "skipped_capture": np.sum(~cap_ok & (prop != 0.0), axis=0),
         "skipped_survival": np.sum(~surv_ok, axis=0),
     }
-    return _rows(columns)
+    return {key: column.tolist() for key, column in columns.items()}
 
 
 def figure_series(radii=None, t_grid=None, n=100000, seed=0):
@@ -296,8 +293,11 @@ def figure_series(radii=None, t_grid=None, n=100000, seed=0):
     For each release radius and grid time: the simulated capture proportion
     with Wilson 99% bands, the conformal-radius disk surrogate
     p_disk(r, 1/2, t), both logarithmic comparators, and the survival-side
-    complements of each.  Returns a list of row dicts ordered by radius then
-    time.
+    complements of each.  Returns the table as {column name: list of Python
+    scalars}, with one entry per (radius, time) cell ordered by radius then
+    time, and the columns r, t, prop, ci_lo, ci_hi, p_disk, hunt_raw,
+    hunt_tau0, surv, surv_ci_lo, surv_ci_hi, surv_p_disk, surv_hunt_raw and
+    surv_hunt_tau0 in that order.
     """
     if radii is None:
         radii = DEFAULT_RADII
@@ -319,4 +319,4 @@ def figure_series(radii=None, t_grid=None, n=100000, seed=0):
     for key, of in (("surv", "prop"), ("surv_ci_lo", "ci_hi"), ("surv_ci_hi", "ci_lo"), ("surv_p_disk", "p_disk"),
                     ("surv_hunt_raw", "hunt_raw"), ("surv_hunt_tau0", "hunt_tau0")):
         columns[key] = 1.0 - columns[of]
-    return _rows(columns)
+    return {key: column.ravel().tolist() for key, column in columns.items()}

@@ -57,7 +57,7 @@ SEED = 0
 
 
 @pytest.fixture(scope="module")
-def figure_rows():
+def figure_table():
     """Full-size capture curves: 1e5 trajectories per radius, t_max = 1e5."""
     return figure_series(n=N_MC, seed=SEED)
 
@@ -253,18 +253,16 @@ def test_criterion_05_sampler_marginals(acceptance):
 # 6. simulated capture curves vs the disk closed form, full figure grid
 
 
-def test_criterion_06_capture_curves_match_disk(acceptance, figure_rows):
+def test_criterion_06_capture_curves_match_disk(acceptance, figure_table):
     # the paper's quantitative statements need t > (e/2) d^2 (the hypothesis
     # check_theorem1 enforces); shorter times are reported, not asserted
     t_min = 0.5 * math.e * make_segment_trap(-1.0, 1.0).d ** 2
     worst = -math.inf
     worst_short = -math.inf
     checked = 0
-    for row in figure_rows:
-        excess = max(
-            row["ci_lo"] - 0.01 - row["p_disk"], row["p_disk"] - row["ci_hi"] - 0.01
-        )
-        if row["t"] > t_min:
+    for t, ci_lo, ci_hi, pd in zip(*(figure_table[key] for key in ("t", "ci_lo", "ci_hi", "p_disk"))):
+        excess = max(ci_lo - 0.01 - pd, pd - ci_hi - 0.01)
+        if t > t_min:
             checked += 1
             worst = max(worst, excess)
         else:

@@ -12,12 +12,14 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trapprob.segment_sim
 import trapprob.verify
 from trapprob.cli import main
 from trapprob.segment_sim import SAMPLER_STREAM
-from trapprob.reporting import format_cell, svg_lineplot, write_csv
+from trapprob.reporting import csv_lines, format_cell, svg_lineplot, write_csv
 
 # ---------------------------------------------------------------------------
 # reporting primitives
@@ -36,8 +38,40 @@ def test_format_cell():
 
 def test_write_csv_bytes(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], [[1, None], [0.5, True]])
+    write_csv(path, {"a": [1, 0.5], "b": [None, True]})
     assert path.read_bytes() == b"a,b\n1,\n0.5,1\n"
+
+
+def _row_writer_text(header, rows):
+    """The CSV text of the row writer that csv_lines replaced."""
+    text = ",".join(header) + "\n"
+    for row in rows:
+        text += ",".join(format_cell(v) for v in row) + "\n"
+    return text
+
+
+# None, bools, ints past 2**64 and floats with nan, +-inf, -0.0 and subnormals
+CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308]),
+    st.floats(),
+)
+
+
+@st.composite
+def _tables(draw):
+    names = draw(st.lists(st.text("abt_0", min_size=1, max_size=3), min_size=1, max_size=5, unique=True))
+    n_rows = draw(st.integers(0, 6))
+    return {name: draw(st.lists(CELLS, min_size=n_rows, max_size=n_rows)) for name in names}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_csv_lines_write_the_row_writers_bytes(table):
+    rows = [list(row) for row in zip(*table.values())]
+    assert "".join(csv_lines(table)).encode() == _row_writer_text(list(table), rows).encode()
 
 
 def test_svg_lineplot_is_wellformed_xml(tmp_path):
@@ -184,7 +218,7 @@ def test_bessel_past_the_i0_range_names_one_x(capsys):
 
 
 def test_disk_table_values(capsys):
-    assert main(["disk", "--r", "1", "--rt", "0.5", "--tau-grid", "2"]) == 0
+    assert main(["disk", "--r", "1", "--rt", "0.5", "--t-grid", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "t,p_disk,f_disk,hunt_raw,hunt_tau0"
     row = dict(zip(lines[0].split(","), (float(tok) for tok in lines[1].split(","))))
@@ -194,7 +228,7 @@ def test_disk_table_values(capsys):
 
 def test_disk_tiny_tau_no_traceback(capsys):
     # k0 underflows at both radii here; f_disk must still answer
-    assert main(["disk", "--r", "5", "--rt", "0.5", "--tau-grid", "1e-9"]) == 0
+    assert main(["disk", "--r", "5", "--rt", "0.5", "--t-grid", "1e-9"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     row = dict(zip(lines[0].split(","), (float(tok) for tok in lines[1].split(","))))
     assert 0.0 <= row["f_disk"] <= 1.0
@@ -204,7 +238,7 @@ def test_disk_tiny_tau_no_traceback(capsys):
     "argv, message",
     [
         (["--r", "5", "--rt", "0.5", "--t-grid", "nan"], "t must be finite"),
-        (["--r", "5", "--rt", "1e-300", "--tau-grid", "1"], "r_T=1e-300"),
+        (["--r", "5", "--rt", "1e-300", "--t-grid", "1"], "r_T=1e-300"),
     ],
 )
 def test_disk_degenerate_inputs_exit_1(argv, message, capsys):
@@ -267,7 +301,8 @@ def test_too_many_trajectories_exit_1_naming_n(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_disk_grid_exclusive():
+def test_disk_tau_grid_is_an_unknown_flag():
+    # --t-grid is the one time grid flag; any other is a usage error
     with pytest.raises(SystemExit) as exc:
         main(["disk", "--r", "1", "--rt", "0.5", "--t-grid", "1", "--tau-grid", "1"])
     assert exc.value.code == 64
@@ -564,15 +599,18 @@ PINNED_COMMANDS = [
 # check_theorem1 came to release at r0 = 6 and carry the mean out to r = 8
 # by f_disk(8, 6, tau): the label names the release radius, and lhs and
 # slack read 0.02466 and 0.02493 (0.03069 and 0.03347 from direct release
-# at r = 8), rhs and verdict unchanged.  The other digests are as first
-# taken.
+# at r = 8), rhs and verdict unchanged.  disk.csv.manifest.json was
+# retaken when `disk` dropped --tau-grid, a second flag for the same time
+# grid: its parameters lost "tau_grid": null and nothing else (the old
+# manifest without that key hashes to the new digest).  The other digests
+# are as first taken.
 PINNED_SHA256 = {
     "bessel.csv": "c85cd508c0492b2a152b8ac2c5b9f07690dc53c3972765274216700bf589da1f",
     "bessel.csv.manifest.json": "bf451c70882c44b1022ee2da1164b649ce75ae5b194a389bfec62630c32e8e75",
     "conjecture/conjecture.csv": "0e8184d4a72835ad526a20d5e63b22f7ffd93782c37ba10353a0ed56bf24ed26",
     "conjecture/manifest.json": "e82321dbe5a9b3e2e108211f6f26ca547c84638cc66ef34d27c33f6db8a26373",
     "disk.csv": "0716510287c94625bbc65258e99913e0163512e2ae35f74fa25c409fc121f34e",
-    "disk.csv.manifest.json": "0356e07c61dc322f1d9fe7714764396031e839f3f6c382e87d90cb67baa6cdd2",
+    "disk.csv.manifest.json": "ff0cf635740ad02c66ac99808a90758aa38249912e14dfa0088fd45e4c25ea31",
     "figures/figure1.csv": "37f35d68e720dbb6b7981993bd6493563460e9f9a94186bf2d0354ad82652b76",
     "figures/figure1.svg": "38bc26cb39516b8cf99a0635cbba461c6ffaa71931e163067e9f884504e733e0",
     "figures/figure2.csv": "1fd3a771d2687ffaf07dd83afedf29cad834e1e01f037801544b75a01c9d7f54",

@@ -39,8 +39,7 @@ def test_unit_segment_constants():
     trap = make_segment_trap(-1.0, 1.0)
     assert trap.r_T == 0.25 * 2.0
     assert trap.r0 == 1.0
-    assert trap.diam == 2.0
-    assert trap.d == 2.0  # diam beats e^gamma * r_T = 0.89
+    assert trap.d == 2.0  # the length: diam beats e^gamma * r_T = 0.89
     assert_allclose(trap.tau0, 0.3965273697656813, rtol=1e-14)
 
 
@@ -58,7 +57,7 @@ def test_offset_segment_fields():
     trap = make_segment_trap(2.0, 6.0)
     assert trap.r_T == 1.0
     assert trap.r0 == 6.0
-    assert trap.diam == 4.0
+    assert trap.d == 4.0
     assert_allclose(trap.tau0, 4.0 * 0.3965273697656813, rtol=1e-14)
 
 

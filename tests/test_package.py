@@ -24,9 +24,11 @@ from trapprob import (
     conjecture_probe,
     f_disk,
     figure_series,
+    green_segment,
     hunt_approx,
     make_segment_trap,
     p_disk,
+    phi_segment,
     r_z,
     release_circle,
     sample_batch,
@@ -115,4 +117,20 @@ NOT_A_TRAP_CALLS = {
 def test_a_trap_that_is_not_a_trap_record_raises_domain_error(call):
     # not the bare AttributeError of the first trap field read
     with pytest.raises(DomainError, match="trap must be a TrapGeometry"):
+        call()
+
+
+NOT_A_POINT_CALLS = {
+    "r_z z=(5, 0)": lambda: r_z(SEGMENT, (5, 0)),
+    "check_theorem2 z=(5.0, 0.0)": lambda: check_theorem2(SEGMENT, (5.0, 0.0), 100.0, 10, 0),
+    "green_segment z=(5, 0)": lambda: green_segment((5, 0)),
+    "phi_segment z=(5, 0)": lambda: phi_segment((5, 0)),
+    "sample_batch starts=[(5.0, 0.0)]": lambda: sample_batch(SEGMENT, [(5.0, 0.0)], 1.0, 0),
+}
+
+
+@pytest.mark.parametrize("call", NOT_A_POINT_CALLS.values(), ids=NOT_A_POINT_CALLS.keys())
+def test_a_point_that_is_not_a_plane_point_raises_domain_error(call):
+    # not the bare AttributeError of the first coordinate read
+    with pytest.raises(DomainError, match="PlanePoint"):
         call()

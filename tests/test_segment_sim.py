@@ -292,7 +292,8 @@ def test_a_walk_that_reaches_the_trap_at_the_cap_is_captured():
     h, y0, t_max = 1.4048376681967356, 0.5358221556440268, 3.5554308354127357
     records = sample_batch(make_segment_trap(-h, h), [PlanePoint(0.0, y0)], t_max, 11)
     assert records.time[0] == t_max and not records.censored[0] and records.steps[0] == 1
-    assert survival_curve(records, [1.0, t_max]).captured_fraction.tolist() == [0.0, 0.0]
+    captured_fraction, _, _ = survival_curve(records, [1.0, t_max])
+    assert captured_fraction.tolist() == [0.0, 0.0]
 
 
 def test_trajectories_terminate():
@@ -673,11 +674,11 @@ def _toy_records():
 
 
 def test_survival_curve_strict_counting():
-    curve = survival_curve(_toy_records(), [0.5, 1.0, 2.5, 9.0])
-    assert_allclose(curve.captured_fraction, [0.0, 0.0, 0.5, 0.75])
+    captured_fraction, ci_low, ci_high = survival_curve(_toy_records(), [0.5, 1.0, 2.5, 9.0])
+    assert_allclose(captured_fraction, [0.0, 0.0, 0.5, 0.75])
     lo, hi = wilson_interval(np.array([0.0, 0.0, 2.0, 3.0]), 4)
-    assert_allclose(curve.ci_low, lo, rtol=1e-14)
-    assert_allclose(curve.ci_high, hi, rtol=1e-14)
+    assert_allclose(ci_low, lo, rtol=1e-14)
+    assert_allclose(ci_high, hi, rtol=1e-14)
 
 
 def test_survival_curve_grid_validation():
@@ -699,8 +700,8 @@ def test_survival_curve_rejects_non_finite_times(bad):
 
 def test_survival_curve_all_captured_allows_any_grid():
     records = _toy_records()[:3]
-    curve = survival_curve(records, [100.0])
-    assert curve.captured_fraction[0] == 1.0
+    captured_fraction, _, _ = survival_curve(records, [100.0])
+    assert captured_fraction[0] == 1.0
 
 
 # ---------------------------------------------------------------------------

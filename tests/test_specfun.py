@@ -19,7 +19,7 @@ from trapprob import (
     k0,
     k0_bounds,
 )
-from trapprob.cli import _bessel_rows
+from trapprob.cli import _bessel_table
 from trapprob.specfun import (
     _C_J0,
     _C_Y0,
@@ -590,11 +590,12 @@ def test_k0_scalar_equals_table_entry(lo, hi, points):
     # scalar k0 and the table's k0/k0_err columns agree bit for bit, so no
     # entry depends on the block it was computed in
     xs = np.logspace(math.log10(lo), math.log10(hi), points)
-    rows = _bessel_rows(xs, 0)
+    table = _bessel_table(xs, 0)
     values, bounds = _k0_values(xs)
-    for x, row, value, bound in zip(xs.tolist(), rows, values.tolist(), bounds.tolist()):
+    for x, k0_cell, err_cell, value, bound in zip(xs.tolist(), table["k0"], table["k0_err"], values.tolist(),
+                                                   bounds.tolist()):
         bv = k0(x)
-        assert (bv.value, bv.abs_error_bound) == (value, bound) == (row[1], row[2]), x
+        assert (bv.value, bv.abs_error_bound) == (value, bound) == (k0_cell, err_cell), x
 
 
 def test_bessel_table_brackets_match_per_call_bounds():
@@ -606,7 +607,8 @@ def test_bessel_table_brackets_match_per_call_bounds():
     xs = np.concatenate([
         np.geomspace(1e-8, 50.0, 300), edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
     ])
-    for row in _bessel_rows(np.sort(xs), 8):
+    table = _bessel_table(np.sort(xs), 8)
+    for row in zip(*table.values()):  # x, k0, k0_err, i0, lower_0, upper_0, ..., upper_8
         x = row[0]
         assert repr(row[3]) == repr(bessel_i(0, x))
         for m in range(9):

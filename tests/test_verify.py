@@ -270,35 +270,34 @@ def test_theorem2_sandwich_is_consistent(segment):
 
 def test_conjecture_probe_rows(segment):
     times = [0.5, 5.0, 50.0]
-    rows = conjecture_probe(segment, [1.0, 5.0], times, 1000, seed=3)
-    assert len(rows) == len(times)
-    keys = {
+    table = conjecture_probe(segment, [1.0, 5.0], times, 1000, seed=3)
+    keys = [
         "t",
         "sup_rel_capture",
         "sup_rel_survival",
         "max_ci_halfwidth",
         "skipped_capture",
         "skipped_survival",
-    }
-    for row, t in zip(rows, times):
-        assert set(row) == keys
-        assert row["t"] == t
-        assert row["sup_rel_capture"] >= 0.0
-        assert row["sup_rel_survival"] >= 0.0
-        assert row["max_ci_halfwidth"] > 0.0
+    ]
+    assert list(table) == keys
+    assert all(len(column) == len(times) for column in table.values())
+    assert table["t"] == times
+    assert min(table["sup_rel_capture"]) >= 0.0
+    assert min(table["sup_rel_survival"]) >= 0.0
+    assert min(table["max_ci_halfwidth"]) > 0.0
 
 
 def _probe_cell_by_cell(trap, radii, times, n, seed):
     """conjecture_probe's reductions as one scalar branch per (time, radius) cell."""
     records = _per_radius_records(trap, radii, n, times[-1], seed)
     curves = [survival_curve(records[k * n : (k + 1) * n], times) for k in range(len(radii))]
-    rows = []
+    table = {}
     for j, t in enumerate(times):
         row = dict(t=t, sup_rel_capture=0.0, sup_rel_survival=0.0, max_ci_halfwidth=0.0,
                    skipped_capture=0, skipped_survival=0)
-        for r, curve in zip(radii, curves):
-            prop = curve.captured_fraction[j]
-            half = 0.5 * (curve.ci_high[j] - curve.ci_low[j])
+        for r, (captured_fraction, ci_low, ci_high) in zip(radii, curves):
+            prop = captured_fraction[j]
+            half = 0.5 * (ci_high[j] - ci_low[j])
             row["max_ci_halfwidth"] = max(row["max_ci_halfwidth"], half)
             pd = p_disk(r, trap.r_T, t)
             diff = abs(prop - pd)
@@ -310,8 +309,9 @@ def _probe_cell_by_cell(trap, radii, times, n, seed):
                 row["sup_rel_survival"] = max(row["sup_rel_survival"], diff / (1.0 - pd))
             else:
                 row["skipped_survival"] += 1
-        rows.append(row)
-    return rows
+        for key, value in row.items():
+            table.setdefault(key, []).append(value)
+    return table
 
 
 def test_conjecture_probe_equals_a_cell_by_cell_loop():
@@ -319,10 +319,10 @@ def test_conjecture_probe_equals_a_cell_by_cell_loop():
     # have captures where p_disk < 1e-12 (skipped), long ones skip survival
     trap = make_segment_trap(-3.0, 1.0)
     times = [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1000.0]
-    rows = conjecture_probe(trap, [3.0, 9.0], times, 300, seed=2)
-    assert rows == _probe_cell_by_cell(trap, [3.0, 9.0], times, 300, 2)
-    assert sum(row["skipped_capture"] for row in rows) > 0
-    assert sum(row["skipped_survival"] for row in rows) > 0
+    table = conjecture_probe(trap, [3.0, 9.0], times, 300, seed=2)
+    assert table == _probe_cell_by_cell(trap, [3.0, 9.0], times, 300, 2)
+    assert sum(table["skipped_capture"]) > 0
+    assert sum(table["skipped_survival"]) > 0
 
 
 def test_conjecture_probe_radius_gate(segment):
@@ -372,16 +372,17 @@ def test_bad_radius_lists_are_refused_before_any_walk(segment, monkeypatch):
 
 def test_figure_series_shape_and_bands():
     t_grid = [0.5, 5.0, 50.0]
-    rows = figure_series(radii=(1.0, 5.0), t_grid=t_grid, n=500, seed=3)
-    assert len(rows) == 6
+    table = figure_series(radii=(1.0, 5.0), t_grid=t_grid, n=500, seed=3)
+    assert all(len(column) == 6 for column in table.values())
     # ordered by radius, then time
-    assert [r["r"] for r in rows] == [1.0] * 3 + [5.0] * 3
-    assert [r["t"] for r in rows[:3]] == t_grid
-    for row in rows:
-        assert row["ci_lo"] <= row["prop"] <= row["ci_hi"]
-        assert 0.0 <= row["p_disk"] <= 1.0
-        assert_allclose(row["surv"], 1.0 - row["prop"], rtol=0, atol=1e-15)
-        assert_allclose(row["surv_ci_lo"], 1.0 - row["ci_hi"], rtol=0, atol=1e-15)
+    assert table["r"] == [1.0] * 3 + [5.0] * 3
+    assert table["t"][:3] == t_grid
+    columns = ("ci_lo", "prop", "ci_hi", "p_disk", "surv", "surv_ci_lo")
+    for ci_lo, prop, ci_hi, pd, surv, surv_ci_lo in zip(*(table[key] for key in columns)):
+        assert ci_lo <= prop <= ci_hi
+        assert 0.0 <= pd <= 1.0
+        assert_allclose(surv, 1.0 - prop, rtol=0, atol=1e-15)
+        assert_allclose(surv_ci_lo, 1.0 - ci_hi, rtol=0, atol=1e-15)
 
 
 def test_figure_series_deterministic():
@@ -392,9 +393,8 @@ def test_figure_series_deterministic():
 def test_figure_series_matches_oracle_at_late_time():
     # at t = 50 from r = 1 the capture probability is high and the disk
     # surrogate should sit inside (or graze) the Wilson band
-    rows = figure_series(radii=(1.0,), t_grid=[50.0], n=4000, seed=SEED)
-    row = rows[0]
-    assert row["ci_lo"] - 0.02 <= row["p_disk"] <= row["ci_hi"] + 0.02
+    table = figure_series(radii=(1.0,), t_grid=[50.0], n=4000, seed=SEED)
+    assert table["ci_lo"][0] - 0.02 <= table["p_disk"][0] <= table["ci_hi"][0] + 0.02
 
 
 # ----------------------------------------------------------------------

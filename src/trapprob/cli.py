@@ -13,11 +13,17 @@ import argparse
 import dataclasses
 import math
 import os
+import platform
 import re
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
+
+try:
+    from numpy.lib.introspect import opt_func_info
+except ImportError:  # numpy before 2.0
+    opt_func_info = None
 
 import trapprob
 from trapprob.conformal import PlanePoint, make_segment_trap
@@ -37,6 +43,12 @@ from trapprob.verify import (
 )
 
 USAGE_ERROR = 64
+
+# The float64 ufuncs whose CPU dispatch target the run manifest records.
+# The kernels and the sampler call them, and their last bits differ between
+# targets (AVX-512 and AVX2, say), so a result pinned on one target need not
+# repeat on another.
+DISPATCH_FUNCS = ("log", "exp", "sinh", "tan", "cos", "sin", "sqrt")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,10 +110,25 @@ def _now():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _environment():
+    """The Python and numpy versions, and numpy's dispatch target for the
+    float64 loop ("dd") of each of DISPATCH_FUNCS (None where numpy does not
+    say)."""
+    info = {}
+    if opt_func_info is not None:
+        info = opt_func_info(func_name=f"^({'|'.join(DISPATCH_FUNCS)})$")
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "numpy_float64_dispatch": {name: info.get(name, {}).get("dd", {}).get("current") for name in DISPATCH_FUNCS},
+    }
+
+
 def _manifest(args, path):
     """Write the provenance of this invocation to ``path``: rerunning with
-    the same command and seed reproduces the CSV outputs byte for byte.
-    ``sampler_stream`` names the version of the sampler's random stream."""
+    the same command and seed reproduces the CSV outputs byte for byte on
+    the same ``environment``.  ``sampler_stream`` names the version of the
+    sampler's random stream."""
     params = {k: v for k, v in vars(args).items() if k not in ("func", "command") and not k.startswith("_")}
     manifest = {
         "command": args.command,
@@ -109,6 +136,7 @@ def _manifest(args, path):
         "parameters": params,
         "tool_version": trapprob.__version__,
         "sampler_stream": SAMPLER_STREAM,
+        "environment": _environment(),
         "started": args._started,
         "finished": _now(),
     }

@@ -31,7 +31,10 @@ graded toward s = 0 below it, where the integrand's features sit, and
 panels of sub-oscillation width above it; at QUAD_TOL a call ends after
 one round: one J0/Y0 kernel call on every node.  _adaptive_gk hands the
 integrand its nodes in ascending order, so the log part is a leading
-slice.
+slice.  A curve of times is one _adaptive_gk run over many integrals:
+each round is one kernel call on every pending node of every time (up to
+GK_CALL_NODES nodes a call), and each time's value is bit for bit the one
+its scalar call gives.
 """
 
 import math
@@ -47,6 +50,12 @@ QUAD_TOL = 1e-6
 # Evaluation budget of one p_disk quadrature (one J0/Y0 kernel call per
 # round).
 MAX_EVALS = 10**6
+# Nodes per integrand call when _adaptive_gk runs many integrals at once.
+# p_disk's integrand hands the J0/Y0 kernel two elements a node, and the
+# kernel gathers 144 B of coefficients per element, so that gather stays
+# near 2.4 MB however many times a capture curve has.  Each curve of the
+# default figure grid (25 times, at most 6960 nodes) takes one call.
+GK_CALL_NODES = 2**13
 # Starting panel edges of the log part (y <= y0) at s = -LOG_PANEL_OFFSETS,
 # above s_cut.  The integrand's features sit near the top: the oscillations
 # of J0(a e^u) thin out like e^u below ln y0, and the tail's Lorentzian is
@@ -102,21 +111,32 @@ _WG[7::-2] = _WG[7::2]
 
 
 def _adaptive_gk(f, edges, tol, max_evals):
-    """Adaptive Gauss-Kronrod integration of f from edges[0] to edges[-1].
+    """Adaptive Gauss-Kronrod integration over one interval or many.
 
-    ``edges`` are the ascending starting panel edges, as an array; ``f``
-    takes an ascending array of nodes and returns the integrand there, and
-    each round calls it once, on every pending panel.  Until the summed
-    |GK15 - G7| error drops below tol, each round keeps every panel whose
-    error is within its share tol (hi - lo) / (edges[-1] - edges[0]) and
-    halves the rest (a NaN error is never kept); halves of ascending
-    panels stay ascending.
+    ``edges`` are the ascending starting panel edges of one integral, as an
+    array, or a list of such arrays, one per integral.  For one integral
+    ``f`` takes an ascending array of nodes and returns the integrand
+    there; for many it takes (nodes, owner), the nodes of each integral in
+    turn (ascending within it) and the index of each node's integral.  Each
+    round calls f on every pending panel of every pending integral, in
+    calls of at most GK_CALL_NODES nodes (an integral with more takes a
+    call of its own).
 
-    Returns (integral, error_estimate, evaluations); the evaluations must
-    not exceed max_evals.
+    Each integral runs as it would alone: until its summed |GK15 - G7|
+    error drops below tol, each round keeps every panel whose error is
+    within its share tol (hi - lo) / (edges[-1] - edges[0]) and halves the
+    rest (a NaN error is never kept); halves of ascending panels stay
+    ascending.  Its evaluations must not exceed max_evals.
+
+    Returns (integral, error_estimate, evaluations) for one integral, and
+    for many (integrals, error_estimates, evaluations): a list of each
+    integral's value, a list of its error estimate and the evaluations of
+    all of them.
     """
+    if isinstance(edges, list):
+        return _adaptive_gk_many(f, edges, tol, max_evals)
     lo, hi = edges[:-1], edges[1:]  # the pending panels, ascending
-    values, errors = [], []  # of the kept panels; fsum is exact, so their order does not matter
+    kept = [], []
     evals = 0
     while True:
         half = 0.5 * (hi - lo)
@@ -126,18 +146,82 @@ def _adaptive_gk(f, edges, tol, max_evals):
             raise ConvergenceError(f"quadrature exceeded {max_evals} evaluations on [{edges[0]:g}, {edges[-1]:g}]")
         fv = f(x.ravel()).reshape(x.shape)
         i15 = (fv * _WGK).sum(axis=1) * half
-        err = np.abs(i15 - (fv * _WG).sum(axis=1) * half)
-        total_err = math.fsum([*errors, *err.tolist()])
-        if total_err <= tol:
-            return math.fsum([*values, *i15.tolist()]), total_err, evals
-        keep = err <= tol * (hi - lo) / (edges[-1] - edges[0])
-        values += i15[keep].tolist()
-        errors += err[keep].tolist()
-        if keep.all():  # the shares sum to tol only up to rounding
-            return math.fsum(values), total_err, evals
-        lo, hi = lo[~keep], hi[~keep]
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+        total_err, value, halves = _settle(i15, np.abs(i15 - (fv * _WG).sum(axis=1) * half), lo, hi, kept, tol, edges)
+        if halves is None:
+            return value, total_err, evals
+        lo, hi = halves
+
+
+def _settle(i15, err, lo, hi, kept, tol, edges):
+    """One integral's decision after a round: its panels lo..hi, with GK15
+    values i15 and errors err, and ``kept``, the lists of values and errors
+    of its kept panels (fsum is exact, so their order does not matter).
+
+    Returns (total error, integral, None) once it is done, else (total
+    error, None, the halves (lo, hi) of the panels it did not keep).
+    """
+    values, errors = kept
+    total_err = math.fsum([*errors, *err.tolist()])
+    if total_err <= tol:
+        return total_err, math.fsum([*values, *i15.tolist()]), None
+    keep = err <= tol * (hi - lo) / (edges[-1] - edges[0])
+    values += i15[keep].tolist()
+    errors += err[keep].tolist()
+    if keep.all():  # the shares sum to tol only up to rounding
+        return total_err, math.fsum(values), None
+    lo, hi = lo[~keep], hi[~keep]
+    mid = 0.5 * (lo + hi)
+    return total_err, None, (np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel())
+
+
+def _adaptive_gk_many(f, edges, tol, max_evals):
+    """_adaptive_gk over a list of integrals, each run as it would run
+    alone: the same panels, sums and decisions, in shared rounds.  (One
+    integral keeps the loop above: run through this one, the 1305 scalar
+    p_disk calls of criterion 3 took 3 to 10% longer.)"""
+    pending = [(k, e[:-1], e[1:]) for k, e in enumerate(edges)]  # (integral, lo, hi), panels ascending
+    kept = [([], []) for _ in edges]
+    evals = [0] * len(edges)
+    done = [None] * len(edges)
+    while pending:
+        later = []
+        for batch in _batches(pending):
+            lo, hi = np.concatenate([l for _, l, _ in batch]), np.concatenate([h for _, _, h in batch])
+            half = 0.5 * (hi - lo)
+            x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
+            for k, l, _ in batch:
+                evals[k] += 15 * l.size
+                if evals[k] > max_evals:
+                    raise ConvergenceError(
+                        f"quadrature exceeded {max_evals} evaluations on [{edges[k][0]:g}, {edges[k][-1]:g}]")
+            owner = np.repeat([k for k, _, _ in batch], [15 * l.size for _, l, _ in batch])
+            fv = f(x.ravel(), owner).reshape(x.shape)
+            i15 = (fv * _WGK).sum(axis=1) * half
+            err = np.abs(i15 - (fv * _WG).sum(axis=1) * half)
+            stop = 0
+            for k, l, h in batch:
+                start, stop = stop, stop + l.size
+                total_err, value, halves = _settle(i15[start:stop], err[start:stop], l, h, kept[k], tol, edges[k])
+                if halves is None:
+                    done[k] = value, total_err
+                else:
+                    later.append((k, *halves))
+        pending = later
+    return [v for v, _ in done], [e for _, e in done], sum(evals)
+
+
+def _batches(pending):
+    """The pending (integral, lo, hi) of a round in consecutive groups of at
+    most GK_CALL_NODES nodes, or of one integral that has more."""
+    batch, size = [], 0
+    for item in pending:
+        nodes = 15 * item[1].size
+        if batch and size + nodes > GK_CALL_NODES:
+            yield batch
+            batch, size = [], 0
+        batch.append(item)
+        size += nodes
+    yield batch
 
 
 def f_disk(r, r_T, tau):
@@ -166,9 +250,9 @@ def f_disk(r, r_T, tau):
     return min(1.0, damp * float(s[0]) / float(s[1]))
 
 
-def _p_disk_raw(r, r_T, t):
-    """p_disk before clamping; excursions outside [0, 1] stay within the
-    quadrature tolerance."""
+def _plan(r, r_T, t):
+    """p_disk's raw value at t where a shortcut gives it, as a float;
+    otherwise its quadrature: (y0, starting panel edges in s, exact tail)."""
     if r == r_T:
         return 1.0
     if t == 0.0:
@@ -180,31 +264,11 @@ def _p_disk_raw(r, r_T, t):
         # second test still holds where gap^2 and 4t both overflow)
         return 0.0
 
-    a = r / r_T
-    inv_2rt2 = 1.0 / (2.0 * r_T * r_T)
     y0 = min(1.0, r_T / math.sqrt(t))
     y_max = r_T * math.sqrt(32.0 * math.log(10.0) / t)  # damping < 1e-16 beyond
     log_y0 = math.log(y0)
     u_cut = min(-60.0, log_y0 - 20.0)
     n0 = max(4, min(2000, math.ceil((y_max - y0) / (math.pi * r_T / r))))
-
-    def integrand(s):
-        # y = y0 e^s below s = 0 (so dy/y = ds), y0 (1 + s) above (dy/y = y0 ds/y);
-        # the s are ascending, so the log part is the first n_log; one kernel
-        # call on the buffer [y | a*y]
-        n, n_log = s.size, s.searchsorted(0.0)
-        buf = np.empty(2 * n)
-        y = buf[:n]
-        np.exp(s[:n_log], out=y[:n_log])
-        np.add(s[n_log:], 1.0, out=y[n_log:])
-        y *= y0
-        np.multiply(y, a, out=buf[n:])
-        jv, yv = bessel_j0_y0(buf)
-        j, ja, yy, ya = jv[:n], jv[n:], yv[:n], yv[n:]
-        nd = (ja * yy - j * ya) / (j * j + yy * yy)
-        nd *= np.exp(-t * y * y * inv_2rt2)
-        nd[n_log:] *= y0 / y[n_log:]
-        return nd
 
     # s_cut, the n_top log panel edges s = -LOG_PANEL_OFFSETS above it
     # (ending at s = -0.0), then n0 equal panels up to y_max, spaced as
@@ -217,15 +281,73 @@ def _p_disk_raw(r, r_T, t):
     np.negative(LOG_PANEL_OFFSETS[n_top - 1::-1], out=edges[1:n_top + 1])
     np.multiply(np.arange(1, n0 + 1), stop / n0, out=edges[n_top + 1:])
     edges[-1] = stop
-    integral, _, _ = _adaptive_gk(integrand, edges, QUAD_TOL, MAX_EVALS)
 
-    # Exact tail over u < u_cut: with v = u + gamma - ln 2 the integrand is
-    # -(pi/2) ln(a) / (v^2 + pi^2/4) up to terms of order e^(2 u_cut) <= e^-120,
-    # and its integral over v < -lam is -ln(a) atan(pi / (2 lam)).
+    # Exact tail over u < u_cut: with v = u + gamma - ln 2 and a = r/r_T the
+    # integrand is -(pi/2) ln(a) / (v^2 + pi^2/4) up to terms of order
+    # e^(2 u_cut) <= e^-120, and its integral over v < -lam is
+    # -ln(a) atan(pi / (2 lam)).
     lam = abs(u_cut + GAMMA - math.log(2.0))
-    tail = -math.log(a) * math.atan(math.pi / (2.0 * lam))
+    tail = -math.log(r / r_T) * math.atan(math.pi / (2.0 * lam))
+    return y0, edges, tail
 
+
+def _integrand(s, a, inv_2rt2, t, y0):
+    """p_disk's integrand at the nodes s, for r/r_T = a.  t and y0 are
+    floats, with s ascending so that the log part is a leading slice, or
+    arrays with one entry per node.
+
+    y = y0 e^s below s = 0 (so dy/y = ds), y0 (1 + s) above (dy/y = y0
+    ds/y); one kernel call on the buffer [y | a*y].
+    """
+    n, one = s.size, isinstance(y0, float)
+    buf = np.empty(2 * n)
+    y = buf[:n]
+    if one:
+        n_log = s.searchsorted(0.0)
+        np.exp(s[:n_log], out=y[:n_log])
+        np.add(s[n_log:], 1.0, out=y[n_log:])
+    else:
+        lin = s >= 0.0
+        y[:] = np.where(lin, s + 1.0, np.exp(np.minimum(s, 0.0)))
+    y *= y0
+    np.multiply(y, a, out=buf[n:])
+    jv, yv = bessel_j0_y0(buf)
+    j, ja, yy, ya = jv[:n], jv[n:], yv[:n], yv[n:]
+    nd = (ja * yy - j * ya) / (j * j + yy * yy)
+    nd *= np.exp(-t * y * y * inv_2rt2)
+    if one:
+        nd[n_log:] *= y0 / y[n_log:]
+    else:
+        nd *= np.where(lin, y0 / y, 1.0)
+    return nd
+
+
+def _p_disk_raw(r, r_T, t):
+    """p_disk before clamping; excursions outside [0, 1] stay within the
+    quadrature tolerance."""
+    plan = _plan(r, r_T, t)
+    if isinstance(plan, float):
+        return plan
+    y0, edges, tail = plan
+    a, inv_2rt2 = r / r_T, 1.0 / (2.0 * r_T * r_T)
+    integral, _, _ = _adaptive_gk(lambda s: _integrand(s, a, inv_2rt2, t, y0), edges, QUAD_TOL, MAX_EVALS)
     return 1.0 + (2.0 / math.pi) * (integral + tail)
+
+
+def _p_disk_curve(r, r_T, times):
+    """_p_disk_raw at each of the float times, as a list; every time that
+    integrates is one integral of a single _adaptive_gk call."""
+    out = [_plan(r, r_T, t) for t in times]
+    todo = [i for i, plan in enumerate(out) if not isinstance(plan, float)]
+    if todo:
+        y0s, edges, tails = zip(*[out[i] for i in todo])
+        t, y0 = np.array([times[i] for i in todo], dtype=float), np.array(y0s)
+        a, inv_2rt2 = r / r_T, 1.0 / (2.0 * r_T * r_T)
+        integrals, _, _ = _adaptive_gk(
+            lambda s, owner: _integrand(s, a, inv_2rt2, t[owner], y0[owner]), list(edges), QUAD_TOL, MAX_EVALS)
+        for i, integral, tail in zip(todo, integrals, tails):
+            out[i] = 1.0 + (2.0 / math.pi) * (integral + tail)
+    return out
 
 
 def _check_disk(r, r_T, t):
@@ -238,21 +360,39 @@ def _check_disk(r, r_T, t):
         raise DomainError(f"release radius {r!r} inside the disk of radius {r_T!r}")
 
 
-def p_disk(r, r_T, t):
-    """Probability that Brownian motion from distance r hits the disk of
-    radius r_T by time t, clamped to [0, 1].
-
-    Raises DomainError for a non-finite argument, r < r_T, t < 0 or an r_T
-    so small that r/r_T or 1/(2 r_T^2) overflows, and ConvergenceError if the
-    adaptive quadrature exceeds its evaluation budget.
-    """
+def _check_p_disk(r, r_T, t):
+    """p_disk's rules for one time t."""
     _check_disk(r, r_T, t)
     if t < 0.0:
         raise DomainError(f"time must be >= 0, got {t!r}")
     two_rt2 = 2.0 * r_T * r_T
     if not (math.isfinite(r / r_T) and two_rt2 > 0.0 and math.isfinite(1.0 / two_rt2)):
         raise DomainError(f"disk radius r_T={r_T!r} too small: r/r_T or 1/(2 r_T^2) overflows (r={r!r})")
-    return min(1.0, max(0.0, _p_disk_raw(r, r_T, t)))
+
+
+def p_disk(r, r_T, t):
+    """Probability that Brownian motion from distance r hits the disk of
+    radius r_T by time t, clamped to [0, 1].
+
+    ``t`` may also be a list, tuple or 1-d array of times: the whole curve
+    is integrated in one pass and returned as a float array of the same
+    length, each entry equal to its scalar call bit for bit.  Every time is
+    checked, with the scalar call's rules, before the quadrature starts.
+
+    Raises DomainError for a non-finite argument, r < r_T, t < 0 or an r_T
+    so small that r/r_T or 1/(2 r_T^2) overflows, and ConvergenceError if the
+    adaptive quadrature exceeds its evaluation budget.
+    """
+    if isinstance(t, np.ndarray) and t.ndim > 0:
+        times = t.tolist()
+    elif isinstance(t, (list, tuple)):
+        times = list(t)
+    else:
+        _check_p_disk(r, r_T, t)
+        return min(1.0, max(0.0, _p_disk_raw(r, r_T, t)))
+    for ti in times:  # an entry that is itself a list (t of 2 or more dimensions) is not a finite real
+        _check_p_disk(r, r_T, ti)
+    return np.array([min(1.0, max(0.0, v)) for v in _p_disk_curve(r, r_T, times)], dtype=float)
 
 
 def hunt_approx(r, r_T, t, variant="raw"):

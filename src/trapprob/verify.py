@@ -153,13 +153,14 @@ def _capture_table(trap, radii, times, n, seed):
     """Captured fraction, its Wilson band (ci_lo, ci_hi) and the disk
     surrogate p_disk(r, r_T, t), each a radius x time array on the checked
     grid ``times`` (walks are capped at its last point).
-    The disk column comes first, so p_disk's rules refuse a bad radius or
-    time before any walk.  All radii are walked in one release_and_sample
-    call, so the trajectories of radius k have indices k*n on.
+    The disk column comes first, one p_disk curve per radius, so p_disk's
+    rules refuse a bad radius or time before any walk.  All radii are
+    walked in one release_and_sample call, so the trajectories of radius k
+    have indices k*n on.
     """
     require_count(len(radii), "number of release radii")
     n = require_count(n, "trajectory count")
-    pd = np.array([[p_disk(r, trap.r_T, t) for t in times.tolist()] for r in radii])
+    pd = np.array([p_disk(r, trap.r_T, times) for r in radii])
     records = release_and_sample(trap, radii, n, float(times[-1]), seed)
     prop, lo, hi = np.empty((3, len(radii), times.size))
     for k in range(len(radii)):
@@ -190,28 +191,41 @@ def check_theorem1(trap, r, tau, n, seed):
     for the disk of the segment's conformal radius.  Requires tau >
     (e/2) d^2 and r >= r0 (HypothesisError otherwise) and a finite real
     r and tau (DomainError).
+
+    ``r`` may also be a list, tuple or 1-d array of radii.  The walk does
+    not depend on r, so one walk serves them all; every radius is checked
+    before it, and the reports come back as a list, each equal to its
+    single-radius call bit for bit.
     """
     _check_trap(trap)
-    require_finite(r=r, tau=tau)
+    many = isinstance(r, (list, tuple)) or isinstance(r, np.ndarray) and r.ndim > 0
+    radii = list(r) if many else [r]
+    require_count(len(radii), "number of release radii")
+    for radius in radii:
+        require_finite(r=radius)
+    require_finite(tau=tau)
     n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
     if not tau > 0.5 * math.e * d2:
         raise HypothesisError(
             f"tau={tau:g} does not exceed (e/2) d^2 = {0.5 * math.e * d2:g}"
         )
-    if r < trap.r0:
-        raise HypothesisError(f"release radius {r:g} is below r0 = {trap.r0:g}")
-    fd = f_disk(r, trap.r_T, tau)
-    rhs = 2.9 * d2 / tau * fd
+    for radius in radii:
+        if radius < trap.r0:
+            raise HypothesisError(f"release radius {radius:g} is below r0 = {trap.r0:g}")
+    fds = [f_disk(radius, trap.r_T, tau) for radius in radii]
     records = release_and_sample(trap, trap.r0, n, TMAX_OVER_TAU * tau, seed)
     mid, slack = _abelian_bracket(records, tau)
-    transfer = f_disk(r, trap.r0, tau)
-    return _report(
-        f"theorem1[segment r={r:g} released at r0={trap.r0:g} tau={tau:g} n={n}]",
-        abs(transfer * mid - fd),
-        rhs,
-        transfer * slack,
-    )
+    reports = []
+    for radius, fd in zip(radii, fds):
+        transfer = f_disk(radius, trap.r0, tau)
+        reports.append(_report(
+            f"theorem1[segment r={radius:g} released at r0={trap.r0:g} tau={tau:g} n={n}]",
+            abs(transfer * mid - fd),
+            2.9 * d2 / tau * fd,
+            transfer * slack,
+        ))
+    return reports if many else reports[0]
 
 
 def check_theorem2(trap, z, tau, n, seed):

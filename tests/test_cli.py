@@ -8,6 +8,7 @@ same way a shell would see it.
 import hashlib
 import json
 import math
+import platform
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -194,6 +195,21 @@ def test_bessel_csv_and_sidecar_manifest(tmp_path):
     assert manifest["command"] == "bessel"
     assert manifest["parameters"]["points"] == 2
     assert manifest["tool_version"]
+
+
+def test_manifest_records_the_environment(tmp_path):
+    # the bit pins hold on one numpy dispatch target, so a manifest names
+    # the Python and numpy versions and the float64 target of each ufunc
+    # the kernels and the sampler call
+    out = tmp_path / "bessel.csv"
+    assert main(["bessel", "--points", "1", "--max-m", "0", "--out", str(out)]) == 0
+    env = json.loads((tmp_path / "bessel.csv.manifest.json").read_text())["environment"]
+    assert set(env) == {"python", "numpy", "numpy_float64_dispatch"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    dispatch = env["numpy_float64_dispatch"]
+    assert set(dispatch) == {"log", "exp", "sinh", "tan", "cos", "sin", "sqrt"}
+    assert all(isinstance(target, str) and target for target in dispatch.values())
 
 
 def test_bessel_zero_points_writes_the_header_only(tmp_path, capsys):
@@ -579,7 +595,7 @@ PINNED_COMMANDS = [
 ]
 
 # sha256 of every file the commands above write, and of what they print.  Manifests are hashed
-# without their timestamps and output paths (see _pinned_bytes), so this
+# without their timestamps, environment and output paths (see _pinned_bytes), so this
 # also pins each subcommand's parsed defaults.
 # disk.csv, figure1/2.csv and conjecture.csv were retaken when p_disk's
 # tail became exact: each p_disk value fell by 1.56e-9 ln(r/r_T), which
@@ -632,7 +648,8 @@ def _pinned_bytes(path):
     data = path.read_bytes()
     if path.name.endswith("manifest.json"):
         manifest = json.loads(data)
-        del manifest["started"], manifest["finished"]
+        # the timestamps and the machine's environment are not pinned
+        del manifest["started"], manifest["finished"], manifest["environment"]
         for key in ("out", "out_dir"):
             manifest["parameters"].pop(key, None)
         data = json.dumps(manifest, indent=2, sort_keys=True).encode()

@@ -225,10 +225,10 @@ _S_NODES = np.append(
 )
 # the (r, t) of every p_disk call of criterion 3 (1305) and of figure_series
 # at its default radii and times (100)
-CRITERION_3_GRID = [
-    (rr * R_T, tt * R_T * R_T * sv) for rr in (2.0, 10.0, 50.0) for tt in (1.0, 10.0, 100.0) for sv in _S_NODES.tolist()
-]
-FIGURE_GRID = [(r, t) for r in (1.0, 5.0, 25.0, 125.0) for t in np.logspace(-1.0, 5.0, 25).tolist()]
+CRITERION_3_CURVES = [(rr * R_T, tt * R_T * R_T * _S_NODES) for rr in (2.0, 10.0, 50.0) for tt in (1.0, 10.0, 100.0)]
+CRITERION_3_GRID = [(r, t) for r, times in CRITERION_3_CURVES for t in times.tolist()]
+FIGURE_TIMES = np.logspace(-1.0, 5.0, 25)
+FIGURE_GRID = [(r, t) for r in (1.0, 5.0, 25.0, 125.0) for t in FIGURE_TIMES.tolist()]
 
 
 # p_disk(r, 0.5, tau * s) at the nine (r, tau) pairs of acceptance
@@ -312,9 +312,9 @@ def quadrature_rounds(monkeypatch):
         return kernel(x)
 
     def counting_driver(f, *args):
-        def counted(nodes):
+        def counted(nodes, *owner):  # a curve's integrand also takes each node's integral
             rounds.append(np.size(nodes))
-            return f(nodes)
+            return f(nodes, *owner)
 
         return driver(counted, *args)
 
@@ -345,6 +345,129 @@ def test_p_disk_calls_the_module_bindings(quadrature_rounds):
     p_disk(5.0, R_T, 2.0)
     assert len(rounds) == 1
     assert kernel_sizes == [2 * rounds[0]]
+
+
+def test_p_disk_figure_curve_is_one_kernel_call(quadrature_rounds):
+    # each radius of the default figure grid: one round, one kernel call
+    # under GK_CALL_NODES, and the nodes of its 83 integrating calls; the
+    # curve too calls the module bindings the benchmark's tracer rebinds
+    kernel_sizes, rounds = quadrature_rounds
+    for r in (1.0, 5.0, 25.0, 125.0):
+        p_disk(r, R_T, FIGURE_TIMES)
+    assert len(rounds) == 4 and max(rounds) <= disk_oracle.GK_CALL_NODES
+    assert sum(rounds) == 22455
+    assert kernel_sizes == [2 * n for n in rounds]
+
+
+# curves with each shortcut: t = 0, r = r_T and the free-diffusion zeros
+SHORTCUT_CURVES = [
+    (R_T, np.array([0.0, 0.1, 1e3])),
+    (5.0, np.array([0.0, 1e-3, 2.0, 0.0, 1e5])),
+    (125.0, np.array([1e-3, 1.0, 1e4, 0.0])),
+]
+
+
+def test_p_disk_curve_equals_its_scalar_calls():
+    curves = CRITERION_3_CURVES + [(r, FIGURE_TIMES) for r in (1.0, 5.0, 25.0, 125.0)] + SHORTCUT_CURVES
+    for r, times in curves:
+        got = p_disk(r, R_T, times)
+        assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == times.shape
+        assert got.tolist() == [p_disk(r, R_T, t) for t in times.tolist()], r
+
+
+def test_p_disk_curve_forms(quadrature_rounds):
+    kernel_sizes, _ = quadrature_rounds
+    assert p_disk(5.0, R_T, []).shape == (0,)
+    assert p_disk(R_T, R_T, (1.0, 2.0)).tolist() == [1.0, 1.0]
+    assert kernel_sizes == []  # nothing to integrate, no kernel call
+    assert p_disk(5.0, R_T, (2.0, 3.0)).tolist() == [p_disk(5.0, R_T, 2.0), p_disk(5.0, R_T, 3.0)]
+    assert isinstance(p_disk(5.0, R_T, 2.0), float)
+    assert isinstance(p_disk(5.0, R_T, np.float64(2.0)), float)
+
+
+def test_p_disk_curve_one_kernel_call_per_round(monkeypatch, quadrature_rounds):
+    # test_p_disk_one_kernel_call_per_round's three cases, each in a curve
+    # with the other cases' times: round k of the curve is one kernel call
+    # on the nodes of round k of every time still pending
+    monkeypatch.setattr(disk_oracle, "QUAD_TOL", 1e-12)
+    kernel_sizes, rounds = quadrature_rounds
+    times = [0.3, 0.1, 3.0]
+    for r in (1.0, 5.0, 25.0):
+        alone = []
+        for t in times:
+            rounds.clear()
+            p_disk(r, R_T, t)
+            alone.append(list(rounds))
+        kernel_sizes.clear()
+        rounds.clear()
+        p_disk(r, R_T, times)
+        assert len(rounds) == max(map(len, alone)) >= 2
+        assert rounds == [sum(sizes[k] for sizes in alone if k < len(sizes)) for k in range(len(rounds))]
+        assert kernel_sizes == [2 * n for n in rounds]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, "1", 1j])
+def test_p_disk_curve_refuses_a_bad_time_before_any_kernel_call(quadrature_rounds, bad):
+    kernel_sizes, rounds = quadrature_rounds
+    with pytest.raises(DomainError) as scalar:
+        p_disk(5.0, R_T, bad)
+    for times in ([bad, 1.0, 2.0], [1.0, bad, 2.0], [1.0, 2.0, bad]):
+        with pytest.raises(DomainError) as curve:
+            p_disk(5.0, R_T, times)
+        assert str(curve.value) == str(scalar.value)
+    assert kernel_sizes == [] and rounds == []
+
+
+def _many_integrands(fs):
+    """One integrand over many integrals: fs[k] at the nodes of integral k."""
+    def f(x, owner):
+        out = np.empty_like(x)
+        for k, fk in enumerate(fs):
+            mine = owner == k
+            out[mine] = fk(x[mine])
+        return out
+
+    return f
+
+
+# ADAPTIVE_GK_EXACT's integrals and e^x on [0, 1]
+MANY = [(f, edges) for f, edges, _, _ in ADAPTIVE_GK_EXACT] + [(np.exp, np.linspace(0.0, 1.0, 2))]
+
+
+def test_adaptive_gk_many_integrals_match_each_alone():
+    alone = [_adaptive_gk(f, edges, 1e-9, 10**6) for f, edges in MANY]
+    values, errors, evals = _adaptive_gk(_many_integrands([f for f, _ in MANY]), [e for _, e in MANY], 1e-9, 10**6)
+    assert values == [v for v, _, _ in alone]
+    assert errors == [e for _, e, _ in alone]
+    assert isinstance(evals, int) and evals == sum(n for _, _, n in alone) == 150435 + 3780 + 15
+
+
+def test_adaptive_gk_budget_applies_per_integral():
+    # sqrt|sin 50x| takes 150435 evaluations alone: that budget suffices
+    # for all three, though their sum exceeds it, and one less fails on its
+    # interval
+    f, edges = _many_integrands([f for f, _ in MANY]), [e for _, e in MANY]
+    assert _adaptive_gk(f, edges, 1e-9, 150435)[2] == 150435 + 3780 + 15
+    with pytest.raises(ConvergenceError, match=r"exceeded 150434 evaluations on \[0, 10\]"):
+        _adaptive_gk(f, edges, 1e-9, 150434)
+
+
+def test_adaptive_gk_many_caps_the_nodes_per_call(monkeypatch):
+    # a round runs its pending integrals in calls of at most GK_CALL_NODES
+    # nodes; an integral with more takes a call of its own.  The values do
+    # not change.
+    monkeypatch.setattr(disk_oracle, "GK_CALL_NODES", 150)
+    edges = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5), np.linspace(0.0, 3.0, 13), np.linspace(1.0, 2.0, 2)]
+    calls = []
+
+    def f(x, owner):
+        calls.append(np.unique(owner).tolist())
+        return np.cos(3.0 * x)
+
+    values, _, _ = _adaptive_gk(f, edges, 1e-9, 10**6)
+    # 60, 60, 180 and 15 nodes: (0, 1), then 2 alone, then 3
+    assert calls == [[0, 1], [2], [3]]
+    assert values == [_adaptive_gk(lambda x: np.cos(3.0 * x), e, 1e-9, 10**6)[0] for e in edges]
 
 
 def test_adaptive_gk_counts_every_node_it_passes():

@@ -29,12 +29,10 @@ s < 0 (plus an exact tail below u = ln y <= -60) and y = y0 (1 + s) for
 s >= 0.  One adaptive Gauss-Kronrod integral covers both, from panels
 graded toward s = 0 below it, where the integrand's features sit, and
 panels of sub-oscillation width above it; at QUAD_TOL a call ends after
-one round: one J0/Y0 kernel call on every node.  _adaptive_gk hands the
-integrand its nodes in ascending order, so the log part is a leading
-slice.  A curve of times is one _adaptive_gk run over many integrals:
-each round is one kernel call on every pending node of every time (up to
-GK_CALL_NODES nodes a call), and each time's value is bit for bit the one
-its scalar call gives.
+one round: one J0/Y0 kernel call on every node.  A curve of times is one
+_adaptive_gk run over many integrals: each round is one kernel call on
+every pending node of every time (up to GK_CALL_NODES nodes a call), and
+each time's value is bit for bit the one its scalar call gives.
 """
 
 import math
@@ -50,7 +48,8 @@ QUAD_TOL = 1e-6
 # Evaluation budget of one p_disk quadrature (one J0/Y0 kernel call per
 # round).
 MAX_EVALS = 10**6
-# Nodes per integrand call when _adaptive_gk runs many integrals at once.
+# Nodes per integrand call when _adaptive_gk runs many integrals at once
+# (a single integral with more takes a call of its own).
 # p_disk's integrand hands the J0/Y0 kernel two elements a node, and the
 # kernel gathers 144 B of coefficients per element, so that gather stays
 # near 2.4 MB however many times a capture curve has.  Each curve of the
@@ -111,45 +110,83 @@ _WG[7::-2] = _WG[7::2]
 
 
 def _adaptive_gk(f, edges, tol, max_evals):
-    """Adaptive Gauss-Kronrod integration over one interval or many.
+    """Adaptive Gauss-Kronrod integration of one or more integrals in shared
+    rounds.
 
-    ``edges`` are the ascending starting panel edges of one integral, as an
-    array, or a list of such arrays, one per integral.  For one integral
-    ``f`` takes an ascending array of nodes and returns the integrand
-    there; for many it takes (nodes, owner), the nodes of each integral in
-    turn (ascending within it) and the index of each node's integral.  Each
-    round calls f on every pending panel of every pending integral, in
-    calls of at most GK_CALL_NODES nodes (an integral with more takes a
-    call of its own).
+    ``edges`` is a list of the ascending starting panel edges of each
+    integral, one array per integral.  ``f`` takes (nodes, owner): the
+    nodes of each pending integral in turn (ascending within it) and the
+    index of each node's integral, an array, or the int 0 where there is
+    one integral.  Each round calls f on every pending panel of every
+    pending integral, in calls of at most GK_CALL_NODES nodes (an integral
+    with more takes a call of its own).
 
     Each integral runs as it would alone: until its summed |GK15 - G7|
     error drops below tol, each round keeps every panel whose error is
     within its share tol (hi - lo) / (edges[-1] - edges[0]) and halves the
     rest (a NaN error is never kept); halves of ascending panels stay
-    ascending.  Its evaluations must not exceed max_evals.
+    ascending.  Its evaluations must not exceed max_evals.  fsum is exact,
+    so its value does not depend on the integrals it shares rounds with.
 
-    Returns (integral, error_estimate, evaluations) for one integral, and
-    for many (integrals, error_estimates, evaluations): a list of each
+    Returns (integrals, error_estimates, evaluations): a list of each
     integral's value, a list of its error estimate and the evaluations of
     all of them.
     """
-    if isinstance(edges, list):
-        return _adaptive_gk_many(f, edges, tol, max_evals)
-    lo, hi = edges[:-1], edges[1:]  # the pending panels, ascending
+    if len(edges) == 1:
+        return _adaptive_gk_one(f, edges[0], tol, max_evals)
+    pending = [(k, e[:-1], e[1:]) for k, e in enumerate(edges)]  # (integral, lo, hi), panels ascending
+    kept = [([], []) for _ in edges]
+    evals = [0] * len(edges)
+    done = [None] * len(edges)
+    while pending:
+        later = []
+        for batch in _batches(pending):
+            lo, hi = np.concatenate([l for _, l, _ in batch]), np.concatenate([h for _, _, h in batch])
+            half = 0.5 * (hi - lo)
+            x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
+            for k, l, _ in batch:
+                evals[k] += 15 * l.size
+                _check_budget(evals[k], max_evals, edges[k])
+            owner = np.repeat([k for k, _, _ in batch], [15 * l.size for _, l, _ in batch])
+            fv = f(x.ravel(), owner).reshape(x.shape)
+            i15 = (fv * _WGK).sum(axis=1) * half
+            err = np.abs(i15 - (fv * _WG).sum(axis=1) * half)
+            stop = 0
+            for k, l, h in batch:
+                start, stop = stop, stop + l.size
+                total_err, value, halves = _settle(i15[start:stop], err[start:stop], l, h, kept[k], tol, edges[k])
+                if halves is None:
+                    done[k] = value, total_err
+                else:
+                    later.append((k, *halves))
+        pending = later
+    return [v for v, _ in done], [e for _, e in done], sum(evals)
+
+
+def _adaptive_gk_one(f, edges, tol, max_evals):
+    """_adaptive_gk on one integral, without the bookkeeping of shared
+    rounds: through that bookkeeping the 1305 scalar p_disk calls of
+    acceptance criterion 3 took 12% longer."""
+    lo, hi = edges[:-1], edges[1:]
     kept = [], []
     evals = 0
     while True:
         half = 0.5 * (hi - lo)
         x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
         evals += x.size
-        if evals > max_evals:
-            raise ConvergenceError(f"quadrature exceeded {max_evals} evaluations on [{edges[0]:g}, {edges[-1]:g}]")
-        fv = f(x.ravel()).reshape(x.shape)
+        _check_budget(evals, max_evals, edges)
+        fv = f(x.ravel(), 0).reshape(x.shape)
         i15 = (fv * _WGK).sum(axis=1) * half
         total_err, value, halves = _settle(i15, np.abs(i15 - (fv * _WG).sum(axis=1) * half), lo, hi, kept, tol, edges)
         if halves is None:
-            return value, total_err, evals
+            return [value], [total_err], evals
         lo, hi = halves
+
+
+def _check_budget(evals, max_evals, edges):
+    """ConvergenceError once an integral's evaluations pass max_evals."""
+    if evals > max_evals:
+        raise ConvergenceError(f"quadrature exceeded {max_evals} evaluations on [{edges[0]:g}, {edges[-1]:g}]")
 
 
 def _settle(i15, err, lo, hi, kept, tol, edges):
@@ -172,42 +209,6 @@ def _settle(i15, err, lo, hi, kept, tol, edges):
     lo, hi = lo[~keep], hi[~keep]
     mid = 0.5 * (lo + hi)
     return total_err, None, (np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel())
-
-
-def _adaptive_gk_many(f, edges, tol, max_evals):
-    """_adaptive_gk over a list of integrals, each run as it would run
-    alone: the same panels, sums and decisions, in shared rounds.  (One
-    integral keeps the loop above: run through this one, the 1305 scalar
-    p_disk calls of criterion 3 took 3 to 10% longer.)"""
-    pending = [(k, e[:-1], e[1:]) for k, e in enumerate(edges)]  # (integral, lo, hi), panels ascending
-    kept = [([], []) for _ in edges]
-    evals = [0] * len(edges)
-    done = [None] * len(edges)
-    while pending:
-        later = []
-        for batch in _batches(pending):
-            lo, hi = np.concatenate([l for _, l, _ in batch]), np.concatenate([h for _, _, h in batch])
-            half = 0.5 * (hi - lo)
-            x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
-            for k, l, _ in batch:
-                evals[k] += 15 * l.size
-                if evals[k] > max_evals:
-                    raise ConvergenceError(
-                        f"quadrature exceeded {max_evals} evaluations on [{edges[k][0]:g}, {edges[k][-1]:g}]")
-            owner = np.repeat([k for k, _, _ in batch], [15 * l.size for _, l, _ in batch])
-            fv = f(x.ravel(), owner).reshape(x.shape)
-            i15 = (fv * _WGK).sum(axis=1) * half
-            err = np.abs(i15 - (fv * _WG).sum(axis=1) * half)
-            stop = 0
-            for k, l, h in batch:
-                start, stop = stop, stop + l.size
-                total_err, value, halves = _settle(i15[start:stop], err[start:stop], l, h, kept[k], tol, edges[k])
-                if halves is None:
-                    done[k] = value, total_err
-                else:
-                    later.append((k, *halves))
-        pending = later
-    return [v for v, _ in done], [e for _, e in done], sum(evals)
 
 
 def _batches(pending):
@@ -292,33 +293,24 @@ def _plan(r, r_T, t):
 
 
 def _integrand(s, a, inv_2rt2, t, y0):
-    """p_disk's integrand at the nodes s, for r/r_T = a.  t and y0 are
-    floats, with s ascending so that the log part is a leading slice, or
-    arrays with one entry per node.
+    """p_disk's integrand at the nodes s, for r/r_T = a; t and y0 are
+    floats, or arrays with one entry per node.
 
-    y = y0 e^s below s = 0 (so dy/y = ds), y0 (1 + s) above (dy/y = y0
-    ds/y); one kernel call on the buffer [y | a*y].
+    y = y0 e^s below s = 0 (so dy/y = ds), y0 (1 + s) from s = 0 on (dy/y
+    = y0 ds/y); one kernel call on the buffer [y | a*y].
     """
-    n, one = s.size, isinstance(y0, float)
+    n = s.size
     buf = np.empty(2 * n)
     y = buf[:n]
-    if one:
-        n_log = s.searchsorted(0.0)
-        np.exp(s[:n_log], out=y[:n_log])
-        np.add(s[n_log:], 1.0, out=y[n_log:])
-    else:
-        lin = s >= 0.0
-        y[:] = np.where(lin, s + 1.0, np.exp(np.minimum(s, 0.0)))
+    np.exp(np.minimum(s, 0.0), out=y)
+    y += np.maximum(s, 0.0)  # e^s + 0 below s = 0, 1 + s from there on
     y *= y0
     np.multiply(y, a, out=buf[n:])
     jv, yv = bessel_j0_y0(buf)
     j, ja, yy, ya = jv[:n], jv[n:], yv[:n], yv[n:]
     nd = (ja * yy - j * ya) / (j * j + yy * yy)
     nd *= np.exp(-t * y * y * inv_2rt2)
-    if one:
-        nd[n_log:] *= y0 / y[n_log:]
-    else:
-        nd *= np.where(lin, y0 / y, 1.0)
+    nd *= np.minimum(y0 / y, 1.0)  # y0/y from s = 0 on; exactly 1 below, where y <= y0
     return nd
 
 
@@ -330,13 +322,14 @@ def _p_disk_raw(r, r_T, t):
         return plan
     y0, edges, tail = plan
     a, inv_2rt2 = r / r_T, 1.0 / (2.0 * r_T * r_T)
-    integral, _, _ = _adaptive_gk(lambda s: _integrand(s, a, inv_2rt2, t, y0), edges, QUAD_TOL, MAX_EVALS)
+    [integral], _, _ = _adaptive_gk(lambda s, _: _integrand(s, a, inv_2rt2, t, y0), [edges], QUAD_TOL, MAX_EVALS)
     return 1.0 + (2.0 / math.pi) * (integral + tail)
 
 
 def _p_disk_curve(r, r_T, times):
     """_p_disk_raw at each of the float times, as a list; every time that
-    integrates is one integral of a single _adaptive_gk call."""
+    integrates is one integral of a single _adaptive_gk call.  (Through
+    this list and array bookkeeping, a scalar call took 6 to 10% longer.)"""
     out = [_plan(r, r_T, t) for t in times]
     todo = [i for i, plan in enumerate(out) if not isinstance(plan, float)]
     if todo:
@@ -390,6 +383,7 @@ def p_disk(r, r_T, t):
     else:
         _check_p_disk(r, r_T, t)
         return min(1.0, max(0.0, _p_disk_raw(r, r_T, t)))
+    _check_p_disk(r, r_T, 0.0)  # r and r_T, also where the curve is empty
     for ti in times:  # an entry that is itself a list (t of 2 or more dimensions) is not a finite real
         _check_p_disk(r, r_T, ti)
     return np.array([min(1.0, max(0.0, v)) for v in _p_disk_curve(r, r_T, times)], dtype=float)

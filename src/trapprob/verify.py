@@ -191,18 +191,18 @@ def check_theorem1(trap, r, tau, n, seed):
     for the disk of the segment's conformal radius.  Requires tau >
     (e/2) d^2 and r >= r0 (HypothesisError otherwise) and a finite real
     r and tau (DomainError).
-
-    ``r`` may also be a list, tuple or 1-d array of radii.  The walk does
-    not depend on r, so one walk serves them all; every radius is checked
-    before it, and the reports come back as a list, each equal to its
-    single-radius call bit for bit.
     """
+    return _theorem1_reports(trap, [r], tau, n, seed)[0]
+
+
+def _theorem1_reports(trap, radii, tau, n, seed):
+    """check_theorem1 at each of the radii, as a list of reports.  The walk
+    from r0 does not depend on r, so one walk serves them all and each
+    report equals its single-radius call bit for bit; every radius is
+    checked before it."""
     _check_trap(trap)
-    many = isinstance(r, (list, tuple)) or isinstance(r, np.ndarray) and r.ndim > 0
-    radii = list(r) if many else [r]
-    require_count(len(radii), "number of release radii")
-    for radius in radii:
-        require_finite(r=radius)
+    for r in radii:
+        require_finite(r=r)
     require_finite(tau=tau)
     n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
@@ -210,22 +210,22 @@ def check_theorem1(trap, r, tau, n, seed):
         raise HypothesisError(
             f"tau={tau:g} does not exceed (e/2) d^2 = {0.5 * math.e * d2:g}"
         )
-    for radius in radii:
-        if radius < trap.r0:
-            raise HypothesisError(f"release radius {radius:g} is below r0 = {trap.r0:g}")
-    fds = [f_disk(radius, trap.r_T, tau) for radius in radii]
+    for r in radii:
+        if r < trap.r0:
+            raise HypothesisError(f"release radius {r:g} is below r0 = {trap.r0:g}")
+    fds = [f_disk(r, trap.r_T, tau) for r in radii]
     records = release_and_sample(trap, trap.r0, n, TMAX_OVER_TAU * tau, seed)
     mid, slack = _abelian_bracket(records, tau)
     reports = []
-    for radius, fd in zip(radii, fds):
-        transfer = f_disk(radius, trap.r0, tau)
+    for r, fd in zip(radii, fds):
+        transfer = f_disk(r, trap.r0, tau)
         reports.append(_report(
-            f"theorem1[segment r={radius:g} released at r0={trap.r0:g} tau={tau:g} n={n}]",
+            f"theorem1[segment r={r:g} released at r0={trap.r0:g} tau={tau:g} n={n}]",
             abs(transfer * mid - fd),
             2.9 * d2 / tau * fd,
             transfer * slack,
         ))
-    return reports if many else reports[0]
+    return reports
 
 
 def check_theorem2(trap, z, tau, n, seed):

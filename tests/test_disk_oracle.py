@@ -44,8 +44,15 @@ def test_gk_rule_exactness(deg):
         assert_allclose(g7, exact, rtol=0, atol=2e-14)
 
 
+def _gk(f, edges, tol, max_evals):
+    """_adaptive_gk on the one integral of f over edges: (value, error,
+    evaluations)."""
+    [value], [error], evals = _adaptive_gk(lambda x, owner: f(x), [edges], tol, max_evals)
+    return value, error, evals
+
+
 def test_adaptive_gk_smooth():
-    val, err, evals = _adaptive_gk(np.exp, np.linspace(0.0, 1.0, 2), 1e-12, 10**5)
+    val, err, evals = _gk(np.exp, np.linspace(0.0, 1.0, 2), 1e-12, 10**5)
     assert_allclose(val, math.e - 1.0, rtol=1e-14)
     assert err < 1e-12
     assert evals == 15
@@ -54,7 +61,7 @@ def test_adaptive_gk_smooth():
 def test_adaptive_gk_splits_hard_integrand():
     # |x|^(1/2) has a derivative singularity at 0: needs refinement
     f = lambda x: np.sqrt(np.abs(x))
-    val, err, evals = _adaptive_gk(f, np.linspace(-1.0, 1.0, 3), 1e-10, 10**6)
+    val, err, evals = _gk(f, np.linspace(-1.0, 1.0, 3), 1e-10, 10**6)
     assert_allclose(val, 4.0 / 3.0, rtol=1e-9)
     assert evals > 30
 
@@ -62,7 +69,7 @@ def test_adaptive_gk_splits_hard_integrand():
 def test_adaptive_gk_budget_error():
     f = lambda x: np.sin(1.0 / (x + 1e-3))
     with pytest.raises(ConvergenceError, match=r"exceeded 200 evaluations on \[0, 1\]"):
-        _adaptive_gk(f, np.linspace(0.0, 1.0, 17), 1e-14, 200)
+        _gk(f, np.linspace(0.0, 1.0, 17), 1e-14, 200)
 
 
 def _sqrt_abs_sin(x):
@@ -81,7 +88,7 @@ ADAPTIVE_GK_EXACT = [
 
 @pytest.mark.parametrize("f, edges, exact, count", ADAPTIVE_GK_EXACT, ids=["sqrt_abs_sin_50x", "cos_200x"])
 def test_adaptive_gk_meets_tol_on_exact_integrals(f, edges, exact, count):
-    val, err, evals = _adaptive_gk(f, edges, 1e-9, 10**6)
+    val, err, evals = _gk(f, edges, 1e-9, 10**6)
     assert abs(val - exact) <= 1e-9
     assert err <= 1e-9
     assert evals == count
@@ -97,7 +104,7 @@ def test_adaptive_gk_nan_integrand_ends_in_convergence_error():
         return np.full_like(x, np.nan)
 
     with pytest.raises(ConvergenceError):
-        _adaptive_gk(f, np.linspace(0.0, 1.0, 5), 1e-9, 10**5)
+        _gk(f, np.linspace(0.0, 1.0, 5), 1e-9, 10**5)
     assert seen == [15 * 4 * 2**k for k in range(10)]
 
 
@@ -312,9 +319,9 @@ def quadrature_rounds(monkeypatch):
         return kernel(x)
 
     def counting_driver(f, *args):
-        def counted(nodes, *owner):  # a curve's integrand also takes each node's integral
+        def counted(nodes, owner):
             rounds.append(np.size(nodes))
-            return f(nodes, *owner)
+            return f(nodes, owner)
 
         return driver(counted, *args)
 
@@ -418,6 +425,17 @@ def test_p_disk_curve_refuses_a_bad_time_before_any_kernel_call(quadrature_round
     assert kernel_sizes == [] and rounds == []
 
 
+@pytest.mark.parametrize("r, r_T", [(0.1, R_T), (math.nan, R_T), ("5", R_T), (5.0, 0.0), (5.0, 1e-300)])
+def test_p_disk_curve_checks_r_and_r_T_without_any_time(r, r_T):
+    # an empty curve still refuses a bad radius, as the scalar call does
+    with pytest.raises(DomainError) as scalar:
+        p_disk(r, r_T, 1.0)
+    for times in ([], (), np.array([])):
+        with pytest.raises(DomainError) as curve:
+            p_disk(r, r_T, times)
+        assert str(curve.value) == str(scalar.value)
+
+
 def _many_integrands(fs):
     """One integrand over many integrals: fs[k] at the nodes of integral k."""
     def f(x, owner):
@@ -435,7 +453,7 @@ MANY = [(f, edges) for f, edges, _, _ in ADAPTIVE_GK_EXACT] + [(np.exp, np.linsp
 
 
 def test_adaptive_gk_many_integrals_match_each_alone():
-    alone = [_adaptive_gk(f, edges, 1e-9, 10**6) for f, edges in MANY]
+    alone = [_gk(f, edges, 1e-9, 10**6) for f, edges in MANY]
     values, errors, evals = _adaptive_gk(_many_integrands([f for f, _ in MANY]), [e for _, e in MANY], 1e-9, 10**6)
     assert values == [v for v, _, _ in alone]
     assert errors == [e for _, e, _ in alone]
@@ -467,20 +485,20 @@ def test_adaptive_gk_many_caps_the_nodes_per_call(monkeypatch):
     values, _, _ = _adaptive_gk(f, edges, 1e-9, 10**6)
     # 60, 60, 180 and 15 nodes: (0, 1), then 2 alone, then 3
     assert calls == [[0, 1], [2], [3]]
-    assert values == [_adaptive_gk(lambda x: np.cos(3.0 * x), e, 1e-9, 10**6)[0] for e in edges]
+    assert values == [_gk(lambda x: np.cos(3.0 * x), e, 1e-9, 10**6)[0] for e in edges]
 
 
 def test_adaptive_gk_counts_every_node_it_passes():
-    # (integral, error, evaluations), the evaluations being the nodes f saw
+    # (integrals, errors, evaluations), the evaluations being the nodes f saw
     seen = []
 
     def f(x):
         seen.append(x.size)
         return np.sqrt(np.abs(x))
 
-    result = _adaptive_gk(f, np.linspace(-1.0, 1.0, 3), 1e-10, 10**6)
+    result = _adaptive_gk(lambda x, owner: f(x), [np.linspace(-1.0, 1.0, 3)], 1e-10, 10**6)
     assert len(result) == 3
-    val, err, evals = result
+    [val], [err], evals = result
     assert isinstance(val, float) and isinstance(err, float) and isinstance(evals, int)
     assert len(seen) > 1
     assert evals == sum(seen)
@@ -501,24 +519,24 @@ def test_adaptive_gk_returns_when_every_panel_is_within_its_share():
         return np.tile(pattern, x.size // 15)
 
     edges = np.linspace(0.0, 5.0, 6)
-    val, total, _ = _adaptive_gk(f, edges, math.inf, 10**6)
+    val, total, _ = _gk(f, edges, math.inf, 10**6)
     tol = float(np.nextafter(total, 0.0))
-    assert _adaptive_gk(f, edges, tol, 10**6) == (val, total, 75)
+    assert _gk(f, edges, tol, 10**6) == (val, total, 75)
     assert total > tol
     assert seen == [75, 75]
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
 def test_adaptive_gk_passes_ascending_nodes(tol):
-    # p_disk's integrand splits its nodes at s = 0 by position, so every
-    # round must pass them in ascending order, later rounds included
+    # an integral's nodes reach f in ascending order, later rounds
+    # included
     orders = []
 
     def f(x):
         orders.append(x.size > 0 and bool(np.all(np.diff(x) > 0.0)))
         return _sqrt_abs_sin(x)
 
-    _adaptive_gk(f, np.linspace(0.0, 3.0, 4), tol, 10**6)
+    _gk(f, np.linspace(0.0, 3.0, 4), tol, 10**6)
     assert len(orders) > 2
     assert all(orders)
 

@@ -75,11 +75,12 @@ NOT_REAL_CALLS = {
     "p_disk t=('1',)": lambda: p_disk(5.0, 0.5, ("1",)),
     "p_disk t=array([[1.0, 2.0]])": lambda: p_disk(5.0, 0.5, np.array([[1.0, 2.0]])),
     "p_disk t=[1.0, 1j]": lambda: p_disk(5.0, 0.5, [1.0, 1j]),
+    "p_disk r=nan t=[]": lambda: p_disk(float("nan"), 0.5, []),
+    "p_disk r='1' t=()": lambda: p_disk("1", 0.5, ()),
     "f_disk r=[1.0]": lambda: f_disk([1.0], 0.5, 1.0),
     "hunt_approx r=[1.0]": lambda: hunt_approx([1.0], 0.5, 2.0),
-    "check_theorem1 r=array([5.0, nan])": lambda: check_theorem1(SEGMENT, np.array([5.0, np.nan]), 120.0, 10, 0),
-    "check_theorem1 r=[5.0, '6']": lambda: check_theorem1(SEGMENT, [5.0, "6"], 120.0, 10, 0),
-    "check_theorem1 r=[[5.0]]": lambda: check_theorem1(SEGMENT, [[5.0]], 120.0, 10, 0),
+    "check_theorem1 r=array": lambda: check_theorem1(SEGMENT, np.array([5.0, 6.0]), 120.0, 10, 0),
+    "check_theorem1 r=[5.0]": lambda: check_theorem1(SEGMENT, [5.0], 120.0, 10, 0),
     "check_theorem1 tau='120'": lambda: check_theorem1(SEGMENT, 5.0, "120", 10, 0),
     "make_segment_trap a='a'": lambda: make_segment_trap("a", 1),
     "make_segment_trap b=10**400": lambda: make_segment_trap(-1.0, 10**400),

@@ -78,12 +78,14 @@ def _grid(text):
 
 
 def _time_grid(args):
-    """The log-spaced grid of --t-points times from --t-min to --t-max, each
-    a positive finite double."""
+    """The log-spaced grid of --t-points times from --t-min up to --t-max,
+    each a positive finite double."""
     if not (args.t_min > 0.0 and args.t_max > 0.0):
         raise DomainError(f"need positive --t-min and --t-max, got {args.t_min!r} and {args.t_max!r}")
     if not (args.t_min < math.inf and args.t_max < math.inf):
         raise DomainError(f"need finite --t-min and --t-max, got {args.t_min!r} and {args.t_max!r}")
+    if not args.t_min <= args.t_max:
+        raise DomainError(f"need --t-min <= --t-max, got {args.t_min!r} and {args.t_max!r}")
     if args.t_points < 1:
         raise DomainError(f"--t-points must be >= 1, got {args.t_points}")
     return _log_grid("time", args.t_min, args.t_max, args.t_points, "--t-points")

@@ -15,6 +15,7 @@ coordinates instead (the sampler in ``segment_sim`` is coordinate-aligned).
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -76,6 +77,8 @@ class TrapGeometry:
 def make_segment_trap(a, b):
     """Build the geometry record for the segment [a, b] x {0} (a < b)."""
     try:
+        if not (isinstance(a, numbers.Real) and isinstance(b, numbers.Real)):  # float() would parse a digit string
+            raise TypeError
         a, b = float(a), float(b)
     except (TypeError, ValueError, OverflowError):  # a string, a complex or an int past the double range
         raise DomainError(f"segment ends must be real numbers in the double range, got a={a!r}, b={b!r}") from None

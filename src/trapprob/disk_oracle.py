@@ -30,9 +30,10 @@ s >= 0.  One adaptive Gauss-Kronrod integral covers both, from panels
 graded toward s = 0 below it, where the integrand's features sit, and
 panels of sub-oscillation width above it; at QUAD_TOL a call ends after
 one round: one J0/Y0 kernel call on every node.  A curve of times is one
-_adaptive_gk run over many integrals: each round is one kernel call on
-every pending node of every time (up to GK_CALL_NODES nodes a call), and
-each time's value is bit for bit the one its scalar call gives.
+_adaptive_gk run over many integrals: their first round is one kernel
+call on the nodes of every time (up to GK_CALL_NODES nodes a call), and a
+time still pending then runs its later rounds alone, so each time's value
+is bit for bit the one its scalar call gives.
 """
 
 import math
@@ -48,8 +49,9 @@ QUAD_TOL = 1e-6
 # Evaluation budget of one p_disk quadrature (one J0/Y0 kernel call per
 # round).
 MAX_EVALS = 10**6
-# Nodes per integrand call when _adaptive_gk runs many integrals at once
-# (a single integral with more takes a call of its own).
+# Nodes per integrand call of the first round _adaptive_gk shares among
+# many integrals (one integral, and every later round, takes a call of its
+# own).
 # p_disk's integrand hands the J0/Y0 kernel two elements a node, and the
 # kernel gathers 144 B of coefficients per element, so that gather stays
 # near 2.4 MB however many times a capture curve has.  Each curve of the
@@ -110,119 +112,84 @@ _WG[7::-2] = _WG[7::2]
 
 
 def _adaptive_gk(f, edges, tol, max_evals):
-    """Adaptive Gauss-Kronrod integration of one or more integrals in shared
-    rounds.
+    """Adaptive Gauss-Kronrod integration of one or more integrals.
 
     ``edges`` is a list of the ascending starting panel edges of each
-    integral, one array per integral.  ``f`` takes (nodes, owner): the
-    nodes of each pending integral in turn (ascending within it) and the
-    index of each node's integral, an array, or the int 0 where there is
-    one integral.  Each round calls f on every pending panel of every
-    pending integral, in calls of at most GK_CALL_NODES nodes (an integral
-    with more takes a call of its own).
-
-    Each integral runs as it would alone: until its summed |GK15 - G7|
-    error drops below tol, each round keeps every panel whose error is
-    within its share tol (hi - lo) / (edges[-1] - edges[0]) and halves the
-    rest (a NaN error is never kept); halves of ascending panels stay
-    ascending.  Its evaluations must not exceed max_evals.  fsum is exact,
-    so its value does not depend on the integrals it shares rounds with.
+    integral, one array per integral.  ``f`` takes (nodes, owner): nodes
+    ascending within each integral, and the index of each node's integral,
+    an array, or the int index where every node is one integral's.  One
+    integral runs alone (_gk_integral).  Many compute their first round
+    together, in calls of at most GK_CALL_NODES nodes over consecutive
+    panels; then each settles, and any still pending finishes alone.  So
+    each integral's values, errors and evaluations are those of its own
+    call, and its evaluations must not exceed max_evals.
 
     Returns (integrals, error_estimates, evaluations): a list of each
     integral's value, a list of its error estimate and the evaluations of
     all of them.
     """
     if len(edges) == 1:
-        return _adaptive_gk_one(f, edges[0], tol, max_evals)
-    pending = [(k, e[:-1], e[1:]) for k, e in enumerate(edges)]  # (integral, lo, hi), panels ascending
-    kept = [([], []) for _ in edges]
-    evals = [0] * len(edges)
-    done = [None] * len(edges)
-    while pending:
-        later = []
-        for batch in _batches(pending):
-            lo, hi = np.concatenate([l for _, l, _ in batch]), np.concatenate([h for _, _, h in batch])
-            half = 0.5 * (hi - lo)
-            x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
-            for k, l, _ in batch:
-                evals[k] += 15 * l.size
-                _check_budget(evals[k], max_evals, edges[k])
-            owner = np.repeat([k for k, _, _ in batch], [15 * l.size for _, l, _ in batch])
-            fv = f(x.ravel(), owner).reshape(x.shape)
-            i15 = (fv * _WGK).sum(axis=1) * half
-            err = np.abs(i15 - (fv * _WG).sum(axis=1) * half)
-            stop = 0
-            for k, l, h in batch:
-                start, stop = stop, stop + l.size
-                total_err, value, halves = _settle(i15[start:stop], err[start:stop], l, h, kept[k], tol, edges[k])
-                if halves is None:
-                    done[k] = value, total_err
-                else:
-                    later.append((k, *halves))
-        pending = later
-    return [v for v, _ in done], [e for _, e in done], sum(evals)
+        value, error, evals = _gk_integral(f, 0, edges[0], tol, max_evals)
+        return [value], [error], evals
+    panels = [e.size - 1 for e in edges]
+    for k, e in enumerate(edges):
+        if 15 * panels[k] > max_evals:  # raises before f sees a round
+            _gk_integral(f, k, e, tol, max_evals)
+    lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    owner = np.repeat(np.arange(len(edges)), panels)
+    i15, err = np.empty(lo.size), np.empty(lo.size)
+    step = GK_CALL_NODES // 15
+    for a in range(0, lo.size, step):
+        b = a + step
+        i15[a:b], err[a:b] = _gk15(f, lo[a:b], hi[a:b], np.repeat(owner[a:b], 15))
+    ends = np.cumsum([0, *panels])
+    done = [_gk_integral(f, k, e, tol, max_evals, (i15[a:b], err[a:b]))
+            for k, (e, a, b) in enumerate(zip(edges, ends, ends[1:]))]
+    return [v for v, _, _ in done], [e for _, e, _ in done], sum(n for _, _, n in done)
 
 
-def _adaptive_gk_one(f, edges, tol, max_evals):
-    """_adaptive_gk on one integral, without the bookkeeping of shared
-    rounds: through that bookkeeping the 1305 scalar p_disk calls of
-    acceptance criterion 3 took 12% longer."""
+def _gk15(f, lo, hi, owner):
+    """The GK15 values and |GK15 - G7| errors of the panels lo..hi, from one
+    call of f with ``owner``."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
+    fv = f(x.ravel(), owner).reshape(x.shape)
+    i15 = (fv * _WGK).sum(axis=1) * half
+    return i15, np.abs(i15 - (fv * _WG).sum(axis=1) * half)
+
+
+def _gk_integral(f, k, edges, tol, max_evals, first=None):
+    """Integral k over its starting panel edges, from its first round
+    ``first`` (GK15 values, errors) where given; every other round is one
+    call f(nodes, k).  Returns (value, error estimate, evaluations).
+
+    Until the summed |GK15 - G7| error drops below tol, each round keeps
+    every panel whose error is within its share tol (hi - lo) / (edges[-1]
+    - edges[0]) and halves the rest (a NaN error is never kept); halves of
+    ascending panels stay ascending.  fsum is exact, so the totals do not
+    depend on the order of the kept panels.  ConvergenceError before a
+    round would take the evaluations past max_evals.
+    """
     lo, hi = edges[:-1], edges[1:]
-    kept = [], []
+    values, errors = [], []
     evals = 0
     while True:
-        half = 0.5 * (hi - lo)
-        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK
-        evals += x.size
-        _check_budget(evals, max_evals, edges)
-        fv = f(x.ravel(), 0).reshape(x.shape)
-        i15 = (fv * _WGK).sum(axis=1) * half
-        total_err, value, halves = _settle(i15, np.abs(i15 - (fv * _WG).sum(axis=1) * half), lo, hi, kept, tol, edges)
-        if halves is None:
-            return [value], [total_err], evals
-        lo, hi = halves
-
-
-def _check_budget(evals, max_evals, edges):
-    """ConvergenceError once an integral's evaluations pass max_evals."""
-    if evals > max_evals:
-        raise ConvergenceError(f"quadrature exceeded {max_evals} evaluations on [{edges[0]:g}, {edges[-1]:g}]")
-
-
-def _settle(i15, err, lo, hi, kept, tol, edges):
-    """One integral's decision after a round: its panels lo..hi, with GK15
-    values i15 and errors err, and ``kept``, the lists of values and errors
-    of its kept panels (fsum is exact, so their order does not matter).
-
-    Returns (total error, integral, None) once it is done, else (total
-    error, None, the halves (lo, hi) of the panels it did not keep).
-    """
-    values, errors = kept
-    total_err = math.fsum([*errors, *err.tolist()])
-    if total_err <= tol:
-        return total_err, math.fsum([*values, *i15.tolist()]), None
-    keep = err <= tol * (hi - lo) / (edges[-1] - edges[0])
-    values += i15[keep].tolist()
-    errors += err[keep].tolist()
-    if keep.all():  # the shares sum to tol only up to rounding
-        return total_err, math.fsum(values), None
-    lo, hi = lo[~keep], hi[~keep]
-    mid = 0.5 * (lo + hi)
-    return total_err, None, (np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel())
-
-
-def _batches(pending):
-    """The pending (integral, lo, hi) of a round in consecutive groups of at
-    most GK_CALL_NODES nodes, or of one integral that has more."""
-    batch, size = [], 0
-    for item in pending:
-        nodes = 15 * item[1].size
-        if batch and size + nodes > GK_CALL_NODES:
-            yield batch
-            batch, size = [], 0
-        batch.append(item)
-        size += nodes
-    yield batch
+        evals += 15 * lo.size
+        if evals > max_evals:
+            raise ConvergenceError(f"quadrature exceeded {max_evals} evaluations on [{edges[0]:g}, {edges[-1]:g}]")
+        i15, err = _gk15(f, lo, hi, k) if first is None else first
+        first = None
+        total_err = math.fsum([*errors, *err.tolist()])
+        if total_err <= tol:
+            return math.fsum([*values, *i15.tolist()]), total_err, evals
+        keep = err <= tol * (hi - lo) / (edges[-1] - edges[0])
+        values += i15[keep].tolist()
+        errors += err[keep].tolist()
+        if keep.all():  # the shares sum to tol only up to rounding
+            return math.fsum(values), total_err, evals
+        lo, hi = lo[~keep], hi[~keep]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
 
 
 def f_disk(r, r_T, tau):
@@ -233,7 +200,7 @@ def f_disk(r, r_T, tau):
     exp(-kappa (r - r_T)) S(kappa r) / S(kappa r_T), S(x) = e^x K0(x) from
     one kernel call, so tiny tau cannot divide by an underflowed K0.
     """
-    require_finite(r=r, r_T=r_T, tau=tau)
+    r, r_T, tau = require_finite(r=r, r_T=r_T, tau=tau)
     if not (r_T > 0.0 and r > 0.0 and tau > 0.0):
         raise DomainError(f"f_disk needs positive arguments, got r={r!r} r_T={r_T!r} tau={tau!r}")
     if r <= r_T:
@@ -345,22 +312,24 @@ def _p_disk_curve(r, r_T, times):
 
 def _check_disk(r, r_T, t):
     """The rules p_disk and hunt_approx share: DomainError unless r, r_T
-    and t are finite, r_T > 0 and r >= r_T."""
-    require_finite(r=r, r_T=r_T, t=t)
+    and t are finite, r_T > 0 and r >= r_T.  Returns them as floats."""
+    r, r_T, t = require_finite(r=r, r_T=r_T, t=t)
     if not r_T > 0.0:
         raise DomainError(f"disk radius must be positive, got {r_T!r}")
     if r < r_T:
         raise DomainError(f"release radius {r!r} inside the disk of radius {r_T!r}")
+    return r, r_T, t
 
 
 def _check_p_disk(r, r_T, t):
-    """p_disk's rules for one time t."""
-    _check_disk(r, r_T, t)
+    """p_disk's rules for one time t; (r, r_T, t) as floats."""
+    r, r_T, t = _check_disk(r, r_T, t)
     if t < 0.0:
         raise DomainError(f"time must be >= 0, got {t!r}")
     two_rt2 = 2.0 * r_T * r_T
     if not (math.isfinite(r / r_T) and two_rt2 > 0.0 and math.isfinite(1.0 / two_rt2)):
         raise DomainError(f"disk radius r_T={r_T!r} too small: r/r_T or 1/(2 r_T^2) overflows (r={r!r})")
+    return r, r_T, t
 
 
 def p_disk(r, r_T, t):
@@ -381,11 +350,10 @@ def p_disk(r, r_T, t):
     elif isinstance(t, (list, tuple)):
         times = list(t)
     else:
-        _check_p_disk(r, r_T, t)
-        return min(1.0, max(0.0, _p_disk_raw(r, r_T, t)))
-    _check_p_disk(r, r_T, 0.0)  # r and r_T, also where the curve is empty
-    for ti in times:  # an entry that is itself a list (t of 2 or more dimensions) is not a finite real
-        _check_p_disk(r, r_T, ti)
+        return min(1.0, max(0.0, _p_disk_raw(*_check_p_disk(r, r_T, t))))
+    r, r_T, _ = _check_p_disk(r, r_T, 0.0)  # r and r_T, also where the curve is empty
+    # an entry that is itself a list (t of 2 or more dimensions) is not a finite real
+    times = [_check_p_disk(r, r_T, ti)[2] for ti in times]
     return np.array([min(1.0, max(0.0, v)) for v in _p_disk_curve(r, r_T, times)], dtype=float)
 
 
@@ -401,7 +369,7 @@ def hunt_approx(r, r_T, t, variant="raw"):
     """
     if variant not in ("raw", "tau0"):
         raise DomainError(f"unknown variant {variant!r}")
-    _check_disk(r, r_T, t)
+    r, r_T, t = _check_disk(r, r_T, t)
     if not t > 0.0:
         raise DomainError(f"time must be positive, got {t!r}")
     # where r / r_T overflows, log r - log r_T is still finite

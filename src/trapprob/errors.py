@@ -1,13 +1,17 @@
 """Exception hierarchy shared across the package, the one check that
-every function taking a count applies to it, and the check that a real
-argument is a finite real scalar.
+every function taking a count applies to it, the check that a real
+argument is a finite real scalar, and the cast of real numbers to a
+float array.
 
 The CLI maps these onto distinct exit codes (see ``trapprob.cli``):
 DomainError -> 1, HypothesisError -> 2, ConvergenceError -> 3.
 """
 
+import math
 import numbers
 import sys
+
+import numpy as np
 
 
 class TrapProbError(Exception):
@@ -51,11 +55,29 @@ def require_count(n, what="count", minimum=1):
 
 
 def require_finite(**args):
-    """DomainError naming the first of the keyword arguments that is not a
-    finite real scalar within the double range (a string, a list, an array
-    or 10**400 is refused here, not by a TypeError or OverflowError where
-    it meets arithmetic)."""
+    """The keyword arguments as a list of floats; DomainError naming the
+    first that is not a finite real scalar within the double range (a
+    string, a list, an array, 10**400 or a numpy float32 inf is refused
+    here, not by a TypeError or OverflowError where it meets arithmetic).
+    A numpy float16 or float32 becomes the equal double."""
+    floats = []
     for name, value in args.items():
-        # a NaN fails both comparisons
-        if not (isinstance(value, numbers.Real) and -sys.float_info.max <= value <= sys.float_info.max):
+        try:
+            finite = isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:  # an int past the double range
+            finite = False
+        if not finite:
             raise DomainError(f"{name} must be finite and real, got {value!r}")
+        floats.append(float(value))
+    return floats
+
+
+def real_array(x):
+    """np.asarray(x) cast to float; TypeError unless every entry is a real
+    number (numpy's cast would parse a digit string or bytes and drop a
+    complex's imaginary part), OverflowError for an int past the double
+    range."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf" and not (arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat)):
+        raise TypeError(f"not real numbers: {x!r}")
+    return arr.astype(float, copy=False)

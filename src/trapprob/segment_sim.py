@@ -38,7 +38,7 @@ import numbers
 import numpy as np
 
 from trapprob.conformal import PlanePoint, _check_trap
-from trapprob.errors import ConvergenceError, DomainError, require_count, require_finite
+from trapprob.errors import ConvergenceError, DomainError, real_array, require_count, require_finite
 
 # Landing within this fraction of the half-length h past an endpoint counts
 # as a capture: the line jump maps |x - c| > h to exactly c +- h, so
@@ -157,7 +157,7 @@ def release_circle(r, n, seed, first_index=0):
     2^32), j = first_index + i: a function of (seed, j) alone, so chunks
     with their offsets as ``first_index`` reproduce the whole set.
     """
-    require_finite(release_radius=r)
+    [r] = require_finite(release_radius=r)
     if not r > 0.0:
         raise DomainError(f"release radius must be positive, got {r!r}")
     n = require_count(n, "release count")
@@ -286,7 +286,10 @@ def wilson_interval(successes, n):
     or above 1 by a few 1e-18 of cancellation dust.
     """
     n = require_count(n, "trial count")
-    successes = np.asarray(successes, dtype=float)
+    try:
+        successes = real_array(successes)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"success counts must be real numbers, got {successes!r}") from None
     if successes.size and not (successes.min() >= 0.0 and successes.max() <= n):  # a NaN fails both
         raise DomainError(f"success counts must lie in [0, {n}]")
     phat = successes / n
@@ -301,7 +304,10 @@ def wilson_interval(successes, n):
 def _check_grid(times):
     """``times`` as a float array; DomainError unless it is a non-empty 1-d
     grid of finite times in ascending order."""
-    times = np.asarray(times, dtype=float)
+    try:
+        times = real_array(times)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"grid times must be real numbers, got {times!r}") from None
     if times.ndim != 1 or times.size == 0:
         raise DomainError("times must be a non-empty 1-d grid")
     if not np.isfinite(times).all():

@@ -47,7 +47,7 @@ import numbers
 
 import numpy as np
 
-from trapprob.errors import DomainError, require_count
+from trapprob.errors import DomainError, real_array, require_count
 
 # Euler-Mascheroni constant, 30 significant digits.
 GAMMA = 0.577215664901532860606512090082
@@ -189,7 +189,7 @@ def bessel_i(order, x):
     if order not in (0, 2):
         raise DomainError(f"bessel_i supports orders 0 and 2, got {order!r}")
     try:
-        xs = np.asarray(x, dtype=float)
+        xs = real_array(x)
     except OverflowError:  # an int past the double range
         raise DomainError(f"bessel_i needs 0 <= x <= 50, got {x!r}") from None
     except (TypeError, ValueError):
@@ -333,10 +333,7 @@ def bessel_j0_y0(x):
         finite or not a real number.
     """
     try:
-        arr = np.asarray(x)
-        if arr.dtype.kind == "c":  # the float cast would drop the imaginary part
-            raise TypeError
-        arr = arr.astype(float, copy=False)
+        arr = real_array(x)
     except (TypeError, ValueError, OverflowError):  # a string, a complex or an int past the double range
         raise DomainError("bessel_j0_y0 requires real x in the double range") from None
     if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):  # a NaN fails both

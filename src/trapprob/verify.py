@@ -31,7 +31,7 @@ import numpy as np
 
 from trapprob.conformal import PlanePoint, _check_trap, green_segment, make_segment_trap, r_z
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
-from trapprob.errors import CapacityError, DomainError, HypothesisError, require_count, require_finite
+from trapprob.errors import CapacityError, DomainError, HypothesisError, real_array, require_count, require_finite
 from trapprob.segment_sim import RECORD_DTYPE, _check_cap, _check_grid, release_circle, sample_batch, survival_curve
 
 # Cap the simulated horizon at this multiple of tau: the censoring bracket
@@ -169,14 +169,15 @@ def _capture_table(trap, radii, times, n, seed):
 
 
 def _release_radii(radii):
-    """The release radii as floats; DomainError for a radius that is not a
-    real number."""
-    if isinstance(radii, (str, bytes)):  # iterable, but character by character
-        raise DomainError(f"release radii must be real numbers, got {radii!r}")
+    """The release radii as a list of floats; DomainError unless they are a
+    1-d sequence of real numbers in the double range."""
     try:
-        return [float(r) for r in radii]
+        floats = real_array(radii)
     except (TypeError, ValueError, OverflowError):  # a string, a complex or an int past the double range
-        raise DomainError(f"release radii must be real numbers in the double range, got {radii!r}") from None
+        floats = None
+    if floats is None or floats.ndim != 1:
+        raise DomainError(f"release radii must be a sequence of real numbers in the double range, got {radii!r}")
+    return floats.tolist()
 
 
 def check_theorem1(trap, r, tau, n, seed):
@@ -201,9 +202,8 @@ def _theorem1_reports(trap, radii, tau, n, seed):
     report equals its single-radius call bit for bit; every radius is
     checked before it."""
     _check_trap(trap)
-    for r in radii:
-        require_finite(r=r)
-    require_finite(tau=tau)
+    radii = [require_finite(r=r)[0] for r in radii]
+    [tau] = require_finite(tau=tau)
     n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
     if not tau > 0.5 * math.e * d2:
@@ -237,7 +237,7 @@ def check_theorem2(trap, z, tau, n, seed):
     for a non-finite tau.
     """
     _check_trap(trap)
-    require_finite(tau=tau)
+    [tau] = require_finite(tau=tau)
     n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
     rz = r_z(trap, z)

@@ -532,6 +532,8 @@ def test_conjecture_outputs(tmp_path, capsys):
         (["--t-max", "1.7976931348623157e308"], "leaves the double range"),
         # above the largest intp: numpy refuses the size before allocating
         (["--t-points", "10000000000000000000"], "--t-points 10000000000000000000 is too many points"),
+        # a descending grid is refused by its flags, not by the grid check
+        (["--t-min", "10", "--t-max", "1"], "need --t-min <= --t-max, got 10.0 and 1.0"),
     ],
 )
 def test_bad_time_grid_exits_1(command, flags, message, tmp_path, capsys):

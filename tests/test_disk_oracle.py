@@ -16,6 +16,7 @@ from trapprob import (
 )
 from trapprob import disk_oracle
 from trapprob.disk_oracle import _WG, _WGK, _XGK, _adaptive_gk, _p_disk_raw
+from conftest import X86_V3, X86_V4, pinned
 
 R_T = 0.5
 
@@ -252,7 +253,8 @@ FIGURE_GRID = [(r, t) for r in (1.0, 5.0, 25.0, 125.0) for t in FIGURE_TIMES.tol
 # (the largest move, 3.3e-13 at (1, 0.25), s = 0.75, was the old error);
 # retaken when the two parts became one integral over s, which moved 12
 # values by at most 2.2e-16, each still within 3e-15 of Talbot inversion.
-P_DISK_PINS = {
+# These are the X86_V4 pins; X86_V3 moves three values, by at most 2.2e-16.
+_P_DISK_PINS_X86_V4 = {
     (1.0, 0.25): (5.491231202747748e-06, 0.17930212815825397, 0.41598786284013733, 0.6245752052122049),
     (1.0, 2.5): (0.11309853780515144, 0.5370920920780473, 0.6617318902235695, 0.7573562651969514),
     (1.0, 25.0): (0.4878280131044702, 0.7169014932987834, 0.7751782067354251, 0.8243025226815822),
@@ -263,23 +265,35 @@ P_DISK_PINS = {
     (25.0, 2.5): (0.0, 0.0, 2.6645352591003757e-15, 5.306558981543752e-05),
     (25.0, 25.0): (0.0, 2.4337609705327168e-09, 0.0008594844228480003, 0.0602745518421568),
 }
+P_DISK_PINS = {
+    X86_V4: _P_DISK_PINS_X86_V4,
+    X86_V3: {
+        **_P_DISK_PINS_X86_V4,
+        (1.0, 0.25): (5.491231202747748e-06, 0.17930212815825397, 0.41598786284013733, 0.6245752052122048),
+        (1.0, 2.5): (0.11309853780515122, 0.5370920920780473, 0.6617318902235695, 0.7573562651969514),
+        (5.0, 2.5): (2.3314683517128287e-15, 0.000341493711302876, 0.036589747630926706, 0.2131031838482188),
+    },
+}
 
 
 def test_p_disk_bit_identical_pins():
-    for (r, tau), pins in P_DISK_PINS.items():
-        got = tuple(p_disk(r, R_T, tau * s) for s in (0.05, 0.75, 3.0, math.log(1e8)))
-        assert got == pins, (r, tau)
+    got = {(r, tau): tuple(p_disk(r, R_T, tau * s) for s in (0.05, 0.75, 3.0, math.log(1e8))) for r, tau in _P_DISK_PINS_X86_V4}
+    assert got == pinned(P_DISK_PINS, got)
 
 
 # SHA-256 of the float.hex of p_disk on CRITERION_3_GRID then FIGURE_GRID,
-# one value a line; recorded before p_disk's quadrature round was cut to
-# slices and index arrays
-P_DISK_GRID_SHA256 = "65219defdcc5422183e033f415cc0716189a9735c62c8e067515c00491ac6e78"
+# one value a line, by numpy dispatch; recorded before p_disk's quadrature
+# round was cut to slices and index arrays
+P_DISK_GRID_SHA256 = {
+    X86_V4: "65219defdcc5422183e033f415cc0716189a9735c62c8e067515c00491ac6e78",
+    X86_V3: "a5facd1e76e7ae9fdd1312699893d200acb40d56be7b53ac274650b9f2281bc4",
+}
 
 
 def test_p_disk_whole_grid_digest():
     text = "\n".join(p_disk(r, R_T, t).hex() for r, t in CRITERION_3_GRID + FIGURE_GRID)
-    assert hashlib.sha256(text.encode()).hexdigest() == P_DISK_GRID_SHA256
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == pinned(P_DISK_GRID_SHA256, digest)
 
 
 # p_disk(r, 0.5, t) from Talbot inversion of K0(r sqrt(2s)) / (s K0(r_T sqrt(2s)))
@@ -394,23 +408,33 @@ def test_p_disk_curve_forms(quadrature_rounds):
 
 def test_p_disk_curve_one_kernel_call_per_round(monkeypatch, quadrature_rounds):
     # test_p_disk_one_kernel_call_per_round's three cases, each in a curve
-    # with the other cases' times: round k of the curve is one kernel call
-    # on the nodes of round k of every time still pending
+    # with the other cases' times: the curve's first round is one kernel
+    # call on the first-round nodes of every time, in calls of at most
+    # GK_CALL_NODES nodes, and then each time still pending runs exactly
+    # its scalar call's later rounds, in the curve's order.  (At r = 25 only
+    # t = 3 integrates, and one integral runs as its scalar call.)
     monkeypatch.setattr(disk_oracle, "QUAD_TOL", 1e-12)
     kernel_sizes, rounds = quadrature_rounds
     times = [0.3, 0.1, 3.0]
-    for r in (1.0, 5.0, 25.0):
+    for r in (1.0, 5.0):
         alone = []
         for t in times:
             rounds.clear()
             p_disk(r, R_T, t)
             alone.append(list(rounds))
-        kernel_sizes.clear()
-        rounds.clear()
-        p_disk(r, R_T, times)
-        assert len(rounds) == max(map(len, alone)) >= 2
-        assert rounds == [sum(sizes[k] for sizes in alone if k < len(sizes)) for k in range(len(rounds))]
-        assert kernel_sizes == [2 * n for n in rounds]
+        first, later = sum(sizes[0] for sizes in alone), [n for sizes in alone for n in sizes[1:]]
+        assert later
+        for cap in (2**13, 150):
+            monkeypatch.setattr(disk_oracle, "GK_CALL_NODES", cap)
+            kernel_sizes.clear()
+            rounds.clear()
+            p_disk(r, R_T, times)
+            head = rounds[: len(rounds) - len(later)]
+            assert rounds[len(head):] == later
+            assert sum(head) == first and max(head) <= cap
+            assert len(head) == -(-first // 15 // (cap // 15))  # one call per GK_CALL_NODES // 15 panels
+            assert kernel_sizes == [2 * n for n in rounds]
+        assert p_disk(r, R_T, times).tolist() == [p_disk(r, R_T, t) for t in times]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, "1", 1j])
@@ -471,21 +495,22 @@ def test_adaptive_gk_budget_applies_per_integral():
 
 
 def test_adaptive_gk_many_caps_the_nodes_per_call(monkeypatch):
-    # a round runs its pending integrals in calls of at most GK_CALL_NODES
-    # nodes; an integral with more takes a call of its own.  The values do
-    # not change.
+    # many integrals run their first round together, in calls of at most
+    # GK_CALL_NODES nodes over consecutive panels (an owner array); each
+    # pending integral then runs its later rounds alone (an int owner).
+    # The values are those of each integral alone.
     monkeypatch.setattr(disk_oracle, "GK_CALL_NODES", 150)
     edges = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5), np.linspace(0.0, 3.0, 13), np.linspace(1.0, 2.0, 2)]
     calls = []
 
     def f(x, owner):
-        calls.append(np.unique(owner).tolist())
-        return np.cos(3.0 * x)
+        calls.append((owner if isinstance(owner, int) else np.unique(owner).tolist(), x.size))
+        return np.cos(12.0 * x)
 
-    values, _, _ = _adaptive_gk(f, edges, 1e-9, 10**6)
-    # 60, 60, 180 and 15 nodes: (0, 1), then 2 alone, then 3
-    assert calls == [[0, 1], [2], [3]]
-    assert values == [_gk(lambda x: np.cos(3.0 * x), e, 1e-9, 10**6)[0] for e in edges]
+    values, _, _ = _adaptive_gk(f, edges, 1e-12, 10**6)
+    # 4, 4, 12 and 1 panels: ten panels a call, then integrals 1 and 3 halve
+    assert calls == [([0, 1, 2], 150), ([2], 150), ([3], 15), (1, 120), (3, 30), (3, 60)]
+    assert values == [_gk(lambda x: np.cos(12.0 * x), e, 1e-12, 10**6)[0] for e in edges]
 
 
 def test_adaptive_gk_counts_every_node_it_passes():

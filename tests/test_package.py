@@ -9,6 +9,7 @@ import inspect
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import trapprob
 from trapprob import (
     DomainError,
     PlanePoint,
+    bessel_i,
     bessel_j0_y0,
     check_theorem1,
     check_theorem2,
@@ -32,6 +34,8 @@ from trapprob import (
     r_z,
     release_circle,
     sample_batch,
+    survival_curve,
+    wilson_interval,
 )
 from trapprob.verify import release_and_sample
 
@@ -97,6 +101,22 @@ NOT_REAL_CALLS = {
     "sample_batch t_max='1'": lambda: sample_batch(SEGMENT, [PlanePoint(5.0, 0.0)], "1", 0),
     "PlanePoint x='a'": lambda: PlanePoint("a", 0),
     "PlanePoint y=10**400": lambda: PlanePoint(0.0, 10**400),
+    # a numpy float32 inf once passed as finite, being below the largest
+    # double cast to float32 (inf itself, with an overflow warning)
+    "f_disk r=float32 inf": lambda: f_disk(np.float32("inf"), 0.5, 1.0),
+    "hunt_approx t=float32 inf": lambda: hunt_approx(5.0, 0.5, np.float32("inf")),
+    "check_theorem2 tau=float32 inf": lambda: check_theorem2(SEGMENT, PlanePoint(5.0, 0.0), np.float32("inf"), 10, 0),
+    "p_disk t=float32 inf": lambda: p_disk(5.0, 0.5, np.float32("inf")),
+    # digit strings, which a float conversion reads, and complex numbers
+    "make_segment_trap a='-1'": lambda: make_segment_trap("-1", "1"),
+    "bessel_i x='2'": lambda: bessel_i(0, "2"),
+    "bessel_j0_y0 x='2'": lambda: bessel_j0_y0("2"),
+    "bessel_j0_y0 x=b'2'": lambda: bessel_j0_y0(b"2"),
+    "figure_series radii=['5']": lambda: figure_series(["5"], [1.0, 2.0], n=5),
+    "conjecture_probe radii=['5']": lambda: conjecture_probe(SEGMENT, ["5"], [1.0], 5, 0),
+    "survival_curve times=['1', '2']": lambda: survival_curve(release_and_sample(SEGMENT, 5.0, 5, 2.0, 0), ["1", "2"]),
+    "wilson_interval successes=['1']": lambda: wilson_interval(["1"], 5),
+    "wilson_interval successes=1j": lambda: wilson_interval(1j, 5),
 }
 
 
@@ -106,6 +126,33 @@ def test_an_argument_that_is_not_a_finite_real_raises_domain_error(call):
     # or float conversion that meets it first
     with pytest.raises(DomainError):
         call()
+
+
+# each call with the argument it takes, a value that float16 and float32
+# round (neither holds 5.3 or 120.3), so arithmetic in either type would
+# round differently from the double's
+SMALL_FLOAT_CALLS = {
+    "f_disk r": (lambda x: f_disk(x, 0.5, 1.0), 5.3),
+    "p_disk t": (lambda x: p_disk(5.0, 0.5, x), 5.3),
+    "p_disk r and curve t": (lambda x: p_disk(x, 0.5, [x, 60.0]).tolist(), 5.3),
+    "hunt_approx r": (lambda x: hunt_approx(x, 0.5, 100.0, "tau0"), 5.3),
+    "check_theorem1 r": (lambda x: check_theorem1(SEGMENT, x, 120.0, 10, 0), 5.3),
+    "check_theorem2 tau": (lambda x: check_theorem2(SEGMENT, PlanePoint(5.0, 0.0), x, 10, 0), 120.3),
+    "release_circle r": (lambda x: release_circle(x, 10, 0), 5.3),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+@pytest.mark.parametrize("call, value", SMALL_FLOAT_CALLS.values(), ids=SMALL_FLOAT_CALLS.keys())
+def test_a_float16_or_float32_argument_gives_the_equal_doubles_result(call, value, dtype):
+    # the checks once compared the argument with the largest double cast to
+    # its type, which overflows with a RuntimeWarning; the arithmetic ran in
+    # the narrow type
+    x = dtype(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call(x)
+    assert got == call(float(x))
 
 
 NOT_A_TRAP_CALLS = {

@@ -1,7 +1,7 @@
 """Property tests over the K0, J0/Y0 and disk-trap entry points, the
-segment sampler, the Wilson interval, R_z, the functions that take a count
-and every CLI command
-(``bessel``, ``disk``, ``simulate``, ``verify``, ``figures`` and
+adaptive Gauss-Kronrod driver on many integrals, the segment sampler, the
+Wilson interval, R_z, the functions that take a count and every CLI
+command (``bessel``, ``disk``, ``simulate``, ``verify``, ``figures`` and
 ``conjecture``).
 
 Every call either returns a finite value in its domain or raises a
@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import trapprob.segment_sim as sim
+from trapprob import disk_oracle
 from trapprob import (
     BoundedValue,
     BoundReport,
@@ -51,6 +52,7 @@ from trapprob import (
     wilson_interval,
 )
 from trapprob.cli import main
+from test_disk_oracle import ADAPTIVE_GK_EXACT
 
 EDGES = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
@@ -316,6 +318,50 @@ def _or_ordinary(lo, hi):
 
 # the CLI properties write their files into the same directory on every
 # example
+# ADAPTIVE_GK_EXACT's integrands halve most first-round panels, and e^x
+# keeps them, so its values and errors come from the first round itself
+GK_INTEGRANDS = [f for f, _, _, _ in ADAPTIVE_GK_EXACT] + [np.exp]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(range(len(GK_INTEGRANDS))), st.lists(st.integers(-24, 24), min_size=2, max_size=8, unique=True)),
+        min_size=1, max_size=6,
+    ),
+    st.floats(min_value=1e-12, max_value=1e-6),
+    st.integers(15, 300),
+)
+def test_adaptive_gk_runs_each_of_many_integrals_as_alone(integrals, tol, call_nodes):
+    # edges on a grid of eighths in [-3, 3]; the first round of many
+    # integrals is shared, in calls of at most GK_CALL_NODES nodes (an
+    # owner array); each later round is one integral's (an int owner)
+    fs = [GK_INTEGRANDS[i] for i, _ in integrals]
+    edges = [np.array(sorted(ks)) / 8.0 for _, ks in integrals]
+    alone = [disk_oracle._adaptive_gk(lambda x, owner, f=f: f(x), [e], tol, 10**7) for f, e in zip(fs, edges)]
+    calls = []
+
+    def f(x, owner):
+        calls.append((x, owner))
+        owners = np.broadcast_to(owner, x.shape)
+        out = np.empty_like(x)
+        for k in np.unique(owners).tolist():
+            out[owners == k] = fs[k](x[owners == k])
+        return out
+
+    with mock.patch.object(disk_oracle, "GK_CALL_NODES", call_nodes):
+        values, errors, evals = disk_oracle._adaptive_gk(f, edges, tol, 10**7)
+    assert values == [v for [v], _, _ in alone] and errors == [e for _, [e], _ in alone]
+    assert evals == sum(n for _, _, n in alone)
+    first = [(x, owner) for x, owner in calls if not isinstance(owner, int)]
+    assert all(x.size <= call_nodes for x, _ in first)
+    assert bool(first) == (len(edges) > 1)  # one integral runs whole, as alone
+    if first:
+        x, owners = np.concatenate([x for x, _ in first]), np.concatenate([o for _, o in first])
+        assert all(np.all(np.diff(x[owners == k]) > 0.0) for k in range(len(edges)))
+    assert all(np.all(np.diff(x) > 0.0) for x, owner in calls if isinstance(owner, int))
+
+
 CLI_PROPERTY = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 TINY_N = st.integers(-2, 20)
 

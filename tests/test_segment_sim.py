@@ -33,6 +33,7 @@ from trapprob.segment_sim import (
     philox_normals,
 )
 from trapprob.verify import SLACK_SIGMAS, _abelian_bracket, release_and_sample
+from conftest import X86_V3, X86_V4, pinned
 
 UNIT = make_segment_trap(-1.0, 1.0)
 
@@ -466,15 +467,21 @@ def test_walk_pin_on_the_previous_release_points():
     # the walk reproduces every draw and record
     theta = np.random.Generator(np.random.Philox(key=np.array([0, 2**64 - 1], dtype=np.uint64))).random(2500) * (2.0 * np.pi)
     starts = [PlanePoint(float(px), float(py)) for px, py in zip(5.0 * np.cos(theta), 5.0 * np.sin(theta))]
-    records = sample_batch(UNIT, starts, 20.0 * 3.0 * 0.5 * math.e * 4.0, 0)
-    assert _digest(records) == "3e9b1d15f40993424df01c712d70dcd551830cb44dbb7ffc8a457a4f286018da"
+    digest = _digest(sample_batch(UNIT, starts, 20.0 * 3.0 * 0.5 * math.e * 4.0, 0))
+    assert digest == pinned({
+        X86_V4: "3e9b1d15f40993424df01c712d70dcd551830cb44dbb7ffc8a457a4f286018da",
+        X86_V3: "0fc0be72b5ecfd5bbd2796e8a53ffcc2da846be75923fcf5843ff067d4297246",
+    }, digest)
 
 
 def test_release_and_sample_pin():
     # sha256 of the four record columns with the kernel's release angles
     trap = make_segment_trap(-1.0, 1.0)
-    records = release_and_sample(trap, 5.0, 2500, 20.0 * 3.0 * 0.5 * math.e * 4.0, 0)
-    assert _digest(records) == "18471eb09b94a8b1c94186cbcb96b7eedc008f28134f9a44145288b8607f5826"
+    digest = _digest(release_and_sample(trap, 5.0, 2500, 20.0 * 3.0 * 0.5 * math.e * 4.0, 0))
+    assert digest == pinned({
+        X86_V4: "18471eb09b94a8b1c94186cbcb96b7eedc008f28134f9a44145288b8607f5826",
+        X86_V3: "8457b689f1f466e6f17085ccae118b922576ce7a132deb75d97003e3f91069f8",
+    }, digest)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package, the one check that
-every function taking a count applies to it, the check that a real
-argument is a finite real scalar, and the cast of real numbers to a
+every function taking a count applies to it, the test and the check that a
+real argument is a finite real scalar, and the cast of real numbers to a
 float array.
 
 The CLI maps these onto distinct exit codes (see ``trapprob.cli``):
@@ -27,7 +27,7 @@ class CapacityError(DomainError):
 
 
 class BoundaryError(DomainError):
-    """A point lies on (or numerically indistinguishable from) the trap."""
+    """A point lies on the trap."""
 
 
 class HypothesisError(TrapProbError, RuntimeError):
@@ -54,30 +54,39 @@ def require_count(n, what="count", minimum=1):
     return count
 
 
+def is_finite_real(value):
+    """Whether ``value`` is a real scalar in the double range and neither
+    inf nor NaN: False, not an OverflowError, for an int past the double
+    range, and no overflow warning for a numpy float16 or float32."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int past the double range
+        return False
+
+
 def require_finite(**args):
     """The keyword arguments as a list of floats; DomainError naming the
     first that is not a finite real scalar within the double range (a
     string, a list, an array, 10**400 or a numpy float32 inf is refused
     here, not by a TypeError or OverflowError where it meets arithmetic).
     A numpy float16 or float32 becomes the equal double."""
-    floats = []
     for name, value in args.items():
-        try:
-            finite = isinstance(value, numbers.Real) and math.isfinite(value)
-        except OverflowError:  # an int past the double range
-            finite = False
-        if not finite:
+        if not is_finite_real(value):
             raise DomainError(f"{name} must be finite and real, got {value!r}")
-        floats.append(float(value))
-    return floats
+    return [float(value) for value in args.values()]
 
 
-def real_array(x):
-    """np.asarray(x) cast to float; TypeError unless every entry is a real
-    number (numpy's cast would parse a digit string or bytes and drop a
-    complex's imaginary part), OverflowError for an int past the double
+def real_array(x, message):
+    """np.asarray(x) cast to float; DomainError(f"{message}, got {x!r}")
+    unless every entry is a real number in the double range.  So a digit
+    string, bytes or a complex (which numpy's cast would parse, or strip of
+    its imaginary part), a ragged sequence and an int past the double range
+    are all refused here.  NaN and inf pass: the caller states its own
     range."""
-    arr = np.asarray(x)
-    if arr.dtype.kind not in "biuf" and not (arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat)):
-        raise TypeError(f"not real numbers: {x!r}")
-    return arr.astype(float, copy=False)
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind in "biuf" or (arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat)):
+            return arr.astype(float, copy=False)
+    except (ValueError, OverflowError):  # a ragged sequence, or an int past the double range
+        pass
+    raise DomainError(f"{message}, got {x!r}")

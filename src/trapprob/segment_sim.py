@@ -38,7 +38,7 @@ import numbers
 import numpy as np
 
 from trapprob.conformal import PlanePoint, _check_trap
-from trapprob.errors import ConvergenceError, DomainError, real_array, require_count, require_finite
+from trapprob.errors import ConvergenceError, DomainError, is_finite_real, real_array, require_count, require_finite
 
 # Landing within this fraction of the half-length h past an endpoint counts
 # as a capture: the line jump maps |x - c| > h to exactly c +- h, so
@@ -90,8 +90,8 @@ def _check_word64(value, what, span=1):
 
 def _check_cap(t_max):
     """DomainError unless the time cap ``t_max`` is a positive real number
-    (inf included: an uncapped walk)."""
-    if not (isinstance(t_max, numbers.Real) and t_max > 0.0):  # a NaN fails the comparison
+    in the double range or inf (an uncapped walk)."""
+    if not (isinstance(t_max, numbers.Real) and t_max > 0.0 and (t_max == math.inf or is_finite_real(t_max))):
         raise DomainError(f"t_max must be a positive real number, got {t_max!r}")
 
 
@@ -286,10 +286,7 @@ def wilson_interval(successes, n):
     or above 1 by a few 1e-18 of cancellation dust.
     """
     n = require_count(n, "trial count")
-    try:
-        successes = real_array(successes)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"success counts must be real numbers, got {successes!r}") from None
+    successes = real_array(successes, "success counts must be real numbers")
     if successes.size and not (successes.min() >= 0.0 and successes.max() <= n):  # a NaN fails both
         raise DomainError(f"success counts must lie in [0, {n}]")
     phat = successes / n
@@ -304,10 +301,7 @@ def wilson_interval(successes, n):
 def _check_grid(times):
     """``times`` as a float array; DomainError unless it is a non-empty 1-d
     grid of finite times in ascending order."""
-    try:
-        times = real_array(times)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"grid times must be real numbers, got {times!r}") from None
+    times = real_array(times, "grid times must be real numbers")
     if times.ndim != 1 or times.size == 0:
         raise DomainError("times must be a non-empty 1-d grid")
     if not np.isfinite(times).all():
@@ -320,25 +314,29 @@ def _check_grid(times):
 def survival_curve(records, times):
     """Empirical capture proportion at each grid time with Wilson 99% bands.
 
-    ``records`` is a record array of ``RECORD_DTYPE`` (as returned by
-    :func:`sample_batch`).  Returns three arrays on the grid ``times``:
+    ``records`` is a 1-d array with the fields of ``RECORD_DTYPE`` (as
+    returned by :func:`sample_batch`; DomainError for anything else, before
+    any column is read).  Returns three arrays on the grid ``times``:
     captured_fraction, ci_low and ci_high.  captured_fraction(t) is the
     share of records with ``not censored and time < t``.  All records must
     share a cap t_max >= max(times); this is checked against the censored
     records (whose times exceed the cap by construction) - a censored time
     at or below the last grid point proves the grid exceeds the cap.
     """
+    fields = getattr(getattr(records, "dtype", None), "names", None) or ()
+    if not set(RECORD_DTYPE.names) <= set(fields) or np.ndim(records) != 1:
+        raise DomainError(f"records must be a 1-d array with the fields {RECORD_DTYPE.names}, got {type(records).__name__}")
     if len(records) == 0:
         raise DomainError("survival_curve needs at least one record")
     times = _check_grid(times)
-    censored = records.censored
-    censored_times = records.time[censored]
+    censored = records["censored"]
+    censored_times = records["time"][censored]
     if censored_times.size and censored_times.min() <= times[-1]:
         raise DomainError(
             f"grid reaches {times[-1]:g} but a trajectory was censored at "
             f"{censored_times.min():g}: grid exceeds the simulation cap"
         )
     n = len(records)
-    hit_times = np.sort(records.time[~censored])
+    hit_times = np.sort(records["time"][~censored])
     counts = np.searchsorted(hit_times, times, side="left")
     return (counts / n, *wilson_interval(counts, n))

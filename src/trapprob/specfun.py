@@ -43,11 +43,10 @@ whole grid in one call.
 """
 
 import math
-import numbers
 
 import numpy as np
 
-from trapprob.errors import DomainError, real_array, require_count
+from trapprob.errors import DomainError, is_finite_real, real_array, require_count, require_finite
 
 # Euler-Mascheroni constant, 30 significant digits.
 GAMMA = 0.577215664901532860606512090082
@@ -127,16 +126,16 @@ class BoundedValue:
 
     The producing routine guarantees that the true value lies in
     ``[value - abs_error_bound, value + abs_error_bound]`` whenever its
-    preconditions held.
+    preconditions held.  Both are stored as floats; DomainError unless
+    both are finite real scalars and the bound is >= 0.
     """
 
     __slots__ = ("value", "abs_error_bound")
 
     def __init__(self, value, abs_error_bound):
-        if not (abs_error_bound >= 0.0 and math.isfinite(abs_error_bound)):
-            raise DomainError("abs_error_bound must be finite and >= 0")
-        self.value = float(value)
-        self.abs_error_bound = float(abs_error_bound)
+        self.value, self.abs_error_bound = require_finite(value=value, abs_error_bound=abs_error_bound)
+        if not self.abs_error_bound >= 0.0:
+            raise DomainError(f"abs_error_bound must be >= 0, got {abs_error_bound!r}")
 
     @property
     def lower(self):
@@ -188,12 +187,7 @@ def bessel_i(order, x):
     """
     if order not in (0, 2):
         raise DomainError(f"bessel_i supports orders 0 and 2, got {order!r}")
-    try:
-        xs = real_array(x)
-    except OverflowError:  # an int past the double range
-        raise DomainError(f"bessel_i needs 0 <= x <= 50, got {x!r}") from None
-    except (TypeError, ValueError):
-        raise DomainError(f"bessel_i needs real x, got {x!r}") from None
+    xs = real_array(x, "bessel_i needs 0 <= x <= 50 and a real x")
     bad = ~((xs >= 0.0) & (xs <= 50.0))  # a NaN is bad
     if bad.any():
         raise DomainError(f"bessel_i needs 0 <= x <= 50, got {float(xs[bad][0])!r}")
@@ -332,10 +326,7 @@ def bessel_j0_y0(x):
         If any entry is <= 0 (Y0 has a logarithmic singularity at 0), not
         finite or not a real number.
     """
-    try:
-        arr = real_array(x)
-    except (TypeError, ValueError, OverflowError):  # a string, a complex or an int past the double range
-        raise DomainError("bessel_j0_y0 requires real x in the double range") from None
+    arr = real_array(x, "bessel_j0_y0 requires real x in the double range")
     if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):  # a NaN fails both
         raise DomainError("bessel_j0_y0 requires finite x > 0")
     j, y = _j0_y0_arrays(arr.reshape(-1))
@@ -422,7 +413,7 @@ def k0_bounds(x, m):
     K0(2e^-gamma) e^(2 gamma) / (2 gamma) = 0.97311062304500...;
     C is that value rounded up.
     """
-    if not (isinstance(x, numbers.Real) and 0.0 < x < math.inf):
+    if not (is_finite_real(x) and x > 0.0):
         raise DomainError(f"k0_bounds requires a finite real scalar x > 0, got {x!r}")
     m = require_count(m, "k0_bounds' order", minimum=0)
     x = float(x)
@@ -535,7 +526,7 @@ def k0(x):
     ``_k0_scaled``'s docstring.  x is a real scalar (DomainError for
     anything else, an array included).
     """
-    if not (isinstance(x, numbers.Real) and 0.0 < x < math.inf):
+    if not (is_finite_real(x) and x > 0.0):
         raise DomainError(f"k0 requires a finite real scalar x > 0, got {x!r}")
     value, bound = _k0_values(np.array([float(x)]))
     return BoundedValue(value[0], bound[0])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trapprob.conformal import PlanePoint, _check_trap, green_segment, make_segment_trap, r_z
+from trapprob.conformal import PlanePoint, _check_point, _check_trap, green_segment, make_segment_trap, r_z
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import CapacityError, DomainError, HypothesisError, real_array, require_count, require_finite
 from trapprob.segment_sim import RECORD_DTYPE, _check_cap, _check_grid, release_circle, sample_batch, survival_curve
@@ -102,17 +102,19 @@ def release_and_sample(trap, r, n, t_max, seed):
     be a sequence of radii, with n trajectories each.
 
     Trajectory i of radius k has index ``k n + i`` for both its release
-    point and its walk, and its record is row ``k n + i``.  Every radius is
-    checked before the first walk, and all of them are walked as one index
-    range in chunks of at most WALK_CHUNK trajectories.  The records are in
+    point and its walk, and its record is row ``k n + i``.  The radii are
+    read as figure_series and conjecture_probe read theirs, and every one
+    is checked (a positive real in the double range) before the first walk;
+    all of them are then walked as one index range in chunks of at most
+    WALK_CHUNK trajectories.  The records are in
     the trap's units: hitting times and the hit abscissa ``x`` on the
     segment's line.
     """
     _check_trap(trap)
-    radii = [r] if np.ndim(r) == 0 else list(r)
+    radii = _release_radii([r] if isinstance(r, numbers.Real) else r)
     require_count(len(radii), "number of release radii")
     for radius in radii:
-        if not (isinstance(radius, numbers.Real) and 0.0 < radius < math.inf):
+        if not 0.0 < radius < math.inf:
             raise DomainError(f"release radius must be positive and finite, got {radius!r}")
     n = require_count(n, "trajectory count")
 
@@ -171,12 +173,10 @@ def _capture_table(trap, radii, times, n, seed):
 def _release_radii(radii):
     """The release radii as a list of floats; DomainError unless they are a
     1-d sequence of real numbers in the double range."""
-    try:
-        floats = real_array(radii)
-    except (TypeError, ValueError, OverflowError):  # a string, a complex or an int past the double range
-        floats = None
-    if floats is None or floats.ndim != 1:
-        raise DomainError(f"release radii must be a sequence of real numbers in the double range, got {radii!r}")
+    message = "release radii must be a sequence of real numbers in the double range"
+    floats = real_array(radii, message)
+    if floats.ndim != 1:
+        raise DomainError(f"{message}, got {radii!r}")
     return floats.tolist()
 
 
@@ -241,6 +241,7 @@ def check_theorem2(trap, z, tau, n, seed):
     n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
     rz = r_z(trap, z)
+    x, y = _check_point(z)
     rz2 = rz * rz  # float ** 2 raises OverflowError past about 1e154
     lower_ok = tau > 0.5 * math.e * d2
     upper_ok = tau > 0.5 * math.e * rz2
@@ -250,11 +251,11 @@ def check_theorem2(trap, z, tau, n, seed):
             f"nor tau > (e/2) R_z^2 = {0.5 * math.e * rz2:g}"
         )
     c, h = 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
-    unit_z = PlanePoint((z.x - c) / h, z.y / h)  # z's image on the normalized segment
+    unit_z = PlanePoint((x - c) / h, y / h)  # z's image on the normalized segment
     base = 1.0 - 2.0 * math.pi * green_segment(unit_z) / math.log(tau / trap.tau0)
     records = _walk(trap, lambda lo, hi: [z] * (hi - lo), n, TMAX_OVER_TAU * tau, seed)
     mid, slack = _abelian_bracket(records, tau)
-    tag = f"segment z=({z.x:g},{z.y:g}) tau={tau:g} n={n}"
+    tag = f"segment z=({x:g},{y:g}) tau={tau:g} n={n}"
     lower = None
     if lower_ok:
         lower = _report(f"theorem2-lower[{tag}]", base - 0.8 * d2 / tau, mid, slack)

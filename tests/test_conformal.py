@@ -141,12 +141,15 @@ def test_phi_asymptotically_doubles():
 
 
 def test_phi_boundary_error():
+    # only the segment itself (y == 0 and |x| <= 1) is the boundary; a point
+    # 1e-13 above an endpoint is off it and has |phi| just above 1
+    for x in (0.3, 1.0, -1.0, -0.0):
+        with pytest.raises(BoundaryError):
+            phi_segment(PlanePoint(x, 0.0))
     with pytest.raises(BoundaryError):
-        phi_segment(PlanePoint(0.3, 0.0))
-    with pytest.raises(BoundaryError):
-        phi_segment(PlanePoint(1.0, 0.0))
-    with pytest.raises(BoundaryError):
-        phi_segment(PlanePoint(-1.0, 1e-13))
+        phi_segment(PlanePoint(0.3, -0.0))
+    w = phi_segment(PlanePoint(-1.0, 1e-13))
+    assert 1.0 < abs(w) < 1.0 + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +164,9 @@ def test_green_reference_values(xy, want):
 def test_green_zero_on_segment():
     for x in (-1.0, -0.5, 0.0, 0.9, 1.0):
         assert green_segment(PlanePoint(x, 0.0)) == 0.0
-    assert green_segment(PlanePoint(0.2, 1e-13)) == 0.0
+    # just off the segment H is y/(pi sqrt(1 - x^2)) to first order, 3.25e-14
+    # here, within the 7e-17 absolute of ln|phi| near |phi| = 1
+    assert_allclose(green_segment(PlanePoint(0.2, 1e-13)), 1e-13 / (math.pi * math.sqrt(0.96)), rtol=0, atol=1e-16)
 
 
 def test_green_continuous_near_segment():
@@ -177,15 +182,17 @@ def test_green_continuous_near_segment():
 
 
 def test_green_jumps_at_the_boundary_tolerance_beyond_an_endpoint():
-    # within BOUNDARY_TOL of the segment H is 0 and phi_segment raises; just
-    # past it, beyond an endpoint, H is already about sqrt(2 delta)/pi
+    # no tolerance: beyond an endpoint H is sqrt(2 delta)/pi at every
+    # distance delta, down to the last double past the endpoint, so it is
+    # continuous there (a tolerance of 1e-12 once made it jump from 0 to
+    # 4.7e-7)
     for sign in (1.0, -1.0):
-        inside, outside = PlanePoint(sign * (1.0 + 5e-13), 0.0), PlanePoint(sign * (1.0 + 1.1e-12), 0.0)
-        assert green_segment(inside) == 0.0
-        with pytest.raises(BoundaryError):
-            phi_segment(inside)
-        assert_allclose(green_segment(outside), 4.7213e-7, rtol=1e-4)
-        assert_allclose(green_segment(outside), math.sqrt(2.2e-12) / math.pi, rtol=1e-5)
+        for delta in (1.1e-12, 5e-13, 1e-15, 2.0**-52):
+            z = PlanePoint(sign * (1.0 + delta), 0.0)
+            exact = (abs(z.x) - 1.0) * 2.0  # 2 delta for the double actually stored
+            assert abs(phi_segment(z)) > 1.0
+            assert_allclose(green_segment(z), math.sqrt(exact) / math.pi, rtol=1e-3)
+        assert green_segment(PlanePoint(sign, 0.0)) == 0.0
 
 
 def test_green_symmetries():

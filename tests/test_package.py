@@ -2,7 +2,9 @@
 ``__init__`` name the same set, and every name resolves; importing the
 package loads no test-only dependency; and the public entry points refuse
 an argument that is not a finite real number, and a trap that is not a
-segment trap record, with a DomainError."""
+segment trap record, with a DomainError, meet any odd real scalar (an int
+past the double range, a Decimal, a float32 inf, a digit string) with a
+value or a TrapProbError, and read a point's coordinates as doubles."""
 
 import ast
 import inspect
@@ -10,15 +12,22 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trapprob
 from trapprob import (
+    BoundedValue,
     DomainError,
     PlanePoint,
+    TrapProbError,
     bessel_i,
     bessel_j0_y0,
     check_theorem1,
@@ -28,6 +37,8 @@ from trapprob import (
     figure_series,
     green_segment,
     hunt_approx,
+    k0,
+    k0_bounds,
     make_segment_trap,
     p_disk,
     phi_segment,
@@ -37,6 +48,7 @@ from trapprob import (
     survival_curve,
     wilson_interval,
 )
+from trapprob import segment_sim
 from trapprob.verify import release_and_sample
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -117,6 +129,20 @@ NOT_REAL_CALLS = {
     "survival_curve times=['1', '2']": lambda: survival_curve(release_and_sample(SEGMENT, 5.0, 5, 2.0, 0), ["1", "2"]),
     "wilson_interval successes=['1']": lambda: wilson_interval(["1"], 5),
     "wilson_interval successes=1j": lambda: wilson_interval(1j, 5),
+    # scalar checks that compared with inf, which an int or a Fraction past
+    # the double range passes before a float conversion overflows
+    "k0 x=10**400": lambda: k0(10**400),
+    "k0_bounds x=10**400": lambda: k0_bounds(10**400, 1),
+    "k0 x=Fraction(10**400, 3)": lambda: k0(Fraction(10**400, 3)),
+    "BoundedValue value=10**400": lambda: BoundedValue(10**400, 0.1),
+    "BoundedValue abs_error_bound=10**400": lambda: BoundedValue(1.0, 10**400),
+    "BoundedValue value='1.5'": lambda: BoundedValue("1.5", 0.0),
+    "sample_batch t_max=10**400": lambda: sample_batch(SEGMENT, [PlanePoint(1.5, 1.0)], 10**400, 0),
+    "release_and_sample t_max=10**400": lambda: release_and_sample(SEGMENT, 2.0, 2, 10**400, 0),
+    # records that lack RECORD_DTYPE's fields
+    "survival_curve records=[1, 2]": lambda: survival_curve([1, 2], [1.0]),
+    "survival_curve records=zeros(3)": lambda: survival_curve(np.zeros(3), [1.0]),
+    "survival_curve records=0-d record": lambda: survival_curve(np.zeros((), segment_sim.RECORD_DTYPE), [1.0]),
 }
 
 
@@ -126,6 +152,66 @@ def test_an_argument_that_is_not_a_finite_real_raises_domain_error(call):
     # or float conversion that meets it first
     with pytest.raises(DomainError):
         call()
+
+
+# the call sites above as functions of their real-scalar argument
+SCALAR_SITES = {
+    "p_disk r": lambda x: p_disk(x, 0.5, 1.0),
+    "p_disk t": lambda x: p_disk(5.0, 0.5, x),
+    "p_disk t=[1.0, x]": lambda x: p_disk(5.0, 0.5, [1.0, x]),
+    "f_disk r": lambda x: f_disk(x, 0.5, 1.0),
+    "hunt_approx t": lambda x: hunt_approx(5.0, 0.5, x),
+    "check_theorem1 tau": lambda x: check_theorem1(SEGMENT, 5.0, x, 10, 0),
+    "check_theorem2 tau": lambda x: check_theorem2(SEGMENT, PlanePoint(5.0, 0.0), x, 10, 0),
+    "check_theorem2 z.x": lambda x: check_theorem2(SEGMENT, PlanePoint(x, 0.5), 120.0, 10, 0),
+    "make_segment_trap b": lambda x: make_segment_trap(-1.0, x),
+    "figure_series radii=[x]": lambda x: figure_series([x], [1.0, 2.0], n=5),
+    "conjecture_probe radii=[x]": lambda x: conjecture_probe(SEGMENT, [x], [1.0], 5, 0),
+    "bessel_i x": lambda x: bessel_i(0, x),
+    "bessel_j0_y0 x": bessel_j0_y0,
+    "release_circle r": lambda x: release_circle(x, 10, 0),
+    "release_and_sample r": lambda x: release_and_sample(SEGMENT, x, 10, 1.0, 0),
+    "release_and_sample t_max": lambda x: release_and_sample(SEGMENT, 5.0, 10, x, 0),
+    "sample_batch t_max": lambda x: sample_batch(SEGMENT, [PlanePoint(1.5, 1.0)], x, 0),
+    "PlanePoint x": lambda x: PlanePoint(x, 0.0),
+    "phi_segment z.x": lambda x: phi_segment(PlanePoint(x, 0.5)),
+    "green_segment z.x": lambda x: green_segment(PlanePoint(x, 0.5)),
+    "r_z z.x": lambda x: r_z(SEGMENT, PlanePoint(x, 3.0)),
+    "survival_curve times=[x]": lambda x: survival_curve(release_and_sample(SEGMENT, 5.0, 5, 2.0, 0), [x]),
+    "wilson_interval successes": lambda x: wilson_interval(x, 5),
+    "k0 x": k0,
+    "k0_bounds x": lambda x: k0_bounds(x, 1),
+    "BoundedValue value": lambda x: BoundedValue(x, 0.1),
+    "BoundedValue abs_error_bound": lambda x: BoundedValue(1.0, x),
+}
+PAST_DOUBLE = st.integers(int(sys.float_info.max) + 1, 10**400)
+# reals that a plain float argument never is: ints and Fractions past the
+# double range, Decimals (NaN, sNaN, infinities and huge exponents
+# included), numpy float16/float32 infinities and NaN, and digit strings
+ODD_SCALARS = st.one_of(
+    PAST_DOUBLE,
+    PAST_DOUBLE.map(lambda n: -n),
+    st.builds(Fraction, st.integers(10**315, 10**400), st.integers(1, 10**6)),
+    st.decimals(),
+    st.sampled_from([np.float16("inf"), np.float32("inf"), np.float16("-inf"), np.float32("-inf"), np.float32("nan")]),
+    st.from_regex(r"\A-?[0-9]{1,4}(\.[0-9]{1,3})?\Z"),
+    st.from_regex(rb"\A[0-9]{1,4}\Z"),
+)
+
+
+@pytest.mark.parametrize("call", SCALAR_SITES.values(), ids=SCALAR_SITES.keys())
+@settings(max_examples=60, deadline=None)
+@given(ODD_SCALARS)
+@example(Decimal("sNaN"))
+@example(10**400)
+def test_an_odd_real_scalar_gives_a_value_or_a_trapprob_error(call, x):
+    # an uncapped walk (t_max = float32 inf) from far away can take very
+    # many steps; at the lowered cap it ends in a ConvergenceError
+    with mock.patch.object(segment_sim, "STEP_CAP", 300):
+        try:
+            call(x)
+        except TrapProbError:
+            pass
 
 
 # each call with the argument it takes, a value that float16 and float32
@@ -140,6 +226,14 @@ SMALL_FLOAT_CALLS = {
     "check_theorem2 tau": (lambda x: check_theorem2(SEGMENT, PlanePoint(5.0, 0.0), x, 10, 0), 120.3),
     "release_circle r": (lambda x: release_circle(x, 10, 0), 5.3),
 }
+# the readers of a point's coordinates, which PlanePoint takes as they come
+POINT_CALLS = {
+    "phi_segment z.x": (lambda x: phi_segment(PlanePoint(x, 0.5)), 0.1),
+    "green_segment z.x": (lambda x: green_segment(PlanePoint(x, 0.5)), 0.1),
+    "r_z z.x": (lambda x: r_z(SEGMENT, PlanePoint(x, 3.0)), 0.1),
+    "check_theorem2 z.x": (lambda x: check_theorem2(SEGMENT, PlanePoint(x, 0.5), 120.0, 10, 0), 0.1),
+}
+SMALL_FLOAT_CALLS.update(POINT_CALLS)
 
 
 @pytest.mark.parametrize("dtype", [np.float16, np.float32])
@@ -153,6 +247,13 @@ def test_a_float16_or_float32_argument_gives_the_equal_doubles_result(call, valu
         warnings.simplefilter("error")
         got = call(x)
     assert got == call(float(x))
+
+
+@pytest.mark.parametrize("call, value", POINT_CALLS.values(), ids=POINT_CALLS.keys())
+def test_a_decimal_coordinate_gives_the_equal_doubles_result(call, value):
+    # a Decimal passes PlanePoint's check; the arithmetic on it once ended
+    # in a TypeError
+    assert call(Decimal(repr(value))) == call(value)
 
 
 NOT_A_TRAP_CALLS = {

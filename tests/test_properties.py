@@ -1,8 +1,8 @@
 """Property tests over the K0, J0/Y0 and disk-trap entry points, the
 adaptive Gauss-Kronrod driver on many integrals, the segment sampler, the
-Wilson interval, R_z, the functions that take a count and every CLI
-command (``bessel``, ``disk``, ``simulate``, ``verify``, ``figures`` and
-``conjecture``).
+Wilson interval, R_z, the Green's function next to the segment, the
+functions that take a count and every CLI command (``bessel``, ``disk``,
+``simulate``, ``verify``, ``figures`` and ``conjecture``).
 
 Every call either returns a finite value in its domain or raises a
 ``TrapProbError``; every CLI run exits with a documented code.  The drawn
@@ -24,6 +24,7 @@ import sys
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +40,7 @@ from trapprob import (
     check_theorem1,
     check_theorem2,
     f_disk,
+    green_segment,
     harmonic_measure_nodes,
     harmonic_number,
     hunt_approx,
@@ -257,6 +259,41 @@ def test_r_z_is_finite_or_raises(a, b, x, y):
     except TrapProbError:
         return
     assert math.isfinite(value) and value > 0.0
+
+
+# a distance 10^U(-300, -6) from the segment, and a side: the interior (z
+# above or below a point of (-1, 1)) or beyond an endpoint (z at that
+# distance from +-1, at an angle facing away from the segment)
+NEAR_SEGMENT = st.tuples(
+    st.floats(min_value=-300.0, max_value=-6.0).map(lambda u: 10.0**u),
+    st.one_of(
+        st.tuples(st.just("interior"), st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True)),
+        st.tuples(st.just("beyond"), st.floats(min_value=-0.5 * math.pi, max_value=0.5 * math.pi)),
+    ),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@PROPERTY
+@given(NEAR_SEGMENT)
+@example((1e-300, ("interior", 0.3), 1.0))
+@example((1e-6, ("beyond", 0.0), -1.0))
+def test_green_near_the_segment_matches_mpmath(near):
+    # no tolerance band: every point off the segment gets ln|phi|/pi, which
+    # is within 1e-16 absolute of the exact value however close it comes
+    mpmath = pytest.importorskip("mpmath")
+    delta, (side, u), sign = near
+    if side == "interior":
+        x, y = u, sign * delta
+    else:
+        x, y = sign * (1.0 + delta * math.cos(u)), delta * math.sin(u)
+    if y == 0.0 and abs(x) <= 1.0:  # the offset rounded away: z is on the segment
+        assert green_segment(PlanePoint(x, y)) == 0.0
+        return
+    with mpmath.workdps(60):
+        z = mpmath.mpc(x, y)
+        exact = mpmath.log(abs(z + mpmath.sqrt(z - 1) * mpmath.sqrt(z + 1))) / mpmath.pi
+    assert abs(green_segment(PlanePoint(x, y)) - float(exact)) <= 1e-16
 
 
 @PROPERTY

@@ -540,6 +540,17 @@ def test_release_and_sample_checks_every_radius_before_any_walk(monkeypatch, seg
     assert calls == []
 
 
+def test_a_radius_past_the_double_range_is_refused_before_the_first_chunk(monkeypatch, segment):
+    # with n above the chunk, radius 0 is walked before release_circle ever
+    # sees radius 1, so the radius check itself must refuse 10**400
+    monkeypatch.setattr(trapprob.verify, "WALK_CHUNK", 2)
+    walks = []
+    _spy(monkeypatch, "sample_batch", walks)
+    with pytest.raises(DomainError, match="release radii must be a sequence of real numbers in the double range"):
+        release_and_sample(segment, [1.0, 10**400], 3, 100.0, 0)
+    assert walks == []
+
+
 @pytest.mark.parametrize("n", [10**15, 10**19])
 def test_an_impossible_trajectory_count_is_refused_before_any_walk(monkeypatch, segment, n):
     # numpy refuses records for 10**15 walks (22 PiB) without allocating

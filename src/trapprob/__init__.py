@@ -37,7 +37,6 @@ from trapprob.specfun import (
     BoundedValue,
     bessel_i,
     bessel_j0_y0,
-    harmonic_number,
     k0,
     k0_bounds,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "figure_series",
     "green_segment",
     "harmonic_measure_nodes",
-    "harmonic_number",
     "hunt_approx",
     "k0",
     "k0_bounds",

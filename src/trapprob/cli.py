@@ -26,7 +26,7 @@ except ImportError:  # numpy before 2.0
     opt_func_info = None
 
 import trapprob
-from trapprob.conformal import PlanePoint, make_segment_trap
+from trapprob.conformal import make_segment_trap
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import CapacityError, ConvergenceError, DomainError, HypothesisError, require_count
 from trapprob.reporting import PALETTE, csv_lines, svg_lineplot, write_csv, write_manifest
@@ -218,7 +218,7 @@ def _cmd_verify(args):
     if args.which == "theorem1":
         reports = [check_theorem1(trap, args.r, args.tau, args.n, args.seed)]
     else:
-        lower, upper = check_theorem2(trap, PlanePoint(args.zx, args.zy), args.tau, args.n, args.seed)
+        lower, upper = check_theorem2(trap, args.zx, args.zy, args.tau, args.n, args.seed)
         reports = [rep for rep in (lower, upper) if rep is not None]
     records = [dataclasses.asdict(r) for r in reports]
     table = {field.name: [rec[field.name] for rec in records] for field in dataclasses.fields(BoundReport)}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trapprob.errors import BoundaryError, DomainError, require_count
+from trapprob.errors import BoundaryError, DomainError, require_count, require_finite
 from trapprob.specfun import GAMMA
 
 _E_GAMMA = math.exp(GAMMA)
@@ -29,7 +29,7 @@ _E_GAMMA = math.exp(GAMMA)
 
 @dataclass(frozen=True)
 class PlanePoint:
-    """A point of the plane (Cartesian coordinates)."""
+    """A start point of the sampler's walks (Cartesian coordinates)."""
 
     x: float
     y: float
@@ -103,14 +103,6 @@ def _check_trap(trap):
         raise DomainError(f"trap must be a TrapGeometry from make_segment_trap, got {trap!r}")
 
 
-def _check_point(z):
-    """The coordinates of ``z`` as floats (a numpy float32 or a Decimal
-    becomes the equal double); DomainError unless ``z`` is a PlanePoint."""
-    if not isinstance(z, PlanePoint):
-        raise DomainError(f"point must be a PlanePoint, got {z!r}")
-    return float(z.x), float(z.y)
-
-
 def _phi_scaled(x, y, s):
     """phi(x + iy)/s for s = 1 or 4, where dividing by s is exact.
 
@@ -123,8 +115,9 @@ def _phi_scaled(x, y, s):
     return complex(x / s, y / s) + root
 
 
-def phi_segment(z):
-    """Exterior conformal map z + sqrt(z^2 - 1) of the normalized segment.
+def phi_segment(x, y):
+    """Exterior conformal map z + sqrt(z^2 - 1) of the normalized segment,
+    at z = x + iy.
 
     The branch is fixed by writing sqrt(z^2 - 1) = sqrt(z - 1) sqrt(z + 1)
     with principal square roots, which makes the product positive for
@@ -133,9 +126,10 @@ def phi_segment(z):
     segment (y == 0 and |x| <= 1) and nowhere else: the two roots keep
     their relative accuracy however close z comes, so a point 1e-300 off
     the segment still gets its map.  DomainError where phi(z), about 2z,
-    passes the double range (|z| from about 9e307).
+    passes the double range (|z| from about 9e307), and for a coordinate
+    that is not a finite real scalar.
     """
-    x, y = _check_point(z)
+    x, y = require_finite(x=x, y=y)
     if y == 0.0 and abs(x) <= 1.0:
         raise BoundaryError(f"point ({x}, {y}) lies on the segment trap")
     w = _phi_scaled(x, y, 1.0)
@@ -144,8 +138,10 @@ def phi_segment(z):
     return w
 
 
-def green_segment(z):
-    """Green's function with pole at infinity for the normalized segment.
+def green_segment(x, y):
+    """Green's function with pole at infinity for the normalized segment,
+    at z = x + iy (DomainError for a coordinate that is not a finite real
+    scalar).
 
     Returns ln|phi(z)|/pi, which is >= 0, vanishes as z approaches the
     segment, and grows like ln|z|/pi.  Exactly on the segment (y == 0 and
@@ -156,9 +152,9 @@ def green_segment(z):
     7.5e-17 absolute.  Where |phi(z)| passes the double range, ln|phi| is
     ln 4 + ln|phi(z)/4|.
     """
-    x, y = _check_point(z)
+    x, y = require_finite(x=x, y=y)
     try:
-        log_phi = math.log(abs(phi_segment(z)))
+        log_phi = math.log(abs(phi_segment(x, y)))
     except BoundaryError:
         return 0.0
     except (DomainError, OverflowError):  # phi(z) or |phi(z)| past the double range
@@ -185,15 +181,15 @@ def harmonic_measure_nodes(n):
     return nodes, np.full(n, 1.0 / n)
 
 
-def r_z(trap, z):
-    """max(sup over the trap of |w - z|, e^gamma r_T).
+def r_z(trap, x, y):
+    """max(sup over the trap of |w - z|, e^gamma r_T), at z = x + iy.
 
     The supremum is attained at an endpoint of the segment.  DomainError
     where that distance passes the double range, ``trap`` is not a trap or
-    ``z`` is not a PlanePoint.
+    a coordinate is not a finite real scalar.
     """
     _check_trap(trap)
-    x, y = _check_point(z)
+    x, y = require_finite(x=x, y=y)
     far = max(math.hypot(x - trap.a, y), math.hypot(x - trap.b, y))
     if far == math.inf:
         raise DomainError(f"distance from ({x}, {y}) to the trap passes the double range")

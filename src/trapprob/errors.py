@@ -9,6 +9,7 @@ DomainError -> 1, HypothesisError -> 2, ConvergenceError -> 3.
 
 import math
 import numbers
+import reprlib
 import sys
 
 import numpy as np
@@ -77,16 +78,17 @@ def require_finite(**args):
 
 
 def real_array(x, message):
-    """np.asarray(x) cast to float; DomainError(f"{message}, got {x!r}")
+    """np.asarray(x) cast to float; DomainError(f"{message}, got ...")
     unless every entry is a real number in the double range.  So a digit
     string, bytes or a complex (which numpy's cast would parse, or strip of
     its imaginary part), a ragged sequence and an int past the double range
     are all refused here.  NaN and inf pass: the caller states its own
-    range."""
+    range.  The message shows x through reprlib, so a long sequence gives
+    a short message."""
     try:
         arr = np.asarray(x)
         if arr.dtype.kind in "biuf" or (arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat)):
             return arr.astype(float, copy=False)
     except (ValueError, OverflowError):  # a ragged sequence, or an int past the double range
         pass
-    raise DomainError(f"{message}, got {x!r}")
+    raise DomainError(f"{message}, got {reprlib.repr(x)}")

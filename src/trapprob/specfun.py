@@ -154,22 +154,6 @@ class BoundedValue:
         return (self.value, self.abs_error_bound) == (other.value, other.abs_error_bound)
 
 
-def harmonic_number(n):
-    """n-th harmonic number 1 + 1/2 + ... + 1/n (0 for n = 0).
-
-    Below 48 it is read from the extended-precision table.  From 48 on it is
-    the asymptotic expansion ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4)
-    - 1/(252n^6), in constant time; its first omitted term 1/(240n^8) is
-    below 1.6e-16 there, and the result is within about 1 ulp of H_n.
-    """
-    n = require_count(n, "harmonic_number's n", minimum=0)
-    if n < _NSER:
-        return float(_HARM_LD[n])
-    x = float(n)
-    inv2 = 1.0 / (x * x)
-    return math.log(x) + (GAMMA + (0.5 / x - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 / 252.0))))
-
-
 def bessel_i(order, x):
     """Modified Bessel function I0 or I2 by the ascending power series.
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trapprob.conformal import PlanePoint, _check_point, _check_trap, green_segment, make_segment_trap, r_z
+from trapprob.conformal import PlanePoint, _check_trap, green_segment, make_segment_trap, r_z
 from trapprob.disk_oracle import f_disk, hunt_approx, p_disk
 from trapprob.errors import CapacityError, DomainError, HypothesisError, real_array, require_count, require_finite
 from trapprob.segment_sim import RECORD_DTYPE, _check_cap, _check_grid, release_circle, sample_batch, survival_curve
@@ -140,15 +140,18 @@ def _abelian_bracket(records, tau):
     exp(-S/tau) to the upper (at least as tight as exp(-t_max/tau), since
     S > t_max).  The slack is the bracket's half-width plus SLACK_SIGMAS
     standard errors, the larger of the two summands' deviations over
-    sqrt(n).
+    sqrt(n).  Where both deviations are 0 (n = 1, or every summand equal)
+    the standard errors are SLACK_SIGMAS / n instead: the rule of three,
+    since n equal summands cannot rule out an event of probability about
+    3/n that they did not see.
     """
     n = len(records)
     highs = np.exp(-records.time / tau)
     lows = np.where(records.censored, 0.0, highs)
-    sd_low = float(np.std(lows, ddof=1)) if n > 1 else 0.0
-    sd_high = float(np.std(highs, ddof=1)) if n > 1 else 0.0
+    sd = max(float(np.std(lows, ddof=1)), float(np.std(highs, ddof=1))) if n > 1 else 0.0
     low, high = float(np.mean(lows)), float(np.mean(highs))
-    return 0.5 * (low + high), 0.5 * (high - low) + SLACK_SIGMAS * (max(sd_low, sd_high) / math.sqrt(n))
+    sigmas = SLACK_SIGMAS * (sd / math.sqrt(n)) if sd > 0.0 else SLACK_SIGMAS / n
+    return 0.5 * (low + high), 0.5 * (high - low) + sigmas
 
 
 def _capture_table(trap, radii, times, n, seed):
@@ -228,20 +231,19 @@ def _theorem1_reports(trap, radii, tau, n, seed):
     return reports
 
 
-def check_theorem2(trap, z, tau, n, seed):
-    """Sandwich the pointwise Abelian mean F_hat(z, tau).
+def check_theorem2(trap, zx, zy, tau, n, seed):
+    """Sandwich the pointwise Abelian mean F_hat(z, tau) at z = zx + i zy.
 
     Returns (lower_report, upper_report); a side whose hypothesis fails
     (tau <= (e/2) d^2 for the lower, tau <= (e/2) R_z^2 for the upper) is
     returned as None.  Raises HypothesisError when both fail, DomainError
-    for a non-finite tau.
+    for a non-finite tau or coordinate.
     """
     _check_trap(trap)
-    [tau] = require_finite(tau=tau)
+    x, y, tau = require_finite(zx=zx, zy=zy, tau=tau)
     n = require_count(n, "trajectory count")
     d2 = trap.d * trap.d
-    rz = r_z(trap, z)
-    x, y = _check_point(z)
+    rz = r_z(trap, x, y)
     rz2 = rz * rz  # float ** 2 raises OverflowError past about 1e154
     lower_ok = tau > 0.5 * math.e * d2
     upper_ok = tau > 0.5 * math.e * rz2
@@ -251,9 +253,10 @@ def check_theorem2(trap, z, tau, n, seed):
             f"nor tau > (e/2) R_z^2 = {0.5 * math.e * rz2:g}"
         )
     c, h = 0.5 * (trap.a + trap.b), 0.5 * (trap.b - trap.a)
-    unit_z = PlanePoint((x - c) / h, y / h)  # z's image on the normalized segment
-    base = 1.0 - 2.0 * math.pi * green_segment(unit_z) / math.log(tau / trap.tau0)
-    records = _walk(trap, lambda lo, hi: [z] * (hi - lo), n, TMAX_OVER_TAU * tau, seed)
+    # H at z's image on the normalized segment
+    base = 1.0 - 2.0 * math.pi * green_segment((x - c) / h, y / h) / math.log(tau / trap.tau0)
+    start = PlanePoint(x, y)
+    records = _walk(trap, lambda lo, hi: [start] * (hi - lo), n, TMAX_OVER_TAU * tau, seed)
     mid, slack = _abelian_bracket(records, tau)
     tag = f"segment z=({x:g},{y:g}) tau={tau:g} n={n}"
     lower = None

@@ -38,16 +38,16 @@ import scipy.stats as st
 
 from trapprob.cli import main as cli_main
 from trapprob.conformal import (
-    PlanePoint,
     green_segment,
     harmonic_measure_nodes,
     make_segment_trap,
 )
 from trapprob.disk_oracle import f_disk, p_disk
-from trapprob.specfun import GAMMA, bessel_i, harmonic_number, k0_bounds
+from trapprob.specfun import GAMMA, bessel_i, k0_bounds
 from trapprob.verify import _theorem1_reports, check_theorem1, check_theorem2, figure_series
 
 from test_segment_sim import jump_to_axis
+from test_specfun import harmonic
 
 N_MC = 100_000
 SEED = 0
@@ -66,8 +66,7 @@ def figure_table():
 def pointwise_reports():
     """Pointwise Abelian sandwich runs at z = (5, 0), shared by criteria 8/9."""
     trap = make_segment_trap(-1.0, 1.0)
-    z = PlanePoint(5.0, 0.0)
-    return {tau: check_theorem2(trap, z, tau, N_MC, seed=SEED) for tau in (1e2, 1e3, 1e4)}
+    return {tau: check_theorem2(trap, 5.0, 0.0, tau, N_MC, seed=SEED) for tau in (1e2, 1e3, 1e4)}
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +75,7 @@ def pointwise_reports():
 
 def test_criterion_01_k0_bracket_sandwich(acceptance):
     t0 = time.perf_counter()
-    h40 = harmonic_number(40)
+    h40 = harmonic(40)
 
     def reference(x):
         # deep (order 40) bracket, widened by the float-evaluation allowance:
@@ -93,7 +92,7 @@ def test_criterion_01_k0_bracket_sandwich(acceptance):
             ref_lo, ref_hi = reference(float(x))
             if lo_m > ref_hi:  # certified: truncation exceeds the true kernel
                 violations.append(("lower", m, float(x)))
-        top = 2.0 * math.exp(harmonic_number(m) - GAMMA)
+        top = 2.0 * math.exp(harmonic(m) - GAMMA)
         for x in np.logspace(-8.0, math.log10(top * (1.0 - 1e-12)), 200):
             _, hi_m = k0_bounds(float(x), m)
             ref_lo, ref_hi = reference(float(x))
@@ -185,7 +184,7 @@ def test_criterion_04_harmonic_measure_identities(acceptance):
     worst_green = 0.0
     for zx, zy in ((2.0, 0.0), (1.0, 1.0), (0.0, 5.0)):
         quad = (math.log(2.0) + float(np.sum(weights * np.log(np.hypot(zx - nodes, zy))))) / math.pi
-        worst_green = max(worst_green, abs(quad - green_segment(PlanePoint(zx, zy))))
+        worst_green = max(worst_green, abs(quad - green_segment(zx, zy)))
 
     elapsed = time.perf_counter() - t0
     ok = worst_pot <= 1e-10 and worst_excess <= 1e-10 and worst_green <= 1e-8 and elapsed < 1.0
@@ -325,7 +324,7 @@ def test_criterion_08_pointwise_sandwich(acceptance, pointwise_reports):
 
 
 def test_criterion_09_log_capture_trend(acceptance, pointwise_reports):
-    limit = 2.0 * math.pi * green_segment(PlanePoint(5.0, 0.0))
+    limit = 2.0 * math.pi * green_segment(5.0, 0.0)
     assert abs(limit - 2.0 * math.log(5.0 + math.sqrt(24.0))) < 1e-12
 
     taus = sorted(pointwise_reports)

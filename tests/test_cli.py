@@ -461,6 +461,22 @@ def test_verify_theorem2_two_reports(tmp_path):
     assert [r["label"].split("[")[0] for r in reports] == ["theorem2-lower", "theorem2-upper"]
 
 
+@pytest.mark.parametrize("args, verdicts", [
+    (["theorem1", "--r", "6"], ["holds_within_mc_error"]),
+    (["theorem2", "--zx", "5"], ["holds", "holds_within_mc_error"]),
+])
+def test_verify_ten_captured_walks_are_not_a_violation(tmp_path, capsys, args, verdicts):
+    # all 10 walks are captured long before tau = 1e300, so every summand
+    # is 1 and the sample deviation 0; the slack once read 0 and turned a
+    # margin of about -2e-3 into "violated"
+    rc = main(["verify", *args, "--tau", "1e300", "--n", "10", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
+    reports = json.loads((tmp_path / "bound_reports.json").read_text())
+    assert [r["verdict"] for r in reports] == verdicts
+    assert all(0.29 < r["statistical_slack"] <= 0.3 for r in reports)
+
+
 # ---------------------------------------------------------------------------
 # figures and conjecture
 

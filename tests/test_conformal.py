@@ -92,23 +92,23 @@ def test_plane_point_basics():
 # ---------------------------------------------------------------------------
 
 def test_phi_real_axis_values():
-    assert_allclose(phi_segment(PlanePoint(2.0, 0.0)).real, 3.732050807568877, rtol=1e-15)
-    assert abs(phi_segment(PlanePoint(2.0, 0.0)).imag) < 1e-15
+    assert_allclose(phi_segment(2.0, 0.0).real, 3.732050807568877, rtol=1e-15)
+    assert abs(phi_segment(2.0, 0.0).imag) < 1e-15
     # left of the segment the map is large negative
-    w = phi_segment(PlanePoint(-2.0, 0.0))
+    w = phi_segment(-2.0, 0.0)
     assert_allclose(w.real, -3.732050807568877, rtol=1e-15)
 
 
 @pytest.mark.parametrize("x", [-65656626.0, -5.0, -1.5, 2.0, 7e8])
 def test_phi_signed_zero_is_on_the_axis(x):
     # y = -0.0 is the real axis, on either side of the segment
-    w = phi_segment(PlanePoint(x, -0.0))
-    assert w == phi_segment(PlanePoint(x, 0.0)) and abs(w) > 1.0
-    assert green_segment(PlanePoint(x, -0.0)) == green_segment(PlanePoint(x, 0.0)) > 0.0
+    w = phi_segment(x, -0.0)
+    assert w == phi_segment(x, 0.0) and abs(w) > 1.0
+    assert green_segment(x, -0.0) == green_segment(x, 0.0) > 0.0
 
 
 def test_phi_complex_value():
-    w = phi_segment(PlanePoint(1.0, 1.0))
+    w = phi_segment(1.0, 1.0)
     assert_allclose(w.real, 1.7861513777574233, rtol=1e-14)
     assert_allclose(w.imag, 2.2720196495140690, rtol=1e-14)
 
@@ -116,7 +116,7 @@ def test_phi_complex_value():
 def test_phi_inverse_round_trip():
     pts = [(1.5, 0.7), (-2.0, 0.1), (0.0, 3.0), (-0.4, -1.2), (10.0, -4.0)]
     for x, y in pts:
-        w = phi_segment(PlanePoint(x, y))
+        w = phi_segment(x, y)
         z_back = 0.5 * (w + 1.0 / w)
         assert_allclose([z_back.real, z_back.imag], [x, y], rtol=1e-12, atol=1e-13)
 
@@ -128,7 +128,7 @@ def test_phi_modulus_exceeds_one_off_segment():
         y = rng.uniform(-4, 4)
         if math.hypot(max(abs(x) - 1.0, 0.0), y) <= 1e-9:
             continue
-        assert abs(phi_segment(PlanePoint(x, y))) > 1.0
+        assert abs(phi_segment(x, y)) > 1.0
 
 
 def test_phi_asymptotically_doubles():
@@ -136,7 +136,7 @@ def test_phi_asymptotically_doubles():
     for radius, tol in ((1e3, 1e-5), (1e6, 1e-11)):
         for angle in (0.3, 1.2, 2.5, 4.0):
             z = complex(radius * math.cos(angle), radius * math.sin(angle))
-            w = phi_segment(PlanePoint(z.real, z.imag))
+            w = phi_segment(z.real, z.imag)
             assert abs(w / z - 2.0) < tol
 
 
@@ -145,10 +145,10 @@ def test_phi_boundary_error():
     # 1e-13 above an endpoint is off it and has |phi| just above 1
     for x in (0.3, 1.0, -1.0, -0.0):
         with pytest.raises(BoundaryError):
-            phi_segment(PlanePoint(x, 0.0))
+            phi_segment(x, 0.0)
     with pytest.raises(BoundaryError):
-        phi_segment(PlanePoint(0.3, -0.0))
-    w = phi_segment(PlanePoint(-1.0, 1e-13))
+        phi_segment(0.3, -0.0)
+    w = phi_segment(-1.0, 1e-13)
     assert 1.0 < abs(w) < 1.0 + 1e-6
 
 
@@ -158,25 +158,25 @@ def test_phi_boundary_error():
 
 @pytest.mark.parametrize("xy, want", sorted(GREEN_REF.items()))
 def test_green_reference_values(xy, want):
-    assert_allclose(green_segment(PlanePoint(*xy)), want, rtol=1e-12)
+    assert_allclose(green_segment(*xy), want, rtol=1e-12)
 
 
 def test_green_zero_on_segment():
     for x in (-1.0, -0.5, 0.0, 0.9, 1.0):
-        assert green_segment(PlanePoint(x, 0.0)) == 0.0
+        assert green_segment(x, 0.0) == 0.0
     # just off the segment H is y/(pi sqrt(1 - x^2)) to first order, 3.25e-14
     # here, within the 7e-17 absolute of ln|phi| near |phi| = 1
-    assert_allclose(green_segment(PlanePoint(0.2, 1e-13)), 1e-13 / (math.pi * math.sqrt(0.96)), rtol=0, atol=1e-16)
+    assert_allclose(green_segment(0.2, 1e-13), 1e-13 / (math.pi * math.sqrt(0.96)), rtol=0, atol=1e-16)
 
 
 def test_green_continuous_near_segment():
     # vanishes linearly in the distance at interior points ...
-    vals = [green_segment(PlanePoint(0.3, 10.0**-k)) for k in range(3, 9)]
+    vals = [green_segment(0.3, 10.0**-k) for k in range(3, 9)]
     assert all(v > 0.0 for v in vals)
     for a, b in zip(vals, vals[1:]):
         assert_allclose(a / b, 10.0, rtol=1e-5)
     # ... but only like sqrt(distance) beyond an endpoint
-    vals = [green_segment(PlanePoint(1.0 + 10.0**-k, 0.0)) for k in range(3, 9)]
+    vals = [green_segment(1.0 + 10.0**-k, 0.0) for k in range(3, 9)]
     for a, b in zip(vals, vals[1:]):
         assert_allclose(a / b, math.sqrt(10.0), rtol=1e-3)
 
@@ -188,25 +188,25 @@ def test_green_jumps_at_the_boundary_tolerance_beyond_an_endpoint():
     # 4.7e-7)
     for sign in (1.0, -1.0):
         for delta in (1.1e-12, 5e-13, 1e-15, 2.0**-52):
-            z = PlanePoint(sign * (1.0 + delta), 0.0)
-            exact = (abs(z.x) - 1.0) * 2.0  # 2 delta for the double actually stored
-            assert abs(phi_segment(z)) > 1.0
-            assert_allclose(green_segment(z), math.sqrt(exact) / math.pi, rtol=1e-3)
-        assert green_segment(PlanePoint(sign, 0.0)) == 0.0
+            x = sign * (1.0 + delta)
+            exact = (abs(x) - 1.0) * 2.0  # 2 delta for the double actually stored
+            assert abs(phi_segment(x, 0.0)) > 1.0
+            assert_allclose(green_segment(x, 0.0), math.sqrt(exact) / math.pi, rtol=1e-3)
+        assert green_segment(sign, 0.0) == 0.0
 
 
 def test_green_symmetries():
     # reflection through both axes leaves |phi| unchanged
     for x, y in ((1.3, 0.4), (0.2, 2.0), (3.0, -1.0)):
-        g = green_segment(PlanePoint(x, y))
-        assert_allclose(green_segment(PlanePoint(-x, y)), g, rtol=1e-13)
-        assert_allclose(green_segment(PlanePoint(x, -y)), g, rtol=1e-13)
+        g = green_segment(x, y)
+        assert_allclose(green_segment(-x, y), g, rtol=1e-13)
+        assert_allclose(green_segment(x, -y), g, rtol=1e-13)
 
 
 def test_green_grows_logarithmically():
     # H(z) - ln(|z|/r_T)/pi -> 0, r_T = 1/2
     for radius, tol in ((1e3, 1e-7), (1e6, 1e-12)):
-        g = green_segment(PlanePoint(radius, 0.0))
+        g = green_segment(radius, 0.0)
         assert abs(g - math.log(radius / 0.5) / math.pi) < tol
 
 
@@ -228,20 +228,20 @@ def test_green_at_the_edge_of_the_double_range_matches_mpmath(x, y):
     with mpmath.workdps(40):
         z = mpmath.mpc(x, y)
         want = float(mpmath.log(abs(z + mpmath.sqrt(z - 1) * mpmath.sqrt(z + 1))) / mpmath.pi)
-    assert_allclose(green_segment(PlanePoint(x, y)), want, rtol=4e-16)
+    assert_allclose(green_segment(x, y), want, rtol=4e-16)
 
 
 def test_phi_outside_the_double_range_raises():
     with pytest.raises(DomainError, match="outside the double range"):
-        phi_segment(PlanePoint(9e307, 0.0))
+        phi_segment(9e307, 0.0)
     # just below, phi is a double and green_segment reads it as before
-    assert abs(phi_segment(PlanePoint(8e307, 0.0)).real - 1.6e308) < 1e293
-    assert green_segment(PlanePoint(8e307, 0.0)) == math.log(abs(phi_segment(PlanePoint(8e307, 0.0)))) / math.pi
+    assert abs(phi_segment(8e307, 0.0).real - 1.6e308) < 1e293
+    assert green_segment(8e307, 0.0) == math.log(abs(phi_segment(8e307, 0.0))) / math.pi
 
 
 def test_green_monotone_along_ray():
     radii = np.geomspace(1.5, 1e4, 50)
-    vals = [green_segment(PlanePoint(float(r), 0.0)) for r in radii]
+    vals = [green_segment(float(r), 0.0) for r in radii]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -323,24 +323,24 @@ def test_green_via_measure_quadrature():
 
 def test_r_z_segment():
     trap = make_segment_trap(-1.0, 1.0)
-    assert r_z(trap, PlanePoint(5.0, 0.0)) == 6.0
-    assert r_z(trap, PlanePoint(2.0, 0.0)) == 3.0
-    assert_allclose(r_z(trap, PlanePoint(0.0, 1.0)), math.sqrt(2.0), rtol=1e-15)
+    assert r_z(trap, 5.0, 0.0) == 6.0
+    assert r_z(trap, 2.0, 0.0) == 3.0
+    assert_allclose(r_z(trap, 0.0, 1.0), math.sqrt(2.0), rtol=1e-15)
 
 
 def test_r_z_floor():
     # a segment can never trigger the e^gamma r_T floor: its half-length
     # 2 r_T already exceeds e^gamma r_T
     trap = make_segment_trap(-1.0, 1.0)
-    assert r_z(trap, PlanePoint(0.0, 0.01)) > E_GAMMA * 0.5
+    assert r_z(trap, 0.0, 0.01) > E_GAMMA * 0.5
 
 
 def test_r_z_refuses_a_distance_past_the_double_range():
     trap = make_segment_trap(-1.0, 1.0)
     with pytest.raises(DomainError, match="passes the double range"):
-        r_z(trap, PlanePoint(1.7e308, 1.7e308))
+        r_z(trap, 1.7e308, 1.7e308)
     # the farther end is about 1.41e308 away here, still a double
-    assert math.isfinite(r_z(trap, PlanePoint(1e308, 1e308)))
+    assert math.isfinite(r_z(trap, 1e308, 1e308))
 
 
 def test_scaling_covariance():
@@ -352,5 +352,4 @@ def test_scaling_covariance():
     assert wide.r_T == h * unit.r_T
     assert_allclose(wide.tau0, h * h * unit.tau0, rtol=1e-15)
     for x, y in ((9.0, 1.0), (5.0, -3.0)):
-        zu = PlanePoint((x - c) / h, y / h)
-        assert_allclose(r_z(wide, PlanePoint(x, y)), h * r_z(unit, zu), rtol=1e-15)
+        assert_allclose(r_z(wide, x, y), h * r_z(unit, (x - c) / h, y / h), rtol=1e-15)

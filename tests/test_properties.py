@@ -42,7 +42,6 @@ from trapprob import (
     f_disk,
     green_segment,
     harmonic_measure_nodes,
-    harmonic_number,
     hunt_approx,
     k0,
     k0_bounds,
@@ -91,8 +90,7 @@ SEEDS = st.one_of(st.sampled_from([-1, 0, 2**64 - 1, 2**64]), st.integers(0, 2**
 # integers, and integers past the double range (up to 10**400), which every
 # count check refuses.  A finite integral count from COUNT_MAX to the
 # largest double asks for that many points or walks, so it measures memory
-# and time, not the count check, and is left out (harmonic_number, which
-# takes any count in constant time, also gets integral counts up to 1e15).
+# and time, not the count check, and is left out.
 COUNT_MAX = 64
 COUNTS = st.one_of(
     st.integers(-2, COUNT_MAX),
@@ -255,7 +253,7 @@ def test_wilson_interval_is_a_band_of_probabilities_or_raises(successes, n):
 @example(a=-1.0, b=1.0, x=1.7e308, y=1.7e308)
 def test_r_z_is_finite_or_raises(a, b, x, y):
     try:
-        value = r_z(make_segment_trap(a, b), PlanePoint(x, y))
+        value = r_z(make_segment_trap(a, b), x, y)
     except TrapProbError:
         return
     assert math.isfinite(value) and value > 0.0
@@ -288,12 +286,12 @@ def test_green_near_the_segment_matches_mpmath(near):
     else:
         x, y = sign * (1.0 + delta * math.cos(u)), delta * math.sin(u)
     if y == 0.0 and abs(x) <= 1.0:  # the offset rounded away: z is on the segment
-        assert green_segment(PlanePoint(x, y)) == 0.0
+        assert green_segment(x, y) == 0.0
         return
     with mpmath.workdps(60):
         z = mpmath.mpc(x, y)
         exact = mpmath.log(abs(z + mpmath.sqrt(z - 1) * mpmath.sqrt(z + 1))) / mpmath.pi
-    assert abs(green_segment(PlanePoint(x, y)) - float(exact)) <= 1e-16
+    assert abs(green_segment(x, y) - float(exact)) <= 1e-16
 
 
 @PROPERTY
@@ -319,26 +317,13 @@ def test_count_arguments_are_integral_or_raise(n):
 
 
 @PROPERTY
-@given(st.one_of(COUNTS, st.integers(0, 10**400), st.integers(0, 10**15).map(float)))
-def test_harmonic_number_is_integral_or_raises(n):
-    try:
-        h = harmonic_number(n)
-    except TrapProbError:
-        return
-    # ln(n + 1) <= H_n <= 1 + ln n for n >= 1
-    assert n == int(n) >= 0 and math.isfinite(h) and h >= 0.0
-    if n >= 1:
-        assert math.log1p(n) * (1.0 - 1e-15) <= h <= (1.0 + math.log(n)) * (1.0 + 1e-15)
-
-
-@PROPERTY
 @given(COUNTS, SEEDS)
 def test_theorem_checks_take_a_count_or_raise(n, seed):
     segment = make_segment_trap(-1.0, 1.0)
     with mock.patch.object(sim, "STEP_CAP", TEST_STEP_CAP):
         try:
             reports = [check_theorem1(segment, 5.0, 100.0, n, seed)]
-            reports += check_theorem2(segment, PlanePoint(5.0, 0.0), 100.0, n, seed)
+            reports += check_theorem2(segment, 5.0, 0.0, 100.0, n, seed)
         except TrapProbError:
             return
     assert n == int(n) >= 1

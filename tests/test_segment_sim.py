@@ -628,7 +628,7 @@ def test_whole_walk_hit_point_follows_the_harmonic_measure(a, b, zx, zy):
     records = sample_batch(make_segment_trap(a, b), [PlanePoint(c + h * zx, h * zy)] * n, t_max=1e300, seed=3)
     assert records.censored.sum() < 0.002 * n
     xs = np.sort(records.x[~records.censored])
-    cdf = _hit_abscissa_cdf(phi_segment(PlanePoint(zx, zy)), (xs - c) / h)
+    cdf = _hit_abscissa_cdf(phi_segment(zx, zy), (xs - c) / h)
     rank = np.arange(1, xs.size + 1) / xs.size
     ks = max((rank - cdf).max(), (cdf - (rank - 1.0 / xs.size)).max())
     assert ks * math.sqrt(xs.size) < 1.95
@@ -649,15 +649,15 @@ def test_whole_walk_censored_share_follows_the_log_tail():
     (seed 17 reads 38 against 33.2 and 21 against 28.5).
     """
     t_max = 1e300
-    zs = [PlanePoint(5.0, 0.0), PlanePoint(-3.0, 2.0)]
+    zs = [(5.0, 0.0), (-3.0, 2.0)]
     for a, b, n in ((-1.0, 1.0, 10000), (-3.0, 2.5, 5000)):
         trap = make_segment_trap(a, b)
         c, h = 0.5 * (a + b), 0.5 * (b - a)
-        starts = [PlanePoint(c + h * z.x, h * z.y) for z in zs for _ in range(n)]
+        starts = [PlanePoint(c + h * zx, h * zy) for zx, zy in zs for _ in range(n)]
         records = sample_batch(trap, starts, t_max=t_max, seed=17)
         log_tail = math.log(t_max / trap.tau0)
         for k, z in enumerate(zs):
-            expected = n * 2.0 * math.pi * green_segment(z) / log_tail
+            expected = n * 2.0 * math.pi * green_segment(*z) / log_tail
             censored = int(records.censored[k * n : (k + 1) * n].sum())
             assert abs(censored - expected) <= 4.0 * math.sqrt(expected), (a, b, z, censored, expected)
 
@@ -793,9 +793,16 @@ def test_abelian_no_censoring_collapses_bracket():
     assert slack == _sigmas(highs, highs) > 0.0
 
 
-def test_abelian_single_record_has_no_standard_error():
+def test_abelian_zero_deviation_gets_the_rule_of_three_slack():
+    # one record, or records whose summands are all equal, show no spread;
+    # the statistical part of the slack is then SLACK_SIGMAS / n (the rule of
+    # three for an event not seen in n trials), not 0
     mid, slack = _abelian_bracket(_records((30.0, math.nan, True, 2)), 10.0)
-    assert mid == slack == 0.5 * math.exp(-3.0)
+    assert mid == 0.5 * math.exp(-3.0)
+    assert slack == 0.5 * math.exp(-3.0) + SLACK_SIGMAS
+    mid, slack = _abelian_bracket(_records(*[(20.0, 0.5, False, 3)] * 4), 10.0)
+    assert mid == math.exp(-2.0)
+    assert slack == SLACK_SIGMAS / 4
 
 
 def test_abelian_bracket_width_bounded_by_cap():

@@ -1,4 +1,4 @@
-"""Tests for the special-function kernels (harmonic numbers, I0/I2, J0/Y0, K0)."""
+"""Tests for the special-function kernels (I0/I2, J0/Y0, K0)."""
 
 import hashlib
 import math
@@ -15,7 +15,6 @@ from trapprob import (
     DomainError,
     bessel_i,
     bessel_j0_y0,
-    harmonic_number,
     k0,
     k0_bounds,
 )
@@ -55,42 +54,11 @@ I0_CONST_A = 0.7884923128779748  # I0(2e^-gamma) * e^2 / (4 pi)
 I0_CONST_B = 0.4026717927444479  # (I0(2/sqrt(e)) + I2(2/sqrt(e))) / 4
 
 
-# ---------------------------------------------------------------------------
-# harmonic_number
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("n, want", [(0, 0.0), (1, 1.0), (2, 1.5), (4, 25.0 / 12.0)])
-def test_harmonic_small(n, want):
-    assert harmonic_number(n) == pytest.approx(want, rel=0, abs=1e-15)
-
-
-def test_harmonic_large_matches_digamma():
-    # h_n = psi(n+1) + gamma
-    for n in (10, 47, 48, 100, 1000):
-        assert_allclose(harmonic_number(n), sp.digamma(n + 1) + GAMMA, rtol=1e-14)
-
-
-def test_harmonic_expansion_within_two_ulp_of_mpmath():
-    # from n = 48 on, harmonic_number is the asymptotic expansion; a count
-    # of 1e15 returns at once rather than summing 1e15 terms
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        for n in [*range(48, 2001, 7), 2000, 10**4, 10**6, 10**9, 2**53 - 1, 10**15]:
-            want = mpmath.harmonic(n)
-            assert abs(harmonic_number(n) - want) <= 2.0 * math.ulp(float(want)), n
-
-
-def test_harmonic_rejects_bad_input():
-    with pytest.raises(DomainError):
-        harmonic_number(-1)
-    with pytest.raises(DomainError):
-        harmonic_number(2.5)
-    for n in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError):
-            harmonic_number(n)
-    # past the double range: refused by the count check, not an OverflowError
-    with pytest.raises(DomainError, match="harmonic_number's n must be at most"):
-        harmonic_number(10**400)
+def harmonic(m):
+    """The m-th harmonic number, exactly rounded; for m <= 47 it equals the
+    package's extended-precision table entry bit for bit, so the edges
+    2e^(h_m - gamma) below are the ones k0_bounds uses."""
+    return float(sum(Fraction(1, k) for k in range(1, m + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +577,7 @@ def test_bessel_table_brackets_match_per_call_bounds():
     # bessel_i(0, x) called one by one, by repr; the grid hits every edge
     # of the upper bounds' ranges, 2e^-gamma and 2e^(h_m - gamma), and the
     # doubles either side
-    edges = [2.0 * math.exp(-GAMMA)] + [2.0 * math.exp(harmonic_number(m) - GAMMA) for m in range(1, 9)]
+    edges = [2.0 * math.exp(-GAMMA)] + [2.0 * math.exp(harmonic(m) - GAMMA) for m in range(1, 9)]
     xs = np.concatenate([
         np.geomspace(1e-8, 50.0, 300), edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
     ])
@@ -679,7 +647,7 @@ def test_k0_bounds_sentinels():
     assert k0_bounds(1.2, 0)[1] == math.inf
     # M >= 1: valid until 2e^{h_M - gamma}
     for m in (1, 3, 8):
-        edge = 2.0 * math.exp(harmonic_number(m) - GAMMA)
+        edge = 2.0 * math.exp(harmonic(m) - GAMMA)
         assert k0_bounds(edge * 0.999, m)[1] < math.inf
         assert k0_bounds(edge, m)[1] == math.inf
 
@@ -687,7 +655,7 @@ def test_k0_bounds_sentinels():
 def test_k0_bounds_bracket_true_value():
     # every bracket, M = 0 included, is valid on its full stated range
     for m in range(9):
-        hi = 2.0 * math.exp(harmonic_number(m) - GAMMA) * 0.999999
+        hi = 2.0 * math.exp(harmonic(m) - GAMMA) * 0.999999
         for x in np.geomspace(1e-6, hi, 60):
             lower, upper = k0_bounds(float(x), m)
             # scipy is the yardstick here and is itself only good to a few

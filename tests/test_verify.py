@@ -86,7 +86,7 @@ def test_theorems_reject_a_bad_trajectory_count(segment, n):
     with pytest.raises(DomainError, match="trajectory count"):
         check_theorem1(segment, 5.0, 100.0, n, SEED)
     with pytest.raises(DomainError, match="trajectory count"):
-        check_theorem2(segment, PlanePoint(5.0, 0.0), 100.0, n, SEED)
+        check_theorem2(segment, 5.0, 0.0, 100.0, n, SEED)
 
 
 @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
@@ -94,7 +94,7 @@ def test_theorems_reject_a_non_finite_tau(segment, tau):
     with pytest.raises(DomainError, match="tau must be finite"):
         check_theorem1(segment, 5.0, tau, 10, SEED)
     with pytest.raises(DomainError, match="tau must be finite"):
-        check_theorem2(segment, PlanePoint(5.0, 0.0), tau, 10, SEED)
+        check_theorem2(segment, 5.0, 0.0, tau, 10, SEED)
 
 
 @pytest.mark.parametrize("seed", [2.0, 1.5, "0", None])
@@ -102,13 +102,13 @@ def test_theorems_reject_a_seed_that_is_not_an_integer(segment, seed):
     with pytest.raises(DomainError, match="seed"):
         check_theorem1(segment, 5.0, 120.0, 10, seed=seed)
     with pytest.raises(DomainError, match="seed"):
-        check_theorem2(segment, PlanePoint(5.0, 0.0), 120.0, 10, seed=seed)
+        check_theorem2(segment, 5.0, 0.0, 120.0, 10, seed=seed)
 
 
 def test_theorem2_far_point_does_not_overflow(segment):
     # R_z ~ 1e200: its square is past the double range, so only the lower
     # side's hypothesis can hold
-    lower, upper = check_theorem2(segment, PlanePoint(1e200, 0.0), 1e300, 10, SEED)
+    lower, upper = check_theorem2(segment, 1e200, 0.0, 1e300, 10, SEED)
     assert upper is None and lower is not None
     assert math.isfinite(lower.lhs) and math.isfinite(lower.rhs)
 
@@ -116,10 +116,9 @@ def test_theorem2_far_point_does_not_overflow(segment):
 def test_theorem2_at_the_edge_of_the_double_range(segment):
     # phi(z) ~ 2z passes the double range here; the lower side must still
     # compare a finite left side, not -inf
-    z = PlanePoint(1e308, 1e308)
-    lower, upper = check_theorem2(segment, z, 1e300, 10, SEED)
+    lower, upper = check_theorem2(segment, 1e308, 1e308, 1e300, 10, SEED)
     assert upper is None
-    base = 1.0 - 2.0 * math.pi * green_segment(z) / math.log(1e300 / segment.tau0)
+    base = 1.0 - 2.0 * math.pi * green_segment(1e308, 1e308) / math.log(1e300 / segment.tau0)
     assert math.isfinite(lower.lhs) and lower.lhs == base - 0.8 * 4.0 / 1e300
     assert lower.verdict == "holds"
 
@@ -128,7 +127,7 @@ def test_theorem2_refuses_a_point_whose_r_z_passes_the_double_range(segment):
     # both sides used to be checked against R_z = inf: the upper one was
     # dropped in silence and the lower one read "holds"
     with pytest.raises(DomainError, match="passes the double range"):
-        check_theorem2(segment, PlanePoint(1.7e308, 1.7e308), 1e300, 10, SEED)
+        check_theorem2(segment, 1.7e308, 1.7e308, 1e300, 10, SEED)
 
 
 def test_theorem1_segment_holds(segment):
@@ -233,7 +232,7 @@ def test_f_disk_transfers_through_r0(a, b, r, tau):
 
 
 def test_theorem2_both_sides(segment):
-    lower, upper = check_theorem2(segment, PlanePoint(5.0, 0.0), 1000.0, 4000, seed=SEED)
+    lower, upper = check_theorem2(segment, 5.0, 0.0, 1000.0, 4000, seed=SEED)
     assert lower is not None and upper is not None
     assert lower.verdict in ("holds", "holds_within_mc_error")
     assert upper.verdict in ("holds", "holds_within_mc_error")
@@ -246,7 +245,7 @@ def test_theorem2_both_sides(segment):
 
 def test_theorem2_lower_only(segment):
     # tau between (e/2) d^2 ~ 5.44 and (e/2) R_z^2 ~ 48.9 at z = (5, 0)
-    lower, upper = check_theorem2(segment, PlanePoint(5.0, 0.0), 20.0, 2000, seed=SEED)
+    lower, upper = check_theorem2(segment, 5.0, 0.0, 20.0, 2000, seed=SEED)
     assert lower is not None
     assert upper is None
 
@@ -254,15 +253,14 @@ def test_theorem2_lower_only(segment):
 def test_theorem2_upper_only(segment):
     # close point: R_z = sqrt(1.01) so the upper gate is ~1.37 while the
     # circle-averaged gate stays at 5.44
-    z = PlanePoint(0.0, 0.1)
-    lower, upper = check_theorem2(segment, z, 3.0, 2000, seed=SEED)
+    lower, upper = check_theorem2(segment, 0.0, 0.1, 3.0, 2000, seed=SEED)
     assert lower is None
     assert upper is not None
 
 
 def test_theorem2_neither_side_raises(segment):
     with pytest.raises(HypothesisError):
-        check_theorem2(segment, PlanePoint(5.0, 0.0), 1.0, 100, seed=0)
+        check_theorem2(segment, 5.0, 0.0, 1.0, 100, seed=0)
 
 
 def test_theorem2_disk_self_test():
@@ -290,7 +288,7 @@ def test_theorem2_disk_self_test():
 
 def test_theorem2_sandwich_is_consistent(segment):
     # lower.lhs <= upper.rhs always (the sandwich has positive width)
-    lower, upper = check_theorem2(segment, PlanePoint(5.0, 0.0), 1000.0, 1000, seed=SEED)
+    lower, upper = check_theorem2(segment, 5.0, 0.0, 1000.0, 1000, seed=SEED)
     assert lower.lhs < upper.rhs
 
 
@@ -515,7 +513,7 @@ def test_no_walk_exceeds_the_chunk(monkeypatch, segment, call, walked):
         "figures": lambda: figure_series(radii=(1.0, 5.0), t_grid=[1.0, 10.0], n=40000, seed=1),
         "probe": lambda: conjecture_probe(segment, [1.0, 5.0], [1.0, 10.0], 40000, 1),
         "theorem1": lambda: check_theorem1(segment, 5.0, 6.0, 70000, 1),
-        "theorem2": lambda: check_theorem2(segment, PlanePoint(0.0, 0.5), 6.0, 70000, 1),
+        "theorem2": lambda: check_theorem2(segment, 0.0, 0.5, 6.0, 70000, 1),
     }
     runs[call]()
     assert walks == [WALK_CHUNK, walked - WALK_CHUNK]
@@ -561,7 +559,7 @@ def test_an_impossible_trajectory_count_is_refused_before_any_walk(monkeypatch, 
     runs = [
         lambda: release_and_sample(segment, 5.0, n, 100.0, 0),
         lambda: check_theorem1(segment, 5.0, 120.0, n, 0),
-        lambda: check_theorem2(segment, PlanePoint(5.0, 0.0), 120.0, n, 0),
+        lambda: check_theorem2(segment, 5.0, 0.0, 120.0, n, 0),
         lambda: figure_series(radii=(1.0, 5.0), t_grid=[1.0, 10.0], n=n, seed=0),
         lambda: conjecture_probe(segment, [1.0, 5.0], [1.0, 10.0], n, 0),
     ]

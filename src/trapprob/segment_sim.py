@@ -5,23 +5,26 @@ and half-length h (callers rotate); the walk runs in the trap's own
 lengths and times.  A planar Brownian path started off the trap must
 cross the horizontal axis before hitting the trap, and - when on the axis
 outside the trap - must cross the vertical line through the nearer
-endpoint first.  The time to reach a line at distance D is distributed as
-D^2/g^2 with g standard normal, and the landing offset along the line is
-(D/|g1|) g2; so alternating those two jumps walks the path onto the trap
-in finitely many steps while reproducing the exact joint law of (hitting
-time, hit point).  A trajectory is censored as soon as its accumulated
-time exceeds the cap t_max.
+endpoint first.  A jump to a line at distance D lands at offset D C along
+it, with C standard Cauchy, and takes the time D^2 F with F = (1 + C^2) /
+(2 E), E ~ Exp(1) independent of C: this is the joint law of the landing
+(D/|g1|) g2 and the time D^2/g1^2 for independent standard normals g1 and
+g2, written as a Cauchy landing and an exponential clock.  Alternating
+those two jumps walks the path onto the trap in finitely many steps while
+reproducing the exact joint law of (hitting time, hit point).  A
+trajectory is censored as soon as its accumulated time exceeds the cap
+t_max.
 
 :func:`sample_batch` advances all trajectories of a batch together as
 arrays and returns a record array (fields ``time, x, censored, steps``).
-Its randomness is counter-based: step k of trajectory j draws its two
-normals from one Philox4x32-10 block (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11) with counter (k, 0, j mod 2^32,
-j div 2^32) and key (seed mod 2^32, seed div 2^32), through Box-Muller.
+Its randomness is counter-based: step k of trajectory j draws its C and F
+from the two uniforms of one Philox4x32-10 block (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11) with counter (k, 0, j mod
+2^32, j div 2^32) and key (seed mod 2^32, seed div 2^32).
 Every draw is a function of (seed, trajectory, step) alone, so results are
 bit-reproducible and do not depend on how a batch is split into chunks.
 Because a block depends on nothing but its key and counter, the walk draws
-its normals several steps ahead: one call yields the blocks of steps
+its jumps several steps ahead: one call yields the blocks of steps
 k..k+m-1 for every live trajectory (m from ``DRAW_AHEAD``), and the rows
 that finish inside those m steps simply leave their unused blocks behind.
 Each draw is the one that step k of trajectory j would take on its own.
@@ -48,7 +51,7 @@ ENDPOINT_TOL = 1e-15
 # Guard against pathological floating-point stalls near the endpoints.
 STEP_CAP = 10**8
 
-# The walk draws its normals up to DRAW_AHEAD steps ahead, for at most
+# The walk draws its jumps up to DRAW_AHEAD steps ahead, for at most
 # DRAW_AHEAD**2 trajectory-steps per Philox call (one step at a time while
 # more walks than that are live).  One call costs about 120 numpy
 # operations whatever its size, so drawing step by step for a few live rows
@@ -60,10 +63,10 @@ DRAW_AHEAD = 64
 # 99% two-sided normal quantile for Wilson score intervals.
 Z_99 = 2.5758293035489004
 
-# Version of the sampler's random stream (the walk's normals and the release
+# Version of the sampler's random stream (the walk's jumps and the release
 # angles), recorded in every run manifest: a change to the generator, its
-# keying, the normal transform or the angle draw must bump it.
-SAMPLER_STREAM = "philox4x32-10/box-muller/2"
+# keying, the jump transform or the angle draw must bump it.
+SAMPLER_STREAM = "philox4x32-10/cauchy-exp/3"
 
 # Philox4x32 round multipliers and Weyl key increments (Random123).
 PHILOX_M = (0xD2511F53, 0xCD9E8D57)
@@ -132,21 +135,21 @@ def _open_unit(hi, lo):
     return (m + 0.5) * 2.0**-52
 
 
-def philox_normals(seed, index, step):
-    """The two standard normals (g1, g2) that step ``step`` of trajectory
-    ``index`` consumes: one Philox4x32-10 block with counter (step, 0,
-    index mod 2^32, index div 2^32) and key (seed mod 2^32, seed div 2^32),
-    through Box-Muller.  ``index`` and ``step`` may be arrays that broadcast
-    against each other (a column of steps against a row of trajectories
-    gives one row of draws per step).  g1 is never 0: the radius is
-    positive and the cosine of a double never vanishes.
+def philox_jumps(seed, index, step):
+    """The Cauchy landing factor C and the time factor F that step ``step``
+    of trajectory ``index`` consumes, from one Philox4x32-10 block with
+    counter (step, 0, index mod 2^32, index div 2^32) and key (seed mod
+    2^32, seed div 2^32) read as two uniforms U1, U2: C = tan(pi (U2 - 1/2))
+    and F = (1 + C^2) / (-2 ln U1).  ``index`` and ``step`` may be arrays
+    that broadcast against each other (a column of steps against a row of
+    trajectories gives one row of draws per step).  U2 - 1/2 is exact and
+    never 0, so tan(pi 2^-53) <= |C| < 2e15, and F is finite and positive.
     """
     index = np.asarray(index, dtype=np.uint64)
     step = np.asarray(step, dtype=np.uint64)
     w0, w1, w2, w3 = philox4x32(step, 0, index & _MASK32, index >> 32, seed & _MASK32, seed >> 32)
-    radius = np.sqrt(-2.0 * np.log(_open_unit(w0, w1)))
-    theta = (2.0 * np.pi) * _open_unit(w2, w3)
-    return radius * np.cos(theta), radius * np.sin(theta)
+    cauchy = np.tan(np.pi * (_open_unit(w2, w3) - 0.5))
+    return cauchy, (1.0 + cauchy * cauchy) / (-2.0 * np.log(_open_unit(w0, w1)))
 
 
 def release_circle(r, n, seed, first_index=0):
@@ -180,10 +183,10 @@ def sample_batch(trap, starts, t_max, seed, first_index=0):
 
     All live trajectories take their next step together; a trajectory that
     is captured or censored is written to the result and dropped.  Step k
-    of trajectory i uses ``philox_normals(seed, first_index + i, k)``, so
+    of trajectory i uses ``philox_jumps(seed, first_index + i, k)``, so
     the result is independent of chunking: splitting the starts into
     consecutive pieces and passing each piece's offset as ``first_index``
-    reproduces the whole batch.  The normals are drawn several steps ahead
+    reproduces the whole batch.  The jumps are drawn several steps ahead
     in one call (``max(1, min(DRAW_AHEAD, DRAW_AHEAD**2 // live))`` steps
     for ``live`` running walks, never past STEP_CAP), and a finished
     walk's unused draws are dropped with it; since each draw depends on
@@ -216,28 +219,27 @@ def sample_batch(trap, starts, t_max, seed, first_index=0):
     elapsed = np.zeros(pos.size)
     index = np.uint64(first_index) + pos.astype(np.uint64)
     step = 0
-    g1s = g2s = np.empty((0, pos.size))  # normals drawn ahead, one row per step
+    cs = fs = np.empty((0, pos.size))  # (C, F) drawn ahead, one row per step
     while pos.size:
         if step >= STEP_CAP:
             raise ConvergenceError(
                 f"trajectory {first_index + pos[0]} from ({x0[pos[0]]}, {y0[pos[0]]}) "
                 f"exceeded {STEP_CAP} steps"
             )
-        if not len(g1s):
+        if not len(cs):
             ahead = max(1, min(DRAW_AHEAD, DRAW_AHEAD**2 // pos.size, STEP_CAP - step))
-            g1s, g2s = philox_normals(seed, index, np.arange(step, step + ahead)[:, None])
-        g1, g2, g1s, g2s = g1s[0], g2s[0], g1s[1:], g2s[1:]
+            cs, fs = philox_jumps(seed, index, np.arange(step, step + ahead)[:, None])
+        cauchy, factor, cs, fs = cs[0], fs[0], cs[1:], fs[1:]
         # where y != 0, a jump to the axis; where y == 0 (|x| > h), a jump to
         # the vertical line through the nearer endpoint
         off_axis = y != 0.0
         dist = np.where(off_axis, np.abs(y), np.abs(x) - h)
-        q = dist / g1
-        # |dist / g1| is dist / |g1| bit for bit: division rounds alike for
-        # either sign; the time is squared by a product, as pow may differ
-        # in the last bit
-        offset = np.abs(q) * g2
-        q *= q
-        elapsed += q
+        offset = dist * cauchy
+        # the time (D D) F, squared by a product, as pow may differ in the
+        # last bit
+        dist *= dist
+        dist *= factor
+        elapsed += dist
         x = np.where(off_axis, x + offset, np.copysign(h, x))
         y = np.where(off_axis, 0.0, offset)
         step += 1
@@ -253,11 +255,11 @@ def sample_batch(trap, starts, t_max, seed, first_index=0):
 
         censored = elapsed > t_max
         # only an axis jump can land on the trap, so its branch replaces the
-        # test y == 0: a live on-axis row has |x| - h > h ENDPOINT_TOL,
-        # |g1| < 9 and g2 != 0, so its line jump's offset is at least
-        # ~1e-40 h in size; make_segment_trap keeps (2 h)^2 a normal double,
-        # so h > 7e-155 and the offset never underflows to 0; a NaN abscissa
-        # fails the test
+        # test y == 0: a live on-axis row has D = |x| - h > h ENDPOINT_TOL
+        # and |C| >= tan(pi 2^-53), so its line jump's offset is at least
+        # about 3.5e-16 D in size; make_segment_trap keeps (2 h)^2 a normal
+        # double, so h > 7e-155 and the offset never underflows to 0; a NaN
+        # abscissa fails the test
         done = censored | (off_axis & (np.abs(x) <= rim))
         # the finished rows and the live ones as indices: take by index costs
         # less than a boolean mask, which counts its rows on every use
@@ -271,7 +273,7 @@ def sample_batch(trap, starts, t_max, seed, first_index=0):
             out["steps"][rows] = step
             live = np.flatnonzero(~done)
             pos, x, y, elapsed, index = pos.take(live), x.take(live), y.take(live), elapsed.take(live), index.take(live)
-            g1s, g2s = g1s.take(live, axis=1), g2s.take(live, axis=1)
+            cs, fs = cs.take(live, axis=1), fs.take(live, axis=1)
     out["x"][walked] += c
     return out.view(np.recarray)
 

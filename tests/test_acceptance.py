@@ -43,6 +43,7 @@ from trapprob.conformal import (
     make_segment_trap,
 )
 from trapprob.disk_oracle import f_disk, p_disk
+from trapprob.segment_sim import philox_jumps
 from trapprob.specfun import GAMMA, bessel_i, k0_bounds
 from trapprob.verify import _theorem1_reports, check_theorem1, check_theorem2, figure_series
 
@@ -210,14 +211,8 @@ def test_criterion_05_sampler_marginals(acceptance):
     t0 = time.perf_counter()
     n = N_MC
     x0, y0 = 0.25, 1.0
-    rng = np.random.Generator(np.random.Philox(key=np.array([2025, 0], dtype=np.uint64)))
-    landings = np.empty(n)
-    times = np.empty(n)
-    for i in range(n):
-        g1, g2 = rng.standard_normal(2)
-        while g1 == 0.0:
-            g1, g2 = rng.standard_normal(2)
-        landings[i], times[i] = jump_to_axis(x0, y0, g1, g2)
+    # the first jumps of n walks, as the sampler draws them
+    landings, times = jump_to_axis(x0, y0, *philox_jumps(2025, np.arange(n), 0))
 
     # exact crossing-time CDF: P(T <= t) = 2 (1 - Phi(|y0| / sqrt(t)))
     times.sort()

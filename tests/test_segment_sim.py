@@ -28,9 +28,10 @@ from trapprob import (
 )
 from trapprob.segment_sim import (
     RECORD_DTYPE,
+    SAMPLER_STREAM,
     Z_99,
     philox4x32,
-    philox_normals,
+    philox_jumps,
 )
 from trapprob.verify import SLACK_SIGMAS, _abelian_bracket, release_and_sample
 from conftest import X86_V3, X86_V4, pinned
@@ -38,62 +39,54 @@ from conftest import X86_V3, X86_V4, pinned
 UNIT = make_segment_trap(-1.0, 1.0)
 
 
-class _FakeRng:
-    """Deterministic stand-in feeding preset draws to the sampler."""
-
-    def __init__(self, pairs):
-        self._pairs = list(pairs)
-
-    def standard_normal(self, n):
-        assert n == 2
-        return self._pairs.pop(0)
-
-
-def _numpy_philox(seed, index):
-    """numpy's Philox generator keyed by (seed, index): a draw source for
-    sample_hit independent of the walk's kernel."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+def _numpy_jumps(seed, index):
+    """(C, F) jumps from numpy's Philox generator keyed by (seed, index): a
+    jump source for sample_hit independent of the walk's kernel, with C
+    standard Cauchy and F = (1 + C^2) / (2 E), E standard exponential."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    while True:
+        c, e = rng.standard_cauchy(), rng.standard_exponential()
+        yield c, ((1.0 + c * c) / (2.0 * e) if e else math.inf)
 
 
 # ---------------------------------------------------------------------------
-# the scalar reference walk: one trajectory at a time, one pair of normals
-# per step from any draw source
+# the scalar reference walk: one trajectory at a time, one (C, F) jump per
+# step from any jump source
 # ---------------------------------------------------------------------------
 
-def jump_to_axis(x, y, g1, g2):
+def jump_to_axis(x, y, c, f):
     """One off-axis move: land on the horizontal axis (the scalar form of
     sample_batch's off-axis step).
 
-    Returns (new_x, elapsed).  The landing abscissa x + (|y|/|g1|) g2 is
-    Cauchy(x, |y|) distributed and the elapsed time y^2/g1^2 is the exact
-    law of the axis-crossing time.
+    Returns (new_x, elapsed).  For C standard Cauchy and F = (1 + C^2) /
+    (2 E), E ~ Exp(1) independent of C, the landing abscissa x + |y| C is
+    Cauchy(x, |y|) distributed and the elapsed time y^2 F has the exact
+    joint law with it of the axis crossing.
     """
-    q = y / g1  # squared by a product, as in sample_batch: pow may differ in the last bit
-    return x + abs(y) / abs(g1) * g2, q * q
+    d = abs(y)
+    return x + d * c, (d * d) * f  # squared by a product, as in sample_batch: pow may differ in the last bit
 
 
-def jump_to_line(x, g1, g2):
+def jump_to_line(x, c, f):
     """One on-axis move from |x| > 1: land on the vertical line x = sign(x)
     (the scalar form of sample_batch's on-axis step).
 
     Returns (new_x, new_y, elapsed) with new_x = sign(x), vertical offset
-    (|x|-1)/|g1| * g2 and elapsed time (|x|-1)^2/g1^2.
+    (|x|-1) C and elapsed time (|x|-1)^2 F.
     """
     gap = abs(x) - 1.0
-    q = gap / g1  # squared by a product, as in sample_batch
-    return math.copysign(1.0, x), gap / abs(g1) * g2, q * q
+    return math.copysign(1.0, x), gap * c, (gap * gap) * f
 
 
-def sample_hit(start, t_max, rng):
+def sample_hit(start, t_max, jumps):
     """Simulate one trajectory from ``start`` against the normalized segment.
 
-    Each step consumes exactly two standard-normal draws from ``rng`` (a
-    pair is redrawn in the measure-zero event that the first draw underflows
-    to exactly 0).  Returns one ``RECORD_DTYPE`` row (a ``np.record``);
-    raises ConvergenceError if the walk exceeds sim.STEP_CAP steps (read
-    at call time, so a test can lower it).  This is the scalar reference
-    for sample_batch: fed that kernel's normals, it returns the same
-    record.
+    Each step consumes one (C, F) pair from the iterator ``jumps`` (a pair
+    is redrawn in the measure-zero event that it is not finite).  Returns
+    one ``RECORD_DTYPE`` row (a ``np.record``); raises ConvergenceError if
+    the walk exceeds sim.STEP_CAP steps (read at call time, so a test can
+    lower it).  This is the scalar reference for sample_batch: fed that
+    kernel's jumps, it returns the same record.
     """
     if not t_max > 0.0:
         raise DomainError(f"t_max must be positive, got {t_max!r}")
@@ -105,14 +98,14 @@ def sample_hit(start, t_max, rng):
             raise ConvergenceError(
                 f"trajectory from ({start.x}, {start.y}) exceeded {sim.STEP_CAP} steps"
             )
-        g1, g2 = rng.standard_normal(2)
-        while g1 == 0.0:
-            g1, g2 = rng.standard_normal(2)
+        c, f = next(jumps)
+        while not (math.isfinite(c) and math.isfinite(f)):
+            c, f = next(jumps)
         if y != 0.0:
-            x, dt = jump_to_axis(x, y, g1, g2)
+            x, dt = jump_to_axis(x, y, c, f)
             y = 0.0
         else:
-            x, y, dt = jump_to_line(x, g1, g2)
+            x, y, dt = jump_to_line(x, c, f)
         elapsed += dt
         steps += 1
         if elapsed > t_max:  # censored, even where the landing is on the trap
@@ -155,19 +148,47 @@ def test_open_unit_never_reaches_the_ends():
     top = sim._open_unit(ones, ones)
     bottom = sim._open_unit(np.uint64(0), np.uint64(0))
     assert 0.0 < bottom < top < 1.0
-    assert math.log(top) < 0.0  # so the Box-Muller radius, and g1, is never 0
+    assert math.log(top) < 0.0  # so -2 ln U1 is never 0, and F is finite
+    # the uniforms nearest 1/2 are 2^-53 away, so C = tan(pi (U2 - 1/2)) is never 0
+    assert sim._open_unit(np.uint64(2**31), np.uint64(0)) - 0.5 == 2.0**-53
+    assert sim._open_unit(np.uint64(2**31 - 1), ones) - 0.5 == -(2.0**-53)
 
 
-def test_philox_normals_are_standard():
+def test_philox_jumps_are_cauchy_and_exponential():
+    # C is Cauchy(0, 1), and E = (1 + C^2) / (2 F) is Exp(1) and independent of C
     n = 10**5
-    g1, g2 = philox_normals(2025, np.arange(n), 3)
-    for g in (g1, g2):
-        dks = st.kstest(g, "norm").statistic
+    c, f = philox_jumps(2025, np.arange(n), 3)
+    e = (1.0 + c * c) / (2.0 * f)
+    for draws, law in ((c, "cauchy"), (e, "expon")):
+        dks = st.kstest(draws, law).statistic
         assert dks < 1.9495 / math.sqrt(n)  # alpha = 1e-3, as criterion 5
-    assert abs(np.corrcoef(g1, g2)[0, 1]) < 4.0 / math.sqrt(n)
+    assert abs(st.spearmanr(c, e).statistic) < 4.0 / math.sqrt(n)
     # a different step or seed gives different draws
-    assert not np.array_equal(philox_normals(2025, np.arange(n), 4)[0], g1)
-    assert not np.array_equal(philox_normals(2026, np.arange(n), 3)[0], g1)
+    assert not np.array_equal(philox_jumps(2025, np.arange(n), 4)[0], c)
+    assert not np.array_equal(philox_jumps(2026, np.arange(n), 3)[0], c)
+
+
+# sha256 of philox_jumps's (C, F) on the grid of test_stream_pinned_under_its_version,
+# by SAMPLER_STREAM and dispatch row
+STREAM_PINS = {
+    "philox4x32-10/cauchy-exp/3": {
+        X86_V4: "881cfa6817ba085e519d5a3aed465105eb65e2a9f36b9bdc062f52388a5c1ea2",
+        X86_V3: "9c833a58a6e6115591ce892dfe792b67c0a5c116e467523a01ac63f65bb66422",
+    },
+}
+
+
+def test_stream_pinned_under_its_version():
+    # the draws of 8 trajectories across the 2^32 index boundary, steps 0-7:
+    # a change to them must come with a new SAMPLER_STREAM, which run
+    # manifests record
+    seed = 2**40 + 12345
+    index = np.uint64(2**32 - 4) + np.arange(8, dtype=np.uint64)
+    c, f = philox_jumps(seed, index, np.arange(8)[:, None])
+    digest = hashlib.sha256(c.tobytes() + f.tobytes()).hexdigest()
+    assert SAMPLER_STREAM in STREAM_PINS, f"no pin for SAMPLER_STREAM {SAMPLER_STREAM!r}; this run computed {digest}"
+    want = pinned(STREAM_PINS[SAMPLER_STREAM], digest)
+    assert digest == want, f"the draws of SAMPLER_STREAM {SAMPLER_STREAM!r} changed (sha256 {digest}): bump SAMPLER_STREAM"
 
 
 # ---------------------------------------------------------------------------
@@ -175,24 +196,23 @@ def test_philox_normals_are_standard():
 # ---------------------------------------------------------------------------
 
 def test_jump_to_axis_formula():
-    x, dt = jump_to_axis(2.0, 3.0, -0.5, 1.0)
-    assert_allclose(x, 2.0 + (3.0 / 0.5) * 1.0, rtol=1e-15)
+    x, dt = jump_to_axis(2.0, 3.0, 2.0, 4.0)
+    assert_allclose(x, 2.0 + 3.0 * 2.0, rtol=1e-15)
     assert_allclose(dt, 36.0, rtol=1e-15)
 
 
 def test_jump_to_line_formula():
-    x, y, dt = jump_to_line(-4.0, 2.0, -1.5)
+    x, y, dt = jump_to_line(-4.0, -0.75, 0.25)
     assert x == -1.0
-    assert_allclose(y, (3.0 / 2.0) * -1.5, rtol=1e-15)
+    assert_allclose(y, 3.0 * -0.75, rtol=1e-15)
     assert_allclose(dt, 2.25, rtol=1e-15)
 
 
 def test_jump_marginals():
-    # hitting time of a line at distance D is D^2/g^2; landing is Cauchy
-    rng = np.random.default_rng(2024)
-    g = rng.standard_normal((10**5, 2))
-    x_land = g[:, 1] / np.abs(g[:, 0])  # jump_to_axis from (0, 1)
-    dt = 1.0 / g[:, 0] ** 2
+    # hitting time of a line at distance D is D^2/g^2 with g standard
+    # normal, and the landing is Cauchy: the kernel's jumps from (0, 1)
+    # have both laws
+    x_land, dt = jump_to_axis(0.0, 1.0, *philox_jumps(2024, np.arange(10**5), 0))
 
     # KS against the exact time CDF 2(1 - Phi(1/sqrt(t)))
     u = 2.0 * st.norm.sf(1.0 / np.sqrt(np.sort(dt)))
@@ -212,12 +232,26 @@ def test_jump_marginals():
     assert np.all(np.abs(emp - want) < 4.1 * se)
 
 
+def test_one_jump_joint_law_through_sample_batch():
+    # a jump from (0, 1) to the axis lands at x ~ Cauchy(0, 1) after a time
+    # T = L^2 / (2 E), L^2 = 1 + x^2, with E ~ Exp(1) independent of x: on a
+    # trap so wide that every first landing is captured, L^2 / (2 T) is
+    # Exp(1) and uncorrelated in rank with x (the joint law, not only the
+    # marginals)
+    n = 10**5
+    records = sample_batch(make_segment_trap(-1e150, 1e150), [PlanePoint(0.0, 1.0)] * n, 1e300, seed=5)
+    assert not records.censored.any() and (records.steps == 1).all()
+    e = (1.0 + records.x * records.x) / (2.0 * records.time)
+    assert st.kstest(e, "expon").statistic < 1.9495 / math.sqrt(n)  # alpha = 1e-3
+    assert abs(st.spearmanr(records.x, e).statistic) < 4.0 / math.sqrt(n)
+
+
 # ---------------------------------------------------------------------------
 # sample_hit
 # ---------------------------------------------------------------------------
 
 def test_start_on_trap_is_instant():
-    rec = sample_hit(PlanePoint(0.25, 0.0), 10.0, _numpy_philox(0, 0))
+    rec = sample_hit(PlanePoint(0.25, 0.0), 10.0, _numpy_jumps(0, 0))
     assert rec.dtype == RECORD_DTYPE
     assert rec.time == 0.0 and rec.steps == 0 and not rec.censored
     assert rec.x == 0.25
@@ -225,12 +259,12 @@ def test_start_on_trap_is_instant():
 
 def test_bad_cap_rejected():
     with pytest.raises(DomainError):
-        sample_hit(PlanePoint(0.0, 5.0), 0.0, _numpy_philox(0, 0))
+        sample_hit(PlanePoint(0.0, 5.0), 0.0, _numpy_jumps(0, 0))
 
 
 def test_single_jump_capture():
-    # from (0, 1): g1 = 2 -> dt = 0.25, landing x = 0.5 * 0.8 = 0.4 inside
-    rec = sample_hit(PlanePoint(0.0, 1.0), 10.0, _FakeRng([(2.0, 0.8)]))
+    # from (0, 1): C = 0.4 -> landing x = 0.4 inside, F = 0.25 -> dt = 0.25
+    rec = sample_hit(PlanePoint(0.0, 1.0), 10.0, iter([(0.4, 0.25)]))
     assert not rec.censored
     assert rec.steps == 1
     assert_allclose(rec.time, 0.25, rtol=1e-15)
@@ -238,9 +272,9 @@ def test_single_jump_capture():
 
 
 def test_censoring_beats_capture():
-    # the same landing inside the trap, but slow: dt = 100 > t_max = 50,
-    # so the record is censored even though the endpoint is on the trap
-    rec = sample_hit(PlanePoint(0.0, 1.0), 50.0, _FakeRng([(0.1, 0.0)]))
+    # a landing inside the trap, but slow: dt = 100 > t_max = 50, so the
+    # record is censored even though the endpoint is on the trap
+    rec = sample_hit(PlanePoint(0.0, 1.0), 50.0, iter([(0.0, 100.0)]))
     assert rec.censored
     assert math.isnan(rec.x)
     assert_allclose(rec.time, 100.0, rtol=1e-15)
@@ -249,19 +283,19 @@ def test_censoring_beats_capture():
 def test_axis_then_line_sequence():
     # first jump lands outside the segment on the axis, second jumps to the
     # endpoint line and captures at (1, 0)
-    pairs = [(1.0, 2.0), (5.0, 0.0)]
-    rec = sample_hit(PlanePoint(0.0, 1.0), 1e6, _FakeRng(pairs))
+    pairs = [(2.0, 1.0), (0.0, 0.04)]
+    rec = sample_hit(PlanePoint(0.0, 1.0), 1e6, iter(pairs))
     assert rec.steps == 2
-    # step 1: x = 0 + 1*2 = 2 (outside), dt = 1
-    # step 2: from x=2: gap=1, g=(5,0): y=0, x=+1, dt = 0.04
+    # step 1: x = 0 + 1*2 = 2 (outside), dt = 1*1 = 1
+    # step 2: from x=2: gap=1, (C, F) = (0, 0.04): y=0, x=+1, dt = 0.04
     assert not rec.censored
     assert rec.x == 1.0
     assert_allclose(rec.time, 1.04, rtol=1e-15)
 
 
-def test_zero_draw_redraw():
-    pairs = [(0.0, 9.9), (2.0, 0.0)]
-    rec = sample_hit(PlanePoint(0.0, 1.0), 10.0, _FakeRng(pairs))
+def test_non_finite_draw_redraw():
+    pairs = [(math.inf, 9.9), (0.5, math.inf), (0.0, 0.25)]
+    rec = sample_hit(PlanePoint(0.0, 1.0), 10.0, iter(pairs))
     assert rec.steps == 1
     assert_allclose(rec.time, 0.25, rtol=1e-15)
     assert rec.x == 0.0
@@ -270,14 +304,14 @@ def test_zero_draw_redraw():
 def test_step_cap_raises(monkeypatch):
     monkeypatch.setattr(sim, "STEP_CAP", 1)
     with pytest.raises(ConvergenceError):
-        sample_hit(PlanePoint(0.0, 1e6), math.inf, _numpy_philox(11, 0))
+        sample_hit(PlanePoint(0.0, 1e6), math.inf, _numpy_jumps(11, 0))
     with pytest.raises(ConvergenceError):
         sim.sample_batch(UNIT, [PlanePoint(0.0, 1e6)] * 3, math.inf, seed=11)
 
 
 def test_uncapped_walk_past_the_double_range_raises():
     # from x = 1.7e308 on the axis a line jump overflows the offset whenever
-    # |g2/g1| > 1.06; an uncapped walk could never come back from there
+    # |C| > 1.06; an uncapped walk could never come back from there
     with pytest.raises(ConvergenceError, match="left the double range"):
         sample_batch(UNIT, [PlanePoint(1.7e308, 0.0)] * 20, math.inf, seed=4)
     # with a finite cap the same jumps take an infinite time: censored
@@ -290,7 +324,7 @@ def test_a_walk_that_reaches_the_trap_at_the_cap_is_captured():
     # t_max, which is not past the cap; walked in units of h, the same walk
     # read censored at time t_max, and a survival curve ending at the cap
     # refused its records
-    h, y0, t_max = 1.4048376681967356, 0.5358221556440268, 3.5554308354127357
+    h, y0, t_max = 1.4048376681967356, 1.4192799084398817, 11.423639748656498
     records = sample_batch(make_segment_trap(-h, h), [PlanePoint(0.0, y0)], t_max, 11)
     assert records.time[0] == t_max and not records.censored[0] and records.steps[0] == 1
     captured_fraction, _, _ = survival_curve(records, [1.0, t_max])
@@ -311,7 +345,7 @@ def test_trajectories_terminate():
 
 
 def test_batch_matches_scalar_reference():
-    # sample_hit fed the kernel's own normals for trajectory j reproduces row
+    # sample_hit fed the kernel's own jumps for trajectory j reproduces row
     # j bit for bit: random starts, starts on the trap (inside, at and just
     # past an endpoint), starts on the axis outside it, starts placed so
     # that the first jump lands on an endpoint, and starts whose line jumps
@@ -322,9 +356,9 @@ def test_batch_matches_scalar_reference():
     starts += [PlanePoint(0.3, 0.0), PlanePoint(-1.0, 0.0), PlanePoint(1.0 + 5e-16, 0.0)]
     starts += [PlanePoint(3.0, 0.0), PlanePoint(-2.5, 0.0)]
     for j in range(len(starts), len(starts) + 6):
-        g1, g2 = (float(g) for g in philox_normals(seed, j, 0))
-        y = (0.5 + j % 3) * abs(g1)  # a landing time well inside t_max
-        starts.append(PlanePoint(math.copysign(1.0, j % 2 - 0.5) - y / abs(g1) * g2, y))
+        c, f = (float(v) for v in philox_jumps(seed, j, 0))
+        y = (0.5 + j % 3) / math.sqrt(f)  # a landing time well inside t_max
+        starts.append(PlanePoint(math.copysign(1.0, j % 2 - 0.5) - y * c, y))
     # the extreme line-jump offsets: on-axis starts at the first doubles past
     # +-(1 + ENDPOINT_TOL), whose tiny offsets must not count as landing on
     # the axis, and starts 1e300 away, whose jumps overflow under the cap
@@ -335,8 +369,8 @@ def test_batch_matches_scalar_reference():
 
     landed = 0
     for j, start in enumerate(starts):
-        pairs = [tuple(float(g) for g in philox_normals(seed, j, k)) for k in range(records.steps[j])]
-        ref = sample_hit(start, t_max, _FakeRng(pairs))
+        pairs = [tuple(float(v) for v in philox_jumps(seed, j, k)) for k in range(records.steps[j])]
+        ref = sample_hit(start, t_max, iter(pairs))
         row = records[j]
         assert (ref.time, ref.censored, ref.steps) == (row.time, row.censored, row.steps), j
         assert ref.x == row.x or (math.isnan(ref.x) and math.isnan(row.x)), j
@@ -392,14 +426,14 @@ def test_batch_index_offset_consistency():
 # ---------------------------------------------------------------------------
 
 def _spy_on_blocks(monkeypatch):
-    """Record the step column of every philox_normals call sample_batch makes."""
+    """Record the step column of every philox_jumps call sample_batch makes."""
     blocks = []
 
     def spy(seed, index, step):
         blocks.append(np.asarray(step).ravel().copy())
-        return philox_normals(seed, index, step)
+        return philox_jumps(seed, index, step)
 
-    monkeypatch.setattr(sim, "philox_normals", spy)
+    monkeypatch.setattr(sim, "philox_jumps", spy)
     return blocks
 
 
@@ -417,26 +451,26 @@ def test_draw_ahead_matches_per_step_draws(monkeypatch):
     block_ends = {int(b[-1]) + 1 for b in blocks}
     assert any(s not in block_ends for s in records.steps[records.steps > 0])
     for j, start in enumerate(starts):
-        pairs = [tuple(float(g) for g in philox_normals(seed, j, k)) for k in range(records.steps[j])]
-        ref = sample_hit(start, t_max, _FakeRng(pairs))
+        pairs = [tuple(float(v) for v in philox_jumps(seed, j, k)) for k in range(records.steps[j])]
+        ref = sample_hit(start, t_max, iter(pairs))
         row = records[j]
         assert (ref.time, ref.censored, ref.steps) == (row.time, row.censored, row.steps), j
         assert ref.x == row.x or (math.isnan(ref.x) and math.isnan(row.x)), j
 
 
-def test_philox_normals_step_array_equals_per_step_calls():
+def test_philox_jumps_step_array_equals_per_step_calls():
     seed = 2**40 + 12345
     index = np.uint64(2**32 - 3) + np.arange(6, dtype=np.uint64)  # across the high word
     steps = np.arange(7, 12)[:, None]
-    g1, g2 = philox_normals(seed, index, steps)
-    assert g1.shape == g2.shape == (5, 6)
+    c, f = philox_jumps(seed, index, steps)
+    assert c.shape == f.shape == (5, 6)
     for k, step in enumerate(steps[:, 0]):
         for j, idx in enumerate(index):
-            want = philox_normals(seed, idx, int(step))
-            assert (g1[k, j].tobytes(), g2[k, j].tobytes()) == (want[0].tobytes(), want[1].tobytes())
+            want = philox_jumps(seed, idx, int(step))
+            assert (c[k, j].tobytes(), f[k, j].tobytes()) == (want[0].tobytes(), want[1].tobytes())
     # the same block by rows of steps against one trajectory
-    row = philox_normals(seed, index[4], steps[:, 0])
-    assert np.array_equal(row[0], g1[:, 4]) and np.array_equal(row[1], g2[:, 4])
+    row = philox_jumps(seed, index[4], steps[:, 0])
+    assert np.array_equal(row[0], c[:, 4]) and np.array_equal(row[1], f[:, 4])
 
 
 def test_step_cap_fires_after_the_same_steps(monkeypatch):
@@ -461,26 +495,28 @@ def test_step_cap_fires_after_the_same_steps(monkeypatch):
 
 
 def test_walk_pin_on_the_previous_release_points():
-    # sha256 of the four record columns, as computed before the walk drew
-    # ahead and before release points came from the walk's kernel: fed the
-    # release points of that version (numpy's Philox keyed by (0, 2^64 - 1)),
-    # the walk reproduces every draw and record
+    # sha256 of the four record columns, fed the release points that came
+    # before the walk's kernel drew them (numpy's Philox keyed by (0,
+    # 2^64 - 1)); this pinned the walk bit for bit from before it drew
+    # ahead until SAMPLER_STREAM 3, where its draws became a Cauchy landing
+    # and an exponential clock and the pin was retaken
     theta = np.random.Generator(np.random.Philox(key=np.array([0, 2**64 - 1], dtype=np.uint64))).random(2500) * (2.0 * np.pi)
     starts = [PlanePoint(float(px), float(py)) for px, py in zip(5.0 * np.cos(theta), 5.0 * np.sin(theta))]
     digest = _digest(sample_batch(UNIT, starts, 20.0 * 3.0 * 0.5 * math.e * 4.0, 0))
     assert digest == pinned({
-        X86_V4: "3e9b1d15f40993424df01c712d70dcd551830cb44dbb7ffc8a457a4f286018da",
-        X86_V3: "0fc0be72b5ecfd5bbd2796e8a53ffcc2da846be75923fcf5843ff067d4297246",
+        X86_V4: "35b090ecded580ac9fb16a68d25034d078b7caf1a3334ae6b7288961b4b64c92",
+        X86_V3: "bb960823bdcb4293d671b0a2746bab9031519be0dd283da7a6ee49e4dadd1646",
     }, digest)
 
 
 def test_release_and_sample_pin():
     # sha256 of the four record columns with the kernel's release angles
+    # (retaken for SAMPLER_STREAM 3)
     trap = make_segment_trap(-1.0, 1.0)
     digest = _digest(release_and_sample(trap, 5.0, 2500, 20.0 * 3.0 * 0.5 * math.e * 4.0, 0))
     assert digest == pinned({
-        X86_V4: "18471eb09b94a8b1c94186cbcb96b7eedc008f28134f9a44145288b8607f5826",
-        X86_V3: "8457b689f1f466e6f17085ccae118b922576ce7a132deb75d97003e3f91069f8",
+        X86_V4: "ba6ce30f205817a5bb9a5c97c2c419772af64b60aad8a7878c1098d25cf67398",
+        X86_V3: "ec4d3ce43c41274ea0d80c440655b172d23a0911e3c5b619c4336aa4e5857971",
     }, digest)
 
 

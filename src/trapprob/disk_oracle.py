@@ -19,13 +19,13 @@ would give 1/2 instead of 0, and the exponent is dimensionally wrong).  The
 transcription above is certified against f_D by the numerical Laplace
 transform consistency check in the test suite (agreement 2.5e-7 on
 acceptance criterion 3's grid, tolerance 1e-4), and p_disk lies within
-3e-15 of Talbot inversion of that Laplace transform at nine points from
-t = 0.0125 to 1e5 (the tests assert 1e-13).
+2.5e-15 of Talbot inversion of that Laplace transform at eleven points
+from t = 0.0125 to 2.5e7 and r/r_T = 2 to 1e4 (the tests assert 1e-13).
 
 The integrand decays only like 1/ln^2(y) as y -> 0+ and oscillates on the
 scale pi r_T / r for large y, so the quadrature runs over one variable s
 that is logarithmic on (0, y0] and linear on [y0, Y_max]: y = y0 e^s for
-s < 0 (plus an exact tail below u = ln y <= -60) and y = y0 (1 + s) for
+s < 0 (plus an exact tail below s = -20) and y = y0 (1 + s) for
 s >= 0.  One adaptive Gauss-Kronrod integral covers both, from panels
 graded toward s = 0 below it, where the integrand's features sit, and
 panels of sub-oscillation width above it; at QUAD_TOL a call ends after
@@ -33,7 +33,7 @@ one round: one J0/Y0 kernel call on every node.  A curve of times is one
 _adaptive_gk run over many integrals: their first round is one kernel
 call on the nodes of every time (up to GK_CALL_NODES nodes a call), and a
 time still pending then runs its later rounds alone, so each time's value
-is bit for bit the one its scalar call gives.
+is bit for bit the one its scalar call, a curve of one time, gives.
 """
 
 import math
@@ -55,14 +55,14 @@ MAX_EVALS = 10**6
 # p_disk's integrand hands the J0/Y0 kernel two elements a node, and the
 # kernel gathers 144 B of coefficients per element, so that gather stays
 # near 2.4 MB however many times a capture curve has.  Each curve of the
-# default figure grid (25 times, at most 6960 nodes) takes one call.
+# default figure grid (25 times, at most 5835 nodes) takes one call.
 GK_CALL_NODES = 2**13
-# Starting panel edges of the log part (y <= y0) at s = -LOG_PANEL_OFFSETS,
-# above s_cut.  The integrand's features sit near the top: the oscillations
-# of J0(a e^u) thin out like e^u below ln y0, and the tail's Lorentzian is
-# centred near u = 0.1.  Panels graded toward the top let a call converge in
-# one round.
-LOG_PANEL_OFFSETS = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0])
+# Starting panel edges of the log part (y <= y0) in s = ln(y/y0); an exact
+# tail covers s < LOG_PANEL_EDGES[0].  The integrand's features sit near
+# the top: the oscillations of J0(a e^u) thin out like e^u below ln y0, and
+# the tail's Lorentzian is centred near u = 0.1.  Panels graded toward the
+# top let a call converge in one round.
+LOG_PANEL_EDGES = np.array([-20.0, -8.0, -5.0, -3.0, -2.0, -1.0, -0.5, -0.0])
 
 
 def _mirror(half, sign):
@@ -234,27 +234,18 @@ def _plan(r, r_T, t):
 
     y0 = min(1.0, r_T / math.sqrt(t))
     y_max = r_T * math.sqrt(32.0 * math.log(10.0) / t)  # damping < 1e-16 beyond
-    log_y0 = math.log(y0)
-    u_cut = min(-60.0, log_y0 - 20.0)
     n0 = max(4, min(2000, math.ceil((y_max - y0) / (math.pi * r_T / r))))
-
-    # s_cut, the n_top log panel edges s = -LOG_PANEL_OFFSETS above it
-    # (ending at s = -0.0), then n0 equal panels up to y_max, spaced as
+    # the log panel edges, then n0 equal panels up to y_max, spaced as
     # np.linspace(0, stop, n0 + 1) spaces them
-    s_cut = u_cut - log_y0
-    n_top = LOG_PANEL_OFFSETS.searchsorted(-s_cut)
     stop = y_max / y0 - 1.0
-    edges = np.empty(n_top + n0 + 1)
-    edges[0] = s_cut
-    np.negative(LOG_PANEL_OFFSETS[n_top - 1::-1], out=edges[1:n_top + 1])
-    np.multiply(np.arange(1, n0 + 1), stop / n0, out=edges[n_top + 1:])
-    edges[-1] = stop
+    edges = np.concatenate([LOG_PANEL_EDGES, np.arange(1, n0) * (stop / n0), [stop]])
 
-    # Exact tail over u < u_cut: with v = u + gamma - ln 2 and a = r/r_T the
-    # integrand is -(pi/2) ln(a) / (v^2 + pi^2/4) up to terms of order
-    # e^(2 u_cut) <= e^-120, and its integral over v < -lam is
-    # -ln(a) atan(pi / (2 lam)).
-    lam = abs(u_cut + GAMMA - math.log(2.0))
+    # Exact tail over u < u_cut = ln y0 - 20: with v = u + gamma - ln 2 and
+    # a = r/r_T the integrand is -(pi/2) ln(a) / (v^2 + pi^2/4) up to terms
+    # of order (a y)^2 <= (a y0)^2 e^-40, and a y0 < 19 wherever the
+    # free-diffusion shortcut lets a call integrate.  Its integral over
+    # v < -lam is -ln(a) atan(pi / (2 lam)).
+    lam = abs(math.log(y0) + LOG_PANEL_EDGES[0] + GAMMA - math.log(2.0))
     tail = -math.log(r / r_T) * math.atan(math.pi / (2.0 * lam))
     return y0, edges, tail
 
@@ -281,22 +272,10 @@ def _integrand(s, a, inv_2rt2, t, y0):
     return nd
 
 
-def _p_disk_raw(r, r_T, t):
-    """p_disk before clamping; excursions outside [0, 1] stay within the
-    quadrature tolerance."""
-    plan = _plan(r, r_T, t)
-    if isinstance(plan, float):
-        return plan
-    y0, edges, tail = plan
-    a, inv_2rt2 = r / r_T, 1.0 / (2.0 * r_T * r_T)
-    [integral], _, _ = _adaptive_gk(lambda s, _: _integrand(s, a, inv_2rt2, t, y0), [edges], QUAD_TOL, MAX_EVALS)
-    return 1.0 + (2.0 / math.pi) * (integral + tail)
-
-
 def _p_disk_curve(r, r_T, times):
-    """_p_disk_raw at each of the float times, as a list; every time that
-    integrates is one integral of a single _adaptive_gk call.  (Through
-    this list and array bookkeeping, a scalar call took 6 to 10% longer.)"""
+    """p_disk before clamping at each of the float times, as a list; every
+    time that integrates is one integral of a single _adaptive_gk call.
+    Excursions outside [0, 1] stay within the quadrature tolerance."""
     out = [_plan(r, r_T, t) for t in times]
     todo = [i for i, plan in enumerate(out) if not isinstance(plan, float)]
     if todo:
@@ -350,7 +329,8 @@ def p_disk(r, r_T, t):
     elif isinstance(t, (list, tuple)):
         times = list(t)
     else:
-        return min(1.0, max(0.0, _p_disk_raw(*_check_p_disk(r, r_T, t))))
+        r, r_T, t = _check_p_disk(r, r_T, t)
+        return min(1.0, max(0.0, _p_disk_curve(r, r_T, [t])[0]))
     r, r_T, _ = _check_p_disk(r, r_T, 0.0)  # r and r_T, also where the curve is empty
     # an entry that is itself a list (t of 2 or more dimensions) is not a finite real
     times = [_check_p_disk(r, r_T, ti)[2] for ti in times]

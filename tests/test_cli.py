@@ -636,7 +636,10 @@ PINNED_COMMANDS = [
 # at r = 8), rhs and verdict unchanged.  disk.csv.manifest.json was
 # retaken when `disk` dropped --tau-grid, a second flag for the same time
 # grid: its parameters lost "tau_grid": null and nothing else (the old
-# manifest without that key hashes to the new digest).  Every digest but
+# manifest without that key hashes to the new digest).  figure1.csv was
+# retaken when p_disk's log part came to start at s = -20 above an exact
+# tail: two p_disk cells at r = 5 (t = 0.5 and 1.88) moved in their last
+# printed digit, each by 1.1e-16 and 2.2e-16.  Every digest but
 # bessel.csv's and disk.csv's was retaken when the walk came to draw a
 # Cauchy landing and an exponential clock (SAMPLER_STREAM
 # "philox4x32-10/cauchy-exp/3"): the walk outputs and stdout hold new draws
@@ -650,7 +653,7 @@ PINNED_SHA256 = {
     "conjecture/manifest.json": "ca8d9034341be94e1955eb69b1fb41e4bfa449e07c528babfd65be76afb774fb",
     "disk.csv": "0716510287c94625bbc65258e99913e0163512e2ae35f74fa25c409fc121f34e",
     "disk.csv.manifest.json": "efff4c40ea9e893335132074102e276ee483e9a3946f3a9dd78c3288fa92c841",
-    "figures/figure1.csv": "c42b1711c2a1cc9a85e503c143ed61f0792152cd7f16e61c683d9665899ad07e",
+    "figures/figure1.csv": "8e7bbbaec271ee46cda0832104d445a27e111a86efc0434c7cd41adef3469aed",
     "figures/figure1.svg": "6b0455e37c2ca0b2777ddd2667d41088c3d43051946e16f0f73331f9ef3f598d",
     "figures/figure2.csv": "51243ba8e7c513876e16a4afb51b1bb86f7a0ca19fe5515406ce1d236976f9d6",
     "figures/figure2.svg": "c3895bfb7d18e2554a2d70e44b1b685de956b8f4cb2fbaaa6140b6ab2c9eeb9e",

@@ -15,7 +15,7 @@ from trapprob import (
     p_disk,
 )
 from trapprob import disk_oracle
-from trapprob.disk_oracle import _WG, _WGK, _XGK, _adaptive_gk, _p_disk_raw
+from trapprob.disk_oracle import _WG, _WGK, _XGK, _adaptive_gk, _p_disk_curve
 from conftest import X86_V3, X86_V4, pinned
 
 R_T = 0.5
@@ -252,26 +252,31 @@ FIGURE_GRID = [(r, t) for r in (1.0, 5.0, 25.0, 125.0) for t in FIGURE_TIMES.tol
 # ones, which moved 23 values, each to within 3e-15 of Talbot inversion
 # (the largest move, 3.3e-13 at (1, 0.25), s = 0.75, was the old error);
 # retaken when the two parts became one integral over s, which moved 12
-# values by at most 2.2e-16, each still within 3e-15 of Talbot inversion.
-# These are the X86_V4 pins; X86_V3 moves three values, by at most 2.2e-16.
+# values by at most 2.2e-16, each still within 3e-15 of Talbot inversion;
+# retaken when the log part came to start at s = -20 above an exact tail
+# (from s = ln(y/y0) <= -60 before), which moved 20 values by at most
+# 4.4e-16.  These are the X86_V4 pins; X86_V3 moves six values, by at most
+# 2.2e-16.
 _P_DISK_PINS_X86_V4 = {
-    (1.0, 0.25): (5.491231202747748e-06, 0.17930212815825397, 0.41598786284013733, 0.6245752052122049),
-    (1.0, 2.5): (0.11309853780515144, 0.5370920920780473, 0.6617318902235695, 0.7573562651969514),
+    (1.0, 0.25): (5.491231202636726e-06, 0.17930212815825397, 0.41598786284013733, 0.6245752052122048),
+    (1.0, 2.5): (0.11309853780515122, 0.5370920920780473, 0.6617318902235694, 0.7573562651969514),
     (1.0, 25.0): (0.4878280131044702, 0.7169014932987834, 0.7751782067354251, 0.8243025226815822),
-    (5.0, 0.25): (0.0, 2.55351295663786e-15, 6.633386284704557e-08, 0.012706227502715661),
-    (5.0, 2.5): (2.55351295663786e-15, 0.000341493711302876, 0.036589747630926706, 0.2131031838482188),
-    (5.0, 25.0): (1.8870827372952093e-05, 0.11671807775188248, 0.26360673985412286, 0.41744724622310436),
-    (25.0, 0.25): (0.0, 0.0, 0.0, 2.6645352591003757e-15),
-    (25.0, 2.5): (0.0, 0.0, 2.6645352591003757e-15, 5.306558981543752e-05),
-    (25.0, 25.0): (0.0, 2.4337609705327168e-09, 0.0008594844228480003, 0.0602745518421568),
+    (5.0, 0.25): (0.0, 2.220446049250313e-15, 6.633386240295636e-08, 0.01270622750271544),
+    (5.0, 2.5): (2.220446049250313e-15, 0.0003414937113024319, 0.03658974763092637, 0.21310318384821858),
+    (5.0, 25.0): (1.887082737284107e-05, 0.11671807775188248, 0.26360673985412275, 0.41744724622310414),
+    (25.0, 0.25): (0.0, 0.0, 0.0, 2.3314683517128287e-15),
+    (25.0, 2.5): (0.0, 0.0, 2.55351295663786e-15, 5.306558981510445e-05),
+    (25.0, 25.0): (0.0, 2.433760748488112e-09, 0.0008594844228477783, 0.060274551842156465),
 }
 P_DISK_PINS = {
     X86_V4: _P_DISK_PINS_X86_V4,
     X86_V3: {
         **_P_DISK_PINS_X86_V4,
-        (1.0, 0.25): (5.491231202747748e-06, 0.17930212815825397, 0.41598786284013733, 0.6245752052122048),
-        (1.0, 2.5): (0.11309853780515122, 0.5370920920780473, 0.6617318902235695, 0.7573562651969514),
-        (5.0, 2.5): (2.3314683517128287e-15, 0.000341493711302876, 0.036589747630926706, 0.2131031838482188),
+        (1.0, 0.25): (5.491231202636726e-06, 0.17930212815825386, 0.41598786284013733, 0.6245752052122048),
+        (1.0, 2.5): (0.11309853780515122, 0.5370920920780473, 0.6617318902235694, 0.7573562651969513),
+        (1.0, 25.0): (0.4878280131044702, 0.7169014932987835, 0.7751782067354251, 0.8243025226815822),
+        (5.0, 0.25): (0.0, 2.3314683517128287e-15, 6.633386262500096e-08, 0.01270622750271544),
+        (5.0, 2.5): (2.220446049250313e-15, 0.0003414937113025429, 0.03658974763092637, 0.21310318384821858),
     },
 }
 
@@ -283,10 +288,12 @@ def test_p_disk_bit_identical_pins():
 
 # SHA-256 of the float.hex of p_disk on CRITERION_3_GRID then FIGURE_GRID,
 # one value a line, by numpy dispatch; recorded before p_disk's quadrature
-# round was cut to slices and index arrays
+# round was cut to slices and index arrays; retaken when the log part came
+# to start at s = -20 above an exact tail, which moved 903 of the 1405
+# values, each by at most 5.6e-16
 P_DISK_GRID_SHA256 = {
-    X86_V4: "65219defdcc5422183e033f415cc0716189a9735c62c8e067515c00491ac6e78",
-    X86_V3: "a5facd1e76e7ae9fdd1312699893d200acb40d56be7b53ac274650b9f2281bc4",
+    X86_V4: "32b1c16c96044b6bef8d561a25b17ddcfdd49150b7c27447855554a524a4eadb",
+    X86_V3: "b66361967d6a143374977d5d1e40914dbea186f405ac709ea1a5423dff259758",
 }
 
 
@@ -302,7 +309,11 @@ def test_p_disk_whole_grid_digest():
 # 1.56e-9 ln(r/r_T) high at every t: 1.07e-9 at r = 1 (relative 2e-4 at
 # t = 0.0125) and 8.56e-9 at r = 125.  The last two points are where the
 # log part's former 16 equal starting panels erred most on the criterion-3
-# grid: 1.13e-11 and 3.6e-13 off.
+# grid: 1.13e-11 and 3.6e-13 off.  The two after them, at r/r_T = 3000 and
+# 1e4 and t = r^2, take the radius ratio far past the figures' 250, where
+# the exact tail, -ln(r/r_T) atan(pi / (2 lam)), is largest.  (Wherever a
+# call integrates, (r/r_T) y0 < 19, so J0((r/r_T) y) does not oscillate on
+# the log part's bottom panel [-20, -8] at any ratio.)
 P_DISK_TALBOT = {
     (1.0, 0.0125): 5.4912312003927718356e-6,
     (1.0, 1.0): 0.45780596373825520464,
@@ -313,12 +324,25 @@ P_DISK_TALBOT = {
     (125.0, 1e4): 0.034072036902453138668,
     (25.0, 38.539218317376886): 1.3489341144024792716e-5,
     (1.0, 0.21479955615259266): 0.20309508828223184228,
+    (1500.0, 2250000.0): 0.037282495546274172975,
+    (5000.0, 25000000.0): 0.032142908431020150873,
 }
 
 
 @pytest.mark.parametrize("r, t", list(P_DISK_TALBOT))
 def test_p_disk_against_talbot_inversion(r, t):
     assert_allclose(p_disk(r, R_T, t), P_DISK_TALBOT[r, t], rtol=0, atol=1e-13)
+
+
+def test_p_disk_tail_starts_low_enough(monkeypatch):
+    # the exact tail covers s < -20 (u < ln y0 - 20); integrating down to
+    # s = -60 instead moves no value of the two grids by more than 4e-15
+    # (1.3e-15 when recorded), where a tail from s = -14 moves them by 6.1e-14
+    curves = CRITERION_3_CURVES + [(r, FIGURE_TIMES) for r in (1.0, 5.0, 25.0, 125.0)]
+    at_20 = [p_disk(r, R_T, times) for r, times in curves]
+    monkeypatch.setattr(disk_oracle, "LOG_PANEL_EDGES", np.concatenate([[-60.0], disk_oracle.LOG_PANEL_EDGES]))
+    for (r, times), base in zip(curves, at_20):
+        assert_allclose(p_disk(r, R_T, times), base, rtol=0, atol=4e-15, err_msg=f"r = {r}")
 
 
 @pytest.fixture
@@ -371,12 +395,13 @@ def test_p_disk_calls_the_module_bindings(quadrature_rounds):
 def test_p_disk_figure_curve_is_one_kernel_call(quadrature_rounds):
     # each radius of the default figure grid: one round, one kernel call
     # under GK_CALL_NODES, and the nodes of its 83 integrating calls; the
-    # curve too calls the module bindings the benchmark's tracer rebinds
+    # curve too calls the module bindings the benchmark's tracer rebinds.
+    # (22455 nodes while the log part started at s = ln(y/y0) <= -60.)
     kernel_sizes, rounds = quadrature_rounds
     for r in (1.0, 5.0, 25.0, 125.0):
         p_disk(r, R_T, FIGURE_TIMES)
     assert len(rounds) == 4 and max(rounds) <= disk_oracle.GK_CALL_NODES
-    assert sum(rounds) == 22455
+    assert sum(rounds) == 18720
     assert kernel_sizes == [2 * n for n in rounds]
 
 
@@ -602,9 +627,10 @@ def test_p_disk_bounds_and_monotonicity():
 
 
 def test_p_disk_raw_stays_near_unit_interval():
+    # p_disk before clamping
     for r in (0.5, 0.7, 1.0, 5.0, 125.0):
         for t in (1e-3, 0.3, 1.0, 30.0, 1e3, 1e5):
-            raw = _p_disk_raw(r, R_T, t)
+            raw = _p_disk_curve(r, R_T, [t])[0]
             assert -2e-6 <= raw <= 1.0 + 2e-6
 
 
